@@ -151,28 +151,25 @@ def cmd_enumerate(args):
     kind = args.object
     if kind == "q":
         sigma = sigma_from_args(setting, args)
-        items = [
-            serialize_tableau(setting, T) for T in dualpair.enumerate_Q(setting, sigma)
-        ]
+        objects = dualpair.enumerate_Q(setting, sigma)
+        serialize = lambda T: serialize_tableau(setting, T)
     elif kind == "p":
-        items = [serialize_pp(pp) for pp in diagrams.enumerate_P(setting, setting.k)]
+        objects = diagrams.enumerate_P(setting, setting.k)
+        serialize = serialize_pp
     elif kind == "facets":
-        items = [
-            {"points": serialize_points(f.points)}
-            for f in posets.enumerate_facets(setting, setting.k)
-        ]
+        objects = posets.enumerate_facets(setting, setting.k)
+        serialize = lambda f: {"points": serialize_points(f.points)}
     else:  # jellyfish
         sigma = sigma_from_args(setting, args)
-        items = [
-            {
-                "tableau": serialize_tableau(setting, j.tableau),
-                "facet": serialize_points(j.family.points),
-            }
-            for j in jellyfish.enumerate_jellyfish(setting, sigma)
-        ]
-    if args.limit is not None:
-        items = items[: args.limit]
-    emit({"count": len(items), "items": items}, args.format)
+        objects = jellyfish.enumerate_jellyfish(setting, sigma)
+        serialize = lambda j: {
+            "tableau": serialize_tableau(setting, j.tableau),
+            "facet": serialize_points(j.family.points),
+        }
+    count = len(objects)
+    items = [serialize(x) for x in (objects if args.limit is None else objects[: args.limit])]
+    del objects  # emit copies the items; the full listing need not outlive them
+    emit({"count": count, "truncated": len(items) < count, "items": items}, args.format)
     return 0
 
 

@@ -489,6 +489,11 @@ def verify_all(only=None, limit=DEFAULT_LIMIT, seed=None):
         failures = SUITES[name](limit)
         results.append({"suite": name, "ok": not failures, "failures": len(failures)})
     if not only:
+        if seed is None:  # drawn here, so that the report can name it for a replay
+            seed = random.randrange(2**32)
         failures = _suite_random(limit, seed)
         results.append({"suite": "random-determinant", "ok": not failures, "failures": len(failures)})
-    return {"ok": all(r["ok"] for r in results), "suites": results}
+    report = {"ok": all(r["ok"] for r in results), "suites": results}
+    if not only:
+        report["seed"] = seed
+    return report

@@ -218,11 +218,56 @@ def c_statistic(pp):
 
 
 def numerator_polynomial(setting, k):
-    """Generating polynomial of the c statistic over P_k."""
+    """Generating polynomial of the c statistic over P_k, by a column
+    transfer matrix over D_k (enumerate_P with c_statistic is its oracle).
+
+    The columns are filled from left to right.  A state is the filling of
+    the previous column on the rows the current column shares with it, the
+    only entries the current column reads; it carries the coefficient list
+    of t^c summed over the fillings of the columns so far.
+    """
     r = real_rank(setting)
     if not 1 <= k <= r:
         raise ValueError(f"k must satisfy 1 <= k <= {r}")
-    return IntPolynomial.from_histogram(c_statistic(p) for p in enumerate_P(setting, k))
+    columns = {}
+    for row, col in diagram_D(setting, k):
+        columns.setdefault(col, []).append(row)
+    states = {(): [1]}
+    west_rows = ()
+    for col in sorted(columns):
+        rows = sorted(columns[col], reverse=True)  # bottom to top
+        keep = tuple(row for row in sorted(columns.get(col + 1, ())) if row in rows)
+        step = {}
+        for state, poly in states.items():
+            west = dict(zip(west_rows, state))
+            for key, weight in _column_fillings(rows, west, keep, k):
+                acc = step.setdefault(key, [])
+                if len(acc) < len(poly) + weight:
+                    acc.extend([0] * (len(poly) + weight - len(acc)))
+                for power, coeff in enumerate(poly, weight):
+                    acc[power] += coeff
+        states, west_rows = step, keep
+    # the last column shares no rows with a next one, so one state is left
+    return IntPolynomial(states[()])
+
+
+def _column_fillings(rows, west, keep, k):
+    """The fillings of one column of D_k, rows listed bottom to top, bounded
+    by k, weakly increasing upward and at least the west neighbor (absent
+    neighbors read as 0).  Each comes as (its entries on the rows in keep,
+    the column's share of the c statistic)."""
+    fillings = [((), 0)]
+    for pos, row in enumerate(rows):
+        floor = west.get(row, 0)
+        stacked = pos > 0 and rows[pos - 1] == row + 1
+        fillings = [
+            (values + (v,), weight + v - low)
+            for values, weight in fillings
+            for low in (max(values[-1], floor) if stacked else floor,)
+            for v in range(low, k + 1)
+        ]
+    index = [rows.index(row) for row in keep]
+    return [(tuple(values[i] for i in index), weight) for values, weight in fillings]
 
 
 def hilbert_series_orbit(setting, k):

@@ -111,6 +111,9 @@ def enumerate_ssyt(shape, max_entry):
         return []
     cells = [(i, j) for i, rowlen in enumerate(shape) for j in range(rowlen)]
     rows = [[0] * rowlen for rowlen in shape]
+    # column j holds heights[j] cells, so cell (i, j) leaves room for the
+    # heights[j] - 1 - i strictly larger entries below it
+    heights = [sum(1 for rowlen in shape if rowlen > j) for j in range(shape[0])]
     out = []
 
     def fill(pos):
@@ -123,7 +126,8 @@ def enumerate_ssyt(shape, max_entry):
             low = max(low, rows[i][j - 1])
         if i > 0:
             low = max(low, rows[i - 1][j] + 1)
-        for v in range(low, max_entry + 1):
+        high = max_entry - (heights[j] - 1 - i)
+        for v in range(low, high + 1):
             rows[i][j] = v
             fill(pos + 1)
 

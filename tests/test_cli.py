@@ -62,13 +62,20 @@ def test_enumerate_q():
 
 def test_enumerate_p_with_limit():
     code, out = run_cli(
-        ["enumerate", "p", "--family", "upq", "--p", "4", "--q", "5", "--k", "2", "--limit", "3"]
+        ["enumerate", "p", "--family", "upq", "--p", "4", "--q", "5", "--k", "2", "--limit", "10"]
     )
     assert code == 0
     payload = json.loads(out)
-    assert payload["count"] == 3
-    assert len(payload["items"]) == 3
+    assert payload["count"] == 50  # the true #P_2 of upq(4,5), not the cut
+    assert payload["truncated"] is True
+    assert len(payload["items"]) == 10
     assert all("boxes" in item for item in payload["items"])
+    code, out = run_cli(
+        ["enumerate", "p", "--family", "upq", "--p", "4", "--q", "5", "--k", "2", "--limit", "50"]
+    )
+    payload = json.loads(out)
+    assert payload["count"] == len(payload["items"]) == 50
+    assert payload["truncated"] is False
 
 
 def test_enumerate_facets_and_jellyfish():
@@ -139,6 +146,14 @@ def test_verify():
     assert payload["ok"]
     code, _ = run_cli(["verify", "--only", "bogus"])
     assert code == 2
+
+
+def test_verify_reports_its_seed():
+    code, out = run_cli(["verify", "--seed", "11"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["seed"] == 11 and payload["ok"]
+    assert [s["suite"] for s in payload["suites"]][-1] == "random-determinant"
 
 
 def test_invalid_input_exit_code():

@@ -2,6 +2,7 @@
 
 import pytest
 
+from dualdeg import degree, dualpair
 from dualdeg.degree import (
     EXCEPTIONAL_ROWS,
     bernstein_degree,
@@ -145,9 +146,30 @@ def test_hilbert_report_rendering():
 def test_verify_all():
     out = verify_all(seed=7)
     assert out["ok"], out
+    assert out["seed"] == 7
     names = {s["suite"] for s in out["suites"]}
     assert "criterion" in names and "random-determinant" in names
     single = verify_all(only="width")
     assert single["ok"] and len(single["suites"]) == 1
+    assert "seed" not in single  # the random suite did not run
     with pytest.raises(ValueError):
         verify_all(only="no-such-suite")
+
+
+def test_verify_all_reports_a_replayable_seed(monkeypatch):
+    # only the random suite runs; record the cases it draws
+    monkeypatch.setattr(degree, "SUITES", {})
+    drawn = []
+    count = dualpair.count_Q_determinant
+
+    def recording(setting, sigma):
+        drawn.append((setting, sigma))
+        return count(setting, sigma)
+
+    monkeypatch.setattr(dualpair, "count_Q_determinant", recording)
+    first = verify_all()
+    assert isinstance(first["seed"], int)
+    first_cases, drawn[:] = list(drawn), []
+    assert first_cases
+    assert verify_all(seed=first["seed"]) == first
+    assert drawn == first_cases

@@ -3,6 +3,9 @@
 import hashlib
 from importlib import resources
 
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
 from dualdeg import diagrams
 from dualdeg.diagrams import (
     PlanePartition,
@@ -15,6 +18,7 @@ from dualdeg.diagrams import (
     enumerate_P,
     hilbert_series_orbit,
     interior,
+    numerator_polynomial,
     rectangle,
     shifted_staircase,
     staircase,
@@ -163,3 +167,48 @@ def test_hilbert_series():
     for setting, k in [(upq(3, 4, 0), 2), (mp(3, 0), 1), (ostar(6, 0), 2)]:
         num, _ = hilbert_series_orbit(setting, k)
         assert num.evaluate(1) == len(enumerate_P(setting, k))
+
+
+def _numerator_by_enumeration(setting, k):
+    return IntPolynomial.from_histogram(c_statistic(p) for p in enumerate_P(setting, k))
+
+
+def _within_enumeration_budget(setting, k):
+    return len(diagram_D(setting, k)) <= 12 or count_P_product(setting, k) <= 5000
+
+
+@st.composite
+def dual_pair_orbits(draw):
+    family = draw(st.sampled_from(["upq", "mp", "ostar"]))
+    if family == "upq":
+        setting = upq(draw(st.integers(1, 8)), draw(st.integers(1, 8)), 0)
+    elif family == "mp":
+        setting = mp(draw(st.integers(1, 9)), 0)
+    else:
+        setting = ostar(draw(st.integers(2, 13)), 0)
+    k = draw(st.integers(1, real_rank(setting)))
+    assume(_within_enumeration_budget(setting, k))
+    return setting, k
+
+
+@settings(max_examples=100, deadline=None)
+@given(dual_pair_orbits())
+def test_transfer_matrix_numerator_matches_enumeration(orbit):
+    setting, k = orbit
+    assert numerator_polynomial(setting, k) == _numerator_by_enumeration(setting, k)
+
+
+def test_transfer_matrix_numerator_matches_enumeration_other_types():
+    so = [Setting(family, n=n) for family in ("so-even", "so-odd") for n in range(3, 41)]
+    for setting in so + [Setting("e6"), Setting("e7")]:
+        for k in range(1, real_rank(setting) + 1):
+            assert numerator_polynomial(setting, k) == _numerator_by_enumeration(setting, k), (setting, k)
+
+
+def test_numerator_polynomial_pinned():
+    # computed by listing all 226,512 plane partitions
+    num = numerator_polynomial(upq(8, 8, 0), 2)
+    assert list(num.coeffs) == [1, 36, 666, 5300, 22275, 51192, 67572, 51192, 22275, 5300, 666, 36, 1]
+    assert num.evaluate(1) == count_P_product(upq(8, 8, 0), 2) == 226_512
+    # the empty diagram D_r has the empty filling alone
+    assert numerator_polynomial(upq(3, 5, 0), 3) == IntPolynomial([1])

@@ -2,6 +2,7 @@
 
 import itertools
 
+from dualdeg.repdims import dim_gl
 from dualdeg.tableaux import (
     IntPolynomial,
     Tableau,
@@ -69,6 +70,13 @@ def test_enumerate_ssyt_golden():
     listing = enumerate_ssyt((2, 1), 3)
     assert listing == sorted(listing)
     assert len(set(listing)) == len(listing)
+
+
+def test_enumerate_ssyt_tall_shape():
+    # without pruning by column height this search took tens of seconds
+    listing = enumerate_ssyt((2,) * 13, 14)
+    assert len(listing) == 105 == binomial(15, 2) == dim_gl(14, (2,) * 13 + (0,))
+    assert all(t.is_semistandard() and max(t.entries()) <= 14 for t in listing)
 
 
 def test_binomial():
