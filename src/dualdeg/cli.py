@@ -40,11 +40,6 @@ def sigma_from_args(setting, args):
     return parse_partition(args.sigma)
 
 
-def _numeric(value):
-    """Serialize a big integer as a decimal string."""
-    return str(value)
-
-
 def tableau_rows(T):
     return [list(row) for row in T.rows]
 
@@ -73,9 +68,9 @@ def degree_payload(report):
         "n": s.n,
         "k": s.k,
         "sigma": repr(report.sigma),
-        "q_count": _numeric(report.q_count),
-        "p_count": _numeric(report.p_count),
-        "degree": _numeric(report.degree),
+        "q_count": report.q_count,
+        "p_count": report.p_count,
+        "degree": report.degree,
         "regime": report.regime,
         "conjectural": report.conjectural,
         "cross_checks": [
@@ -92,19 +87,22 @@ COUNT_KEYS = frozenset(
 
 
 def _stringify_counts(obj):
+    """Replace the COUNT_KEYS integers in a payload by decimal strings, in place."""
     if isinstance(obj, dict):
-        return {
-            key: str(value) if key in COUNT_KEYS and isinstance(value, int) else _stringify_counts(value)
-            for key, value in obj.items()
-        }
-    if isinstance(obj, list):
-        return [_stringify_counts(x) for x in obj]
-    return obj
+        for key, value in obj.items():
+            if key in COUNT_KEYS and isinstance(value, int):
+                obj[key] = str(value)
+            else:
+                _stringify_counts(value)
+    elif isinstance(obj, list):
+        for x in obj:
+            _stringify_counts(x)
 
 
 def emit(payload, fmt, out=None):
+    """Print a payload as JSON, CSV or text; its count fields become strings."""
     out = out or sys.stdout
-    payload = _stringify_counts(payload)
+    _stringify_counts(payload)
     if fmt == "json":
         print(json.dumps(payload, indent=2), file=out)
         return
@@ -168,7 +166,7 @@ def cmd_enumerate(args):
         }
     count = len(objects)
     items = [serialize(x) for x in (objects if args.limit is None else objects[: args.limit])]
-    del objects  # emit copies the items; the full listing need not outlive them
+    del objects  # the full listing need not outlive the serialized items
     emit({"count": count, "truncated": len(items) < count, "items": items}, args.format)
     return 0
 
@@ -226,7 +224,7 @@ def _exceptional_check():
                             "h_system": row.h_system,
                             "a": a,
                             "b": b,
-                            "degree": _numeric(value),
+                            "degree": value,
                         }
                     )
                 except AssertionError as exc:
@@ -239,10 +237,7 @@ def _exceptional_check():
 
 def cmd_hilbert(args):
     setting = setting_from_args(args)
-    report = degree.hilbert_report(setting, setting.k)
-    payload = dict(report)
-    payload["p_count"] = _numeric(payload["p_count"])
-    emit(payload, args.format)
+    emit(degree.hilbert_report(setting, setting.k), args.format)
     return 0
 
 

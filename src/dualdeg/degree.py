@@ -75,6 +75,24 @@ def is_conjectural(setting):
     return setting.family == MP and setting.n + 1 <= setting.k <= 2 * setting.n - 2
 
 
+def _jellyfish_gate(setting, t_size, limit):
+    """The first gate of the jellyfish oracle that the instance fails, or None."""
+    k = setting.k
+    if setting.family not in (UPQ, OSTAR):
+        return f"no jellyfish for family {setting.family}"
+    s = dualpair.free_threshold(setting)
+    if k >= s:
+        return f"k={k} >= s={s}"
+    if k > 2:
+        return f"k={k} > 2"
+    points = len(posets.build_poset(setting).points)
+    if points > 20:
+        return f"|poset|={points} > 20"
+    if t_size > limit:
+        return f"dim F_lambda={t_size} > limit {limit}"
+    return None
+
+
 def bernstein_degree(setting, sigma, limit=DEFAULT_LIMIT):
     """Degree of the module labeled by sigma as #Q_k(sigma) * #P_k, with
     oracle cross-checks on instances small enough to enumerate."""
@@ -99,7 +117,7 @@ def bernstein_degree(setting, sigma, limit=DEFAULT_LIMIT):
             )
         )
     else:
-        checks.append(CrossCheck("q-enumeration", "skipped", "instance too large for oracle cross-check"))
+        checks.append(CrossCheck("q-enumeration", "skipped", f"dim F_lambda={t_size} > limit {limit}"))
 
     d_k = diagrams.diagram_D(setting, setting.k)
     if p_count <= limit and len(d_k) <= 12:
@@ -112,15 +130,15 @@ def bernstein_degree(setting, sigma, limit=DEFAULT_LIMIT):
             )
         )
     else:
-        checks.append(CrossCheck("p-enumeration", "skipped", "instance too large for oracle cross-check"))
+        gates = []
+        if p_count > limit:
+            gates.append(f"#P_k={p_count} > limit {limit}")
+        if len(d_k) > 12:
+            gates.append(f"|D_k|={len(d_k)} > 12")
+        checks.append(CrossCheck("p-enumeration", "skipped", "; ".join(gates)))
 
-    if (
-        setting.family in (UPQ, OSTAR)
-        and setting.k < dualpair.free_threshold(setting)
-        and setting.k <= 2
-        and len(posets.build_poset(setting).points) <= 20
-        and t_size <= limit
-    ):
+    jellyfish_gate = _jellyfish_gate(setting, t_size, limit)
+    if jellyfish_gate is None:
         m = jellyfish.multiplicity_from_jellyfish(setting, sigma)
         checks.append(
             CrossCheck(
@@ -130,7 +148,7 @@ def bernstein_degree(setting, sigma, limit=DEFAULT_LIMIT):
             )
         )
     else:
-        checks.append(CrossCheck("jellyfish", "skipped", "not applicable at this size"))
+        checks.append(CrossCheck("jellyfish", "skipped", jellyfish_gate))
 
     return DegreeReport(
         setting=setting,

@@ -238,6 +238,51 @@ def enumerate_Q(setting, sigma):
     return [T for T in enumerate_T(setting, sigma) if in_Q_definition(setting, sigma, T)]
 
 
+def _count_Q_mp(n, k, sigma):
+    """#Q_k(sigma) for mp: a sum over first columns C of the interval
+    I = [n-k+1, n] of c2 x c2 path determinants whose column j has the flag
+    a_j = max(C_j, L_j), L = I minus C, evaluated as one scan of I.
+
+    Each v in I joins C (only if v >= 1) or L; the state is (#C, #L) so far.
+    a_j is the v at which min(#C, #L) reaches j, so column j is wedged in at
+    that step.  A state holds its exterior-power vector as a map from the
+    bitmask of rows used to an integer coefficient; the determinant is the
+    full-mask coefficient at (c1, k - c1).
+    """
+    conj = conjugate(sigma)
+    c1 = conj[0] if len(conj) >= 1 else 0
+    c2 = conj[1] if len(conj) >= 2 else 0
+    states = {(0, 0): {0: 1}}
+    for v in range(n - k + 1, n + 1):
+        nxt = {}
+        for (x, y), vec in states.items():
+            for x2, y2 in ((x + 1, y), (x, y + 1)):
+                if x2 > c1 or y2 > k - c1 or (x2 > x and v < 1):
+                    continue
+                j = min(x2, y2)
+                if min(x, y) < j <= c2:
+                    # column j with flag a_j = v; rows i = 1..c2
+                    col = [binomial(sigma[i] - i + j - 2 + n - v, sigma[i] - i + j - 2) for i in range(c2)]
+                    out = {}
+                    for mask, coeff in vec.items():
+                        for i, w in enumerate(col):
+                            if w and not mask >> i & 1:
+                                # e_i moves left past every used row below it
+                                term = -coeff * w if (mask >> (i + 1)).bit_count() & 1 else coeff * w
+                                out[mask | 1 << i] = out.get(mask | 1 << i, 0) + term
+                else:
+                    out = vec
+                acc = nxt.setdefault((x2, y2), {})
+                for mask, coeff in out.items():
+                    acc[mask] = acc.get(mask, 0) + coeff
+        states = {}
+        for key, vec in nxt.items():
+            vec = {mask: coeff for mask, coeff in vec.items() if coeff}
+            if vec:
+                states[key] = vec
+    return states.get((c1, k - c1), {}).get((1 << c2) - 1, 0)
+
+
 def count_Q_determinant(setting, sigma):
     """#Q_k(sigma) via the family-specific nonintersecting-path determinant."""
     if sigma_admissible(setting, sigma) != IN_SIGMA:
@@ -265,24 +310,7 @@ def count_Q_determinant(setting, sigma):
             mat.append(row)
         return determinant(mat)
     if setting.family == MP:
-        n = setting.n
-        conj = conjugate(sigma)
-        c1 = conj[0] if len(conj) >= 1 else 0
-        c2 = conj[1] if len(conj) >= 2 else 0
-        interval = list(range(n - k + 1, n + 1))
-        total = 0
-        for comb in itertools.combinations(range(max(1, n - k + 1), n + 1), c1):
-            leftover = sorted(set(interval) - set(comb))
-            mat = []
-            for i in range(1, c2 + 1):
-                row = []
-                for j in range(1, c2 + 1):
-                    a_j = max(comb[j - 1], leftover[j - 1])
-                    e = sigma[i - 1] - i + j - 1
-                    row.append(binomial(e + n - a_j, e))
-                mat.append(row)
-            total += determinant(mat)
-        return total
+        return _count_Q_mp(setting.n, k, sigma)
     # ostar
     n = setting.n
     full = pad(sigma, k)

@@ -9,6 +9,7 @@ star-orthogonal families carry this structure.
 import itertools
 from dataclasses import dataclass
 from functools import cache
+from types import MappingProxyType
 
 from . import dualpair
 from .dualpair import IN_SIGMA, OSTAR, UPQ, free_threshold
@@ -229,7 +230,8 @@ def _endpoint_keys(setting, endpoints):
 
 @cache
 def _families_by_endpoints(setting, k):
-    """Map from endpoint data to the list of path families realizing it."""
+    """Read-only map from endpoint data to the tuple of path families
+    realizing it; the result is cached, so callers must not change it."""
     _check_family(setting)
     _check_k(setting, k)
     starts = _starts(setting, k)
@@ -258,7 +260,7 @@ def _families_by_endpoints(setting, k):
             if family.points not in bucket:
                 bucket.add(family.points)
                 grouped.setdefault(key, []).append(family)
-    return grouped
+    return MappingProxyType({key: tuple(families) for key, families in grouped.items()})
 
 
 def enumerate_F(setting, k):

@@ -100,15 +100,16 @@ class Tableau:
 def enumerate_ssyt(shape, max_entry):
     """All semistandard tableaux of the given shape with entries in [1, max_entry].
 
-    Returned in lexicographic order of the row-major entry vector.
+    Returned as a tuple, so the cached result cannot be changed by a caller,
+    in lexicographic order of the row-major entry vector.
     """
     shape = check_partition(shape) if shape else ()
     if max_entry < 0:
         raise ValueError("max_entry must be >= 0")
     if not shape:
-        return [Tableau(())]
+        return (Tableau(()),)
     if len(shape) > max_entry:
-        return []
+        return ()
     cells = [(i, j) for i, rowlen in enumerate(shape) for j in range(rowlen)]
     rows = [[0] * rowlen for rowlen in shape]
     # column j holds heights[j] cells, so cell (i, j) leaves room for the
@@ -132,7 +133,7 @@ def enumerate_ssyt(shape, max_entry):
             fill(pos + 1)
 
     fill(0)
-    return out
+    return tuple(out)
 
 
 def binomial(a, b):

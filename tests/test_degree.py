@@ -59,6 +59,18 @@ def test_report_fields():
     assert big.degree == big.q_count * big.p_count
     assert any(c.status == "skipped" for c in big.cross_checks)
     assert big.ok()
+    # each skip names the gate that tripped and its value
+    details = {c.name: c.detail for c in big.cross_checks if c.status == "skipped"}
+    assert details == {
+        "q-enumeration": "dim F_lambda=8588580 > limit 10",
+        "p-enumeration": f"#P_k={big.p_count} > limit 10; |D_k|=35 > 12",
+        "jellyfish": "k=5 > 2",
+    }
+    skipped = {c.name: c.detail for c in bernstein_degree(mp(24, 18), (2,) * 9).cross_checks}
+    assert skipped["q-enumeration"] == "dim F_lambda=267119798440 > limit 5000"
+    assert skipped["jellyfish"] == "no jellyfish for family mp"
+    jelly = bernstein_degree(upq(5, 5, 2), ((1,), ())).cross_checks[2]
+    assert (jelly.status, jelly.detail) == ("skipped", "|poset|=25 > 20")
 
 
 def test_degree_input_validation():

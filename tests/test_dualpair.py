@@ -1,6 +1,10 @@
 """Tests for the dual-pair settings, Q_k(sigma), and its counting formulas."""
 
+import itertools
 from fractions import Fraction
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dualdeg import dualpair
 from dualdeg.degree import iter_sigmas
@@ -24,7 +28,8 @@ from dualdeg.dualpair import (
     sigma_admissible,
     upq,
 )
-from dualdeg.tableaux import Tableau
+from dualdeg.repdims import dim_F_lambda
+from dualdeg.tableaux import Tableau, binomial, conjugate, determinant
 
 
 def test_parameters():
@@ -160,3 +165,72 @@ def test_collapse_boundaries():
             for sigma in iter_sigmas(s, 2):
                 report = q_collapse_check(s, sigma)
                 assert report["ok"], (s, sigma, report)
+
+
+def _count_Q_mp_by_first_columns(n, k, sigma):
+    """#Q_k(sigma) for mp as a sum over every first column C, a c1-subset of
+    [n-k+1, n] with entries >= 1, of one c2 x c2 determinant whose column j
+    has the flag a_j = max(C_j, L_j), L the rest of the interval."""
+    conj = conjugate(sigma)
+    c1 = conj[0] if len(conj) >= 1 else 0
+    c2 = conj[1] if len(conj) >= 2 else 0
+    interval = list(range(n - k + 1, n + 1))
+    total = 0
+    for comb in itertools.combinations(range(max(1, n - k + 1), n + 1), c1):
+        leftover = sorted(set(interval) - set(comb))
+        mat = []
+        for i in range(1, c2 + 1):
+            row = []
+            for j in range(1, c2 + 1):
+                a_j = max(comb[j - 1], leftover[j - 1])
+                e = sigma[i - 1] - i + j - 1
+                row.append(binomial(e + n - a_j, e))
+            mat.append(row)
+        total += determinant(mat)
+    return total
+
+
+def test_mp_scan_matches_first_column_sum():
+    # every admissible label of size <= 9, over all three regimes
+    cases = 0
+    for n in range(1, 9):
+        for k in range(1, 2 * n + 3):
+            s = mp(n, k)
+            for sigma in iter_sigmas(s, 9):
+                assert count_Q_determinant(s, sigma) == _count_Q_mp_by_first_columns(n, k, sigma), (n, k, sigma)
+                cases += 1
+    assert cases == 4934
+
+
+@st.composite
+def mp_labels(draw):
+    n = draw(st.integers(1, 8))
+    regime = draw(st.sampled_from(["k<=r", "r<k<s", "k>=s"]))
+    if regime == "k<=r":
+        k = draw(st.integers(1, n))
+    elif regime == "r<k<s":
+        assume(n >= 3)
+        k = draw(st.integers(n + 1, 2 * n - 2))
+    else:
+        k = draw(st.integers(2 * n - 1, 2 * n + 2))
+    sigma = tuple(sorted(draw(st.lists(st.integers(1, 5), max_size=min(n, k))), reverse=True))
+    setting = mp(n, k)
+    assume(sigma_admissible(setting, sigma) == IN_SIGMA)
+    assume(dim_F_lambda(setting, sigma) <= 5000)
+    return setting, sigma
+
+
+@settings(max_examples=100, deadline=None)
+@given(mp_labels())
+def test_mp_scan_matches_enumeration(label):
+    setting, sigma = label
+    assert count_Q_determinant(setting, sigma) == len(enumerate_Q(setting, sigma))
+
+
+def test_mp_scan_pinned():
+    # k <= r: the dimension of the O_k irrep labeled by sigma
+    assert count_Q_determinant(mp(24, 18), (2,) * 9) == 81_662_152
+    assert count_Q_determinant(mp(28, 22), (3,) * 9) == 230_925_065_751_380
+    # the metaplectic window: counted from the defining inequalities
+    assert count_Q_determinant(mp(10, 14), (4, 3, 3, 2, 2, 1)) == 14_147_550
+    assert count_Q_determinant(mp(12, 16), (3, 3, 3, 2, 2, 2, 1)) == 46_998_016

@@ -1,5 +1,7 @@
 """Tests for the boundary-anchored path families and jellyfish counting."""
 
+import pytest
+
 from dualdeg import dualpair, jellyfish, posets
 from dualdeg.degree import bernstein_degree, iter_sigmas
 from dualdeg.dualpair import enumerate_Q, mp, ostar, upq
@@ -112,6 +114,22 @@ def test_equal_cardinality_within_endpoint_class():
         for ends, fams in grouped.items():
             sizes = {len(f) for f in fams}
             assert len(sizes) == 1, (setting, ends, sizes)
+
+
+def test_families_by_endpoints_cache_cannot_be_corrupted():
+    setting = upq(3, 3, 2)
+    first = jellyfish._families_by_endpoints(setting, 2)
+    sizes = {ends: len(fams) for ends, fams in first.items()}
+    key = next(iter(first))
+    with pytest.raises(TypeError):
+        first[key] = ()
+    with pytest.raises(AttributeError):
+        first.clear()
+    with pytest.raises(AttributeError):
+        first[key].clear()
+    again = jellyfish._families_by_endpoints(setting, 2)
+    assert {ends: len(fams) for ends, fams in again.items()} == sizes
+    assert len(enumerate_F_E(setting, 2, key)) == sizes[key]
 
 
 def test_maximal_families_match_poset_facets():

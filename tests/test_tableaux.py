@@ -2,6 +2,8 @@
 
 import itertools
 
+import pytest
+
 from dualdeg.repdims import dim_gl
 from dualdeg.tableaux import (
     IntPolynomial,
@@ -63,12 +65,12 @@ def test_enumerate_ssyt_golden():
     assert len(enumerate_ssyt((2, 1), 3)) == 8
     assert len(enumerate_ssyt((2, 2), 3)) == 6
     assert len(enumerate_ssyt((3, 2, 1), 3)) == 8
-    assert enumerate_ssyt((), 5) == [Tableau(())]
-    assert enumerate_ssyt((1, 1, 1), 2) == []
+    assert enumerate_ssyt((), 5) == (Tableau(()),)
+    assert enumerate_ssyt((1, 1, 1), 2) == ()
     for t in enumerate_ssyt((3, 2), 4):
         assert t.is_semistandard()
     listing = enumerate_ssyt((2, 1), 3)
-    assert listing == sorted(listing)
+    assert list(listing) == sorted(listing)
     assert len(set(listing)) == len(listing)
 
 
@@ -77,6 +79,15 @@ def test_enumerate_ssyt_tall_shape():
     listing = enumerate_ssyt((2,) * 13, 14)
     assert len(listing) == 105 == binomial(15, 2) == dim_gl(14, (2,) * 13 + (0,))
     assert all(t.is_semistandard() and max(t.entries()) <= 14 for t in listing)
+
+
+def test_enumerate_ssyt_cache_cannot_be_corrupted():
+    first = enumerate_ssyt((2, 1), 3)
+    with pytest.raises(AttributeError):
+        first.clear()
+    with pytest.raises(TypeError):
+        first[0] = Tableau(())
+    assert len(enumerate_ssyt((2, 1), 3)) == 8
 
 
 def test_binomial():
