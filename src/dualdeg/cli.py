@@ -4,6 +4,7 @@ Hilbert series, and the verification harness, with JSON/CSV/text output."""
 import argparse
 import csv
 import json
+import os
 import sys
 
 from . import degree, diagrams, dualpair, jellyfish, posets
@@ -180,7 +181,8 @@ def cmd_check(args):
         sigma = sigma_from_args(setting, args)
         report = dualpair.q_collapse_check(setting, sigma)
     elif args.identity == "theta":
-        report = _theta_check(setting, setting.k)
+        p_count, facet_count, failures = degree.theta_check(setting, setting.k)
+        report = {"p_count": p_count, "facet_count": facet_count, "ok": not failures}
     elif args.identity == "conjecture":
         if setting.family != dualpair.MP:
             raise ValueError("the conjecture probe applies to the mp family")
@@ -194,20 +196,6 @@ def cmd_check(args):
         report = _exceptional_check()
     emit(report, args.format)
     return 0 if report.get("ok", True) else 1
-
-
-def _theta_check(setting, k):
-    pps = diagrams.enumerate_P(setting, k)
-    facets = posets.enumerate_facets(setting, k)
-    images = set()
-    ok = True
-    for pp in pps:
-        f = posets.theta(setting, k, pp)
-        images.add(f.points)
-        ok = ok and posets.theta_inverse(setting, k, f) == pp
-        ok = ok and len(posets.corners(setting, k, f)) == diagrams.c_statistic(pp)
-    ok = ok and images == {f.points for f in facets} and len(images) == len(pps)
-    return {"p_count": len(pps), "facet_count": len(facets), "ok": ok}
 
 
 def _exceptional_check():
@@ -303,10 +291,18 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader closed the pipe.  Exit as a process killed by SIGPIPE
+        # would (1 is kept for a failed cross-check), with stdout on devnull
+        # so that the flush at interpreter shutdown cannot raise again.
+        sys.stdout = open(os.devnull, "w")
+        return 141
+    return code
 
 
 if __name__ == "__main__":

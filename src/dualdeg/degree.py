@@ -361,24 +361,35 @@ def _suite_product(limit):
     return failures
 
 
+def theta_check(setting, k):
+    """Round-trip theta over every plane partition on D_k: theta_inverse undoes
+    it, corners count the c statistic, and the images are distinct and are
+    exactly the facets.  Returns #P_k, the facet count and the failed checks."""
+    pps = diagrams.enumerate_P(setting, k)
+    facets = posets.enumerate_facets(setting, k)
+    images = set()
+    failures = []
+    for pp in pps:
+        f = posets.theta(setting, k, pp)
+        images.add(f.points)
+        if posets.theta_inverse(setting, k, f) != pp:
+            failures.append("round-trip")
+        if len(posets.corners(setting, k, f)) != diagrams.c_statistic(pp):
+            failures.append("corners")
+    if images != {f.points for f in facets}:
+        failures.append("facet-match")
+    if len(images) != len(pps):
+        failures.append("injective")
+    return len(pps), len(facets), failures
+
+
 def _suite_theta(limit):
     failures = []
     for setting in _small_settings():
         if len(posets.build_poset(setting).points) > 21:
             continue
         for k in range(1, min(2, dualpair.real_rank(setting)) + 1):
-            pps = diagrams.enumerate_P(setting, k)
-            facets = posets.enumerate_facets(setting, k)
-            images = set()
-            for pp in pps:
-                f = posets.theta(setting, k, pp)
-                images.add(f.points)
-                if posets.theta_inverse(setting, k, f) != pp:
-                    failures.append((setting, k, "round-trip"))
-                if len(posets.corners(setting, k, f)) != diagrams.c_statistic(pp):
-                    failures.append((setting, k, "corners"))
-            if images != {f.points for f in facets}:
-                failures.append((setting, k, "facet-match"))
+            failures += [(setting, k, name) for name in theta_check(setting, k)[2]]
     return failures
 
 

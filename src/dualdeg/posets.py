@@ -3,10 +3,9 @@ antichain widths, facets of the width-k order complex as unions of k
 nonintersecting lattice paths, and the bijection with bounded plane
 partitions."""
 
+import bisect
 import itertools
 from dataclasses import dataclass
-
-import networkx as nx
 
 from . import diagrams
 from .diagrams import PlanePartition
@@ -59,19 +58,17 @@ def build_poset(setting):
 
 
 def width(poset, subset=None):
-    """Largest antichain inside the subset (whole poset by default), computed
-    as size minus a maximum matching of the comparability relation."""
-    pts = sorted(poset.points if subset is None else subset)
-    graph = nx.Graph()
-    left = {p: ("L", p) for p in pts}
-    right = {p: ("R", p) for p in pts}
-    graph.add_nodes_from(left.values(), bipartite=0)
-    graph.add_nodes_from(right.values(), bipartite=1)
-    for a, b in itertools.permutations(pts, 2):
-        if a != b and RootPoset.leq(a, b):
-            graph.add_edge(left[a], right[b])
-    matching = nx.bipartite.maximum_matching(graph, top_nodes=list(left.values()))
-    return len(pts) - len(matching) // 2
+    """Largest antichain inside the subset (whole poset by default).  Read row
+    by row, an antichain has strictly falling columns, so this is a longest
+    strictly decreasing run of columns over the points sorted by (row, column)."""
+    tails = []  # tails[i]: minus the largest column ending a falling run of length i + 1
+    for _, c in sorted(poset.points if subset is None else subset):
+        i = bisect.bisect_left(tails, -c)
+        if i == len(tails):
+            tails.append(-c)
+        else:
+            tails[i] = -c
+    return len(tails)
 
 
 @dataclass(frozen=True)

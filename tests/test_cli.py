@@ -3,7 +3,11 @@
 import csv
 import io
 import json
-from contextlib import redirect_stdout
+import os
+import subprocess
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -161,3 +165,44 @@ def test_invalid_input_exit_code():
     assert code == 2  # missing --p/--q
     code, _ = run_cli(["degree", "--family", "mp", "--n", "3", "--k", "1", "--sigma", "1,2"])
     assert code == 2  # not a partition
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone away: the named method raises."""
+
+    def __init__(self, failing):
+        super().__init__()
+        self.failing = failing
+
+    def write(self, text):
+        if self.failing == "write":
+            raise BrokenPipeError(32, "Broken pipe")
+        return super().write(text)
+
+    def flush(self):
+        if self.failing == "flush":
+            raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("failing", ["write", "flush"])
+def test_broken_pipe_exits_141_quietly(failing):
+    err = io.StringIO()
+    with redirect_stdout(_ClosedPipe(failing)), redirect_stderr(err):
+        code = main(["degree", "--family", "ostar", "--n", "1", "--k", "1", "--sigma", "1"])
+        stdout_after = sys.stdout
+    stdout_after.close()
+    assert code == 141  # 128 + SIGPIPE; 1 stays reserved for a failed cross-check
+    assert stdout_after.name == os.devnull
+    assert err.getvalue() == ""
+
+
+def test_cli_import_loads_no_networkx():
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", "import dualdeg.cli, sys; print('networkx' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        check=True,
+    )
+    assert proc.stdout.strip() == "False"

@@ -4,6 +4,9 @@ import hashlib
 import itertools
 from pathlib import Path
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from dualdeg import diagrams, posets
 from dualdeg.diagrams import PlanePartition, c_statistic, enumerate_P
 from dualdeg.dualpair import Setting, free_threshold, mp, ostar, real_rank, upq
@@ -79,6 +82,38 @@ def test_width_on_subsets():
     assert width(poset, {(1, 1), (2, 2), (3, 3)}) == 1  # a chain
     assert width(poset, {(1, 3), (2, 2), (3, 1)}) == 3  # an antichain
     assert width(poset, set()) == 0
+
+
+@st.composite
+def poset_subsets(draw):
+    """A upq, mp or ostar root poset and a subset of at most 14 of its points."""
+    family = draw(st.sampled_from(["upq", "mp", "ostar"]))
+    if family == "upq":
+        setting = upq(draw(st.integers(1, 6)), draw(st.integers(1, 6)), 0)
+    elif family == "mp":
+        setting = mp(draw(st.integers(1, 7)), 0)
+    else:
+        setting = ostar(draw(st.integers(2, 8)), 0)
+    poset = build_poset(setting)
+    subset = draw(st.lists(st.sampled_from(sorted(poset.points)), max_size=14, unique=True))
+    return poset, subset
+
+
+def _max_antichain_size(points):
+    """Brute force: the size of the largest pairwise-incomparable subset."""
+    leq = posets.RootPoset.leq
+    for size in range(len(points), 0, -1):
+        for combo in itertools.combinations(points, size):
+            if not any(leq(a, b) or leq(b, a) for a, b in itertools.combinations(combo, 2)):
+                return size
+    return 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(poset_subsets())
+def test_width_matches_brute_force_antichain(case):
+    poset, subset = case
+    assert width(poset, set(subset)) == _max_antichain_size(subset)
 
 
 def test_facet_counts_golden():
