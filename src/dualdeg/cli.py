@@ -193,34 +193,9 @@ def cmd_check(args):
         report = degree.mp_conjecture_probe(setting.n, setting.k, sigmas, limit=args.limit)
         report["ok"] = all(e["checks_ok"] for e in report["entries"])
     else:  # exceptional
-        report = _exceptional_check()
+        report = degree.exceptional_check(5)
     emit(report, args.format)
     return 0 if report.get("ok", True) else 1
-
-
-def _exceptional_check():
-    entries = []
-    ok = True
-    for row in degree.EXCEPTIONAL_ROWS:
-        for a in range(5):
-            for b in range(5 if row.nparams == 2 else 1):
-                try:
-                    value = degree.exceptional_degree(row, a, b)
-                    entries.append(
-                        {
-                            "group": row.group,
-                            "h_system": row.h_system,
-                            "a": a,
-                            "b": b,
-                            "degree": value,
-                        }
-                    )
-                except AssertionError as exc:
-                    ok = False
-                    entries.append(
-                        {"group": row.group, "h_system": row.h_system, "a": a, "b": b, "error": str(exc)}
-                    )
-    return {"ok": ok, "entries": entries}
 
 
 def cmd_hilbert(args):

@@ -302,6 +302,23 @@ def exceptional_degree(row, a, b=0):
     return dim * row.deg_orbit
 
 
+def exceptional_check(bound):
+    """exceptional_degree on every row for parameters a, b < bound (b = 0 on
+    one-parameter rows): each case with its degree, or with the error where
+    the Weyl dimension and the closed form disagree."""
+    entries = []
+    for row in EXCEPTIONAL_ROWS:
+        for a in range(bound):
+            for b in range(bound if row.nparams == 2 else 1):
+                entry = {"group": row.group, "h_system": row.h_system, "a": a, "b": b}
+                try:
+                    entry["degree"] = exceptional_degree(row, a, b)
+                except AssertionError as exc:
+                    entry["error"] = str(exc)
+                entries.append(entry)
+    return {"ok": all("error" not in e for e in entries), "entries": entries}
+
+
 def hilbert_report(setting, k):
     """Hilbert series of the k-th orbit closure, rendered and with #P_k."""
     num, exponent = diagrams.hilbert_series_orbit(setting, k)
@@ -440,15 +457,7 @@ def _suite_width(limit):
 
 
 def _suite_exceptional(limit):
-    failures = []
-    for row in EXCEPTIONAL_ROWS:
-        for a in range(3):
-            for b in range(3 if row.nparams == 2 else 1):
-                try:
-                    exceptional_degree(row, a, b)
-                except AssertionError:
-                    failures.append((row, a, b))
-    return failures
+    return [e for e in exceptional_check(3)["entries"] if "error" in e]
 
 
 def _suite_pinned(limit):

@@ -89,8 +89,10 @@ def diagram_D_closed_form(setting, k):
     raise ValueError(f"no closed form for family {setting.family!r}")
 
 
+@cache
 def diagram_D(setting, k):
-    """D_k as the k-fold interior of D_0."""
+    """D_k as the k-fold interior of D_0, a frozenset of boxes; cached, and
+    immutable so that no caller can change the cached copy."""
     if k < 0:
         raise ValueError("k must be >= 0")
     boxes = normalize(diagram_D0(setting))

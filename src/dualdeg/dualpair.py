@@ -1,5 +1,6 @@
 """The three dual-pair settings, admissibility, highest weights, and Q_k(sigma)."""
 
+import bisect
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -163,26 +164,41 @@ def enumerate_T(setting, sigma):
     return list(enumerate_ssyt(sigma, setting.n))
 
 
-def alpha(setting, T, i):
-    """The count of small initial-column entries entering the i-th constraint."""
+def _alpha_keys(setting, T):
+    """The entries alpha counts, each moved by its i-independent offset so
+    that it counts toward alpha_i exactly when its key is below i; sorted."""
     k = setting.k
     if setting.family == UPQ:
         t_plus, t_minus = T
-        return sum(1 for x in t_plus.column(1) if x < setting.q - k + i) + sum(
-            1 for y in t_minus.column(1) if y < setting.p - k + i
-        )
-    if setting.family == MP:
-        return sum(1 for x in T.first_two_columns() if x < setting.n - k + i)
-    return sum(1 for x in T.column(1) if x < setting.n - 1 - 2 * k + 2 * i)
+        dq, dp = k - setting.q, k - setting.p
+        keys = [row[0] + dq for row in t_plus.rows] + [row[0] + dp for row in t_minus.rows]
+    elif setting.family == MP:
+        d = k - setting.n
+        keys = [x + d for row in T.rows for x in row[:2]]
+    else:  # x < n - 1 - 2k + 2i exactly when (x - n + 1 + 2k) // 2 < i
+        d = 1 + 2 * k - setting.n
+        keys = [(row[0] + d) // 2 for row in T.rows]
+    keys.sort()
+    return keys
+
+
+def alpha(setting, T, i):
+    """The count of small initial-column entries entering the i-th constraint:
+    for upq, the entries x of the first column of T+ with x < q - k + i plus
+    the entries y of the first column of T- with y < p - k + i; for mp, the
+    entries x of the first two columns of T with x < n - k + i; for ostar,
+    the entries x of the first column of T with x < n - 1 - 2k + 2i."""
+    return bisect.bisect_left(_alpha_keys(setting, T), i)
 
 
 def in_Q_definition(setting, sigma, T):
     """Membership in Q_k(sigma) straight from the defining constraints
-    alpha_i(T) < i for k - r < i <= k."""
+    alpha_i(T) < i for k - r < i <= k.  The columns of T are read once;
+    each alpha_i is then one bisection."""
     k = setting.k
-    r = real_rank(setting)
-    for i in range(max(1, k - r + 1), k + 1):
-        if alpha(setting, T, i) >= i:
+    keys = _alpha_keys(setting, T)
+    for i in range(max(1, k - real_rank(setting) + 1), k + 1):
+        if bisect.bisect_left(keys, i) >= i:
             return False
     return True
 

@@ -6,6 +6,7 @@ partitions."""
 import bisect
 import itertools
 from dataclasses import dataclass
+from functools import cache
 
 from . import diagrams
 from .diagrams import PlanePartition
@@ -22,11 +23,12 @@ def _require_dual_pair(setting):
 class RootPoset:
     """The poset of positive noncompact roots, held in depicted coordinates:
     the minimal element sits in the northwest corner and covers point east and
-    south."""
+    south.  Immutable, since build_poset shares one instance per setting."""
+
+    __slots__ = ("setting", "points")
 
     def __init__(self, setting):
         _require_dual_pair(setting)
-        self.setting = setting
         f = setting.family
         if f == UPQ:
             pts = {(r, c) for r in range(1, setting.p + 1) for c in range(1, setting.q + 1)}
@@ -36,7 +38,14 @@ class RootPoset:
         else:  # OSTAR
             n = setting.n
             pts = {(r, c) for r in range(1, n) for c in range(r, n)}
-        self.points = frozenset(pts)
+        object.__setattr__(self, "setting", setting)
+        object.__setattr__(self, "points", frozenset(pts))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"RootPoset is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"RootPoset is immutable; cannot delete {name!r}")
 
     def label(self, point):
         """The root label (i, j) of a depicted point."""
@@ -53,7 +62,9 @@ class RootPoset:
         return a[0] <= b[0] and a[1] <= b[1]
 
 
+@cache
 def build_poset(setting):
+    """The root poset of the setting, one shared immutable instance per setting."""
     return RootPoset(setting)
 
 

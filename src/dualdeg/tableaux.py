@@ -48,6 +48,15 @@ class Tableau:
         if not is_partition(self.shape) and self.shape != ():
             raise ValueError(f"rows do not form a Young diagram: {self.shape}")
 
+    @classmethod
+    def _trusted(cls, rows, shape):
+        """A tableau from nonempty row tuples whose lengths are the partition
+        shape, skipping the checks: for fillings enumerate_ssyt builds itself."""
+        t = cls.__new__(cls)
+        t.rows = rows
+        t.shape = shape
+        return t
+
     def entry(self, j, ell):
         """Entry in row j, column ell (1-based)."""
         return self.rows[j - 1][ell - 1]
@@ -119,7 +128,7 @@ def enumerate_ssyt(shape, max_entry):
 
     def fill(pos):
         if pos == len(cells):
-            out.append(Tableau([row[:] for row in rows]))
+            out.append(Tableau._trusted(tuple(map(tuple, rows)), shape))
             return
         i, j = cells[pos]
         low = 1
@@ -168,43 +177,6 @@ def determinant(matrix):
             m[row][col] = 0
         prev = m[col][col]
     return sign * m[n - 1][n - 1]
-
-
-def _pad_bounds(seq, size):
-    """Pad a bound sequence to the given size by repeating the last value."""
-    seq = list(seq)
-    if not seq:
-        raise ValueError("bound sequence must be nonempty")
-    while len(seq) < size:
-        seq.append(seq[-1])
-    return seq[:size]
-
-
-def count_skew_ssyt_bounded(lam, mu, lower, upper, size):
-    """Count skew semistandard tableaux of shape lam/mu with row i entries in
-    [lower_i, upper_i], via the nonintersecting-lattice-path determinant.
-    """
-    if size < 0:
-        raise ValueError("size must be >= 0")
-    if size == 0:
-        return 1
-    lam = pad(tuple(lam), size) if len(lam) <= size else tuple(lam)[:size]
-    mu = pad(tuple(mu), size) if len(mu) <= size else tuple(mu)[:size]
-    if any(mu[i] > lam[i] for i in range(size)):
-        raise ValueError("mu must fit inside lam")
-    a = _pad_bounds(lower, size)
-    b = _pad_bounds(upper, size)
-    mat = [
-        [
-            binomial(
-                lam[i] - mu[j] - (i + 1) + (j + 1) + b[i] - a[j],
-                lam[i] - mu[j] - (i + 1) + (j + 1),
-            )
-            for j in range(size)
-        ]
-        for i in range(size)
-    ]
-    return determinant(mat)
 
 
 class IntPolynomial:

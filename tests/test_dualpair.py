@@ -234,3 +234,71 @@ def test_mp_scan_pinned():
     # the metaplectic window: counted from the defining inequalities
     assert count_Q_determinant(mp(10, 14), (4, 3, 3, 2, 2, 1)) == 14_147_550
     assert count_Q_determinant(mp(12, 16), (3, 3, 3, 2, 2, 2, 1)) == 46_998_016
+
+
+def _alpha_literal(setting, T, i):
+    """alpha_i(T) transcribed from the docstring of dualpair.alpha."""
+    k = setting.k
+    if setting.family == "upq":
+        t_plus, t_minus = T
+        return sum(1 for x in t_plus.column(1) if x < setting.q - k + i) + sum(
+            1 for y in t_minus.column(1) if y < setting.p - k + i
+        )
+    if setting.family == "mp":
+        return sum(1 for x in T.column(1) + T.column(2) if x < setting.n - k + i)
+    return sum(1 for x in T.column(1) if x < setting.n - 1 - 2 * k + 2 * i)
+
+
+def _check_definition(setting, sigma):
+    """in_Q_definition and alpha against the transcription on every tableau
+    of sigma: T is in Q_k(sigma) iff alpha_i(T) < i for k - r < i <= k."""
+    k, r = setting.k, real_rank(setting)
+    tableaux = enumerate_T(setting, sigma)
+    for T in tableaux:
+        literal = [_alpha_literal(setting, T, i) for i in range(1, k + 1)]
+        assert [alpha(setting, T, i) for i in range(1, k + 1)] == literal, (setting, sigma, T)
+        member = all(literal[i - 1] < i for i in range(1, k + 1) if i > k - r)
+        assert in_Q_definition(setting, sigma, T) == member, (setting, sigma, T)
+    return len(tableaux)
+
+
+# (setting, sigma, T) triples the exhaustive sweep below visits, pinned so the
+# sweep cannot shrink unnoticed
+CASES_UP_TO_4 = 72_219
+
+
+def test_in_Q_definition_matches_transcription():
+    settings_ = (
+        [upq(p, q, k) for p in range(1, 5) for q in range(1, 5) for k in range(1, p + q + 2)]
+        + [mp(n, k) for n in range(1, 6) for k in range(1, 2 * n + 3)]
+        + [ostar(n, k) for n in range(1, 9) for k in range(1, n + 2)]
+    )
+    cases = sum(_check_definition(s, sigma) for s in settings_ for sigma in iter_sigmas(s, 4))
+    assert cases == CASES_UP_TO_4
+
+
+@st.composite
+def larger_labels(draw):
+    """A dual-pair setting from wider ranges than the exhaustive test's and
+    one of its labels of size at most 6, with dim F_lambda <= 5000."""
+    family = draw(st.sampled_from(["upq", "mp", "ostar"]))
+    if family == "upq":
+        p, q = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+        setting = upq(p, q, draw(st.integers(1, p + q + 1)))
+    elif family == "mp":
+        n = draw(st.integers(1, 8))
+        setting = mp(n, draw(st.integers(1, 2 * n + 2)))
+    else:
+        n = draw(st.integers(1, 14))
+        setting = ostar(n, draw(st.integers(1, n + 1)))
+    sigmas = list(iter_sigmas(setting, 6))
+    assume(sigmas)
+    sigma = draw(st.sampled_from(sigmas))
+    assume(dim_F_lambda(setting, sigma) <= 5000)
+    return setting, sigma
+
+
+@settings(max_examples=60, deadline=None)
+@given(larger_labels())
+def test_in_Q_definition_matches_transcription_larger(case):
+    _check_definition(*case)

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -246,3 +247,74 @@ def test_error_cases():
         assert False
     except ValueError:
         pass
+
+
+def test_build_poset_cache_cannot_be_corrupted():
+    setting = upq(3, 4, 0)
+    first = build_poset(setting)
+    assert build_poset(setting) is first
+    with pytest.raises(AttributeError):
+        first.points = frozenset()
+    with pytest.raises(AttributeError):
+        first.setting = mp(3, 0)
+    with pytest.raises(AttributeError):
+        del first.points
+    with pytest.raises(AttributeError):
+        first.extra = None
+    with pytest.raises(AttributeError):
+        first.points.add((9, 9))
+    again = build_poset(setting)
+    assert again.setting == setting and len(again.points) == 12
+    assert again.label((2, 3)) == (2, 3)
+    assert posets.RootPoset.leq((1, 2), (2, 2)) and not again.leq((1, 3), (2, 2))
+
+
+def test_diagram_D_is_a_frozenset():
+    for setting in [upq(3, 4, 0), mp(4, 0), ostar(7, 0), Setting("so-even", n=5), Setting("e7")]:
+        for k in range(real_rank(setting) + 1):
+            boxes = diagrams.diagram_D(setting, k)
+            assert isinstance(boxes, frozenset), (setting, k)
+            assert diagrams.diagram_D(setting, k) is boxes
+            with pytest.raises(AttributeError):
+                boxes.add((0, 0))
+
+
+def test_theta_rejects_bad_input():
+    for setting, k in [(upq(3, 3, 0), 1), (mp(4, 0), 1), (ostar(6, 0), 1), (mp(5, 0), 2)]:
+        diagram = diagrams.diagram_D(setting, k)
+        good = PlanePartition(diagram, {box: 0 for box in diagram})
+        image = theta(setting, k, good)  # fills the caches the bad inputs meet
+        wrong = diagrams.diagram_D(setting, k + 1)
+        # the westmost boxes of the lowest and of the top row; each has a
+        # neighbour above resp. to the east
+        low = max(diagram, key=lambda box: (box[0], -box[1]))
+        top = min(diagram)
+        assert (low[0] - 1, low[1]) in diagram and (top[0], top[1] + 1) in diagram
+        bad_inputs = [
+            PlanePartition(wrong, {box: 0 for box in wrong}),  # the wrong diagram
+            PlanePartition(diagram, {box: k + 1 for box in diagram}),  # entries above k
+            PlanePartition(diagram, {box: -1 for box in diagram}),  # entries below 0
+            PlanePartition(diagram, {**good.entries, low: 1}),  # a column grows upward
+            PlanePartition(diagram, {**good.entries, top: 1}),  # a row falls eastward
+        ]
+        for bad in bad_inputs:
+            with pytest.raises(ValueError):
+                theta(setting, k, bad)
+        # the rejections leave the cached D_k and root poset as they were
+        assert diagrams.diagram_D(setting, k) == diagram
+        assert theta(setting, k, good).points == image.points
+        assert theta_inverse(setting, k, image) == good
+
+
+def test_theta_inverse_rejects_non_facets():
+    for setting, k in [(upq(3, 3, 0), 1), (mp(4, 0), 2), (ostar(6, 0), 1)]:
+        facets = enumerate_facets(setting, k)
+        points = build_poset(setting).points
+        for f in facets:
+            for p in f.points:
+                with pytest.raises(ValueError):
+                    theta_inverse(setting, k, PathFamily(f.points - {p}))
+            for p in points - f.points:
+                with pytest.raises(ValueError):
+                    theta_inverse(setting, k, PathFamily(f.points | {p}))
+            assert theta(setting, k, theta_inverse(setting, k, f)).points == f.points

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from dualdeg.degree import partitions_up_to
 from dualdeg.repdims import dim_gl
 from dualdeg.tableaux import (
     IntPolynomial,
@@ -11,7 +12,6 @@ from dualdeg.tableaux import (
     binomial,
     check_partition,
     conjugate,
-    count_skew_ssyt_bounded,
     determinant,
     enumerate_ssyt,
     is_partition,
@@ -90,6 +90,19 @@ def test_enumerate_ssyt_cache_cannot_be_corrupted():
     assert len(enumerate_ssyt((2, 1), 3)) == 8
 
 
+def test_enumerated_tableaux_equal_validated_ones():
+    # enumerate_ssyt skips Tableau's checks; its tableaux must still be what
+    # the checked constructor builds from the same rows
+    for shape in partitions_up_to(8):
+        for max_entry in range(7):
+            for t in enumerate_ssyt(shape, max_entry):
+                u = Tableau(t.rows)
+                assert t == u and t.rows == u.rows and t.shape == u.shape == shape
+                assert hash(t) == hash(u)
+                assert t.is_semistandard() and all(1 <= x <= max_entry for x in t.entries())
+                assert all(type(row) is tuple for row in t.rows)
+
+
 def test_binomial():
     assert binomial(5, 2) == 10
     assert binomial(5, 0) == 1
@@ -128,6 +141,47 @@ def test_determinant_row_swap_changes_sign():
     m = [[1, 4, 2], [3, 1, 5], [2, 2, 2]]
     swapped = [m[1], m[0], m[2]]
     assert determinant(swapped) == -determinant(m)
+
+
+# The skew count by the nonintersecting-lattice-path determinant has no
+# caller in the package; it is kept here with the tests that check it.
+
+
+def _pad_bounds(seq, size):
+    """Pad a bound sequence to the given size by repeating the last value."""
+    seq = list(seq)
+    if not seq:
+        raise ValueError("bound sequence must be nonempty")
+    while len(seq) < size:
+        seq.append(seq[-1])
+    return seq[:size]
+
+
+def count_skew_ssyt_bounded(lam, mu, lower, upper, size):
+    """Count skew semistandard tableaux of shape lam/mu with row i entries in
+    [lower_i, upper_i], via the nonintersecting-lattice-path determinant.
+    """
+    if size < 0:
+        raise ValueError("size must be >= 0")
+    if size == 0:
+        return 1
+    lam = pad(tuple(lam), size) if len(lam) <= size else tuple(lam)[:size]
+    mu = pad(tuple(mu), size) if len(mu) <= size else tuple(mu)[:size]
+    if any(mu[i] > lam[i] for i in range(size)):
+        raise ValueError("mu must fit inside lam")
+    a = _pad_bounds(lower, size)
+    b = _pad_bounds(upper, size)
+    mat = [
+        [
+            binomial(
+                lam[i] - mu[j] - (i + 1) + (j + 1) + b[i] - a[j],
+                lam[i] - mu[j] - (i + 1) + (j + 1),
+            )
+            for j in range(size)
+        ]
+        for i in range(size)
+    ]
+    return determinant(mat)
 
 
 def test_skew_count_matches_enumeration():
