@@ -8,6 +8,7 @@ from functools import cache
 
 from . import diagrams, dualpair, jellyfish, posets, repdims
 from .dualpair import IN_SIGMA, MP, OSTAR, UPQ
+from .repdims import dim_U_sigma
 
 DEFAULT_LIMIT = 5000
 
@@ -119,8 +120,8 @@ def bernstein_degree(setting, sigma, limit=DEFAULT_LIMIT):
     else:
         checks.append(CrossCheck("q-enumeration", "skipped", f"dim F_lambda={t_size} > limit {limit}"))
 
-    d_k = diagrams.diagram_D(setting, setting.k)
-    if p_count <= limit and len(d_k) <= 12:
+    d_size = len(diagrams.diagram_D_closed_form(setting, setting.k))
+    if p_count <= limit and d_size <= 12:
         brute = len(diagrams.enumerate_P(setting, setting.k))
         checks.append(
             CrossCheck(
@@ -133,8 +134,8 @@ def bernstein_degree(setting, sigma, limit=DEFAULT_LIMIT):
         gates = []
         if p_count > limit:
             gates.append(f"#P_k={p_count} > limit {limit}")
-        if len(d_k) > 12:
-            gates.append(f"|D_k|={len(d_k)} > 12")
+        if d_size > 12:
+            gates.append(f"|D_k|={d_size} > 12")
         checks.append(CrossCheck("p-enumeration", "skipped", "; ".join(gates)))
 
     jellyfish_gate = _jellyfish_gate(setting, t_size, limit)
@@ -160,16 +161,6 @@ def bernstein_degree(setting, sigma, limit=DEFAULT_LIMIT):
         conjectural=is_conjectural(setting),
         cross_checks=checks,
     )
-
-
-def dim_U_sigma(setting, sigma):
-    """Dimension of the rank-k group irrep labeled by sigma (k <= r only)."""
-    sig = dualpair.normalize_sigma(setting, sigma)
-    if setting.family == UPQ:
-        return repdims.dim_gl_rational(setting.k, sig[0], sig[1])
-    if setting.family == MP:
-        return repdims.dim_o(setting.k, sig)
-    return repdims.dim_sp(2 * setting.k, sig)
 
 
 def not_identity_check(setting, sigma):

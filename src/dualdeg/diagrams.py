@@ -1,12 +1,11 @@
 """Diagrams D_k for the seven Hermitian types, bounded plane partitions,
 product counting formulas, and Hilbert-series numerators."""
 
-from fractions import Fraction
 from functools import cache
 from importlib import resources
 
 from .dualpair import E6, E7, MP, OSTAR, SO_EVEN, SO_ODD, UPQ, real_rank
-from .tableaux import IntPolynomial
+from .tableaux import IntPolynomial, exact_quotient
 
 
 def normalize(boxes):
@@ -77,7 +76,8 @@ def diagram_D0(setting):
 
 
 def diagram_D_closed_form(setting, k):
-    """Closed-form D_k for the three dual-pair types."""
+    """Closed-form D_k for the three dual-pair types, for every k >= 0;
+    diagram_D builds the same boxes as the k-fold interior of D_0."""
     f = setting.family
     if f == UPQ:
         return rectangle(setting.p - k, setting.q - k)
@@ -189,25 +189,25 @@ def count_P_product(setting, k):
     if k < 1:
         raise ValueError("k must be >= 1")
     f = setting.family
-    result = Fraction(1)
+    # one factor (h + shift) / h per box (i, j) of D_k
     if f == UPQ:
-        for i in range(1, setting.p - k + 1):
-            for j in range(1, setting.q - k + 1):
-                result *= Fraction(k + i + j - 1, i + j - 1)
+        hooks = [i + j - 1 for i in range(1, setting.p - k + 1) for j in range(1, setting.q - k + 1)]
+        shift = k
     elif f == MP:
         m = setting.n - k
-        for i in range(1, m + 1):
-            for j in range(i, m + 1):
-                result *= Fraction(k + i + j - 1, i + j - 1)
+        hooks = [i + j - 1 for i in range(1, m + 1) for j in range(i, m + 1)]
+        shift = k
     elif f == OSTAR:
         m = setting.n - 2 * k - 1
-        for i in range(1, m + 1):
-            for j in range(i, m + 1):
-                result *= Fraction(2 * k + i + j, i + j)
+        hooks = [i + j for i in range(1, m + 1) for j in range(i, m + 1)]
+        shift = 2 * k
     else:
         raise ValueError(f"no product formula for family {f!r}")
-    assert result.denominator == 1
-    return int(result)
+    num = den = 1
+    for h in hooks:
+        num *= h + shift
+        den *= h
+    return exact_quotient(num, den)
 
 
 def c_statistic(pp):

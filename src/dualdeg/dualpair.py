@@ -356,13 +356,7 @@ def q_collapse_check(setting, sigma):
     q_list = enumerate_Q(setting, sigma)
     report = {"k": k, "r": r, "s": s, "q_count": len(q_list)}
     if k <= r:
-        sig = normalize_sigma(setting, sigma)
-        if setting.family == UPQ:
-            expected = repdims.dim_gl_rational(k, sig[0], sig[1])
-        elif setting.family == MP:
-            expected = repdims.dim_o(k, sig)
-        else:
-            expected = repdims.dim_sp(2 * k, sig)
+        expected = repdims.dim_U_sigma(setting, sigma)
         report.update(regime="k<=r", expected=expected, ok=len(q_list) == expected)
     elif k >= s:
         full = enumerate_T(setting, sigma)

@@ -1,13 +1,12 @@
-"""Independent dimension oracles: GL hook-content products, symplectic and
-orthogonal tableau counts, and a generic Weyl dimension formula over stored
-positive-root tables."""
+"""Dimensions in exact integers: the GL hook-content product, Weyl's
+product formulas for Sp_2k (type C) and O_k (types B and D), and a generic
+Weyl dimension formula over stored positive-root tables."""
 
-from fractions import Fraction
 from functools import cache
 from importlib import resources
 
 from . import dualpair
-from .tableaux import enumerate_ssyt, pad
+from .tableaux import check_partition, conjugate, exact_quotient, pad
 
 
 def dim_gl(n, weight):
@@ -15,12 +14,12 @@ def dim_gl(n, weight):
     weight = tuple(weight)
     if len(weight) != n or any(weight[i] < weight[i + 1] for i in range(n - 1)):
         raise ValueError("weight must be a weakly decreasing n-tuple")
-    result = Fraction(1)
+    num = den = 1
     for i in range(n):
         for j in range(i + 1, n):
-            result *= Fraction(weight[i] - weight[j] + j - i, j - i)
-    assert result.denominator == 1
-    return int(result)
+            num *= weight[i] - weight[j] + j - i
+            den *= j - i
+    return exact_quotient(num, den)
 
 
 def dim_gl_rational(k, plus, minus):
@@ -33,42 +32,70 @@ def dim_gl_rational(k, plus, minus):
     return dim_gl(k, full)
 
 
-def dim_o(k, sigma):
-    """Dimension of the O_k irrep labeled by sigma, as the number of
-    orthogonal tableaux: U in SSYT(sigma, k) whose first two columns contain
-    at most i entries <= i, for every i <= k."""
-    sigma = tuple(sigma)
-    from .tableaux import conjugate
+def _classical_dim(shifted, rho, axis_roots):
+    """Weyl's product for types B, C and D in epsilon coordinates, with
+    shifted = lambda + rho: the ratio <shifted, a> / <rho, a> over the roots
+    e_i - e_j and e_i + e_j (i < j), and over e_i or 2e_i when axis_roots."""
+    num = den = 1
+    for i, (a, b) in enumerate(zip(shifted, rho)):
+        if axis_roots:
+            num *= a
+            den *= b
+        for c, d in zip(shifted[i + 1 :], rho[i + 1 :]):
+            num *= a * a - c * c
+            den *= b * b - d * d
+    return exact_quotient(num, den)
 
+
+def dim_o(k, sigma):
+    """Dimension of the O_k irrep labeled by sigma (first two columns of
+    total length at most k), by Weyl's formula for SO_k.
+
+    A label with first column c1 > k/2 has the dimension of its associate,
+    whose first column is k - c1.  For even k a label with k/2 rows
+    restricts to two SO_k irreps of equal dimension, so it counts twice."""
+    sigma = check_partition(sigma)
     conj = conjugate(sigma)
     c1 = conj[0] if len(conj) >= 1 else 0
     c2 = conj[1] if len(conj) >= 2 else 0
     if c1 + c2 > k:
         raise ValueError("sigma is not an O_k label")
-    count = 0
-    for u in enumerate_ssyt(sigma, k):
-        cols = u.first_two_columns()
-        if all(sum(1 for x in cols if x <= i) <= i for i in range(1, k + 1)):
-            count += 1
-    return count
+    if 2 * c1 > k:
+        sigma = conjugate((k - c1,) + conj[1:])
+    m = k // 2
+    lam = pad(sigma, m)
+    if k % 2:  # type B_m, coordinates doubled so that rho is integral
+        rho = [2 * (m - i) - 1 for i in range(m)]
+        shifted = [2 * x + r for x, r in zip(lam, rho)]
+    else:  # type D_m
+        rho = [m - 1 - i for i in range(m)]
+        shifted = [x + r for x, r in zip(lam, rho)]
+    dim = _classical_dim(shifted, rho, k % 2 == 1)
+    return 2 * dim if k % 2 == 0 and m and len(sigma) == m else dim
 
 
 def dim_sp(two_k, sigma):
-    """Dimension of the Sp_{2k} irrep with highest weight sigma, as the number
-    of symplectic tableaux: U in SSYT(sigma, 2k) whose first column contains
-    at most i entries <= 2i, for every i <= k."""
+    """Dimension of the Sp_{2k} irrep with highest weight sigma, by Weyl's
+    formula for type C_k."""
     if two_k % 2 != 0:
         raise ValueError("rank must be even")
     k = two_k // 2
-    sigma = tuple(sigma)
+    sigma = check_partition(sigma)
     if len(sigma) > k:
         raise ValueError("sigma is not an Sp_2k highest weight")
-    count = 0
-    for u in enumerate_ssyt(sigma, 2 * k):
-        col = u.column(1)
-        if all(sum(1 for x in col if x <= 2 * i) <= i for i in range(1, k + 1)):
-            count += 1
-    return count
+    rho = range(k, 0, -1)
+    return _classical_dim([x + r for x, r in zip(pad(sigma, k), rho)], rho, True)
+
+
+def dim_U_sigma(setting, sigma):
+    """Dimension of the rank-k group irrep labeled by sigma (k <= r only):
+    GL_k for upq, O_k for mp and Sp_2k for ostar."""
+    sig = dualpair.normalize_sigma(setting, sigma)
+    if setting.family == dualpair.UPQ:
+        return dim_gl_rational(setting.k, sig[0], sig[1])
+    if setting.family == dualpair.MP:
+        return dim_o(setting.k, sig)
+    return dim_sp(2 * setting.k, sig)
 
 
 @cache
@@ -107,13 +134,11 @@ def dim_weyl(name, weight):
         raise ValueError(f"{name} weight needs {len(lengths)} coordinates")
     if any(x < 0 for x in weight):
         raise ValueError("weight must be dominant (nonnegative coordinates)")
-    result = Fraction(1)
+    num = den = 1
     for c in roots:
-        num = sum((weight[i] + 1) * c[i] * lengths[i] for i in range(len(c)))
-        den = sum(c[i] * lengths[i] for i in range(len(c)))
-        result *= Fraction(num, den)
-    assert result.denominator == 1
-    return int(result)
+        num *= sum((weight[i] + 1) * c[i] * lengths[i] for i in range(len(c)))
+        den *= sum(c[i] * lengths[i] for i in range(len(c)))
+    return exact_quotient(num, den)
 
 
 def dim_F_lambda(setting, sigma):

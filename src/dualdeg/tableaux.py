@@ -1,4 +1,4 @@
-"""Partitions, semistandard Young tableaux, and exact determinant kernels."""
+"""Partitions, semistandard Young tableaux, and exact integer kernels."""
 
 import math
 from functools import cache, total_ordering
@@ -38,24 +38,36 @@ def pad(parts, length):
 
 @total_ordering
 class Tableau:
-    """A semistandard filling of a Young diagram, stored as a tuple of rows."""
+    """A semistandard filling of a Young diagram, stored as a tuple of rows.
+    Immutable, since enumerate_ssyt shares its cached instances."""
 
     __slots__ = ("rows", "shape")
 
     def __init__(self, rows):
-        self.rows = tuple(tuple(row) for row in rows if len(row) > 0)
-        self.shape = tuple(len(row) for row in self.rows)
-        if not is_partition(self.shape) and self.shape != ():
-            raise ValueError(f"rows do not form a Young diagram: {self.shape}")
+        rows = tuple(tuple(row) for row in rows if len(row) > 0)
+        shape = tuple(len(row) for row in rows)
+        if not is_partition(shape) and shape != ():
+            raise ValueError(f"rows do not form a Young diagram: {shape}")
+        Tableau.rows.__set__(self, rows)
+        Tableau.shape.__set__(self, shape)
 
     @classmethod
     def _trusted(cls, rows, shape):
         """A tableau from nonempty row tuples whose lengths are the partition
         shape, skipping the checks: for fillings enumerate_ssyt builds itself."""
         t = cls.__new__(cls)
-        t.rows = rows
-        t.shape = shape
+        Tableau.rows.__set__(t, rows)
+        Tableau.shape.__set__(t, shape)
         return t
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Tableau is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Tableau is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):  # copy and pickle through the constructor
+        return (Tableau, (self.rows,))
 
     def entry(self, j, ell):
         """Entry in row j, column ell (1-based)."""
@@ -150,6 +162,13 @@ def binomial(a, b):
     if a < 0 or b < 0 or b > a:
         return 0
     return math.comb(a, b)
+
+
+def exact_quotient(num, den):
+    """num // den for integers where den divides num, checked."""
+    quotient, remainder = divmod(num, den)
+    assert remainder == 0, f"{num}/{den} is not an integer"
+    return quotient
 
 
 def determinant(matrix):

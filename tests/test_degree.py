@@ -106,6 +106,17 @@ def test_not_identity():
         not_identity_check(mp(2, 3), ())
 
 
+def test_p_enumeration_gate_at_its_boundary():
+    # |D_1| of upq(2, q) is q - 1: the gate opens at 12 boxes and shuts at 13
+    checks = {c.name: c for c in bernstein_degree(upq(2, 13, 1), ((), ())).cross_checks}
+    assert (checks["p-enumeration"].status, checks["p-enumeration"].detail) == (
+        "pass",
+        "product 13, enumeration 13",
+    )
+    checks = {c.name: c for c in bernstein_degree(upq(2, 14, 1), ((), ())).cross_checks}
+    assert (checks["p-enumeration"].status, checks["p-enumeration"].detail) == ("skipped", "|D_k|=13 > 12")
+
+
 def test_dim_U_sigma():
     assert dim_U_sigma(ostar(3, 1), (1,)) == 2  # Sp(2) defining rep
     assert dim_U_sigma(mp(2, 1), (1,)) == 1  # O(1) sign character

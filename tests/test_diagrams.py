@@ -1,6 +1,7 @@
 """Tests for diagrams, plane partitions, and Hilbert-series numerators."""
 
 import hashlib
+from fractions import Fraction
 from importlib import resources
 
 from hypothesis import assume, given, settings
@@ -23,7 +24,7 @@ from dualdeg.diagrams import (
     shifted_staircase,
     staircase,
 )
-from dualdeg.dualpair import Setting, mp, ostar, real_rank, upq
+from dualdeg.dualpair import Setting, free_threshold, mp, ostar, real_rank, upq
 from dualdeg.tableaux import IntPolynomial
 
 DATA_SHA256 = {
@@ -56,8 +57,9 @@ def test_interior():
 
 
 def test_closed_forms_match_recursion():
+    # bernstein_degree reads |D_k| from the closed form at every k >= 1
     for setting in [upq(3, 5, 0), upq(4, 4, 0), mp(4, 0), ostar(7, 0), ostar(8, 0)]:
-        for k in range(0, real_rank(setting) + 2):
+        for k in range(0, free_threshold(setting) + 3):
             assert diagram_D(setting, k) == diagram_D_closed_form(setting, k), (
                 setting,
                 k,
@@ -212,3 +214,41 @@ def test_numerator_polynomial_pinned():
     assert num.evaluate(1) == count_P_product(upq(8, 8, 0), 2) == 226_512
     # the empty diagram D_r has the empty filling alone
     assert numerator_polynomial(upq(3, 5, 0), 3) == IntPolynomial([1])
+
+
+def _count_P_fraction(setting, k):
+    """#P_k by the product formulas as one normalised Fraction per factor."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    f = setting.family
+    result = Fraction(1)
+    if f == "upq":
+        for i in range(1, setting.p - k + 1):
+            for j in range(1, setting.q - k + 1):
+                result *= Fraction(k + i + j - 1, i + j - 1)
+    elif f == "mp":
+        m = setting.n - k
+        for i in range(1, m + 1):
+            for j in range(i, m + 1):
+                result *= Fraction(k + i + j - 1, i + j - 1)
+    elif f == "ostar":
+        m = setting.n - 2 * k - 1
+        for i in range(1, m + 1):
+            for j in range(i, m + 1):
+                result *= Fraction(2 * k + i + j, i + j)
+    else:
+        raise ValueError(f"no product formula for family {f!r}")
+    assert result.denominator == 1
+    return int(result)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(
+        st.builds(upq, st.integers(1, 14), st.integers(1, 14), st.integers(1, 16)),
+        st.builds(mp, st.integers(1, 16), st.integers(1, 34)),
+        st.builds(ostar, st.integers(1, 24), st.integers(1, 25)),
+    )
+)
+def test_count_P_product_matches_fraction_product(setting):
+    assert count_P_product(setting, setting.k) == _count_P_fraction(setting, setting.k)

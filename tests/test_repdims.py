@@ -1,16 +1,90 @@
-"""Tests for the dimension oracles."""
+"""Tests for the dimension formulas, against the Fraction products and the
+tableau counts they replaced."""
 
-from dualdeg.dualpair import mp, ostar, upq
+from fractions import Fraction
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from dualdeg.degree import iter_sigmas, not_identity_check, partitions_up_to
+from dualdeg.dualpair import count_Q_determinant, mp, ostar, real_rank, upq
 from dualdeg.repdims import (
     dim_F_lambda,
     dim_gl,
     dim_gl_rational,
     dim_o,
     dim_sp,
+    dim_U_sigma,
     dim_weyl,
     root_system,
 )
-from dualdeg.tableaux import enumerate_ssyt
+from dualdeg.tableaux import conjugate, enumerate_ssyt
+
+
+def _dim_gl_fraction(n, weight):
+    """The hook-content product as one normalised Fraction per factor."""
+    weight = tuple(weight)
+    if len(weight) != n or any(weight[i] < weight[i + 1] for i in range(n - 1)):
+        raise ValueError("weight must be a weakly decreasing n-tuple")
+    result = Fraction(1)
+    for i in range(n):
+        for j in range(i + 1, n):
+            result *= Fraction(weight[i] - weight[j] + j - i, j - i)
+    assert result.denominator == 1
+    return int(result)
+
+
+def _dim_weyl_fraction(name, weight):
+    """Weyl's formula over the stored roots as one Fraction per root."""
+    lengths, roots = root_system(name)
+    weight = tuple(weight)
+    if len(weight) != len(lengths):
+        raise ValueError(f"{name} weight needs {len(lengths)} coordinates")
+    if any(x < 0 for x in weight):
+        raise ValueError("weight must be dominant (nonnegative coordinates)")
+    result = Fraction(1)
+    for c in roots:
+        num = sum((weight[i] + 1) * c[i] * lengths[i] for i in range(len(c)))
+        den = sum(c[i] * lengths[i] for i in range(len(c)))
+        result *= Fraction(num, den)
+    assert result.denominator == 1
+    return int(result)
+
+
+def _dim_o_tableaux(k, sigma):
+    """Dimension of the O_k irrep labeled by sigma, as the number of
+    orthogonal tableaux: U in SSYT(sigma, k) whose first two columns contain
+    at most i entries <= i, for every i <= k."""
+    sigma = tuple(sigma)
+    conj = conjugate(sigma)
+    c1 = conj[0] if len(conj) >= 1 else 0
+    c2 = conj[1] if len(conj) >= 2 else 0
+    if c1 + c2 > k:
+        raise ValueError("sigma is not an O_k label")
+    count = 0
+    for u in enumerate_ssyt(sigma, k):
+        cols = u.first_two_columns()
+        if all(sum(1 for x in cols if x <= i) <= i for i in range(1, k + 1)):
+            count += 1
+    return count
+
+
+def _dim_sp_tableaux(two_k, sigma):
+    """Dimension of the Sp_{2k} irrep with highest weight sigma, as the number
+    of symplectic tableaux: U in SSYT(sigma, 2k) whose first column contains
+    at most i entries <= 2i, for every i <= k."""
+    if two_k % 2 != 0:
+        raise ValueError("rank must be even")
+    k = two_k // 2
+    sigma = tuple(sigma)
+    if len(sigma) > k:
+        raise ValueError("sigma is not an Sp_2k highest weight")
+    count = 0
+    for u in enumerate_ssyt(sigma, 2 * k):
+        col = u.column(1)
+        if all(sum(1 for x in col if x <= 2 * i) <= i for i in range(1, k + 1)):
+            count += 1
+    return count
 
 
 def test_dim_gl_golden():
@@ -128,3 +202,92 @@ def test_dim_F_lambda():
     assert dim_F_lambda(mp(3, 2), (2,)) == 6
     assert dim_F_lambda(upq(2, 3, 2), ((1,), (1,))) == 6
     assert dim_F_lambda(upq(4, 4, 1), ((), ())) == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 9).flatmap(lambda n: st.lists(st.integers(-6, 9), min_size=n, max_size=n)))
+def test_dim_gl_matches_fraction_product(weight):
+    weight = sorted(weight, reverse=True)
+    assert dim_gl(len(weight), weight) == _dim_gl_fraction(len(weight), weight)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(["C1", "C2", "C3", "C4", "B3", "B4", "G2", "F4"]).flatmap(
+        lambda name: st.tuples(
+            st.just(name),
+            st.lists(st.integers(0, 7), min_size=len(root_system(name)[0]), max_size=len(root_system(name)[0])),
+        )
+    )
+)
+def test_dim_weyl_matches_fraction_product(case):
+    name, weight = case
+    assert dim_weyl(name, weight) == _dim_weyl_fraction(name, weight)
+
+
+# (k, sigma) labels the exhaustive sweep below checks, pinned so that the
+# sweep cannot shrink unnoticed
+O_LABELS_UP_TO_6, SP_LABELS_UP_TO_6 = 100, 132
+
+
+def test_dim_o_and_dim_sp_match_tableau_counts():
+    o_cases = sp_cases = 0
+    try:
+        for k in range(1, 7):
+            for sigma in partitions_up_to(6):
+                conj = conjugate(sigma)
+                if sum(conj[:2]) <= k:
+                    assert dim_o(k, sigma) == _dim_o_tableaux(k, sigma), (k, sigma)
+                    o_cases += 1
+                if len(sigma) <= k:
+                    assert dim_sp(2 * k, sigma) == _dim_sp_tableaux(2 * k, sigma), (k, sigma)
+                    sp_cases += 1
+    finally:
+        enumerate_ssyt.cache_clear()  # the listings are large and not needed again
+    assert (o_cases, sp_cases) == (O_LABELS_UP_TO_6, SP_LABELS_UP_TO_6)
+
+
+@st.composite
+def rank_k_labels(draw):
+    """An mp or ostar setting with k <= r and one of its labels of size at
+    most 8, with dim F_lambda <= 5000 so that the tableau count is cheap."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 12))
+        setting = mp(n, draw(st.integers(1, n)))
+    else:
+        n = draw(st.integers(2, 16))
+        setting = ostar(n, draw(st.integers(1, n // 2)))
+    sigmas = list(iter_sigmas(setting, 8))
+    sigma = draw(st.sampled_from(sigmas))
+    assume(dim_F_lambda(setting, sigma) <= 5000)
+    return setting, sigma
+
+
+@settings(max_examples=100, deadline=None)
+@given(rank_k_labels())
+def test_dim_U_sigma_matches_tableau_counts(case):
+    setting, sigma = case
+    assert setting.k <= real_rank(setting)
+    if setting.family == "mp":
+        count = _dim_o_tableaux(setting.k, sigma)
+    else:
+        count = _dim_sp_tableaux(2 * setting.k, sigma)
+    assert dim_U_sigma(setting, sigma) == count == count_Q_determinant(setting, sigma)
+
+
+def test_weyl_products_pinned():
+    # 371,800 symplectic tableaux, far too many to list in a test
+    assert dim_sp(12, (3, 2, 2, 1)) == 371_800
+    assert dim_sp(10, (3, 2, 2, 1)) == 66_066  # as many symplectic tableaux, listed once
+    # dualdeg check not --family ostar --n 14 --k 6 --sigma 3,3,2,2,1
+    report = not_identity_check(ostar(14, 6), (3, 3, 2, 2, 1))
+    assert report == {
+        "q_count": 3_675_672,
+        "dim_u": 3_675_672,
+        "p_count": 7,
+        "degree": 25_729_704,
+        "ok": True,
+    }
+    # the associate and the doubled labels of O_k
+    assert dim_o(5, (1, 1, 1)) == dim_o(5, (1, 1)) == 10
+    assert dim_o(4, (1, 1)) == 6 and dim_o(4, (2, 2)) == _dim_o_tableaux(4, (2, 2)) == 10

@@ -1,10 +1,13 @@
 """Tests for partitions, tableau enumeration, and determinant kernels."""
 
+import copy
 import itertools
+import pickle
 
 import pytest
 
 from dualdeg.degree import partitions_up_to
+from dualdeg.dualpair import enumerate_Q, ostar
 from dualdeg.repdims import dim_gl
 from dualdeg.tableaux import (
     IntPolynomial,
@@ -14,6 +17,7 @@ from dualdeg.tableaux import (
     conjugate,
     determinant,
     enumerate_ssyt,
+    exact_quotient,
     is_partition,
     pad,
 )
@@ -90,6 +94,26 @@ def test_enumerate_ssyt_cache_cannot_be_corrupted():
     assert len(enumerate_ssyt((2, 1), 3)) == 8
 
 
+def test_cached_tableaux_cannot_be_corrupted():
+    first = enumerate_ssyt((1,), 3)[0]
+    with pytest.raises(AttributeError):
+        first.rows = ((3,),)
+    with pytest.raises(AttributeError):
+        first.shape = (2,)
+    with pytest.raises(AttributeError):
+        del first.rows
+    with pytest.raises(AttributeError):
+        first.extra = None
+    with pytest.raises(AttributeError):
+        Tableau([[1, 2]]).rows = ((1, 3),)
+    assert [t.rows for t in enumerate_ssyt((1,), 3)] == [((1,),), ((2,),), ((3,),)]
+    assert first.shape == (1,)
+    assert len(enumerate_Q(ostar(3, 1), (1,))) == 2
+    t = Tableau([[1, 2], [3]])
+    for twin in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+        assert twin == t and twin.rows == t.rows and twin.shape == t.shape
+
+
 def test_enumerated_tableaux_equal_validated_ones():
     # enumerate_ssyt skips Tableau's checks; its tableaux must still be what
     # the checked constructor builds from the same rows
@@ -101,6 +125,13 @@ def test_enumerated_tableaux_equal_validated_ones():
                 assert hash(t) == hash(u)
                 assert t.is_semistandard() and all(1 <= x <= max_entry for x in t.entries())
                 assert all(type(row) is tuple for row in t.rows)
+
+
+def test_exact_quotient():
+    assert exact_quotient(12, 4) == 3
+    assert exact_quotient(-12, 4) == -3
+    with pytest.raises(AssertionError):
+        exact_quotient(7, 2)
 
 
 def test_binomial():
