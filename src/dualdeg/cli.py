@@ -205,7 +205,7 @@ def cmd_hilbert(args):
 
 
 def cmd_verify(args):
-    report = degree.verify_all(only=args.only, limit=args.limit, seed=args.seed)
+    report = degree.verify_all(only=args.only, seed=args.seed)
     emit(report, args.format)
     return 0 if report["ok"] else 1
 
@@ -222,7 +222,6 @@ def _add_common(parser, need_sigma=True):
         parser.add_argument("--sigma-minus", default=None)
     parser.add_argument("--format", choices=("json", "csv", "text"), default="json")
     parser.add_argument("--limit", type=int, default=degree.DEFAULT_LIMIT)
-    parser.add_argument("--seed", type=int, default=None)
 
 
 def build_parser():
@@ -255,7 +254,6 @@ def build_parser():
     p_verify = sub.add_parser("verify", help="run the verification suites")
     p_verify.add_argument("--only", default=None)
     p_verify.add_argument("--format", choices=("json", "csv", "text"), default="json")
-    p_verify.add_argument("--limit", type=int, default=degree.DEFAULT_LIMIT)
     p_verify.add_argument("--seed", type=int, default=None)
     p_verify.set_defaults(func=cmd_verify)
 

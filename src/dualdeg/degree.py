@@ -326,7 +326,7 @@ def hilbert_report(setting, k):
     }
 
 
-def _suite_criterion(limit):
+def _suite_criterion():
     failures = []
     for setting0 in _small_settings():
         s = dualpair.free_threshold(setting0)
@@ -357,7 +357,7 @@ def _small_settings():
     )
 
 
-def _suite_product(limit):
+def _suite_product():
     failures = []
     for setting in _small_settings():
         r = dualpair.real_rank(setting)
@@ -391,7 +391,7 @@ def theta_check(setting, k):
     return len(pps), len(facets), failures
 
 
-def _suite_theta(limit):
+def _suite_theta():
     failures = []
     for setting in _small_settings():
         if len(posets.build_poset(setting).points) > 21:
@@ -401,7 +401,7 @@ def _suite_theta(limit):
     return failures
 
 
-def _suite_jellyfish(limit):
+def _suite_jellyfish():
     failures = []
     cases = [
         (dualpair.ostar(5, 1), [(), (1,)]),
@@ -425,7 +425,7 @@ def _suite_jellyfish(limit):
     return failures
 
 
-def _suite_collapse(limit):
+def _suite_collapse():
     failures = []
     for setting0 in _small_settings():
         r = dualpair.real_rank(setting0)
@@ -438,7 +438,7 @@ def _suite_collapse(limit):
     return failures
 
 
-def _suite_width(limit):
+def _suite_width():
     failures = []
     for setting in _small_settings():
         poset = posets.build_poset(setting)
@@ -447,11 +447,11 @@ def _suite_width(limit):
     return failures
 
 
-def _suite_exceptional(limit):
+def _suite_exceptional():
     return [e for e in exceptional_check(3)["entries"] if "error" in e]
 
 
-def _suite_pinned(limit):
+def _suite_pinned():
     from .tableaux import IntPolynomial
 
     failures = []
@@ -466,7 +466,7 @@ def _suite_pinned(limit):
     return failures
 
 
-def _suite_conjecture(limit):
+def _suite_conjecture():
     failures = []
     for n in (3, 4):
         sigmas = list(iter_sigmas(dualpair.mp(n, n), 2))
@@ -475,7 +475,7 @@ def _suite_conjecture(limit):
     return failures
 
 
-def _suite_random(limit, seed):
+def _suite_random(seed):
     rng = random.Random(seed)
     failures = []
     for _ in range(10):
@@ -508,19 +508,19 @@ SUITES = {
 }
 
 
-def verify_all(only=None, limit=DEFAULT_LIMIT, seed=None):
+def verify_all(only=None, seed=None):
     """Run the cross-module verification suites; returns a summary report."""
     names = [only] if only else list(SUITES)
     if only and only not in SUITES:
         raise ValueError(f"unknown suite {only!r}; choose from {sorted(SUITES)}")
     results = []
     for name in names:
-        failures = SUITES[name](limit)
+        failures = SUITES[name]()
         results.append({"suite": name, "ok": not failures, "failures": len(failures)})
     if not only:
         if seed is None:  # drawn here, so that the report can name it for a replay
             seed = random.randrange(2**32)
-        failures = _suite_random(limit, seed)
+        failures = _suite_random(seed)
         results.append({"suite": "random-determinant", "ok": not failures, "failures": len(failures)})
     report = {"ok": all(r["ok"] for r in results), "suites": results}
     if not only:

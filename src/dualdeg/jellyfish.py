@@ -2,18 +2,18 @@
 path families, whose maximal members count the Bernstein degree directly.
 
 Everything here works in root-label coordinates (i, j), with lattice paths
-stepping southeast: (i, j) -> (i+1, j) or (i, j+1).  Only the unitary and
-star-orthogonal families carry this structure.
+stepping southeast: (i, j) -> (i+1, j) or (i, j+1), drawn by the path engine
+of posets.  Only the unitary and star-orthogonal families carry this
+structure.
 """
 
-import itertools
 from dataclasses import dataclass
 from functools import cache
 from types import MappingProxyType
 
 from . import dualpair
 from .dualpair import IN_SIGMA, OSTAR, UPQ, free_threshold
-from .posets import PathFamily
+from .posets import PathFamily, build_poset, disjoint_products, lattice_paths
 
 
 def _check_family(setting):
@@ -28,12 +28,8 @@ def _check_k(setting, k):
 
 def _points(setting):
     """The root labels (i, j) of the positive noncompact roots."""
-    if setting.family == UPQ:
-        return frozenset(
-            (i, j) for i in range(1, setting.p + 1) for j in range(1, setting.q + 1)
-        )
-    n = setting.n
-    return frozenset((i, j) for i in range(1, n) for j in range(i + 1, n + 1))
+    poset = build_poset(setting)
+    return frozenset(map(poset.label, poset.points))
 
 
 def _region(setting, k):
@@ -51,6 +47,12 @@ def _outer(setting):
     return frozenset(p for p in _points(setting) if p[1] == setting.n)
 
 
+def _ostar_b_list(n, k):
+    """The ostar eastern anchors b_1, ..., b_k: column n until the boundary
+    diagonal i + j = 2(k + 1) passes it."""
+    return tuple(n if t < 2 * (k + 1) - n else 2 * (k + 1) - t for t in range(1, k + 1))
+
+
 def _starts(setting, k):
     """The k path starting points on the inner boundary of the region."""
     if setting.family == UPQ:
@@ -62,11 +64,7 @@ def _starts(setting, k):
             for i in range(max(1, k + 1 - q), min(p, k) + 1)
         ]
     else:
-        n = setting.n
-        pts = []
-        for t in range(1, k + 1):
-            b = n if t < 2 * (k + 1) - n else 2 * (k + 1) - t
-            pts.append((t, b))
+        pts = list(enumerate(_ostar_b_list(setting.n, k), 1))
     assert len(set(pts)) == k
     return tuple(sorted(pts))
 
@@ -121,9 +119,7 @@ def boundary_data(setting, k, sigma=None):
     outer = _outer(setting)
     if setting.family == OSTAR:
         n = setting.n
-        b_list = tuple(
-            n if t < 2 * (k + 1) - n else 2 * (k + 1) - t for t in range(1, k + 1)
-        )
+        b_list = _ostar_b_list(n, k)
         i_hat = tuple(
             t if t < 2 * (k + 1) - n else n + 2 * (t - k) - 1 for t in range(1, k + 1)
         )
@@ -191,27 +187,6 @@ def end_map(setting, sigma, T):
     return Endpoints(south=south, east=east)
 
 
-def _paths_from(setting, start):
-    """All southeast lattice paths from start to the outer boundary."""
-    points = _points(setting)
-    outer = _outer(setting)
-    out = []
-
-    def walk(path):
-        cur = path[-1]
-        if cur in outer:
-            out.append(tuple(path))
-        i, j = cur
-        for nxt in ((i, j + 1), (i + 1, j)):
-            if nxt in points:
-                path.append(nxt)
-                walk(path)
-                path.pop()
-
-    walk([start])
-    return out
-
-
 def _endpoint_keys(setting, endpoints):
     """Endpoint classifications of a path tuple; two when a corner endpoint
     could lie on either edge."""
@@ -236,24 +211,13 @@ def _families_by_endpoints(setting, k):
     _check_k(setting, k)
     starts = _starts(setting, k)
     fixed = _region(setting, k) - set(starts)
-    per_start = [_paths_from(setting, s) for s in starts]
+    points, outer = _points(setting), _outer(setting)
+    candidates = [lattice_paths(start, points, outer) for start in starts]
     grouped = {}
     seen = {}
-    for combo in itertools.product(*per_start):
-        pts = set()
-        ok = True
-        for path in combo:
-            for pt in path:
-                if pt in pts:
-                    ok = False
-                    break
-                pts.add(pt)
-            if not ok:
-                break
-        if not ok:
-            continue
+    for combo, pts in disjoint_products(candidates):
         assert pts.isdisjoint(fixed)
-        family = PathFamily(frozenset(pts | fixed), tuple(combo))
+        family = PathFamily(pts | fixed, combo)
         ends = [path[-1] for path in combo]
         for key in _endpoint_keys(setting, ends):
             bucket = seen.setdefault(key, set())

@@ -1,10 +1,9 @@
 """The root poset of positive noncompact roots for the dual-pair families,
-antichain widths, facets of the width-k order complex as unions of k
-nonintersecting lattice paths, and the bijection with bounded plane
-partitions."""
+antichain widths, the lattice-path engine shared with the jellyfish, facets
+of the width-k order complex as unions of k nonintersecting lattice paths,
+and the bijection with bounded plane partitions."""
 
 import bisect
-import itertools
 from dataclasses import dataclass
 from functools import cache
 
@@ -46,6 +45,9 @@ class RootPoset:
 
     def __delattr__(self, name):
         raise AttributeError(f"RootPoset is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):  # copy and pickle through the constructor
+        return (RootPoset, (self.setting,))
 
     def label(self, point):
         """The root label (i, j) of a depicted point."""
@@ -135,69 +137,73 @@ def _forced_paths(setting, k):
     return a, b, prefixes, suffixes
 
 
-def _free_paths(setting, k, t, points):
-    """All monotone lattice paths the t-th free segment can take, from a_t to
-    b_t (or to the main antidiagonal for the metaplectic family)."""
-    a, b = _anchor_points(setting, k)
-    start = a[t - 1]
-    n = setting.n
+def lattice_paths(start, points, ends):
+    """Every east/south lattice path from start whose later points lie in
+    points, recorded at each visit to ends, east steps tried first."""
     out = []
+    path = [start]
 
-    def walk(path):
+    def walk():
         r, c = path[-1]
-        if setting.family == MP:
-            if r + c == n + 1:
-                out.append(tuple(path))
-                return
-        elif (r, c) == b[t - 1]:
+        if (r, c) in ends:
             out.append(tuple(path))
-            return
         for nxt in ((r, c + 1), (r + 1, c)):
-            ok = nxt in points
-            if setting.family != MP and ok:
-                ok = RootPoset.leq(nxt, b[t - 1])
-            if ok:
+            if nxt in points:
                 path.append(nxt)
-                walk(path)
+                walk()
                 path.pop()
 
-    walk([start])
+    walk()
     return out
 
 
+def disjoint_products(candidates):
+    """One path from each candidate list, pairwise disjoint, as (paths, point
+    set) in itertools.product order; a partial choice is dropped as soon as
+    its last path meets an earlier one."""
+    chosen, used = [], set()
+
+    def extend(t):
+        if t == len(candidates):
+            yield tuple(chosen), frozenset(used)
+            return
+        for path in candidates[t]:
+            if used.isdisjoint(path):
+                chosen.append(path)
+                used.update(path)
+                yield from extend(t + 1)
+                used.difference_update(path)
+                chosen.pop()
+
+    return extend(0)
+
+
 def enumerate_facets(setting, k):
-    """All facets of the width-k order complex of the root poset."""
+    """All facets of the width-k order complex of the root poset: the free
+    segment t runs from a_t to b_t, or to the main antidiagonal for mp."""
     _require_dual_pair(setting)
     if k < 1:
         raise ValueError("k must be >= 1")
     poset = build_poset(setting)
     if k >= real_rank(setting):
         return [PathFamily(poset.points)]
-    _, _, prefixes, suffixes = _forced_paths(setting, k)
-    candidates = [_free_paths(setting, k, t, poset.points) for t in range(1, k + 1)]
+    a, b, prefixes, suffixes = _forced_paths(setting, k)
+    if b is None:
+        antidiagonal = {x for x in poset.points if sum(x) == setting.n + 1}
+        candidates = [lattice_paths(start, poset.points, antidiagonal) for start in a]
+    else:
+        candidates = [
+            lattice_paths(start, {x for x in poset.points if RootPoset.leq(x, end)}, {end})
+            for start, end in zip(a, b)
+        ]
+    fixed = [x for segment in prefixes + suffixes for x in segment]
     seen = set()
     out = []
-    for combo in itertools.product(*candidates):
-        pts = set()
-        ok = True
-        for segment in combo:
-            for p in segment:
-                if p in pts:
-                    ok = False
-                    break
-                pts.add(p)
-            if not ok:
-                break
-        if not ok:
-            continue
-        for fixed in prefixes + suffixes:
-            pts.update(fixed)
-        pts = frozenset(pts)
+    for combo, pts in disjoint_products(candidates):
+        pts = pts.union(fixed)
         if pts not in seen:
             seen.add(pts)
-            paths = tuple(
-                prefixes[t] + combo[t] + suffixes[t] for t in range(k)
-            )
+            paths = tuple(pre + seg + suf for pre, seg, suf in zip(prefixes, combo, suffixes))
             out.append(PathFamily(pts, paths))
     return out
 

@@ -160,6 +160,22 @@ def test_verify_reports_its_seed():
     assert [s["suite"] for s in payload["suites"]][-1] == "random-determinant"
 
 
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["degree", "--family", "upq", "--p", "2", "--q", "2", "--k", "1", "--seed", "1"],
+        ["hilbert", "--family", "mp", "--n", "3", "--k", "1", "--seed", "1"],
+        ["verify", "--only", "width", "--limit", "10"],
+    ],
+    ids=["degree-seed", "hilbert-seed", "verify-limit"],
+)
+def test_flags_that_do_nothing_are_rejected(argv):
+    # --seed belongs to verify alone, and the suites take no --limit
+    with redirect_stderr(io.StringIO()), pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
 def test_invalid_input_exit_code():
     code, _ = run_cli(["degree", "--family", "upq", "--k", "1"])
     assert code == 2  # missing --p/--q
