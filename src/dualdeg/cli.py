@@ -174,12 +174,13 @@ def cmd_enumerate(args):
 
 def cmd_check(args):
     setting = setting_from_args(args)
+    limit = degree.DEFAULT_LIMIT if args.limit is None else args.limit
     if args.identity == "not":
         sigma = sigma_from_args(setting, args)
-        report = degree.not_identity_check(setting, sigma)
+        report = degree.not_identity_check(setting, sigma, limit=limit)
     elif args.identity == "collapse":
         sigma = sigma_from_args(setting, args)
-        report = dualpair.q_collapse_check(setting, sigma)
+        report = dualpair.q_collapse_check(setting, sigma, limit=limit)
     elif args.identity == "theta":
         p_count, facet_count, failures = degree.theta_check(setting, setting.k)
         report = {"p_count": p_count, "facet_count": facet_count, "ok": not failures}
@@ -190,7 +191,7 @@ def cmd_check(args):
             sigmas = [parse_partition(args.sigma)]
         else:
             sigmas = list(degree.iter_sigmas(setting, 2))
-        report = degree.mp_conjecture_probe(setting.n, setting.k, sigmas, limit=args.limit)
+        report = degree.mp_conjecture_probe(setting.n, setting.k, sigmas, limit=limit)
         report["ok"] = all(e["checks_ok"] for e in report["entries"])
     else:  # exceptional
         report = degree.exceptional_check(5)
@@ -221,7 +222,6 @@ def _add_common(parser, need_sigma=True):
         parser.add_argument("--sigma-plus", default=None)
         parser.add_argument("--sigma-minus", default=None)
     parser.add_argument("--format", choices=("json", "csv", "text"), default="json")
-    parser.add_argument("--limit", type=int, default=degree.DEFAULT_LIMIT)
 
 
 def build_parser():
@@ -233,11 +233,13 @@ def build_parser():
 
     p_degree = sub.add_parser("degree", help="degree report for one module")
     _add_common(p_degree)
+    p_degree.add_argument("--limit", type=int, default=degree.DEFAULT_LIMIT)
     p_degree.set_defaults(func=cmd_degree)
 
     p_enum = sub.add_parser("enumerate", help="list combinatorial objects")
     p_enum.add_argument("object", choices=("q", "p", "facets", "jellyfish"))
     _add_common(p_enum)
+    p_enum.add_argument("--limit", type=int, default=degree.DEFAULT_LIMIT)
     p_enum.set_defaults(func=cmd_enumerate)
 
     p_check = sub.add_parser("check", help="run one identity check")
@@ -245,6 +247,8 @@ def build_parser():
         "identity", choices=("not", "theta", "collapse", "conjecture", "exceptional")
     )
     _add_common(p_check)
+    # None when not given: check theta and check exceptional take no --limit
+    p_check.add_argument("--limit", type=int, default=None)
     p_check.set_defaults(func=cmd_check)
 
     p_hilbert = sub.add_parser("hilbert", help="Hilbert series of an orbit closure")
@@ -263,6 +267,8 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "identity", None) in ("theta", "exceptional") and args.limit is not None:
+        parser.error(f"check {args.identity} takes no --limit")
     try:
         code = args.func(args)
         sys.stdout.flush()

@@ -7,10 +7,8 @@ from dataclasses import dataclass, field
 from functools import cache
 
 from . import diagrams, dualpair, jellyfish, posets, repdims
-from .dualpair import IN_SIGMA, MP, OSTAR, UPQ
+from .dualpair import DEFAULT_LIMIT, IN_SIGMA, MP, OSTAR, UPQ
 from .repdims import dim_U_sigma
-
-DEFAULT_LIMIT = 5000
 
 
 @cache
@@ -163,11 +161,12 @@ def bernstein_degree(setting, sigma, limit=DEFAULT_LIMIT):
     )
 
 
-def not_identity_check(setting, sigma):
-    """For k <= r, check degree = dim U_sigma * #P_k via #Q = dim U_sigma."""
+def not_identity_check(setting, sigma, limit=DEFAULT_LIMIT):
+    """For k <= r, check degree = dim U_sigma * #P_k via #Q = dim U_sigma;
+    limit gates the oracles of the degree report."""
     if setting.k > dualpair.real_rank(setting):
         raise ValueError("identity only applies for k <= r")
-    report = bernstein_degree(setting, sigma)
+    report = bernstein_degree(setting, sigma, limit=limit)
     expected = dim_U_sigma(setting, sigma)
     return {
         "q_count": report.q_count,

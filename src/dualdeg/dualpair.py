@@ -28,6 +28,9 @@ E7 = "e7"
 DUAL_PAIR_FAMILIES = (UPQ, MP, OSTAR)
 ALL_FAMILIES = (UPQ, MP, OSTAR, SO_EVEN, SO_ODD, E6, E7)
 
+# The default --limit: the largest set an oracle or a listing check enumerates.
+DEFAULT_LIMIT = 5000
+
 # sigma_admissible results
 NOT_IN_HHAT = "not-in-hhat"
 IN_HHAT_NOT_SIGMA = "in-hhat-not-sigma"
@@ -203,11 +206,6 @@ def in_Q_definition(setting, sigma, T):
     return True
 
 
-def _jth_smallest(values, j):
-    """The j-th smallest element (1-based) of an iterable of integers."""
-    return sorted(values)[j - 1]
-
-
 def _upq_criteria(p, q, k, sigma_big, t_big, t_small):
     """Criterion kernel for upq assuming the first block has the smaller rank:
     p <= q, t_big is the tableau with entries bounded by q."""
@@ -299,12 +297,42 @@ def _count_Q_mp(n, k, sigma):
     return states.get((c1, k - c1), {}).get((1 << c2) - 1, 0)
 
 
+def _evaluation_k(setting, sigma):
+    """The k at which count_Q_determinant evaluates #Q_k(sigma): k itself up
+    to s, and max(s, the least k at which sigma is admissible) beyond it.
+
+    For k >= s every constraint alpha_i(T) < i, k - r < i <= k, is vacuous,
+    so Q_k(sigma) is all of T(sigma), which depends on sigma and p, q, n
+    only; both k and k' then count the same set.  A column's entries are
+    distinct and >= 1, so for k >= s:
+    - upq (s = p+q-1): alpha_i(T) <= max(0, min(i-p, q-1))
+      + max(0, min(i-q, p-1)) < i;
+    - mp (s = 2n-1): a value fills at most two cells of the first two
+      columns, so alpha_i(T) <= max(0, min(2(i-n), 2n-2)) < i;
+    - ostar (s = n-1): alpha_i(T) <= max(0, n-2-2k+2i) <= max(0, 2i-k-1) < i.
+    The least admissible k is l(sigma+) + l(sigma-) for upq, c1 + c2 for mp
+    and l(sigma) for ostar, so k' is at most p+q, 2n and n respectively.
+    """
+    k, s = setting.k, free_threshold(setting)
+    if k <= s:
+        return k
+    if setting.family == UPQ:
+        least = len(sigma[0]) + len(sigma[1])
+    elif setting.family == MP:
+        conj = conjugate(sigma)
+        least = sum(conj[:2])
+    else:  # OSTAR
+        least = len(sigma)
+    return max(s, least)
+
+
 def count_Q_determinant(setting, sigma):
-    """#Q_k(sigma) via the family-specific nonintersecting-path determinant."""
+    """#Q_k(sigma) via the family-specific nonintersecting-path determinant,
+    evaluated at k' = _evaluation_k(setting, sigma), whose count is the same."""
     if sigma_admissible(setting, sigma) != IN_SIGMA:
         raise ValueError("sigma is not an admissible nonzero label")
     sigma = normalize_sigma(setting, sigma)
-    k = setting.k
+    k = _evaluation_k(setting, sigma)
     if setting.family == UPQ:
         plus, minus = sigma
         p, q = setting.p, setting.q
@@ -341,17 +369,22 @@ def count_Q_determinant(setting, sigma):
     return determinant(mat)
 
 
-def q_collapse_check(setting, sigma):
+def q_collapse_check(setting, sigma, limit=DEFAULT_LIMIT):
     """Check the boundary collapses of #Q_k(sigma).
 
     For k <= r it must equal the dimension of the H(k)-irrep labeled by sigma;
     for k >= s, Q_k(sigma) is the whole base tableau set and its size is the
-    dimension of the K-irrep with the attached highest weight.
+    dimension of the K-irrep with the attached highest weight.  The check
+    lists the dim F_lambda tableaux of T(sigma); above limit it raises
+    ValueError instead, naming that size.
     """
     from . import repdims
 
     if sigma_admissible(setting, sigma) != IN_SIGMA:
         raise ValueError("sigma is not an admissible nonzero label")
+    t_size = repdims.dim_F_lambda(setting, sigma)
+    if t_size > limit:
+        raise ValueError(f"dim F_lambda={t_size} > limit {limit}")
     k, r, s = setting.k, real_rank(setting), free_threshold(setting)
     q_list = enumerate_Q(setting, sigma)
     report = {"k": k, "r": r, "s": s, "q_count": len(q_list)}
@@ -360,11 +393,10 @@ def q_collapse_check(setting, sigma):
         report.update(regime="k<=r", expected=expected, ok=len(q_list) == expected)
     elif k >= s:
         full = enumerate_T(setting, sigma)
-        expected = repdims.dim_F_lambda(setting, sigma)
         report.update(
             regime="k>=s",
-            expected=expected,
-            ok=q_list == full and len(q_list) == expected,
+            expected=t_size,
+            ok=q_list == full and len(q_list) == t_size,
         )
     else:
         report.update(regime="interpolation range, no collapse asserted", ok=True)

@@ -81,28 +81,9 @@ class Tableau:
         """The initial column as a set of entries."""
         return set(self.column(1))
 
-    def first_two_columns(self):
-        """Entries of the first two columns as a sorted multiset."""
-        return sorted(self.column(1) + self.column(2))
-
     def entries(self):
         """All entries in row-major order."""
         return tuple(x for row in self.rows for x in row)
-
-    def is_semistandard(self):
-        """Rows weakly increase left to right; columns strictly increase down."""
-        for row in self.rows:
-            if any(row[i] > row[i + 1] for i in range(len(row) - 1)):
-                return False
-        for j in range(len(self.rows) - 1):
-            upper, lower = self.rows[j], self.rows[j + 1]
-            if any(upper[i] >= lower[i] for i in range(len(lower))):
-                return False
-        return True
-
-    def shifted(self, delta):
-        """New tableau with delta added to every entry."""
-        return Tableau(tuple(x + delta for x in row) for row in self.rows)
 
     def __eq__(self, other):
         return isinstance(other, Tableau) and self.rows == other.rows
@@ -208,15 +189,6 @@ class IntPolynomial:
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         self.coeffs = tuple(coeffs)
-
-    @classmethod
-    def from_histogram(cls, values):
-        """Polynomial whose t^m coefficient counts occurrences of m in values."""
-        values = list(values)
-        coeffs = [0] * (max(values) + 1 if values else 0)
-        for v in values:
-            coeffs[v] += 1
-        return cls(coeffs)
 
     def evaluate(self, x):
         return sum(c * x**i for i, c in enumerate(self.coeffs))

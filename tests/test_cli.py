@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from dualdeg import degree
 from dualdeg.cli import main, parse_partition
 
 
@@ -167,14 +168,56 @@ def test_verify_reports_its_seed():
         ["degree", "--family", "upq", "--p", "2", "--q", "2", "--k", "1", "--seed", "1"],
         ["hilbert", "--family", "mp", "--n", "3", "--k", "1", "--seed", "1"],
         ["verify", "--only", "width", "--limit", "10"],
+        ["hilbert", "--family", "mp", "--n", "3", "--k", "1", "--limit", "10"],
+        ["check", "theta", "--family", "upq", "--p", "3", "--q", "3", "--k", "1", "--limit", "10"],
+        ["check", "exceptional", "--family", "e6", "--limit", "10"],
     ],
-    ids=["degree-seed", "hilbert-seed", "verify-limit"],
+    ids=[
+        "degree-seed", "hilbert-seed", "verify-limit",
+        "hilbert-limit", "theta-limit", "exceptional-limit",
+    ],
 )
 def test_flags_that_do_nothing_are_rejected(argv):
-    # --seed belongs to verify alone, and the suites take no --limit
+    # --seed belongs to verify alone; the suites, hilbert, check theta and
+    # check exceptional take no --limit
     with redirect_stderr(io.StringIO()), pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+def test_check_collapse_gate():
+    # under the gate the check runs; over it, exit 2 names dim F_lambda
+    code, out = run_cli("check collapse --family mp --n 3 --k 2 --sigma 1,1 --limit 10".split())
+    assert code == 0 and json.loads(out)["ok"]
+    argv = "check collapse --family upq --p 3 --q 3 --k 5 --sigma-plus 2,1 --sigma-minus 1".split()
+    assert run_cli(argv)[0] == 0
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = run_cli(argv + ["--limit", "10"])
+    assert code == 2 and out == ""
+    assert err.getvalue() == "error: dim F_lambda=24 > limit 10\n"
+    # the default limit refuses a tableau set far too large to list
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, _ = run_cli("check collapse --family ostar --n 20 --k 19 --sigma 4,3,2,1".split())
+    assert code == 2
+    assert err.getvalue() == "error: dim F_lambda=2086776384 > limit 5000\n"
+
+
+def test_check_not_reads_limit(monkeypatch):
+    seen = []
+    bernstein_degree = degree.bernstein_degree
+
+    def spy(setting, sigma, limit=degree.DEFAULT_LIMIT):
+        seen.append(limit)
+        return bernstein_degree(setting, sigma, limit=limit)
+
+    monkeypatch.setattr(degree, "bernstein_degree", spy)
+    argv = "check not --family upq --p 3 --q 3 --k 2 --sigma-plus 1".split()
+    assert run_cli(argv)[0] == 0
+    assert run_cli(argv + ["--limit", "7"])[0] == 0
+    assert seen == [degree.DEFAULT_LIMIT, 7]
+
 
 def test_invalid_input_exit_code():
     code, _ = run_cli(["degree", "--family", "upq", "--k", "1"])

@@ -171,8 +171,17 @@ def test_hilbert_series():
         assert num.evaluate(1) == len(enumerate_P(setting, k))
 
 
+def from_histogram(values):
+    """Polynomial whose t^m coefficient counts occurrences of m in values."""
+    values = list(values)
+    coeffs = [0] * (max(values) + 1 if values else 0)
+    for v in values:
+        coeffs[v] += 1
+    return IntPolynomial(coeffs)
+
+
 def _numerator_by_enumeration(setting, k):
-    return IntPolynomial.from_histogram(c_statistic(p) for p in enumerate_P(setting, k))
+    return from_histogram(c_statistic(p) for p in enumerate_P(setting, k))
 
 
 def _within_enumeration_budget(setting, k):

@@ -1,8 +1,11 @@
 """Tests for the dual-pair settings, Q_k(sigma), and its counting formulas."""
 
+import importlib.util
 import itertools
 from fractions import Fraction
+from pathlib import Path
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -11,8 +14,11 @@ from dualdeg.degree import iter_sigmas
 from dualdeg.dualpair import (
     IN_HHAT_NOT_SIGMA,
     IN_SIGMA,
+    MP,
     NOT_IN_HHAT,
+    UPQ,
     Setting,
+    _count_Q_mp,
     alpha,
     count_Q_determinant,
     enumerate_Q,
@@ -22,6 +28,7 @@ from dualdeg.dualpair import (
     in_Q_criteria,
     in_Q_definition,
     mp,
+    normalize_sigma,
     ostar,
     q_collapse_check,
     real_rank,
@@ -29,7 +36,7 @@ from dualdeg.dualpair import (
     upq,
 )
 from dualdeg.repdims import dim_F_lambda
-from dualdeg.tableaux import Tableau, binomial, conjugate, determinant
+from dualdeg.tableaux import Tableau, binomial, conjugate, determinant, pad
 
 
 def test_parameters():
@@ -302,3 +309,117 @@ def larger_labels(draw):
 @given(larger_labels())
 def test_in_Q_definition_matches_transcription_larger(case):
     _check_definition(*case)
+
+
+def _count_Q_full_k(setting, sigma):
+    """#Q_k(sigma) at the setting's own k: the k x k lattice-path determinant
+    for upq and ostar, the scan of [n-k+1, n] for mp, never moved to a
+    smaller k in the free range."""
+    if sigma_admissible(setting, sigma) != IN_SIGMA:
+        raise ValueError("sigma is not an admissible nonzero label")
+    sigma = normalize_sigma(setting, sigma)
+    k = setting.k
+    if setting.family == UPQ:
+        plus, minus = sigma
+        p, q = setting.p, setting.q
+        if p > q:
+            p, q = q, p
+            plus, minus = minus, plus
+        r, big = p, q
+        minus1 = minus[0] if minus else 0
+        # the weakly decreasing k-tuple: plus parts, zeros, negated reversed minus
+        full = list(plus) + [0] * (k - len(plus) - len(minus)) + [-x for x in reversed(minus)]
+        mat = []
+        for i in range(1, k + 1):
+            row = []
+            for j in range(1, k + 1):
+                c = 0 if j <= k - r else minus1
+                d = -1 + (big if j <= k - r else min(k, r))
+                e = full[i - 1] - i + j + c
+                row.append(binomial(e + d, e))
+            mat.append(row)
+        return determinant(mat)
+    if setting.family == MP:
+        return _count_Q_mp(setting.n, k, sigma)
+    # ostar
+    n = setting.n
+    full = pad(sigma, k)
+    mat = []
+    for i in range(1, k + 1):
+        row = []
+        for j in range(1, k + 1):
+            a_j = max(1, n + 2 * (j - k) - 1)
+            e = full[i - 1] - i + j
+            row.append(binomial(e + n - a_j, e))
+        mat.append(row)
+    return determinant(mat)
+
+
+def test_free_range_matches_full_k_determinant():
+    # k >= s: the count at k' equals the full k x k determinant (the k-scan
+    # for mp) and dim F_lambda, for k up to s + 12
+    cases = 0
+    settings_ = (
+        [upq(p, q, 0) for p in range(1, 5) for q in range(1, 5)]
+        + [mp(n, 0) for n in range(1, 6)]
+        + [ostar(n, 0) for n in range(2, 9)]
+    )
+    for s0 in settings_:
+        s_thr = free_threshold(s0)
+        for k in range(s_thr, s_thr + 13):
+            s = Setting(s0.family, k=k, p=s0.p, q=s0.q, n=s0.n)
+            for sigma in iter_sigmas(s, 6):
+                got = count_Q_determinant(s, sigma)
+                assert got == _count_Q_full_k(s, sigma) == dim_F_lambda(s, sigma), (s, sigma)
+                cases += 1
+    assert cases == 21_482
+
+
+def _perfbench_refs():
+    """perfbench/refs.py, which computes dim F_lambda without dualdeg."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "refs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_refs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_free_range_at_benchmark_sizes():
+    refs = _perfbench_refs()
+    pinned = [
+        (upq(3, 4, 30), ((7, 2), (4, 1)), 12_960),
+        (upq(4, 4, 25), ((5, 1), (6, 2)), 50_400),
+        (ostar(6, 30), (9, 4, 1), 244_608),
+        (ostar(7, 25), (8, 4, 2), 1_513_512),
+        (mp(5, 30), (9, 4, 1), 32_760),
+    ]
+    for setting, big, expected in pinned:
+        params = dict(p=setting.p, q=setting.q, n=setting.n)
+        for sigma in [big] + list(iter_sigmas(setting, 6)):
+            got = count_Q_determinant(setting, sigma)
+            assert got == _count_Q_full_k(setting, sigma), (setting, sigma)
+            assert got == refs.dim_F(setting.family, sigma, **params), (setting, sigma)
+        assert count_Q_determinant(setting, big) == expected
+
+
+def test_free_range_boundary():
+    # labels first admissible at k = s + 1: not admissible at s, then counted
+    # at k' = s + 1 for every larger k
+    for s0, sigma in [
+        (upq(2, 3, 0), ((2, 1, 1), (2, 1))),
+        (mp(3, 0), (3, 2, 2)),
+        (ostar(5, 0), (2, 2, 1, 1, 1)),
+    ]:
+        s_thr = free_threshold(s0)
+        at = lambda k: Setting(s0.family, k=k, p=s0.p, q=s0.q, n=s0.n)
+        assert sigma_admissible(at(s_thr), sigma) == NOT_IN_HHAT
+        with pytest.raises(ValueError):
+            count_Q_determinant(at(s_thr), sigma)
+        expected = dim_F_lambda(at(s_thr + 1), sigma)
+        for k in (s_thr + 1, s_thr + 2, s_thr + 7):
+            assert dualpair._evaluation_k(at(k), sigma) == s_thr + 1
+            assert count_Q_determinant(at(k), sigma) == _count_Q_full_k(at(k), sigma) == expected
+    # a label admissible at s is counted at k below s and at s from s on
+    sigma = ((2, 1), (1,))
+    assert [dualpair._evaluation_k(upq(2, 3, k), sigma) for k in range(3, 8)] == [3, 4, 4, 4, 4]
+

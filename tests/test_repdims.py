@@ -21,6 +21,11 @@ from dualdeg.repdims import (
 from dualdeg.tableaux import conjugate, enumerate_ssyt
 
 
+def first_two_columns(t):
+    """Entries of the first two columns of t as a sorted multiset."""
+    return sorted(t.column(1) + t.column(2))
+
+
 def _dim_gl_fraction(n, weight):
     """The hook-content product as one normalised Fraction per factor."""
     weight = tuple(weight)
@@ -63,7 +68,7 @@ def _dim_o_tableaux(k, sigma):
         raise ValueError("sigma is not an O_k label")
     count = 0
     for u in enumerate_ssyt(sigma, k):
-        cols = u.first_two_columns()
+        cols = first_two_columns(u)
         if all(sum(1 for x in cols if x <= i) <= i for i in range(1, k + 1)):
             count += 1
     return count
