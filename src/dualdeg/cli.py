@@ -264,11 +264,29 @@ def build_parser():
     return parser
 
 
+def _sigma_flags_read(args, what):
+    """The dests of the sigma flags the call reads: the subcommands that take
+    a label read upq's pair or the other families' single partition; check
+    conjecture reads --sigma alone."""
+    if what == "conjecture":
+        return ("sigma",)
+    if args.command == "degree" or what in ("q", "jellyfish", "not", "collapse"):
+        return ("sigma_plus", "sigma_minus") if args.family == dualpair.UPQ else ("sigma",)
+    return ()
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "identity", None) in ("theta", "exceptional") and args.limit is not None:
-        parser.error(f"check {args.identity} takes no --limit")
+    what = getattr(args, "object", None) or getattr(args, "identity", None)
+    call = f"{args.command} {what}" if what else args.command
+    if what in ("theta", "exceptional") and args.limit is not None:
+        parser.error(f"{call} takes no --limit")
+    read = _sigma_flags_read(args, what)
+    for dest in ("sigma", "sigma_plus", "sigma_minus"):
+        if getattr(args, dest, None) is not None and dest not in read:
+            where = f"{call} --family {args.family}" if read else call
+            parser.error(f"{where} takes no --{dest.replace('_', '-')}")
     try:
         code = args.func(args)
         sys.stdout.flush()

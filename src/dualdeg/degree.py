@@ -94,18 +94,29 @@ def _jellyfish_gate(setting, t_size, limit):
 
 def bernstein_degree(setting, sigma, limit=DEFAULT_LIMIT):
     """Degree of the module labeled by sigma as #Q_k(sigma) * #P_k, with
-    oracle cross-checks on instances small enough to enumerate."""
+    oracle cross-checks on instances small enough to enumerate.
+
+    #Q_k(sigma) is read from its collapse where there is one: dim U_sigma
+    for k <= r and dim F_lambda for k >= s.  Only r < k < s runs the path
+    count, count_Q_determinant; not_identity_check and
+    mp_window_boundary_check compare it with the collapses."""
     if setting.family not in dualpair.DUAL_PAIR_FAMILIES:
         raise ValueError("degrees are computed for the dual-pair families only")
     if setting.k < 1:
         raise ValueError("k must be >= 1")
     if dualpair.sigma_admissible(setting, sigma) != IN_SIGMA:
         raise ValueError("sigma is not an admissible nonzero label")
-    q_count = dualpair.count_Q_determinant(setting, sigma)
+    regime = classify_regime(setting)
+    t_size = repdims.dim_F_lambda(setting, sigma)
+    if regime == "k<=r":
+        q_count = dim_U_sigma(setting, sigma)
+    elif regime == "k>=s":
+        q_count = t_size
+    else:
+        q_count = dualpair.count_Q_determinant(setting, sigma)
     p_count = diagrams.count_P_product(setting, setting.k)
     checks = []
 
-    t_size = repdims.dim_F_lambda(setting, sigma)
     if t_size <= limit:
         brute = len(dualpair.enumerate_Q(setting, sigma))
         checks.append(
@@ -155,25 +166,27 @@ def bernstein_degree(setting, sigma, limit=DEFAULT_LIMIT):
         q_count=q_count,
         p_count=p_count,
         degree=q_count * p_count,
-        regime=classify_regime(setting),
+        regime=regime,
         conjectural=is_conjectural(setting),
         cross_checks=checks,
     )
 
 
 def not_identity_check(setting, sigma, limit=DEFAULT_LIMIT):
-    """For k <= r, check degree = dim U_sigma * #P_k via #Q = dim U_sigma;
-    limit gates the oracles of the degree report."""
+    """For k <= r, check degree = dim U_sigma * #P_k via #Q = dim U_sigma,
+    with #Q from the path count (bernstein_degree itself returns dim U_sigma
+    there); limit gates the oracles of the degree report."""
     if setting.k > dualpair.real_rank(setting):
         raise ValueError("identity only applies for k <= r")
     report = bernstein_degree(setting, sigma, limit=limit)
+    q_count = dualpair.count_Q_determinant(setting, sigma)
     expected = dim_U_sigma(setting, sigma)
     return {
-        "q_count": report.q_count,
+        "q_count": q_count,
         "dim_u": expected,
         "p_count": report.p_count,
-        "degree": report.degree,
-        "ok": report.q_count == expected and report.ok(),
+        "degree": q_count * report.p_count,
+        "ok": q_count == expected and report.ok(),
     }
 
 
@@ -198,8 +211,9 @@ def mp_conjecture_probe(n, k, sigma_list, limit=DEFAULT_LIMIT):
 
 
 def mp_window_boundary_check(n, sigma_list):
-    """At the proven endpoints k = n and k = 2n-1, the general evaluation must
-    match the collapse-regime value (dim U_sigma resp. dim F_lambda)."""
+    """At the proven endpoints k = n and k = 2n-1, the general evaluation (the
+    path count times #P_k) must match the collapse-regime value (dim U_sigma
+    resp. dim F_lambda, times #P_k)."""
     results = []
     for k in (n, 2 * n - 1):
         setting = dualpair.mp(n, k)
@@ -207,6 +221,7 @@ def mp_window_boundary_check(n, sigma_list):
             if dualpair.sigma_admissible(setting, sigma) != IN_SIGMA:
                 continue
             report = bernstein_degree(setting, sigma)
+            degree = dualpair.count_Q_determinant(setting, sigma) * report.p_count
             if k == n:
                 expected = dim_U_sigma(setting, sigma) * report.p_count
             else:
@@ -215,9 +230,9 @@ def mp_window_boundary_check(n, sigma_list):
                 {
                     "k": k,
                     "sigma": dualpair.normalize_sigma(setting, sigma),
-                    "degree": report.degree,
+                    "degree": degree,
                     "expected": expected,
-                    "ok": report.degree == expected and report.ok(),
+                    "ok": degree == expected and report.ok(),
                 }
             )
     return {"n": n, "ok": all(r["ok"] for r in results), "entries": results}

@@ -1,9 +1,8 @@
-"""The three dual-pair settings, admissibility, highest weights, and Q_k(sigma)."""
+"""The three dual-pair settings, admissibility, and Q_k(sigma)."""
 
 import bisect
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .tableaux import (
     Tableau,
@@ -128,27 +127,6 @@ def sigma_admissible(setting, sigma):
     if not in_hhat:
         return NOT_IN_HHAT
     return IN_SIGMA if in_big else IN_HHAT_NOT_SIGMA
-
-
-def highest_weight(setting, sigma):
-    """The highest weight labeling the module attached to sigma.
-
-    For upq the result is a pair of blocks of lengths p and q; for mp a single
-    block of half-integers (Fractions); for ostar a single integer block.
-    """
-    if sigma_admissible(setting, sigma) != IN_SIGMA:
-        raise ValueError("sigma is not an admissible nonzero label")
-    sigma = normalize_sigma(setting, sigma)
-    k = setting.k
-    if setting.family == UPQ:
-        plus, minus = sigma
-        left = tuple(-x - k for x in reversed(pad(minus, setting.p)))
-        right = pad(plus, setting.q)
-        return (left, right)
-    if setting.family == MP:
-        shift = Fraction(k, 2)
-        return tuple(-x - shift for x in reversed(pad(sigma, setting.n)))
-    return tuple(-x - k for x in reversed(pad(sigma, setting.n)))
 
 
 def enumerate_T(setting, sigma):

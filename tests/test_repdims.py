@@ -18,7 +18,7 @@ from dualdeg.repdims import (
     dim_weyl,
     root_system,
 )
-from dualdeg.tableaux import conjugate, enumerate_ssyt
+from dualdeg.tableaux import conjugate, enumerate_ssyt, pad
 
 
 def first_two_columns(t):
@@ -252,11 +252,23 @@ def test_dim_o_and_dim_sp_match_tableau_counts():
     assert (o_cases, sp_cases) == (O_LABELS_UP_TO_6, SP_LABELS_UP_TO_6)
 
 
+def _dim_gl_rational_tableaux(k, plus, minus):
+    """Dimension of the GL_k irrep labeled by (plus, minus), as the number of
+    SSYT with entries <= k of its highest weight shifted by minus[0]."""
+    m = minus[0] if minus else 0
+    weight = pad(plus, k - len(minus)) + tuple(-x for x in reversed(minus))
+    return len(enumerate_ssyt(tuple(x + m for x in weight if x + m), k))
+
+
 @st.composite
 def rank_k_labels(draw):
-    """An mp or ostar setting with k <= r and one of its labels of size at
-    most 8, with dim F_lambda <= 5000 so that the tableau count is cheap."""
-    if draw(st.booleans()):
+    """A upq, mp or ostar setting with k <= r and one of its labels of size
+    at most 8, with dim F_lambda <= 5000 so that the tableau count is cheap."""
+    family = draw(st.sampled_from(["upq", "mp", "ostar"]))
+    if family == "upq":
+        p, q = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+        setting = upq(p, q, draw(st.integers(1, min(p, q))))
+    elif family == "mp":
         n = draw(st.integers(1, 12))
         setting = mp(n, draw(st.integers(1, n)))
     else:
@@ -273,11 +285,34 @@ def rank_k_labels(draw):
 def test_dim_U_sigma_matches_tableau_counts(case):
     setting, sigma = case
     assert setting.k <= real_rank(setting)
-    if setting.family == "mp":
+    if setting.family == "upq":
+        count = _dim_gl_rational_tableaux(setting.k, *sigma)
+    elif setting.family == "mp":
         count = _dim_o_tableaux(setting.k, sigma)
     else:
         count = _dim_sp_tableaux(2 * setting.k, sigma)
     assert dim_U_sigma(setting, sigma) == count == count_Q_determinant(setting, sigma)
+
+
+# labels at the k <= r settings of the degree benchmark workload, with its
+# mp ladder mp(2m + 5, 2m), c1 = c2 = m, at m = 6 and 8; each count equals
+# perfbench/refs.dim_U
+WORKLOAD_K_LE_R = [
+    (upq(12, 13, 6), ((3, 2, 1), (3, 2)), 145_530),
+    (upq(10, 10, 4), ((3, 2), (3,)), 630),
+    (mp(16, 6), (3, 3, 2), 378),
+    (mp(14, 8), (3, 3, 2, 2), 7392),
+    (ostar(20, 6), (4, 3, 3, 2, 2, 1), 64_443_600),
+    (ostar(18, 4), (5, 3, 2, 1), 205_920),
+    (mp(17, 12), (4, 3, 3, 2, 2, 2), 36_808_200),
+    (mp(21, 16), (4, 4, 3, 3, 2, 2, 2, 2), 233_988_267_240),
+]
+
+
+def test_path_count_is_dim_U_sigma_at_workload_sizes():
+    for setting, sigma, want in WORKLOAD_K_LE_R:
+        assert setting.k <= real_rank(setting)
+        assert count_Q_determinant(setting, sigma) == dim_U_sigma(setting, sigma) == want, (setting, sigma)
 
 
 def test_weyl_products_pinned():
