@@ -182,7 +182,7 @@ def cmd_check(args):
         sigma = sigma_from_args(setting, args)
         report = dualpair.q_collapse_check(setting, sigma, limit=limit)
     elif args.identity == "theta":
-        p_count, facet_count, failures = degree.theta_check(setting, setting.k)
+        p_count, facet_count, failures = degree.theta_check(setting, setting.k, limit=limit)
         report = {"p_count": p_count, "facet_count": facet_count, "ok": not failures}
     elif args.identity == "conjecture":
         if setting.family != dualpair.MP:
@@ -247,7 +247,7 @@ def build_parser():
         "identity", choices=("not", "theta", "collapse", "conjecture", "exceptional")
     )
     _add_common(p_check)
-    # None when not given: check theta and check exceptional take no --limit
+    # None when not given: check exceptional takes no --limit
     p_check.add_argument("--limit", type=int, default=None)
     p_check.set_defaults(func=cmd_check)
 
@@ -280,7 +280,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     what = getattr(args, "object", None) or getattr(args, "identity", None)
     call = f"{args.command} {what}" if what else args.command
-    if what in ("theta", "exceptional") and args.limit is not None:
+    if what == "exceptional" and args.limit is not None:
         parser.error(f"{call} takes no --limit")
     read = _sigma_flags_read(args, what)
     for dest in ("sigma", "sigma_plus", "sigma_minus"):

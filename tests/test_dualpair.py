@@ -443,3 +443,26 @@ def test_free_range_boundary():
     sigma = ((2, 1), (1,))
     assert [dualpair._evaluation_k(upq(2, 3, k), sigma) for k in range(3, 8)] == [3, 4, 4, 4, 4]
 
+
+
+def test_enumerate_Q_interleaved_settings_keep_their_own_test():
+    # the membership test is cached per setting: settings that differ only in
+    # k, or in p versus q, called in turn, each filter T by their own bounds
+    labels = {"upq": ((1, 1), ()), "mp": (2,), "ostar": (1, 1)}
+    settings_ = (
+        [upq(3, 5, k) for k in range(2, 7)]
+        + [upq(5, 3, k) for k in range(2, 7)]
+        + [mp(4, k) for k in range(2, 7)]
+        + [ostar(7, k) for k in range(2, 6)]
+    )
+    order = settings_[::2] + settings_[1::2] + settings_[::-1]
+    for setting in order:
+        sigma = labels[setting.family]
+        k, r = setting.k, real_rank(setting)
+        tableaux = enumerate_T(setting, sigma)
+        assert tableaux, setting
+        want = [
+            T for T in tableaux
+            if all(_alpha_literal(setting, T, i) < i for i in range(max(1, k - r + 1), k + 1))
+        ]
+        assert enumerate_Q(setting, sigma) == want, setting

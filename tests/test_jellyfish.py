@@ -193,3 +193,19 @@ def test_jellyfish_components():
         assert j.family.points >= jellyfish._region(setting, 1) - set(
             jellyfish._starts(setting, 1)
         )
+
+
+def test_cached_helpers_hold_frozensets():
+    for setting in [upq(3, 3, 2), upq(4, 2, 2), ostar(6, 2)]:
+        k = setting.k
+        for helper, args in [
+            (jellyfish._points, (setting,)),
+            (jellyfish._region, (setting, k)),
+            (jellyfish._outer, (setting,)),
+        ]:
+            value = helper(*args)
+            assert isinstance(value, frozenset), helper.__name__
+            assert helper(*args) is value, helper.__name__  # one cached value
+        assert jellyfish._region(setting, k) <= jellyfish._points(setting)
+        d = max_family_size(setting, k)
+        assert d == max(len(f) for f in enumerate_F(setting, k))

@@ -332,3 +332,128 @@ def test_theta_inverse_rejects_non_facets():
                 with pytest.raises(ValueError):
                     theta_inverse(setting, k, PathFamily(f.points | {p}))
             assert theta(setting, k, theta_inverse(setting, k, f)).points == f.points
+
+
+def _theta_oracle(setting, k, pp):
+    """theta by the set-based walk: for each t, the set of boxes with entry
+    exceeding k - t is built and the walk tests membership in it."""
+    posets._require_dual_pair(setting)
+    posets._validate_plane_partition(setting, k, pp)
+    poset = build_poset(setting)
+    if k >= real_rank(setting):
+        return PathFamily(poset.points)
+    a, b, prefixes, suffixes = posets._forced_paths(setting, k)
+    n = setting.n
+    paths = []
+    for t in range(1, k + 1):
+        tall = {box for box, v in pp.entries.items() if v > k - t}
+        ar, ac = a[t - 1]
+        dr = dc = 0
+        segment = [(ar, ac)]
+        while True:
+            r, c = segment[-1]
+            if setting.family == "mp":
+                if r + c == n + 1:
+                    break
+            elif (r, c) == b[t - 1]:
+                break
+            clamp = setting.family != "mp" and c == b[t - 1][1]
+            if (dr + 1, dc + 1) in tall or clamp:
+                dr += 1
+                segment.append((r + 1, c))
+            else:
+                dc += 1
+                segment.append((r, c + 1))
+        paths.append(prefixes[t - 1] + tuple(segment) + suffixes[t - 1])
+    points = frozenset(p for path in paths for p in path)
+    return PathFamily(points, tuple(paths))
+
+
+def _theta_inverse_oracle(setting, k, family):
+    """theta_inverse by the |D_k| x |path| fill: box (x, y) counts the free
+    segments holding a point (dr, dc) with dr >= x and dc <= y - 1."""
+    posets._require_dual_pair(setting)
+    poset = build_poset(setting)
+    diagram = diagrams.diagram_D(setting, k)
+    if k >= real_rank(setting):
+        if family.points != poset.points:
+            raise ValueError("for k >= r the only facet is the whole poset")
+        return PlanePartition(frozenset(), {})
+    a, b = posets._anchor_points(setting, k)
+    paths = family.paths or decompose(setting, k, family.points)
+    entries = {}
+    rel_segments = []
+    for t in range(1, k + 1):
+        path = paths[t - 1]
+        ar, ac = a[t - 1]
+        if (ar, ac) not in path:
+            raise ValueError("path misses its anchor")
+        i0 = path.index((ar, ac))
+        if setting.family == "mp":
+            i1 = next(
+                (i for i, (r, c) in enumerate(path) if r + c == setting.n + 1), None
+            )
+            if i1 is None:
+                raise ValueError("path misses its terminal anchor")
+        else:
+            if b[t - 1] not in path:
+                raise ValueError("path misses its terminal anchor")
+            i1 = path.index(b[t - 1])
+        rel_segments.append([(r - ar, c - ac) for r, c in path[i0 : i1 + 1]])
+    for box in diagram:
+        x, y = box
+        entries[box] = sum(
+            1
+            for seg in rel_segments
+            if any(dr >= x and dc <= y - 1 for dr, dc in seg)
+        )
+    pp = PlanePartition(diagram, entries)
+    posets._validate_plane_partition(setting, k, pp)
+    if _theta_oracle(setting, k, pp).points != family.points:
+        raise ValueError("point set is not a facet")
+    return pp
+
+
+# plane partitions of upq(p, q <= 6), mp(n <= 7) and ostar(n <= 10) over
+# every k <= r with #P_k <= 3000, pinned so the sweep cannot shrink unnoticed
+THETA_SWEEP_CASES = 10_959
+
+
+def test_theta_and_inverse_match_the_oracles():
+    settings_ = (
+        [upq(p, q, 0) for p in range(1, 7) for q in range(1, 7)]
+        + [mp(n, 0) for n in range(1, 8)]
+        + [ostar(n, 0) for n in range(2, 11)]
+    )
+    cases = 0
+    for setting in settings_:
+        for k in range(1, real_rank(setting) + 1):
+            if diagrams.count_P_product(setting, k) > 3000:
+                continue
+            for pp in enumerate_P(setting, k):
+                want = _theta_oracle(setting, k, pp)
+                got = theta(setting, k, pp)
+                assert (got.points, got.paths) == (want.points, want.paths), (setting, k, pp)
+                bare = PathFamily(got.points)  # theta_inverse decomposes it
+                for family in (got, bare):
+                    assert theta_inverse(setting, k, family) == pp, (setting, k, pp)
+                    assert _theta_inverse_oracle(setting, k, family) == pp, (setting, k, pp)
+                assert corners(setting, k, got) == corners(setting, k, want), (setting, k, pp)
+                cases += 1
+    assert cases == THETA_SWEEP_CASES
+
+
+def test_forced_paths_cache_holds_tuples():
+    for setting in [upq(3, 4, 0), upq(4, 3, 0), mp(4, 0), ostar(7, 0)]:
+        for k in range(1, real_rank(setting)):
+            a, b, prefixes, suffixes = posets._forced_paths(setting, k)
+            assert posets._forced_paths(setting, k)[0] is a  # one cached value
+            assert isinstance(a, tuple) and all(isinstance(x, tuple) for x in a)
+            if setting.family == "mp":
+                assert b is None
+            else:
+                assert isinstance(b, tuple) and all(isinstance(x, tuple) for x in b)
+            for segments in (prefixes, suffixes):
+                assert isinstance(segments, tuple) and len(segments) == k
+                assert all(isinstance(seg, tuple) for seg in segments)
+                assert all(isinstance(x, tuple) for seg in segments for x in seg)
