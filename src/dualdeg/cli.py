@@ -2,7 +2,6 @@
 Hilbert series, and the verification harness, with JSON/CSV/text output."""
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -110,6 +109,8 @@ def emit(payload, fmt, out=None):
     rows = payload if isinstance(payload, list) else [payload]
     flat_rows = [_flatten(r) for r in rows]
     if fmt == "csv":
+        import csv  # only CSV output needs it; every call pays for a top-level import
+
         keys = list(dict.fromkeys(k for r in flat_rows for k in r))
         writer = csv.DictWriter(out, fieldnames=keys)
         writer.writeheader()

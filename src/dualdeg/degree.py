@@ -3,7 +3,7 @@ exceptional-family degrees, Hilbert reports, and the cross-validation harness.""
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cache
 
 from . import diagrams, dualpair, jellyfish, posets, repdims
@@ -40,23 +40,31 @@ def iter_sigmas(setting, max_size):
                 yield sigma
 
 
-@dataclass
-class CrossCheck:
-    name: str
-    status: str  # "pass", "fail", or "skipped"
-    detail: str = ""
+class CrossCheck(namedtuple("CrossCheck", "name status detail", defaults=("",))):
+    """One cross-check of a degree: its status is "pass", "fail" or "skipped"."""
+
+    __slots__ = ()
 
 
-@dataclass
-class DegreeReport:
-    setting: object
-    sigma: object
-    q_count: int
-    p_count: int
-    degree: int
-    regime: str  # "k<=r", "r<k<s", or "k>=s"
-    conjectural: bool
-    cross_checks: list = field(default_factory=list)
+class DegreeReport(
+    namedtuple(
+        "DegreeReport",
+        "setting sigma q_count p_count degree regime conjectural cross_checks",
+    )
+):
+    """#Q_k(sigma), #P_k and their product; regime is "k<=r", "r<k<s" or
+    "k>=s"; cross_checks is a list of CrossCheck, a new empty one by default."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls, setting, sigma, q_count, p_count, degree, regime, conjectural, cross_checks=None
+    ):
+        if cross_checks is None:
+            cross_checks = []
+        return super().__new__(
+            cls, setting, sigma, q_count, p_count, degree, regime, conjectural, cross_checks
+        )
 
     def ok(self):
         return all(c.status != "fail" for c in self.cross_checks)
@@ -241,17 +249,12 @@ def mp_window_boundary_check(n, sigma_list):
     return {"n": n, "ok": all(r["ok"] for r in results), "entries": results}
 
 
-@dataclass(frozen=True)
-class ExceptionalRow:
+class ExceptionalRow(namedtuple("ExceptionalRow", "group k deg_orbit h_system nparams")):
     """One non-Wallach exceptional family: group, level, orbit degree, the
     rank-k side root system with its label pattern, and the closed-form
     dimension polynomial."""
 
-    group: str
-    k: int
-    deg_orbit: int
-    h_system: str
-    nparams: int
+    __slots__ = ()
 
     def sigma(self, a, b=0):
         if self.h_system == "B3":

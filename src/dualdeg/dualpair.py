@@ -2,7 +2,7 @@
 
 import bisect
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache
 
 from .tableaux import (
@@ -37,17 +37,13 @@ IN_HHAT_NOT_SIGMA = "in-hhat-not-sigma"
 IN_SIGMA = "in-sigma"
 
 
-@dataclass(frozen=True)
-class Setting:
+class Setting(namedtuple("Setting", "family k p q n", defaults=(0, 0, 0, 0))):
     """One Hermitian family with its parameters and the dual-pair rank k."""
 
-    family: str
-    k: int = 0
-    p: int = 0
-    q: int = 0
-    n: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.family not in ALL_FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
         if self.family == UPQ and (self.p < 1 or self.q < 1):
@@ -56,6 +52,7 @@ class Setting:
             raise ValueError(f"{self.family} needs n >= 1")
         if self.k < 0:
             raise ValueError("k must be >= 0")
+        return self
 
 
 def upq(p, q, k):

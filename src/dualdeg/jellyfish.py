@@ -7,7 +7,7 @@ of posets.  Only the unitary and star-orthogonal families carry this
 structure.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache
 from types import MappingProxyType
 
@@ -72,14 +72,12 @@ def _starts(setting, k):
     return tuple(sorted(pts))
 
 
-@dataclass(frozen=True)
-class Endpoints:
+class Endpoints(namedtuple("Endpoints", "south east", defaults=((), ()))):
     """Endpoint data of a path family: columns j of endpoints on the southern
     edge and rows i of endpoints on the eastern edge, each sorted increasing.
     The ostar family only uses the eastern list."""
 
-    south: tuple = ()
-    east: tuple = ()
+    __slots__ = ()
 
     def points(self, setting):
         if setting.family == UPQ:
@@ -89,18 +87,18 @@ class Endpoints:
         return frozenset((i, setting.n) for i in self.east)
 
 
-@dataclass(frozen=True)
-class BoundaryData:
-    """Boundary regions and anchors for the path families at level k."""
+class BoundaryData(
+    namedtuple(
+        "BoundaryData",
+        "region starts outer a_list b_list i_hat k_plus k_minus",
+        defaults=(None,) * 5,
+    )
+):
+    """Boundary regions and anchors for the path families at level k:
+    a_list holds the upq southern anchors a_u, b_list the eastern anchors
+    b_t and i_hat the ostar maximal east endpoints."""
 
-    region: frozenset
-    starts: tuple
-    outer: frozenset
-    a_list: tuple = None  # upq southern anchors a_u
-    b_list: tuple = None  # eastern anchors b_t
-    i_hat: tuple = None  # ostar maximal east endpoints
-    k_plus: int = None
-    k_minus: int = None
+    __slots__ = ()
 
 
 def split_k(setting, k, sigma):
@@ -274,12 +272,11 @@ def enumerate_maximal_F(setting, k):
     return [f for f in enumerate_F(setting, k) if len(f) == d]
 
 
-@dataclass(frozen=True)
-class Jellyfish:
-    """A tableau together with a path family sharing its endpoint data."""
+class Jellyfish(namedtuple("Jellyfish", "tableau family")):
+    """A tableau together with a path family (a PathFamily) sharing its
+    endpoint data."""
 
-    tableau: object
-    family: PathFamily
+    __slots__ = ()
 
 
 def enumerate_jellyfish(setting, sigma):

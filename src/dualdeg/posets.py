@@ -4,7 +4,7 @@ of the width-k order complex as unions of k nonintersecting lattice paths,
 and the bijection with bounded plane partitions."""
 
 import bisect
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache
 
 from . import diagrams
@@ -84,12 +84,13 @@ def width(poset, subset=None):
     return len(tails)
 
 
-@dataclass(frozen=True)
-class PathFamily:
-    """A facet: a union of k nonintersecting lattice paths in the poset."""
+class PathFamily(namedtuple("PathFamily", "points paths", defaults=(None,))):
+    """A facet: a union of k nonintersecting lattice paths in the poset, with
+    paths its optional decomposition, northeast to southwest.  len() counts
+    the points, not the two fields, so the namedtuple helpers _make and
+    _replace refuse it."""
 
-    points: frozenset
-    paths: tuple = None  # optional decomposition, northeast to southwest
+    __slots__ = ()
 
     def __len__(self):
         return len(self.points)

@@ -22,6 +22,19 @@ def dim_gl(n, weight):
     return exact_quotient(num, den)
 
 
+def _dim_gl_partition(n, lam):
+    """dim_gl(n, pad(lam, n)) for a partition lam of at most n parts, by the
+    hook-content formula: the product over the cells (i, j) of lam of
+    (n + j - i) / hook(i, j), |lam| factors in place of n(n-1)/2."""
+    conj = conjugate(lam)
+    num = den = 1
+    for i, row in enumerate(lam):
+        for j in range(row):
+            num *= n + j - i
+            den *= row - j + conj[j] - i - 1
+    return exact_quotient(num, den)
+
+
 def dim_gl_rational(k, plus, minus):
     """Dimension of the GL_k irrep labeled by a pair of partitions: highest
     weight (plus, 0, ..., 0, -reversed(minus))."""
@@ -154,7 +167,5 @@ def _dim_F(setting, sigma):
     """dim_F_lambda of a label dualpair.nonzero_label has returned."""
     if setting.family == dualpair.UPQ:
         plus, minus = sigma
-        return dim_gl(setting.p, pad(minus, setting.p)) * dim_gl(
-            setting.q, pad(plus, setting.q)
-        )
-    return dim_gl(setting.n, pad(sigma, setting.n))
+        return _dim_gl_partition(setting.p, minus) * _dim_gl_partition(setting.q, plus)
+    return _dim_gl_partition(setting.n, sigma)

@@ -317,3 +317,24 @@ def test_cli_import_loads_no_networkx():
         check=True,
     )
     assert proc.stdout.strip() == "False"
+
+
+def _modules_after(statement):
+    """The names in sys.modules once a fresh interpreter has run statement."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", f"{statement}\nimport sys\nprint(*sys.modules)"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        check=True,
+    )
+    return set(proc.stdout.split())
+
+
+def test_cli_import_loads_no_dataclasses():
+    # dataclasses pulls in inspect, ast, dis and tokenize: about 15 ms of
+    # every CLI call, for records that namedtuples give for free
+    loaded = _modules_after("import dualdeg.cli") - _modules_after("pass")
+    assert "dualdeg.degree" in loaded
+    assert not loaded & {"dataclasses", "inspect"}

@@ -19,6 +19,7 @@ from dualdeg.dualpair import (
     UPQ,
     Setting,
     _count_Q_mp,
+    _in_Q_criteria,
     alpha,
     count_Q_determinant,
     enumerate_Q,
@@ -254,6 +255,44 @@ def test_mp_scan_matches_enumeration(label):
     assert count_Q_determinant(setting, sigma) == len(enumerate_Q(setting, sigma))
 
 
+@st.composite
+def upq_ostar_labels(draw):
+    """A upq or ostar setting in the drawn regime and one of its labels with
+    dim F_lambda <= 5000, as mp_labels draws for mp."""
+    regime = draw(st.sampled_from(["k<=r", "r<k<s", "k>=s"]))
+    if draw(st.sampled_from(["upq", "ostar"])) == "upq":
+        p, q = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+        base = upq(p, q, 0)
+        bounds = [q, p]  # rows of sigma+ and sigma-
+    else:  # r < k < s needs n >= 5
+        base = ostar(draw(st.integers(5 if regime == "r<k<s" else 2, 10)), 0)
+        bounds = [base.n]
+    r, s = real_rank(base), free_threshold(base)
+    if regime == "k<=r":
+        k = draw(st.integers(1, r))
+    elif regime == "r<k<s":
+        assume(s - r >= 2)
+        k = draw(st.integers(r + 1, s - 1))
+    else:
+        k = draw(st.integers(s, s + 3))
+    parts = [
+        tuple(sorted(draw(st.lists(st.integers(1, 4), max_size=min(bound, k))), reverse=True))
+        for bound in bounds
+    ]
+    sigma = tuple(parts) if base.family == UPQ else parts[0]
+    setting = Setting(base.family, k=k, p=base.p, q=base.q, n=base.n)
+    assume(sigma_admissible(setting, sigma) == IN_SIGMA)
+    assume(dim_F_lambda(setting, sigma) <= 5000)
+    return setting, sigma
+
+
+@settings(max_examples=100, deadline=None)
+@given(upq_ostar_labels())
+def test_upq_ostar_determinant_matches_enumeration(label):
+    setting, sigma = label
+    assert count_Q_determinant(setting, sigma) == len(enumerate_Q(setting, sigma))
+
+
 def test_mp_scan_pinned():
     # k <= r: the dimension of the O_k irrep labeled by sigma
     assert count_Q_determinant(mp(24, 18), (2,) * 9) == 81_662_152
@@ -329,6 +368,15 @@ def larger_labels(draw):
 @given(larger_labels())
 def test_in_Q_definition_matches_transcription_larger(case):
     _check_definition(*case)
+
+
+@settings(max_examples=60, deadline=None)
+@given(larger_labels())
+def test_criteria_equivalence_larger(case):
+    setting, sigma = case
+    label = normalize_sigma(setting, sigma)
+    for T in enumerate_T(setting, sigma):
+        assert _in_Q_criteria(setting, label, T) == in_Q_definition(setting, sigma, T), (setting, sigma, T)
 
 
 def _count_Q_full_k(setting, sigma):

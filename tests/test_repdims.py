@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from dualdeg.degree import iter_sigmas, not_identity_check, partitions_up_to
 from dualdeg.dualpair import count_Q_determinant, mp, ostar, real_rank, upq
 from dualdeg.repdims import (
+    _dim_gl_partition,
     dim_F_lambda,
     dim_gl,
     dim_gl_rational,
@@ -214,6 +215,28 @@ def test_dim_F_lambda():
 def test_dim_gl_matches_fraction_product(weight):
     weight = sorted(weight, reverse=True)
     assert dim_gl(len(weight), weight) == _dim_gl_fraction(len(weight), weight)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 30).flatmap(
+        lambda n: st.tuples(
+            st.just(n), st.lists(st.integers(1, 9), max_size=min(n, 8)).map(lambda x: sorted(x, reverse=True))
+        )
+    )
+)
+def test_dim_gl_partition_matches_dim_gl(case):
+    n, lam = case
+    assert _dim_gl_partition(n, tuple(lam)) == dim_gl(n, pad(lam, n))
+
+
+def test_dim_F_lambda_pinned_at_mp23():
+    # 23 parts after padding: 253 pair factors in dim_gl, |sigma| cells by hook content
+    for setting, sigma, want in [
+        (mp(23, 12), (4, 3, 3, 2, 2, 1), 13_090_864_644_000),
+        (mp(23, 22), (2,) * 11, 281_248_448_936),
+    ]:
+        assert dim_F_lambda(setting, sigma) == dim_gl(23, pad(sigma, 23)) == want
 
 
 @settings(max_examples=200, deadline=None)
