@@ -20,18 +20,23 @@ def parse_partition(text):
     return parts
 
 
+def _shape_flags_read(family):
+    """The dests of the shape flags the family reads: upq reads --p and
+    --q, e6 and e7 read none, and the other families read --n."""
+    if family == dualpair.UPQ:
+        return ("p", "q")
+    if family in (dualpair.E6, dualpair.E7):
+        return ()
+    return ("n",)
+
+
 def setting_from_args(args):
     family = args.family
     k = getattr(args, "k", 0) or 0
-    if family == dualpair.UPQ:
-        if not args.p or not args.q:
-            raise ValueError("family upq needs --p and --q")
-        return dualpair.Setting(family, k=k, p=args.p, q=args.q)
-    if family in (dualpair.E6, dualpair.E7):
-        return dualpair.Setting(family, k=k)
-    if not args.n:
-        raise ValueError(f"family {family} needs --n")
-    return dualpair.Setting(family, k=k, n=args.n)
+    read = _shape_flags_read(family)
+    if not all(getattr(args, dest) for dest in read):
+        raise ValueError(f"family {family} needs " + " and ".join(f"--{dest}" for dest in read))
+    return dualpair.Setting(family, k=k, **{dest: getattr(args, dest) for dest in read})
 
 
 def sigma_from_args(setting, args):
@@ -214,9 +219,10 @@ def cmd_verify(args):
 
 def _add_common(parser, need_sigma=True):
     parser.add_argument("--family", required=True, choices=dualpair.ALL_FAMILIES)
-    parser.add_argument("--p", type=int, default=0)
-    parser.add_argument("--q", type=int, default=0)
-    parser.add_argument("--n", type=int, default=0)
+    # None when not given, so that a flag the family does not read is an error
+    parser.add_argument("--p", type=int, default=None)
+    parser.add_argument("--q", type=int, default=None)
+    parser.add_argument("--n", type=int, default=None)
     parser.add_argument("--k", type=int, default=0)
     if need_sigma:
         parser.add_argument("--sigma", default=None, help="partition, e.g. 3,2,1")
@@ -283,6 +289,11 @@ def main(argv=None):
     call = f"{args.command} {what}" if what else args.command
     if what == "exceptional" and args.limit is not None:
         parser.error(f"{call} takes no --limit")
+    if args.command != "verify":
+        read = _shape_flags_read(args.family)
+        for dest in ("p", "q", "n"):
+            if getattr(args, dest) is not None and dest not in read:
+                parser.error(f"{call} --family {args.family} takes no --{dest}")
     read = _sigma_flags_read(args, what)
     for dest in ("sigma", "sigma_plus", "sigma_minus"):
         if getattr(args, dest, None) is not None and dest not in read:

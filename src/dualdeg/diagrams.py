@@ -21,8 +21,13 @@ def normalize(boxes):
 def interior(boxes):
     """Boxes having a box of the diagram directly to their southwest,
     renormalized to the origin."""
-    boxes = frozenset(boxes)
-    return normalize((r, c) for r, c in boxes if (r + 1, c - 1) in boxes)
+    return normalize(_southwest_interior(frozenset(boxes)))
+
+
+def _southwest_interior(boxes):
+    """interior without the renormalization; its test reads only the
+    difference of two boxes, so translating the boxes commutes with it."""
+    return frozenset((r, c) for r, c in boxes if (r + 1, c - 1) in boxes)
 
 
 def rectangle(rows, cols):
@@ -95,10 +100,10 @@ def diagram_D(setting, k):
     immutable so that no caller can change the cached copy."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    boxes = normalize(diagram_D0(setting))
+    boxes = diagram_D0(setting)
     for _ in range(k):
-        boxes = interior(boxes)
-    return boxes
+        boxes = _southwest_interior(boxes)
+    return normalize(boxes)
 
 
 def dim_p_plus(setting):
@@ -220,56 +225,72 @@ def c_statistic(pp):
 
 
 def numerator_polynomial(setting, k):
-    """Generating polynomial of the c statistic over P_k, by a column
-    transfer matrix over D_k (enumerate_P with c_statistic is its oracle).
+    """Generating polynomial of the c statistic over P_k, by a box-by-box
+    transfer over D_k (enumerate_P with c_statistic is its oracle).
 
-    The columns are filled from left to right.  A state is the filling of
-    the previous column on the rows the current column shares with it, the
-    only entries the current column reads; it carries the coefficient list
-    of t^c summed over the fillings of the columns so far.
+    The boxes are placed one column at a time, left to right, and bottom to
+    top within a column, so that the south and west neighbours of a box come
+    before it.  A state is the tuple of values on the frontier: the placed
+    boxes that a later box still reads.  A box leaves the frontier once its
+    north and east neighbours are placed, or at once if D_k has neither.
+    The frontier is kept in the order the boxes leave it, so each step drops
+    a prefix of the state; every state ends in a 0 that absent neighbours
+    read.
+
+    A state carries the sum of t^c over the fillings that reach it, packed
+    into one int: the coefficient of t^j sits in bits [jB, (j+1)B) with
+    B = |D_k| * (k+1).bit_length() + 1.  A coefficient counts fillings of
+    part of D_k, so it is at most (k+1)^|D_k| < 2^B and never carries into
+    the next field; multiplying by t^m is a shift by mB, and adding two
+    polynomials is adding the ints.
     """
     r = real_rank(setting)
     if not 1 <= k <= r:
         raise ValueError(f"k must satisfy 1 <= k <= {r}")
-    columns = {}
-    for row, col in diagram_D(setting, k):
-        columns.setdefault(col, []).append(row)
-    states = {(): [1]}
-    west_rows = ()
-    for col in sorted(columns):
-        rows = sorted(columns[col], reverse=True)  # bottom to top
-        keep = tuple(row for row in sorted(columns.get(col + 1, ())) if row in rows)
-        step = {}
-        for state, poly in states.items():
-            west = dict(zip(west_rows, state))
-            for key, weight in _column_fillings(rows, west, keep, k):
-                acc = step.setdefault(key, [])
-                if len(acc) < len(poly) + weight:
-                    acc.extend([0] * (len(poly) + weight - len(acc)))
-                for power, coeff in enumerate(poly, weight):
-                    acc[power] += coeff
-        states, west_rows = step, keep
-    # the last column shares no rows with a next one, so one state is left
-    return IntPolynomial(states[()])
-
-
-def _column_fillings(rows, west, keep, k):
-    """The fillings of one column of D_k, rows listed bottom to top, bounded
-    by k, weakly increasing upward and at least the west neighbor (absent
-    neighbors read as 0).  Each comes as (its entries on the rows in keep,
-    the column's share of the c statistic)."""
-    fillings = [((), 0)]
-    for pos, row in enumerate(rows):
-        floor = west.get(row, 0)
-        stacked = pos > 0 and rows[pos - 1] == row + 1
-        fillings = [
-            (values + (v,), weight + v - low)
-            for values, weight in fillings
-            for low in (max(values[-1], floor) if stacked else floor,)
-            for v in range(low, k + 1)
-        ]
-    index = [rows.index(row) for row in keep]
-    return [(tuple(values[i] for i in index), weight) for values, weight in fillings]
+    boxes = diagram_D(setting, k)
+    order = sorted(boxes, key=lambda box: (box[1], -box[0]))
+    pos = {box: i for i, box in enumerate(order)}
+    # the step whose box reads this one last, None if no box reads it
+    last = {
+        (row, col): max((pos[b] for b in ((row - 1, col), (row, col + 1)) if b in pos), default=None)
+        for row, col in order
+    }
+    width = len(boxes) * (k + 1).bit_length() + 1
+    # spread[m] = 1 + t + ... + t^(m-1), packed
+    spread = [0]
+    for _ in range(k + 1):
+        spread.append(spread[-1] << width | 1)
+    states = {(0,): 1}
+    frontier = []  # boxes on the frontier, in the order they leave it
+    for step, (row, col) in enumerate(order):
+        south = frontier.index((row + 1, col)) if (row + 1, col) in pos else -1
+        west = frontier.index((row, col - 1)) if (row, col - 1) in pos else -1
+        drop = sum(1 for b in frontier if last[b] == step)
+        frontier = frontier[drop:]
+        out = {}
+        if last[row, col] is None:
+            for state, poly in states.items():
+                key = state[drop:]
+                out[key] = out.get(key, 0) + poly * spread[k + 1 - max(state[south], state[west])]
+        else:
+            at = sum(1 for b in frontier if last[b] <= last[row, col])
+            frontier.insert(at, (row, col))
+            at += drop
+            for state, poly in states.items():
+                head, tail = state[drop:at], state[at:]
+                for v in range(max(state[south], state[west]), k + 1):
+                    key = head + (v,) + tail
+                    out[key] = out.get(key, 0) + poly
+                    poly <<= width
+        states = out
+    # every box has left the frontier, so the sentinel alone is left
+    poly = states[(0,)]
+    mask = (1 << width) - 1
+    coeffs = []
+    while poly:
+        coeffs.append(poly & mask)
+        poly >>= width
+    return IntPolynomial(coeffs)
 
 
 def hilbert_series_orbit(setting, k):

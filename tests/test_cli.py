@@ -212,6 +212,51 @@ def test_sigma_flags_the_call_does_not_read_are_rejected(argv, message):
     assert err.getvalue().endswith(f"error: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("hilbert --family e6 --k 1 --n 5", "hilbert --family e6 takes no --n"),
+        ("hilbert --family e7 --k 2 --p 3", "hilbert --family e7 takes no --p"),
+        ("hilbert --family upq --p 3 --q 3 --k 1 --n 7", "hilbert --family upq takes no --n"),
+        ("degree --family mp --n 3 --k 1 --p 4 --sigma 1", "degree --family mp takes no --p"),
+        ("degree --family ostar --n 6 --k 2 --q 2 --sigma 1", "degree --family ostar takes no --q"),
+        ("hilbert --family so-odd --n 4 --k 1 --p 0", "hilbert --family so-odd takes no --p"),
+        ("enumerate facets --family so-even --n 5 --k 1 --q 1", "enumerate facets --family so-even takes no --q"),
+        ("check exceptional --family e6 --n 3", "check exceptional --family e6 takes no --n"),
+    ],
+    ids=[
+        "hilbert-e6-n", "hilbert-e7-p", "hilbert-upq-n", "degree-mp-p", "degree-ostar-q",
+        "hilbert-so-odd-p-zero", "facets-so-even-q", "exceptional-n",
+    ],
+)
+def test_shape_flags_the_family_does_not_read_are_rejected(argv, message):
+    # a shape flag the family would drop is an error, as a sigma flag is
+    err = io.StringIO()
+    with redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        run_cli(argv.split())
+    assert exc.value.code == 2
+    assert err.getvalue().endswith(f"error: {message}\n")
+
+
+def test_shape_flags_the_family_reads_are_accepted():
+    assert run_cli("hilbert --family e6 --k 1".split())[0] == 0
+    assert run_cli("hilbert --family upq --p 3 --q 3 --k 1".split())[0] == 0
+    assert run_cli("hilbert --family so-even --n 5 --k 1".split())[0] == 0
+    assert run_cli("degree --family mp --n 3 --k 1 --sigma 1".split())[0] == 0
+
+
+def test_missing_shape_flags_exit_2():
+    for argv, message in [
+        ("hilbert --family upq --p 3 --k 1", "family upq needs --p and --q"),
+        ("hilbert --family so-even --k 1", "family so-even needs --n"),
+    ]:
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code, out = run_cli(argv.split())
+        assert code == 2 and out == ""
+        assert err.getvalue() == f"error: {message}\n"
+
+
 def test_sigma_flags_the_call_reads_are_accepted():
     assert run_cli("degree --family upq --p 2 --q 2 --k 1 --sigma-plus 1 --sigma-minus".split() + [""])[0] == 0
     assert run_cli("check conjecture --family mp --n 3 --k 4 --sigma 1".split())[0] == 0

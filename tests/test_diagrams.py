@@ -225,6 +225,116 @@ def test_numerator_polynomial_pinned():
     assert numerator_polynomial(upq(3, 5, 0), 3) == IntPolynomial([1])
 
 
+def _numerator_by_columns(setting, k):
+    """Generating polynomial of the c statistic over P_k, by a column
+    transfer matrix over D_k (enumerate_P with c_statistic is its oracle).
+
+    The columns are filled from left to right.  A state is the filling of
+    the previous column on the rows the current column shares with it, the
+    only entries the current column reads; it carries the coefficient list
+    of t^c summed over the fillings of the columns so far.
+    """
+    r = real_rank(setting)
+    if not 1 <= k <= r:
+        raise ValueError(f"k must satisfy 1 <= k <= {r}")
+    columns = {}
+    for row, col in diagram_D(setting, k):
+        columns.setdefault(col, []).append(row)
+    states = {(): [1]}
+    west_rows = ()
+    for col in sorted(columns):
+        rows = sorted(columns[col], reverse=True)  # bottom to top
+        keep = tuple(row for row in sorted(columns.get(col + 1, ())) if row in rows)
+        step = {}
+        for state, poly in states.items():
+            west = dict(zip(west_rows, state))
+            for key, weight in _column_fillings(rows, west, keep, k):
+                acc = step.setdefault(key, [])
+                if len(acc) < len(poly) + weight:
+                    acc.extend([0] * (len(poly) + weight - len(acc)))
+                for power, coeff in enumerate(poly, weight):
+                    acc[power] += coeff
+        states, west_rows = step, keep
+    # the last column shares no rows with a next one, so one state is left
+    return IntPolynomial(states[()])
+
+
+def _column_fillings(rows, west, keep, k):
+    """The fillings of one column of D_k, rows listed bottom to top, bounded
+    by k, weakly increasing upward and at least the west neighbor (absent
+    neighbors read as 0).  Each comes as (its entries on the rows in keep,
+    the column's share of the c statistic)."""
+    fillings = [((), 0)]
+    for pos, row in enumerate(rows):
+        floor = west.get(row, 0)
+        stacked = pos > 0 and rows[pos - 1] == row + 1
+        fillings = [
+            (values + (v,), weight + v - low)
+            for values, weight in fillings
+            for low in (max(values[-1], floor) if stacked else floor,)
+            for v in range(low, k + 1)
+        ]
+    index = [rows.index(row) for row in keep]
+    return [(tuple(values[i] for i in index), weight) for values, weight in fillings]
+
+
+def test_numerator_polynomial_matches_column_transfer():
+    # the box-by-box transfer against the column transfer, every k of every
+    # listed setting: 204 upq, 55 mp, 42 ostar, 152 so, 2 e6 and 3 e7 cases
+    settings_ = [upq(p, q, 0) for p in range(1, 9) for q in range(1, 9)]
+    settings_ += [mp(n, 0) for n in range(1, 11)] + [ostar(n, 0) for n in range(1, 14)]
+    settings_ += [Setting(family, n=n) for family in ("so-even", "so-odd") for n in range(3, 41)]
+    settings_ += [Setting("e6"), Setting("e7")]
+    cases = 0
+    for setting in settings_:
+        for k in range(1, real_rank(setting) + 1):
+            assert numerator_polynomial(setting, k) == _numerator_by_columns(setting, k), (setting, k)
+            cases += 1
+    assert cases == 458
+
+
+# Computed with the column transfer.  The coefficients run far past 2**32, so
+# a packed coefficient field that is too narrow would carry into the next one.
+LARGE_NUMERATORS = {
+    (upq(12, 12, 0), 4): [
+        1, 64, 2080, 45760, 766480, 9796864, 95588416, 721287424, 4271590180,
+        20073356160, 75507679104, 229037707392, 563586279984, 1130150911680,
+        1853241017760, 2491159601216, 2748902676806, 2491159601216,
+        1853241017760, 1130150911680, 563586279984, 229037707392, 75507679104,
+        20073356160, 4271590180, 721287424, 95588416, 9796864, 766480, 45760,
+        2080, 64, 1,
+    ],
+    (mp(15, 0), 3): [
+        1, 78, 3081, 82160, 1166880, 9767472, 51833496, 180060192, 420282720,
+        670132320, 735182448, 556256064, 288812888, 101614800, 23791560,
+        3583008, 330759, 18018, 455,
+    ],
+    (ostar(19, 0), 3): [
+        1, 78, 3081, 82160, 1588158, 23052744, 258111568, 2273142300,
+        15982573035, 90788704578, 420665772021, 1602276746304, 5048756322272,
+        13228420026330, 28939768220025, 53032846821526, 81603532833108,
+        105613513555836, 115082355441625, 105613513555836, 81603532833108,
+        53032846821526, 28939768220025, 13228420026330, 5048756322272,
+        1602276746304, 420665772021, 90788704578, 15982573035, 2273142300,
+        258111568, 23052744, 1588158, 82160, 3081, 78, 1,
+    ],
+}
+
+
+def test_numerator_polynomial_large_coefficients():
+    for (setting, k), coeffs in LARGE_NUMERATORS.items():
+        num = numerator_polynomial(setting, k)
+        assert list(num.coeffs) == coeffs, (setting, k)
+        assert num.evaluate(1) == count_P_product(setting, k), (setting, k)
+    assert count_P_product(upq(12, 12, 0), 4) == 15_484_613_937_936
+    assert count_P_product(mp(15, 0), 3) == 3_042_918_400
+    assert count_P_product(ostar(19, 0), 3) == 694_280_570_551_875
+    # the box and the shifted staircase give palindromic numerators
+    for setting, k in [(upq(12, 12, 0), 4), (ostar(19, 0), 3)]:
+        coeffs = LARGE_NUMERATORS[setting, k]
+        assert coeffs == coeffs[::-1], (setting, k)
+
+
 def _count_P_fraction(setting, k):
     """#P_k by the product formulas as one normalised Fraction per factor."""
     if k < 1:
