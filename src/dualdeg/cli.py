@@ -179,6 +179,10 @@ def cmd_enumerate(args):
 
 
 def cmd_check(args):
+    if args.identity == "exceptional":
+        report = degree.exceptional_check(5)
+        emit(report, args.format)
+        return 0 if report["ok"] else 1
     setting = setting_from_args(args)
     limit = degree.DEFAULT_LIMIT if args.limit is None else args.limit
     if args.identity == "not":
@@ -199,8 +203,6 @@ def cmd_check(args):
             sigmas = list(degree.iter_sigmas(setting, 2))
         report = degree.mp_conjecture_probe(setting.n, setting.k, sigmas, limit=limit)
         report["ok"] = all(e["checks_ok"] for e in report["entries"])
-    else:  # exceptional
-        report = degree.exceptional_check(5)
     emit(report, args.format)
     return 0 if report.get("ok", True) else 1
 
@@ -217,13 +219,13 @@ def cmd_verify(args):
     return 0 if report["ok"] else 1
 
 
-def _add_common(parser, need_sigma=True):
-    parser.add_argument("--family", required=True, choices=dualpair.ALL_FAMILIES)
-    # None when not given, so that a flag the family does not read is an error
+def _add_common(parser, need_sigma=True, need_family=True):
+    parser.add_argument("--family", required=need_family, choices=dualpair.ALL_FAMILIES)
+    # None when not given, so that a flag the call does not read is an error
     parser.add_argument("--p", type=int, default=None)
     parser.add_argument("--q", type=int, default=None)
     parser.add_argument("--n", type=int, default=None)
-    parser.add_argument("--k", type=int, default=0)
+    parser.add_argument("--k", type=int, default=None)
     if need_sigma:
         parser.add_argument("--sigma", default=None, help="partition, e.g. 3,2,1")
         parser.add_argument("--sigma-plus", default=None)
@@ -253,7 +255,8 @@ def build_parser():
     p_check.add_argument(
         "identity", choices=("not", "theta", "collapse", "conjecture", "exceptional")
     )
-    _add_common(p_check)
+    # check exceptional reads no family; main asks the other checks for one
+    _add_common(p_check, need_family=False)
     # None when not given: check exceptional takes no --limit
     p_check.add_argument("--limit", type=int, default=None)
     p_check.set_defaults(func=cmd_check)
@@ -287,13 +290,21 @@ def main(argv=None):
     args = parser.parse_args(argv)
     what = getattr(args, "object", None) or getattr(args, "identity", None)
     call = f"{args.command} {what}" if what else args.command
-    if what == "exceptional" and args.limit is not None:
-        parser.error(f"{call} takes no --limit")
+    if what == "exceptional":
+        # the e6/e7 table reads no setting, so a family other than those
+        # two, a shape flag, --k or --limit would be dropped
+        if args.family not in (None, dualpair.E6, dualpair.E7):
+            parser.error(f"{call} takes no --family {args.family}")
+        if args.limit is not None:
+            parser.error(f"{call} takes no --limit")
+    elif args.command == "check" and args.family is None:
+        parser.error(f"{call} needs --family")
     if args.command != "verify":
-        read = _shape_flags_read(args.family)
-        for dest in ("p", "q", "n"):
+        where = f"{call} --family {args.family}" if args.family else call
+        read = () if what == "exceptional" else (*_shape_flags_read(args.family), "k")
+        for dest in ("p", "q", "n", "k"):
             if getattr(args, dest) is not None and dest not in read:
-                parser.error(f"{call} --family {args.family} takes no --{dest}")
+                parser.error(f"{where} takes no --{dest}")
     read = _sigma_flags_read(args, what)
     for dest in ("sigma", "sigma_plus", "sigma_minus"):
         if getattr(args, dest, None) is not None and dest not in read:

@@ -224,7 +224,10 @@ def _q_test(setting):
 def in_Q_definition(setting, sigma, T):
     """Membership in Q_k(sigma) straight from the defining constraints
     alpha_i(T) < i for k - r < i <= k.  The columns of T are read once and
-    every constraint is evaluated; the test depends on the setting alone."""
+    every constraint is evaluated; the test depends on the setting alone.
+    It reads only the first columns of T+ and T- (upq), the first two
+    columns of T (mp) or the first column of T (ostar), so enumerate_Q
+    applies it once per class of tableaux that agree on those columns."""
     return _q_test(setting)(T)
 
 
@@ -273,10 +276,53 @@ def _in_Q_criteria(setting, sigma, T):
     return all(T.entry(j, 1) >= n + 2 * (j - k) - 1 for j in range(1, ell + 1))
 
 
+def _first_column(T):
+    return tuple([row[0] for row in T.rows])
+
+
+def _first_two_columns(T):
+    return tuple([row[:2] for row in T.rows])
+
+
 def enumerate_Q(setting, sigma):
-    """All elements of Q_k(sigma), in the base enumeration order."""
+    """All elements of Q_k(sigma), in the base enumeration order.
+
+    Membership is decided by the definition, _q_test(setting), once per
+    column class, and every T of the class shares that verdict.  The class
+    of T is what _alpha_keys reads of it, so the grouping is exact: the
+    first columns of T+ and T- for upq, the first two columns of T for mp,
+    the first column of T for ostar.  For upq the T- are grouped by their
+    first column too, and each T+ takes its passing T- in the order of
+    itertools.product(T+, T-), without building that product."""
+    sigma = normalize_sigma(setting, sigma)
+    if _classify(setting, sigma) != IN_SIGMA:
+        return []
     test = _q_test(setting)
-    return [T for T in enumerate_T(setting, sigma) if test(T)]
+    out = []
+    if setting.family == UPQ:
+        plus, minus = sigma
+        minus_list = enumerate_ssyt(minus, setting.p)
+        minus_keys = [_first_column(t_minus) for t_minus in minus_list]
+        minus_reps = dict(zip(minus_keys, minus_list))
+        passing = {}  # first column of T+ -> the T- that pass with it
+        for t_plus in enumerate_ssyt(plus, setting.q):
+            key = _first_column(t_plus)
+            kept = passing.get(key)
+            if kept is None:
+                ok = {km: test((t_plus, t_minus)) for km, t_minus in minus_reps.items()}
+                kept = passing[key] = [t for t, km in zip(minus_list, minus_keys) if ok[km]]
+            out.extend([(t_plus, t_minus) for t_minus in kept])
+        return out
+    key_of = _first_two_columns if setting.family == MP else _first_column
+    verdict = {}
+    for T in enumerate_ssyt(sigma, setting.n):
+        key = key_of(T)
+        ok = verdict.get(key)
+        if ok is None:
+            ok = verdict[key] = test(T)
+        if ok:
+            out.append(T)
+    return out
 
 
 def _count_Q_mp(n, k, sigma):

@@ -1,5 +1,6 @@
 """Partitions, semistandard Young tableaux, and exact integer kernels."""
 
+import bisect
 import math
 from functools import cache, total_ordering
 
@@ -104,6 +105,11 @@ def enumerate_ssyt(shape, max_entry):
 
     Returned as a tuple, so the cached result cannot be changed by a caller,
     in lexicographic order of the row-major entry vector.
+
+    A tableau is one choice of row per level, each admissible under the
+    row above it.  The rows under a row are listed once per call and
+    reused.  The levels are walked with an explicit stack, so no recursion
+    deepens with the number of cells or rows.
     """
     shape = check_partition(shape) if shape else ()
     if max_entry < 0:
@@ -112,30 +118,68 @@ def enumerate_ssyt(shape, max_entry):
         return (Tableau(()),)
     if len(shape) > max_entry:
         return ()
-    cells = [(i, j) for i, rowlen in enumerate(shape) for j in range(rowlen)]
-    rows = [[0] * rowlen for rowlen in shape]
     # column j holds heights[j] cells, so cell (i, j) leaves room for the
     # heights[j] - 1 - i strictly larger entries below it
-    heights = [sum(1 for rowlen in shape if rowlen > j) for j in range(shape[0])]
+    heights = conjugate(shape)
+    high = [
+        tuple(max_entry - (heights[j] - 1 - i) for j in range(rowlen))
+        for i, rowlen in enumerate(shape)
+    ]
+    below = {}
+
+    def rows_under(i, up):
+        # up[j] + 1 is at most high[i][j], so every row has a row under it
+        # and no branch of the walk is a dead end
+        key = (i, up)
+        rows = below.get(key)
+        if rows is None:
+            rows = below[key] = _bounded_rows(tuple(x + 1 for x in up[: shape[i]]), high[i])
+        return rows
+
+    top = _bounded_rows((1,) * shape[0], high[0])
+    last = len(shape) - 1
+    if last == 0:
+        return tuple([Tableau._trusted((row,), shape) for row in top])
+    # stack[-1] walks a level under the rows in chosen; under each row of
+    # the level above the last, the last level is emitted whole
     out = []
-
-    def fill(pos):
-        if pos == len(cells):
-            out.append(Tableau._trusted(tuple(map(tuple, rows)), shape))
-            return
-        i, j = cells[pos]
-        low = 1
-        if j > 0:
-            low = max(low, rows[i][j - 1])
-        if i > 0:
-            low = max(low, rows[i - 1][j] + 1)
-        high = max_entry - (heights[j] - 1 - i)
-        for v in range(low, high + 1):
-            rows[i][j] = v
-            fill(pos + 1)
-
-    fill(0)
+    chosen = []
+    stack = [iter(top)]
+    while stack:
+        row = next(stack[-1], None)
+        if row is None:
+            stack.pop()
+            if chosen:
+                chosen.pop()
+        elif len(stack) < last:
+            chosen.append(row)
+            stack.append(iter(rows_under(len(stack), row)))
+        else:
+            prefix = (*chosen, row)
+            out.extend([Tableau._trusted((*prefix, bottom), shape) for bottom in rows_under(last, row)])
     return tuple(out)
+
+
+def _bounded_rows(low, high):
+    """The weakly increasing rows r with low[j] <= r[j] <= high[j], in
+    lexicographic order, for weakly increasing low <= high.
+
+    The first row is low itself.  Each next row raises the rightmost entry
+    below its bound by one and refills the rest with the least values
+    allowed: that entry's new value, up to the first bound in low above it.
+    Since high is weakly increasing, the refill always fits."""
+    out = [low]
+    row = low
+    while True:
+        j = len(low) - 1
+        while j >= 0 and row[j] == high[j]:
+            j -= 1
+        if j < 0:
+            return out
+        v = row[j] + 1
+        t = bisect.bisect_right(low, v, j + 1)
+        row = row[:j] + (v,) * (t - j) + low[t:]
+        out.append(row)
 
 
 def binomial(a, b):

@@ -263,6 +263,73 @@ def test_sigma_flags_the_call_reads_are_accepted():
     assert run_cli("enumerate jellyfish --family ostar --n 5 --k 1 --sigma 1".split())[0] == 0
 
 
+@pytest.mark.parametrize(
+    "argv, degree_",
+    [
+        ("degree --family ostar --n 2 --k 1 --sigma 1200", "1201"),
+        ("degree --family upq --p 2 --q 2 --k 1 --sigma-plus 1200", "2"),
+        ("degree --family mp --n 2 --k 2 --sigma 1200", "2"),
+    ],
+    ids=["ostar", "upq", "mp"],
+)
+def test_long_one_row_label_degree(argv, degree_):
+    # dim F_lambda <= 1201 is under the gate, so the q-enumeration oracle
+    # lists a row of 1200 cells, under the default recursion limit
+    limit = sys.getrecursionlimit()
+    code, out = run_cli(argv.split())
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["degree"] == degree_
+    checks = {c["name"]: c["status"] for c in payload["cross_checks"]}
+    assert checks["q-enumeration"] == "pass"
+    assert "fail" not in checks.values()
+    assert sys.getrecursionlimit() == limit
+
+
+def test_long_one_row_label_enumerate_q():
+    code, out = run_cli("enumerate q --family ostar --n 2 --k 1 --sigma 1200 --limit 1".split())
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["count"] == 1201 and payload["truncated"] is True
+    assert payload["items"] == [{"rows": [[1] * 1200]}]
+
+
+def test_check_exceptional_reads_no_family():
+    # the e6/e7 table is the same with --family e6, --family e7 or neither
+    outputs = [
+        run_cli(["check", "exceptional", *family, "--format", "csv"])
+        for family in ([], ["--family", "e6"], ["--family", "e7"])
+    ]
+    assert outputs[0][0] == 0 and outputs[0][1]
+    assert outputs[1:] == [outputs[0], outputs[0]]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("check exceptional --family mp", "check exceptional takes no --family mp"),
+        ("check exceptional --family upq --p 2 --q 2", "check exceptional takes no --family upq"),
+        ("check exceptional --family so-even --n 4", "check exceptional takes no --family so-even"),
+        ("check exceptional --k 2", "check exceptional takes no --k"),
+        ("check exceptional --family e7 --k 1", "check exceptional --family e7 takes no --k"),
+        ("check exceptional --n 3", "check exceptional takes no --n"),
+        ("check exceptional --p 2", "check exceptional takes no --p"),
+        ("check exceptional --limit 3", "check exceptional takes no --limit"),
+        ("check not --n 3 --k 1 --sigma 1", "check not needs --family"),
+    ],
+    ids=[
+        "family-mp", "family-upq", "family-so-even", "k", "e7-k", "n", "p", "limit",
+        "check-not-needs-family",
+    ],
+)
+def test_check_exceptional_rejects_setting_flags(argv, message):
+    err = io.StringIO()
+    with redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        run_cli(argv.split())
+    assert exc.value.code == 2
+    assert err.getvalue().endswith(f"error: {message}\n")
+
+
 def test_check_collapse_gate():
     # under the gate the check runs; over it, exit 2 names dim F_lambda
     code, out = run_cli("check collapse --family mp --n 3 --k 2 --sigma 1,1 --limit 10".split())

@@ -20,6 +20,7 @@ from dualdeg.dualpair import (
     Setting,
     _count_Q_mp,
     _in_Q_criteria,
+    _q_test,
     alpha,
     count_Q_determinant,
     enumerate_Q,
@@ -514,3 +515,65 @@ def test_enumerate_Q_interleaved_settings_keep_their_own_test():
             if all(_alpha_literal(setting, T, i) < i for i in range(max(1, k - r + 1), k + 1))
         ]
         assert enumerate_Q(setting, sigma) == want, setting
+
+
+def _enumerate_Q_by_tableau(setting, sigma):
+    """enumerate_Q as it was before it grouped T by column class: the
+    definition applied to every T of T(sigma) in turn.  Kept as the
+    reference the grouped listing must equal, order included."""
+    test = _q_test(setting)
+    return [T for T in enumerate_T(setting, sigma) if test(T)]
+
+
+# upq(p, q <= 4) at 1 <= k <= p+q, mp(n <= 4) at 1 <= k <= 2n+1 and
+# ostar(n <= 8) at 1 <= k <= n, each with every admissible |sigma| <= 4
+GROUPING_SETTINGS = (
+    [upq(p, q, k) for p in range(1, 5) for q in range(1, 5) for k in range(1, p + q + 1)]
+    + [mp(n, k) for n in range(1, 5) for k in range(1, 2 * n + 2)]
+    + [ostar(n, k) for n in range(1, 9) for k in range(1, n + 1)]
+)
+
+
+def test_enumerate_Q_matches_per_tableau_filter():
+    cases = 0
+    for setting in GROUPING_SETTINGS:
+        for sigma in iter_sigmas(setting, 4):
+            assert enumerate_Q(setting, sigma) == _enumerate_Q_by_tableau(setting, sigma), (setting, sigma)
+            cases += 1
+    assert cases == 2564
+
+
+@st.composite
+def grouping_labels(draw):
+    setting = draw(st.sampled_from(GROUPING_SETTINGS))
+    return setting, draw(st.sampled_from(list(iter_sigmas(setting, 4))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(grouping_labels())
+def test_enumerate_Q_matches_per_tableau_filter_property(case):
+    setting, sigma = case
+    assert enumerate_Q(setting, sigma) == _enumerate_Q_by_tableau(setting, sigma)
+
+
+def _column_key(setting, T):
+    """What alpha reads of T: the first columns of T+ and T- (upq), the first
+    two columns (mp), the first column (ostar)."""
+    if setting.family == UPQ:
+        return T[0].column(1), T[1].column(1)
+    if setting.family == MP:
+        return T.column(1), T.column(2)
+    return T.column(1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(larger_labels())
+def test_q_test_is_constant_on_column_classes(case):
+    # the premise of enumerate_Q's grouping: tableaux that agree on the
+    # columns alpha reads get one verdict
+    setting, sigma = case
+    test = _q_test(setting)
+    verdicts = {}
+    for T in enumerate_T(setting, sigma):
+        verdicts.setdefault(_column_key(setting, T), set()).add(test(T))
+    assert all(len(v) == 1 for v in verdicts.values()), (setting, sigma)

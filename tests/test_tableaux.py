@@ -3,8 +3,11 @@
 import copy
 import itertools
 import pickle
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualdeg.degree import partitions_up_to
 from dualdeg.dualpair import enumerate_Q, ostar
@@ -156,6 +159,78 @@ def test_enumerated_tableaux_equal_validated_ones():
                 assert hash(t) == hash(u)
                 assert is_semistandard(t) and all(1 <= x <= max_entry for x in t.entries())
                 assert all(type(row) is tuple for row in t.rows)
+
+
+def _enumerate_ssyt_by_cells(shape, max_entry):
+    """enumerate_ssyt as it was before it listed rows: one cell at a time in
+    row-major order, one recursive call per cell.  Kept as the reference the
+    row-by-row enumeration must equal, order included."""
+    shape = check_partition(shape) if shape else ()
+    if max_entry < 0:
+        raise ValueError("max_entry must be >= 0")
+    if not shape:
+        return (Tableau(()),)
+    if len(shape) > max_entry:
+        return ()
+    cells = [(i, j) for i, rowlen in enumerate(shape) for j in range(rowlen)]
+    rows = [[0] * rowlen for rowlen in shape]
+    # column j holds heights[j] cells, so cell (i, j) leaves room for the
+    # heights[j] - 1 - i strictly larger entries below it
+    heights = [sum(1 for rowlen in shape if rowlen > j) for j in range(shape[0])]
+    out = []
+
+    def fill(pos):
+        if pos == len(cells):
+            out.append(Tableau._trusted(tuple(map(tuple, rows)), shape))
+            return
+        i, j = cells[pos]
+        low = 1
+        if j > 0:
+            low = max(low, rows[i][j - 1])
+        if i > 0:
+            low = max(low, rows[i - 1][j] + 1)
+        high = max_entry - (heights[j] - 1 - i)
+        for v in range(low, high + 1):
+            rows[i][j] = v
+            fill(pos + 1)
+
+    fill(0)
+    return tuple(out)
+
+
+# shapes of size <= 7 with at most 5 rows, at bounds 0..6
+SMALL_SHAPES = [shape for shape in partitions_up_to(7) if len(shape) <= 5]
+
+
+def test_enumerate_ssyt_matches_cell_by_cell():
+    cases = 0
+    for shape in SMALL_SHAPES:
+        for max_entry in range(7):
+            rows = [t.rows for t in enumerate_ssyt(shape, max_entry)]
+            assert rows == [t.rows for t in _enumerate_ssyt_by_cells(shape, max_entry)], (shape, max_entry)
+            cases += 1
+    assert cases == 294
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(SMALL_SHAPES), st.integers(0, 6))
+def test_enumerate_ssyt_matches_cell_by_cell_property(shape, max_entry):
+    listing = enumerate_ssyt(shape, max_entry)
+    assert listing == _enumerate_ssyt_by_cells(shape, max_entry)
+    assert all(t.shape == shape for t in listing)
+
+
+def test_enumerate_ssyt_long_rows_and_columns():
+    # one level per row and no recursion per cell: a row of 1200 cells, or a
+    # column of 1000, is listed under the default recursion limit
+    limit = sys.getrecursionlimit()
+    listing = enumerate_ssyt((1200,), 2)
+    assert len(listing) == 1201
+    assert [t.rows[0].count(2) for t in listing] == list(range(1201))
+    column = enumerate_ssyt((1,) * 1000, 1001)
+    assert len(column) == 1001 == binomial(1001, 1000)
+    assert all(is_semistandard(t) for t in column)
+    assert sys.getrecursionlimit() == limit
 
 
 def test_exact_quotient():
