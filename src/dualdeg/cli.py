@@ -20,6 +20,14 @@ def parse_partition(text):
     return parts
 
 
+def nonnegative_int(text):
+    """The value of --limit: an integer >= 0, else argparse exits 2 naming the flag."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, not {value}")
+    return value
+
+
 def _shape_flags_read(family):
     """The dests of the shape flags the family reads: upq reads --p and
     --q, e6 and e7 read none, and the other families read --n."""
@@ -172,7 +180,7 @@ def cmd_enumerate(args):
             "facet": serialize_points(j.family.points),
         }
     count = len(objects)
-    items = [serialize(x) for x in (objects if args.limit is None else objects[: args.limit])]
+    items = [serialize(x) for x in objects[: args.limit]]
     del objects  # the full listing need not outlive the serialized items
     emit({"count": count, "truncated": len(items) < count, "items": items}, args.format)
     return 0
@@ -242,13 +250,13 @@ def build_parser():
 
     p_degree = sub.add_parser("degree", help="degree report for one module")
     _add_common(p_degree)
-    p_degree.add_argument("--limit", type=int, default=degree.DEFAULT_LIMIT)
+    p_degree.add_argument("--limit", type=nonnegative_int, default=degree.DEFAULT_LIMIT)
     p_degree.set_defaults(func=cmd_degree)
 
     p_enum = sub.add_parser("enumerate", help="list combinatorial objects")
     p_enum.add_argument("object", choices=("q", "p", "facets", "jellyfish"))
     _add_common(p_enum)
-    p_enum.add_argument("--limit", type=int, default=degree.DEFAULT_LIMIT)
+    p_enum.add_argument("--limit", type=nonnegative_int, default=degree.DEFAULT_LIMIT)
     p_enum.set_defaults(func=cmd_enumerate)
 
     p_check = sub.add_parser("check", help="run one identity check")
@@ -258,7 +266,7 @@ def build_parser():
     # check exceptional reads no family; main asks the other checks for one
     _add_common(p_check, need_family=False)
     # None when not given: check exceptional takes no --limit
-    p_check.add_argument("--limit", type=int, default=None)
+    p_check.add_argument("--limit", type=nonnegative_int, default=None)
     p_check.set_defaults(func=cmd_check)
 
     p_hilbert = sub.add_parser("hilbert", help="Hilbert series of an orbit closure")
@@ -299,6 +307,8 @@ def main(argv=None):
             parser.error(f"{call} takes no --limit")
     elif args.command == "check" and args.family is None:
         parser.error(f"{call} needs --family")
+    elif args.command == "verify" and args.seed is not None and args.only not in (None, degree.RANDOM_SUITE):
+        parser.error(f"verify --only {args.only} takes no --seed")
     if args.command != "verify":
         where = f"{call} --family {args.family}" if args.family else call
         read = () if what == "exceptional" else (*_shape_flags_read(args.family), "k")

@@ -1,14 +1,12 @@
 """Bernstein degrees, boundary-identity checks, the metaplectic window probe,
 exceptional-family degrees, Hilbert reports, and the cross-validation harness."""
 
-import itertools
 import random
 from collections import namedtuple
 from functools import cache
 
 from . import diagrams, dualpair, jellyfish, posets, repdims
 from .dualpair import DEFAULT_LIMIT, IN_SIGMA, MP, OSTAR, UPQ
-from .repdims import dim_U_sigma
 
 
 @cache
@@ -130,26 +128,16 @@ def bernstein_degree(setting, sigma, limit=DEFAULT_LIMIT):
 
     if t_size <= limit:
         brute = len(dualpair.enumerate_Q(setting, label))
-        checks.append(
-            CrossCheck(
-                "q-enumeration",
-                "pass" if brute == q_count else "fail",
-                f"determinant {q_count}, enumeration {brute}",
-            )
-        )
+        status = "pass" if brute == q_count else "fail"
+        checks.append(CrossCheck("q-enumeration", status, f"determinant {q_count}, enumeration {brute}"))
     else:
         checks.append(CrossCheck("q-enumeration", "skipped", f"dim F_lambda={t_size} > limit {limit}"))
 
     d_size = len(diagrams.diagram_D_closed_form(setting, setting.k))
     if p_count <= limit and d_size <= 12:
         brute = len(diagrams.enumerate_P(setting, setting.k))
-        checks.append(
-            CrossCheck(
-                "p-enumeration",
-                "pass" if brute == p_count else "fail",
-                f"product {p_count}, enumeration {brute}",
-            )
-        )
+        status = "pass" if brute == p_count else "fail"
+        checks.append(CrossCheck("p-enumeration", status, f"product {p_count}, enumeration {brute}"))
     else:
         gates = []
         if p_count > limit:
@@ -161,13 +149,8 @@ def bernstein_degree(setting, sigma, limit=DEFAULT_LIMIT):
     jellyfish_gate = _jellyfish_gate(setting, t_size, limit)
     if jellyfish_gate is None:
         m = jellyfish.multiplicity_from_jellyfish(setting, label)
-        checks.append(
-            CrossCheck(
-                "jellyfish",
-                "pass" if m == q_count * p_count else "fail",
-                f"maximal jellyfish {m}",
-            )
-        )
+        status = "pass" if m == q_count * p_count else "fail"
+        checks.append(CrossCheck("jellyfish", status, f"maximal jellyfish {m}"))
     else:
         checks.append(CrossCheck("jellyfish", "skipped", jellyfish_gate))
 
@@ -183,21 +166,34 @@ def bernstein_degree(setting, sigma, limit=DEFAULT_LIMIT):
     )
 
 
-def not_identity_check(setting, sigma, limit=DEFAULT_LIMIT):
-    """For k <= r, check degree = dim U_sigma * #P_k via #Q = dim U_sigma,
-    with #Q from the path count (bernstein_degree itself returns dim U_sigma
-    there); limit gates the oracles of the degree report."""
-    if setting.k > dualpair.real_rank(setting):
-        raise ValueError("identity only applies for k <= r")
+def path_count_check(setting, sigma, limit=DEFAULT_LIMIT):
+    """The path count against the collapse bernstein_degree reads #Q_k(sigma)
+    from, dim U_sigma at k <= r and dim F_lambda at k >= s, and every
+    cross-check of that report (limit gates its oracles).  Returns the
+    report, the path count and the names of the failed checks; raises
+    ValueError for r < k < s, where there is no collapse."""
+    if classify_regime(setting) == "r<k<s":
+        raise ValueError("no collapse of #Q_k(sigma) for r < k < s")
     report = bernstein_degree(setting, sigma, limit=limit)
     q_count = dualpair.count_Q_determinant(setting, sigma)
-    expected = dim_U_sigma(setting, sigma)
+    failures = [c.name for c in report.cross_checks if c.status == "fail"]
+    if q_count != report.q_count:
+        failures.append("path-count")
+    return report, q_count, failures
+
+
+def not_identity_check(setting, sigma, limit=DEFAULT_LIMIT):
+    """For k <= r, degree = dim U_sigma * #P_k with #Q from the path count:
+    path_count_check, reported with dim U_sigma as dim_u."""
+    if setting.k > dualpair.real_rank(setting):
+        raise ValueError("identity only applies for k <= r")
+    report, q_count, failures = path_count_check(setting, sigma, limit=limit)
     return {
         "q_count": q_count,
-        "dim_u": expected,
+        "dim_u": report.q_count,
         "p_count": report.p_count,
         "degree": q_count * report.p_count,
-        "ok": q_count == expected and report.ok(),
+        "ok": not failures,
     }
 
 
@@ -222,28 +218,23 @@ def mp_conjecture_probe(n, k, sigma_list, limit=DEFAULT_LIMIT):
 
 
 def mp_window_boundary_check(n, sigma_list):
-    """At the proven endpoints k = n and k = 2n-1, the general evaluation (the
-    path count times #P_k) must match the collapse-regime value (dim U_sigma
-    resp. dim F_lambda, times #P_k)."""
+    """path_count_check at the proven endpoints k = n and k = 2n-1 of the
+    metaplectic window, for each admissible sigma: the path count times #P_k
+    against the collapse value times #P_k."""
     results = []
     for k in (n, 2 * n - 1):
         setting = dualpair.mp(n, k)
         for sigma in sigma_list:
             if dualpair.sigma_admissible(setting, sigma) != IN_SIGMA:
                 continue
-            report = bernstein_degree(setting, sigma)
-            degree = dualpair.count_Q_determinant(setting, sigma) * report.p_count
-            if k == n:
-                expected = dim_U_sigma(setting, sigma) * report.p_count
-            else:
-                expected = repdims.dim_F_lambda(setting, sigma) * report.p_count
+            report, q_count, failures = path_count_check(setting, sigma)
             results.append(
                 {
                     "k": k,
                     "sigma": dualpair.normalize_sigma(setting, sigma),
-                    "degree": degree,
-                    "expected": expected,
-                    "ok": degree == expected and report.ok(),
+                    "degree": q_count * report.p_count,
+                    "expected": report.degree,
+                    "ok": not failures,
                 }
             )
     return {"n": n, "ok": all(r["ok"] for r in results), "entries": results}
@@ -349,21 +340,10 @@ def hilbert_report(setting, k):
 def _suite_criterion():
     failures = []
     for setting0 in _small_settings():
-        s = dualpair.free_threshold(setting0)
-        for k in range(1, s + 2):
-            setting = dualpair.Setting(setting0.family, k=k, p=setting0.p, q=setting0.q, n=setting0.n)
-            in_Q = dualpair._q_test(setting)
+        for k in range(1, dualpair.free_threshold(setting0) + 2):
+            setting = setting0._replace(k=k)
             for sigma in iter_sigmas(setting, 3):
-                label = dualpair.nonzero_label(setting, sigma)
-                brute = 0
-                for T in dualpair._enumerate_T(setting, label):
-                    a = in_Q(T)
-                    b = dualpair._in_Q_criteria(setting, label, T)
-                    if a != b:
-                        failures.append((setting, sigma, T))
-                    brute += a
-                if brute != dualpair.count_Q_determinant(setting, label):
-                    failures.append((setting, sigma, "determinant"))
+                failures += [(setting, sigma, f) for f in criterion_check(setting, sigma)]
     return failures
 
 
@@ -389,6 +369,38 @@ def _suite_product():
             if diagrams.count_P_product(setting, k) != len(diagrams.enumerate_P(setting, k)):
                 failures.append((setting, k))
     return failures
+
+
+def criterion_check(setting, sigma):
+    """Q_k(sigma) by its definition, _q_test, against the case-by-case
+    criterion, _in_Q_criteria, on every T of T(sigma), and the number of T
+    the definition admits against the path count.  Returns the failures:
+    ("criterion", T) for each T the two decide differently, and
+    ("path-count", admitted, count) if the counts differ."""
+    label = dualpair.nonzero_label(setting, sigma)
+    in_Q = dualpair._q_test(setting)
+    failures = []
+    admitted = 0
+    for T in dualpair._enumerate_T(setting, label):
+        verdict = in_Q(T)
+        if verdict != dualpair._in_Q_criteria(setting, label, T):
+            failures.append(("criterion", T))
+        admitted += verdict
+    count = dualpair.count_Q_determinant(setting, label)
+    if admitted != count:
+        failures.append(("path-count", admitted, count))
+    return failures
+
+
+def jellyfish_check(setting, sigma):
+    """The maximal jellyfish of sigma are Q_k(sigma) x the maximal path
+    families, as sets of (tableau, point set) pairs.  Returns the pairs on
+    one side only: ("missing", pair) for a product pair that is no maximal
+    jellyfish, ("extra", pair) for a maximal jellyfish outside the product."""
+    got = {(j.tableau, j.family.points) for j in jellyfish.enumerate_maximal_jellyfish(setting, sigma)}
+    maximal_F = jellyfish.enumerate_maximal_F(setting, setting.k)
+    want = {(T, f.points) for T in dualpair.enumerate_Q(setting, sigma) for f in maximal_F}
+    return [("missing", x) for x in want - got] + [("extra", x) for x in got - want]
 
 
 def theta_check(setting, k, limit=DEFAULT_LIMIT):
@@ -429,27 +441,12 @@ def _suite_theta():
 
 
 def _suite_jellyfish():
-    failures = []
     cases = [
         (dualpair.ostar(5, 1), [(), (1,)]),
         (dualpair.upq(2, 2, 1), [((), ()), ((1,), ()), ((), (1,))]),
         (dualpair.upq(3, 3, 2), [((), ()), ((1,), (1,))]),
     ]
-    for setting, sigmas in cases:
-        maximal_F = jellyfish.enumerate_maximal_F(setting, setting.k)
-        for sigma in sigmas:
-            got = {
-                (j.tableau, j.family.points)
-                for j in jellyfish.enumerate_maximal_jellyfish(setting, sigma)
-            }
-            want = {
-                (T, f.points)
-                for T in dualpair.enumerate_Q(setting, sigma)
-                for f in maximal_F
-            }
-            if got != want:
-                failures.append((setting, sigma))
-    return failures
+    return [(setting, sigma) for setting, sigmas in cases for sigma in sigmas if jellyfish_check(setting, sigma)]
 
 
 def _suite_collapse():
@@ -458,7 +455,7 @@ def _suite_collapse():
         r = dualpair.real_rank(setting0)
         s = dualpair.free_threshold(setting0)
         for k in list(range(1, r + 1)) + [s, s + 1]:
-            setting = dualpair.Setting(setting0.family, k=k, p=setting0.p, q=setting0.q, n=setting0.n)
+            setting = setting0._replace(k=k)
             for sigma in iter_sigmas(setting, 2):
                 if not dualpair.q_collapse_check(setting, sigma)["ok"]:
                     failures.append((setting, sigma))
@@ -466,12 +463,7 @@ def _suite_collapse():
 
 
 def _suite_width():
-    failures = []
-    for setting in _small_settings():
-        poset = posets.build_poset(setting)
-        if posets.width(poset) != dualpair.real_rank(setting):
-            failures.append(setting)
-    return failures
+    return [s for s in _small_settings() if posets.width(posets.build_poset(s)) != dualpair.real_rank(s)]
 
 
 def _suite_exceptional():
@@ -494,12 +486,7 @@ def _suite_pinned():
 
 
 def _suite_conjecture():
-    failures = []
-    for n in (3, 4):
-        sigmas = list(iter_sigmas(dualpair.mp(n, n), 2))
-        if not mp_window_boundary_check(n, sigmas)["ok"]:
-            failures.append(n)
-    return failures
+    return [n for n in (3, 4) if not mp_window_boundary_check(n, list(iter_sigmas(dualpair.mp(n, n), 2)))["ok"]]
 
 
 def _suite_random(seed):
@@ -533,23 +520,26 @@ SUITES = {
     "pinned": _suite_pinned,
     "conjecture": _suite_conjecture,
 }
+RANDOM_SUITE = "random-determinant"  # runs after SUITES, the one suite that reads a seed
 
 
 def verify_all(only=None, seed=None):
-    """Run the cross-module verification suites; returns a summary report."""
-    names = [only] if only else list(SUITES)
-    if only and only not in SUITES:
-        raise ValueError(f"unknown suite {only!r}; choose from {sorted(SUITES)}")
+    """Run the verification suites, or only the one named; returns a summary
+    report.  Where the random suite runs, the report names its seed, drawn
+    here if none is given, so that the run can be replayed."""
+    if only not in (None, RANDOM_SUITE, *SUITES):
+        raise ValueError(f"unknown suite {only!r}; choose from {sorted([*SUITES, RANDOM_SUITE])}")
+    names = [only] if only else [*SUITES, RANDOM_SUITE]
+    seeded = RANDOM_SUITE in names
+    if seed is not None and not seeded:
+        raise ValueError(f"suite {only!r} reads no seed")
+    if seeded and seed is None:
+        seed = random.randrange(2**32)
     results = []
     for name in names:
-        failures = SUITES[name]()
+        failures = _suite_random(seed) if name == RANDOM_SUITE else SUITES[name]()
         results.append({"suite": name, "ok": not failures, "failures": len(failures)})
-    if not only:
-        if seed is None:  # drawn here, so that the report can name it for a replay
-            seed = random.randrange(2**32)
-        failures = _suite_random(seed)
-        results.append({"suite": "random-determinant", "ok": not failures, "failures": len(failures)})
     report = {"ok": all(r["ok"] for r in results), "suites": results}
-    if not only:
+    if seeded:
         report["seed"] = seed
     return report

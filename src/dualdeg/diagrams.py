@@ -4,7 +4,7 @@ product counting formulas, and Hilbert-series numerators."""
 from functools import cache
 from importlib import resources
 
-from .dualpair import E6, E7, MP, OSTAR, SO_EVEN, SO_ODD, UPQ, real_rank
+from .dualpair import E6, MP, OSTAR, SO_EVEN, SO_ODD, UPQ, real_rank
 from .tableaux import IntPolynomial, exact_quotient
 
 

@@ -6,7 +6,6 @@ from collections import namedtuple
 from functools import cache
 
 from .tableaux import (
-    Tableau,
     binomial,
     check_partition,
     conjugate,

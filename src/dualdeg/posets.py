@@ -345,13 +345,14 @@ def theta_inverse(setting, k, family):
 
 def corners(setting, k, family):
     """South-to-east turning points, counted path by path on the canonical
-    decomposition.  A metaplectic path arriving at the main antidiagonal by a
-    south step contributes its terminal point as well."""
+    decomposition: the paths of a theta image or a listed facet are that
+    one, else decompose builds it.  A metaplectic path arriving at the main
+    antidiagonal by a south step contributes its terminal point as well."""
     _require_dual_pair(setting)
     poset = build_poset(setting)
     if k >= real_rank(setting) and family.points == poset.points:
         return set()
-    paths = decompose(setting, k, family.points)
+    paths = family.paths or decompose(setting, k, family.points)
     found = set()
     for path in paths:
         for prev, cur, nxt in zip(path, path[1:], path[2:]):

@@ -1,32 +1,23 @@
 """Acceptance gate: each test sweeps one headline identity and prints a
-pass/fail line for it."""
+pass/fail line for it.  The identities with a checker in dualdeg.degree
+are checked by calling it case by case over the sweeps below."""
 
-import itertools
+from functools import cache
 
-from dualdeg import diagrams, dualpair, jellyfish, posets, repdims
+from dualdeg import diagrams, posets
 from dualdeg.degree import (
-    EXCEPTIONAL_ROWS,
-    dim_U_sigma,
-    exceptional_degree,
+    SUITES,
+    criterion_check,
+    exceptional_check,
     is_conjectural,
     iter_sigmas,
+    jellyfish_check,
     mp_conjecture_probe,
     mp_window_boundary_check,
+    path_count_check,
+    theta_check,
 )
-from dualdeg.dualpair import (
-    Setting,
-    count_Q_determinant,
-    enumerate_Q,
-    enumerate_T,
-    free_threshold,
-    in_Q_criteria,
-    in_Q_definition,
-    mp,
-    ostar,
-    real_rank,
-    upq,
-)
-from dualdeg.tableaux import IntPolynomial
+from dualdeg.dualpair import free_threshold, mp, ostar, real_rank, upq
 
 
 def _report(number, failures):
@@ -45,31 +36,24 @@ def _sweep_settings():
     return out
 
 
-def _with_k(setting, k):
-    return Setting(setting.family, k=k, p=setting.p, q=setting.q, n=setting.n)
+@cache
+def _criterion_failures():
+    """criterion_check over the sweep, |sigma| <= 4, run once for criteria 1 and 2."""
+    failures = []
+    for base in _sweep_settings():
+        for k in range(1, free_threshold(base) + 2):
+            setting = base._replace(k=k)
+            for sigma in iter_sigmas(setting, 4):
+                failures += [(setting, sigma, *f) for f in criterion_check(setting, sigma)]
+    return failures
 
 
 def test_criterion_1_membership_criteria():
-    failures = []
-    for base in _sweep_settings():
-        for k in range(1, free_threshold(base) + 2):
-            setting = _with_k(base, k)
-            for sigma in iter_sigmas(setting, 4):
-                for T in enumerate_T(setting, sigma):
-                    if in_Q_definition(setting, sigma, T) != in_Q_criteria(setting, sigma, T):
-                        failures.append((setting, sigma, T))
-    _report(1, failures)
+    _report(1, [f for f in _criterion_failures() if f[2] == "criterion"])
 
 
 def test_criterion_2_determinant_counts():
-    failures = []
-    for base in _sweep_settings():
-        for k in range(1, free_threshold(base) + 2):
-            setting = _with_k(base, k)
-            for sigma in iter_sigmas(setting, 4):
-                if count_Q_determinant(setting, sigma) != len(enumerate_Q(setting, sigma)):
-                    failures.append((setting, sigma))
-    _report(2, failures)
+    _report(2, [f for f in _criterion_failures() if f[2] == "path-count"])
 
 
 def test_criterion_3_product_counts():
@@ -94,32 +78,35 @@ def _theta_sweep():
     return out
 
 
+@cache
+def _theta_failures():
+    """theta_check over the theta sweep, k <= min(3, r), run once for criteria 4 and 5."""
+    return [
+        (base, k, name)
+        for base in _theta_sweep()
+        for k in range(1, min(3, real_rank(base)) + 1)
+        for name in theta_check(base, k)[2]
+    ]
+
+
 def test_criterion_4_theta_bijection():
-    failures = []
-    for base in _theta_sweep():
-        for k in range(1, min(3, real_rank(base)) + 1):
-            pps = diagrams.enumerate_P(base, k)
-            facets = {f.points for f in posets.enumerate_facets(base, k)}
-            images = set()
-            for pp in pps:
-                f = posets.theta(base, k, pp)
-                images.add(f.points)
-                if posets.theta_inverse(base, k, f) != pp:
-                    failures.append((base, k, "round-trip"))
-            if images != facets or len(images) != len(pps):
-                failures.append((base, k, "not a bijection"))
-    _report(4, failures)
+    _report(4, [f for f in _theta_failures() if f[2] != "corners"])
 
 
 def test_criterion_5_corner_statistic():
+    _report(5, [f for f in _theta_failures() if f[2] == "corners"])
+
+
+def test_theta_paths_are_the_canonical_decomposition():
+    # posets.corners reads the paths a facet carries instead of decomposing
+    # its points, so theta's and enumerate_facets' paths must be decompose's
     failures = []
     for base in _theta_sweep():
-        for k in range(1, min(3, real_rank(base)) + 1):
-            for pp in diagrams.enumerate_P(base, k):
-                f = posets.theta(base, k, pp)
-                if len(posets.corners(base, k, f)) != diagrams.c_statistic(pp):
-                    failures.append((base, k, pp))
-    _report(5, failures)
+        for k in range(1, min(3, real_rank(base) - 1) + 1):
+            families = posets.enumerate_facets(base, k)
+            families += [posets.theta(base, k, pp) for pp in diagrams.enumerate_P(base, k)]
+            failures += [(base, k, f) for f in families if f.paths != posets.decompose(base, k, f.points)]
+    assert not failures, failures[:5]
 
 
 def test_criterion_6_jellyfish_factorization():
@@ -132,68 +119,32 @@ def test_criterion_6_jellyfish_factorization():
     cases += [ostar(n, 0) for n in range(3, 8) if n * (n - 1) // 2 <= 20]
     for base in cases:
         for k in range(1, min(2, free_threshold(base) - 1) + 1):
-            setting = _with_k(base, k)
-            maximal = {f.points for f in jellyfish.enumerate_maximal_F(setting, k)}
+            setting = base._replace(k=k)
             for sigma in iter_sigmas(setting, 3):
-                got = {
-                    (j.tableau, j.family.points)
-                    for j in jellyfish.enumerate_maximal_jellyfish(setting, sigma)
-                }
-                want = {
-                    (T, pts)
-                    for T in enumerate_Q(setting, sigma)
-                    for pts in maximal
-                }
-                if got != want:
+                if jellyfish_check(setting, sigma):
                     failures.append((setting, sigma))
     _report(6, failures)
 
 
 def test_criterion_7_collapse_endpoints():
+    # the path count against the collapse bernstein_degree reads at k <= r
+    # (dim U_sigma) and at k >= s (dim F_lambda), with every oracle open
     failures = []
     for base in _sweep_settings():
         r, s = real_rank(base), free_threshold(base)
         for k in sorted(set(list(range(1, r + 1)) + [s, s + 1])):
-            setting = _with_k(base, k)
+            setting = base._replace(k=k)
             for sigma in iter_sigmas(setting, 3):
-                q_count = count_Q_determinant(setting, sigma)
-                if k <= r:
-                    expected = dim_U_sigma(setting, sigma)
-                    if q_count != expected:
-                        failures.append((setting, sigma, "low", q_count, expected))
-                if k >= s:
-                    expected = repdims.dim_F_lambda(setting, sigma)
-                    if q_count != expected:
-                        failures.append((setting, sigma, "high", q_count, expected))
+                failures += [(setting, sigma, name) for name in path_count_check(setting, sigma)[2]]
     _report(7, failures)
 
 
 def test_criterion_8_pinned_series():
-    failures = []
-    for n in (3, 4, 5):
-        num, exponent = diagrams.hilbert_series_orbit(Setting("so-odd", n=n), 1)
-        if num != IntPolynomial([1, 1]) or exponent != 2 * n - 2:
-            failures.append(("so-odd", n))
-    for setting, k, expected in [
-        (Setting("e6"), 2, 1),
-        (Setting("e7"), 2, 3),
-        (Setting("e7"), 3, 1),
-    ]:
-        if len(diagrams.enumerate_P(setting, k)) != expected:
-            failures.append((setting.family, k))
-    _report(8, failures)
+    _report(8, SUITES["pinned"]())
 
 
 def test_criterion_9_exceptional_polynomials():
-    failures = []
-    for row in EXCEPTIONAL_ROWS:
-        for a in range(5):
-            for b in range(5 if row.nparams == 2 else 1):
-                try:
-                    exceptional_degree(row, a, b)
-                except AssertionError:
-                    failures.append((row.group, row.h_system, a, b))
-    _report(9, failures)
+    _report(9, [e for e in exceptional_check(5)["entries"] if "error" in e])
 
 
 def test_criterion_10_poset_width():

@@ -159,6 +159,17 @@ def test_verify_reports_its_seed():
     payload = json.loads(out)
     assert payload["seed"] == 11 and payload["ok"]
     assert [s["suite"] for s in payload["suites"]][-1] == "random-determinant"
+    # the random suite runs alone with the given or a drawn seed; no other suite reads one
+    code, out = run_cli(["verify", "--only", "random-determinant", "--seed", "11"])
+    payload = json.loads(out)
+    assert code == 0 and payload["seed"] == 11 and len(payload["suites"]) == 1
+    code, out = run_cli(["verify", "--only", "random-determinant"])
+    assert code == 0 and isinstance(json.loads(out)["seed"], int)
+    err = io.StringIO()
+    with redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        main(["verify", "--only", "width", "--seed", "3"])
+    assert exc.value.code == 2
+    assert err.getvalue().endswith("error: verify --only width takes no --seed\n")
 
 
 
@@ -366,6 +377,32 @@ def test_check_theta_gate():
         code, _ = run_cli("check theta --family upq --p 7 --q 7 --k 2".split())
     assert code == 2
     assert err.getvalue() == "error: #P_k=19404 > limit 5000\n"
+
+
+@pytest.mark.parametrize("value", ["-1", "x"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "degree --family ostar --n 3 --k 1 --sigma 1",
+        "enumerate q --family ostar --n 3 --k 1 --sigma 1",
+        "check not --family ostar --n 3 --k 1 --sigma 1",
+    ],
+    ids=["degree", "enumerate", "check"],
+)
+def test_limit_below_zero_is_rejected(argv, value):
+    err = io.StringIO()
+    with redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        main(argv.split() + ["--limit", value])
+    assert exc.value.code == 2
+    assert "error: argument --limit: " in err.getvalue()
+
+
+def test_limit_zero_lists_nothing_and_skips_every_oracle():
+    code, out = run_cli("enumerate q --family ostar --n 3 --k 1 --sigma 1 --limit 0".split())
+    assert code == 0 and json.loads(out) == {"count": 2, "truncated": True, "items": []}
+    code, out = run_cli("degree --family ostar --n 3 --k 1 --sigma 1 --limit 0".split())
+    assert code == 0
+    assert {c["status"] for c in json.loads(out)["cross_checks"]} == {"skipped"}
 
 
 def test_check_not_reads_limit(monkeypatch):

@@ -1,24 +1,31 @@
 """Tests for degree reports, boundary identities, and the verification harness."""
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 
-from dualdeg import degree, dualpair, jellyfish, repdims
+from dualdeg import degree, diagrams, dualpair, jellyfish, posets, repdims
 from dualdeg.degree import (
     EXCEPTIONAL_ROWS,
     bernstein_degree,
     classify_regime,
-    dim_U_sigma,
+    criterion_check,
     exceptional_degree,
     hilbert_report,
     is_conjectural,
     iter_sigmas,
+    jellyfish_check,
     mp_conjecture_probe,
     mp_window_boundary_check,
     not_identity_check,
     partitions_up_to,
+    path_count_check,
+    theta_check,
     verify_all,
 )
 from dualdeg.dualpair import Setting, mp, ostar, upq
+from dualdeg.repdims import dim_U_sigma
 
 
 def test_partitions_up_to():
@@ -133,13 +140,6 @@ def test_mp_conjecture_probe():
     assert all(e["checks_ok"] for e in out["entries"])
 
 
-def test_mp_window_boundary():
-    for n in (3, 4):
-        sigmas = list(iter_sigmas(mp(n, n), 2))
-        out = mp_window_boundary_check(n, sigmas)
-        assert out["ok"], out
-
-
 def test_exceptional_degrees():
     by_system = {row.h_system: row for row in EXCEPTIONAL_ROWS}
     assert exceptional_degree(by_system["B3"], 0) == 1
@@ -175,8 +175,12 @@ def test_verify_all():
     single = verify_all(only="width")
     assert single["ok"] and len(single["suites"]) == 1
     assert "seed" not in single  # the random suite did not run
+    alone = verify_all(only="random-determinant", seed=7)
+    assert alone["seed"] == 7 and alone["suites"] == out["suites"][-1:]
     with pytest.raises(ValueError):
         verify_all(only="no-such-suite")
+    with pytest.raises(ValueError):
+        verify_all(only="width", seed=7)  # only the random suite reads a seed
 
 
 def test_verify_all_reports_a_replayable_seed(monkeypatch):
@@ -238,6 +242,57 @@ def test_collapse_checks_compare_with_the_path_count(monkeypatch):
     assert not verify_all(only="conjecture")["ok"]
     out = mp_window_boundary_check(3, [(), (1,)])
     assert not out["ok"] and all(not e["ok"] for e in out["entries"])
+    for setting, sigma, _ in COLLAPSE_DEGREES:
+        assert path_count_check(setting, sigma)[2] == ["path-count"], (setting, sigma)
+    assert criterion_check(upq(2, 3, 2), ((1,), (1,)))[-1][0] == "path-count"
+    with pytest.raises(ValueError):
+        path_count_check(upq(4, 5, 6), ((1,), ()))  # no collapse for r < k < s
+
+
+def test_criterion_check_sees_one_flipped_verdict(monkeypatch):
+    setting, sigma = upq(2, 3, 2), ((1,), (1,))
+    assert criterion_check(setting, sigma) == []
+    first = dualpair.enumerate_T(setting, sigma)[0]
+    criteria = dualpair._in_Q_criteria
+    monkeypatch.setattr(dualpair, "_in_Q_criteria", lambda s, label, T: criteria(s, label, T) != (T == first))
+    assert criterion_check(setting, sigma) == [("criterion", first)]
+
+
+def test_jellyfish_check_sees_a_dropped_jellyfish(monkeypatch):
+    setting, sigma = ostar(5, 1), (1,)
+    assert jellyfish_check(setting, sigma) == []
+    maximal = jellyfish.enumerate_maximal_jellyfish
+    dropped = maximal(setting, sigma)[0]
+    monkeypatch.setattr(jellyfish, "enumerate_maximal_jellyfish", lambda s, label: maximal(s, label)[1:])
+    assert jellyfish_check(setting, sigma) == [("missing", (dropped.tableau, dropped.family.points))]
+
+
+def test_theta_check_sees_wrong_corners_and_a_wrong_inverse(monkeypatch):
+    setting = upq(3, 3, 0)  # six plane partitions at k = 1
+    assert theta_check(setting, 1) == (6, 6, [])
+    corners = posets.corners
+    with monkeypatch.context() as m:
+        m.setattr(posets, "corners", lambda s, k, f: corners(s, k, f) | {(0, 0)})
+        assert theta_check(setting, 1)[2] == ["corners"] * 6
+    first = diagrams.enumerate_P(setting, 1)[0]
+    monkeypatch.setattr(posets, "theta_inverse", lambda s, k, f: first)
+    assert theta_check(setting, 1)[2] == ["round-trip"] * 5
+
+
+def test_traced_names_resolve():
+    # perfbench/tracing.py wraps these names wherever they are bound; a
+    # rename has to fail here, not in a traced benchmark run
+    path = Path(__file__).parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for module, names in tracing.LAYERS.items():
+        for name in names:
+            assert callable(getattr(importlib.import_module(f"dualdeg.{module}"), name, None)), (module, name)
+    assert list(degree.SUITES) == [
+        "criterion", "product", "theta", "jellyfish", "collapse", "width", "exceptional", "pinned", "conjecture",
+    ]
+    assert callable(degree._suite_random)
 
 
 @pytest.mark.parametrize(

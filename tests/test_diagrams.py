@@ -7,7 +7,6 @@ from importlib import resources
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dualdeg import diagrams
 from dualdeg.diagrams import (
     PlanePartition,
     c_statistic,

@@ -26,12 +26,10 @@ from dualdeg.dualpair import (
     enumerate_Q,
     enumerate_T,
     free_threshold,
-    in_Q_criteria,
     in_Q_definition,
     mp,
     normalize_sigma,
     ostar,
-    q_collapse_check,
     real_rank,
     sigma_admissible,
     upq,
@@ -155,25 +153,6 @@ def test_Q_golden():
     assert len(enumerate_Q(upq(2, 2, 1), ((), ()))) == 1
 
 
-def test_criteria_equivalence_small():
-    settings = [upq(2, 2, 0), upq(2, 3, 0), mp(3, 0), ostar(4, 0)]
-    for s0 in settings:
-        for k in range(1, free_threshold(s0) + 2):
-            s = Setting(s0.family, k=k, p=s0.p, q=s0.q, n=s0.n)
-            for sigma in iter_sigmas(s, 3):
-                for t in enumerate_T(s, sigma):
-                    assert in_Q_definition(s, sigma, t) == in_Q_criteria(s, sigma, t)
-
-
-def test_determinant_counts():
-    settings = [upq(2, 3, 0), upq(3, 3, 0), mp(3, 0), ostar(5, 0)]
-    for s0 in settings:
-        for k in range(1, free_threshold(s0) + 2):
-            s = Setting(s0.family, k=k, p=s0.p, q=s0.q, n=s0.n)
-            for sigma in iter_sigmas(s, 3):
-                assert count_Q_determinant(s, sigma) == len(enumerate_Q(s, sigma))
-
-
 def test_Q_monotone_in_k():
     # growing k only relaxes the constraints
     for family, params in [("upq", dict(p=2, q=3)), ("mp", dict(n=3)), ("ostar", dict(n=4))]:
@@ -184,16 +163,6 @@ def test_Q_monotone_in_k():
                 q_lo = set(enumerate_Q(lo, sigma))
                 q_hi = set(enumerate_Q(hi, sigma))
                 assert q_lo <= q_hi, (family, k, sigma)
-
-
-def test_collapse_boundaries():
-    for s0 in [upq(2, 3, 0), mp(3, 0), ostar(4, 0)]:
-        r, s_thr = real_rank(s0), free_threshold(s0)
-        for k in list(range(1, r + 1)) + [s_thr, s_thr + 1]:
-            s = Setting(s0.family, k=k, p=s0.p, q=s0.q, n=s0.n)
-            for sigma in iter_sigmas(s, 2):
-                report = q_collapse_check(s, sigma)
-                assert report["ok"], (s, sigma, report)
 
 
 def _count_Q_mp_by_first_columns(n, k, sigma):

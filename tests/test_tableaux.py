@@ -1,7 +1,6 @@
 """Tests for partitions, tableau enumeration, and determinant kernels."""
 
 import copy
-import itertools
 import pickle
 import sys
 
