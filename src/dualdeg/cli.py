@@ -54,7 +54,7 @@ def sigma_from_args(setting, args):
 
 
 def tableau_rows(T):
-    return [list(row) for row in T.rows]
+    return [list(row) for row in T]
 
 
 def serialize_tableau(setting, T):

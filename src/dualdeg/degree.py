@@ -325,7 +325,7 @@ def hilbert_report(setting, k):
     """Hilbert series of the k-th orbit closure, rendered and with #P_k."""
     num, exponent = diagrams.hilbert_series_orbit(setting, k)
     num_str = str(num)
-    if num.coeffs == (1,):
+    if num == (1,):
         rendered = f"1/(1-t)^{exponent}"
     else:
         rendered = f"({num_str})/(1-t)^{exponent}"

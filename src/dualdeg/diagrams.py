@@ -1,8 +1,10 @@
 """Diagrams D_k for the seven Hermitian types, bounded plane partitions,
 product counting formulas, and Hilbert-series numerators."""
 
+import os
+from collections import namedtuple
 from functools import cache
-from importlib import resources
+from types import MappingProxyType
 
 from .dualpair import E6, MP, OSTAR, SO_EVEN, SO_ODD, UPQ, real_rank
 from .tableaux import IntPolynomial, exact_quotient
@@ -48,7 +50,8 @@ def shifted_staircase(n):
 
 @cache
 def _load_d0(name):
-    text = resources.files("dualdeg.data").joinpath(f"{name}_d0.txt").read_text()
+    with open(os.path.join(os.path.dirname(__file__), "data", f"{name}_d0.txt")) as fh:
+        text = fh.read()
     boxes = set()
     for line in text.splitlines():
         line = line.split("#", 1)[0].strip()
@@ -122,20 +125,24 @@ def dim_p_plus(setting):
     return 16 if f == E6 else 27
 
 
-class PlanePartition:
+class PlanePartition(namedtuple("PlanePartition", "diagram entries")):
     """A filling of a diagram with entries in [0, k], weakly increasing left
-    to right within rows and bottom to top within columns."""
+    to right within rows and bottom to top within columns.  entries is a
+    read-only view of the box -> value map, so a hashed value cannot change."""
 
-    __slots__ = ("diagram", "entries")
+    __slots__ = ()
 
-    def __init__(self, diagram, entries):
-        self.diagram = frozenset(diagram)
-        self.entries = dict(entries)
-        if set(self.entries) != self.diagram:
+    def __new__(cls, diagram, entries):
+        diagram, entries = frozenset(diagram), dict(entries)
+        if set(entries) != diagram:
             raise ValueError("entries must cover exactly the diagram")
+        return super().__new__(cls, diagram, MappingProxyType(entries))
 
-    def __getitem__(self, box):
-        return self.entries.get(box, 0)
+    def __getnewargs__(self):  # a mappingproxy does not pickle
+        return (self.diagram, dict(self.entries))
+
+    def __hash__(self):
+        return hash((self.diagram, frozenset(self.entries.items())))
 
     def bound(self):
         return max(self.entries.values(), default=0)
@@ -147,18 +154,6 @@ class PlanePartition:
             if (r + 1, c) in self.entries and self.entries[(r + 1, c)] > v:
                 return False
         return True
-
-    def key(self):
-        return tuple(sorted(self.entries.items()))
-
-    def __eq__(self, other):
-        return isinstance(other, PlanePartition) and self.key() == other.key() and self.diagram == other.diagram
-
-    def __hash__(self):
-        return hash((self.diagram, self.key()))
-
-    def __repr__(self):
-        return f"PlanePartition({self.key()})"
 
 
 def enumerate_P(setting, k):
@@ -176,7 +171,7 @@ def enumerate_P(setting, k):
 
     def fill(pos):
         if pos == len(order):
-            out.append(PlanePartition(diagram, dict(entries)))
+            out.append(PlanePartition(diagram, entries))  # which copies entries
             return
         r, c = order[pos]
         low = max(entries.get((r + 1, c), 0), entries.get((r, c - 1), 0))
@@ -218,9 +213,10 @@ def count_P_product(setting, k):
 def c_statistic(pp):
     """Sum over boxes of the local increment over the south and west
     neighbors (absent neighbors read as 0)."""
+    entries = pp.entries
     total = 0
-    for (r, c), v in pp.entries.items():
-        total += v - max(pp[(r + 1, c)], pp[(r, c - 1)])
+    for (r, c), v in entries.items():
+        total += v - max(entries.get((r + 1, c), 0), entries.get((r, c - 1), 0))
     return total
 
 

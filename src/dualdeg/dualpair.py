@@ -35,6 +35,11 @@ NOT_IN_HHAT = "not-in-hhat"
 IN_HHAT_NOT_SIGMA = "in-hhat-not-sigma"
 IN_SIGMA = "in-sigma"
 
+# The least n of each family read by n.  so-even n is so(2, 2n-2) and so-odd
+# n is so(2, 2n-1).  so(2, 2) is not simple, and for so(2, 1), which is mp(1),
+# the so-odd D_0 would put a box in column 0.
+_LEAST_N = {MP: 1, OSTAR: 1, SO_EVEN: 3, SO_ODD: 2}
+
 
 class Setting(namedtuple("Setting", "family k p q n", defaults=(0, 0, 0, 0))):
     """One Hermitian family with its parameters and the dual-pair rank k."""
@@ -47,8 +52,9 @@ class Setting(namedtuple("Setting", "family k p q n", defaults=(0, 0, 0, 0))):
             raise ValueError(f"unknown family {self.family!r}")
         if self.family == UPQ and (self.p < 1 or self.q < 1):
             raise ValueError("upq needs p, q >= 1")
-        if self.family in (MP, OSTAR, SO_EVEN, SO_ODD) and self.n < 1:
-            raise ValueError(f"{self.family} needs n >= 1")
+        least = _LEAST_N.get(self.family, 0)
+        if self.n < least:
+            raise ValueError(f"{self.family} needs n >= {least}")
         if self.k < 0:
             raise ValueError("k must be >= 0")
         return self
@@ -173,20 +179,20 @@ def _alpha_keys(setting):
         def keys(T):
             t_plus, t_minus = T
             return sorted(
-                [row[0] + dq for row in t_plus.rows] + [row[0] + dp for row in t_minus.rows]
+                [row[0] + dq for row in t_plus] + [row[0] + dp for row in t_minus]
             )
 
     elif setting.family == MP:
         d = k - setting.n
 
         def keys(T):
-            return sorted([x + d for row in T.rows for x in row[:2]])
+            return sorted([x + d for row in T for x in row[:2]])
 
     else:  # x < n - 1 - 2k + 2i exactly when (x - n + 1 + 2k) // 2 < i
         d = 1 + 2 * k - setting.n
 
         def keys(T):
-            return sorted([(row[0] + d) // 2 for row in T.rows])
+            return sorted([(row[0] + d) // 2 for row in T])
 
     return keys
 
@@ -244,13 +250,9 @@ def _upq_criteria(p, q, k, sigma_big, t_big, t_small):
     return True
 
 
-def in_Q_criteria(setting, sigma, T):
-    """Membership in Q_k(sigma) via the explicit case-by-case criterion."""
-    return _in_Q_criteria(setting, normalize_sigma(setting, sigma), T)
-
-
 def _in_Q_criteria(setting, sigma, T):
-    """in_Q_criteria with sigma as normalize_sigma returns it."""
+    """Membership in Q_k(sigma) via the explicit case-by-case criterion, for
+    sigma as normalize_sigma returns it."""
     k = setting.k
     if setting.family == UPQ:
         plus, minus = sigma
@@ -276,11 +278,11 @@ def _in_Q_criteria(setting, sigma, T):
 
 
 def _first_column(T):
-    return tuple([row[0] for row in T.rows])
+    return tuple([row[0] for row in T])
 
 
 def _first_two_columns(T):
-    return tuple([row[:2] for row in T.rows])
+    return tuple([row[:2] for row in T])
 
 
 def enumerate_Q(setting, sigma):

@@ -79,13 +79,6 @@ class Endpoints(namedtuple("Endpoints", "south east", defaults=((), ()))):
 
     __slots__ = ()
 
-    def points(self, setting):
-        if setting.family == UPQ:
-            return frozenset((setting.p, j) for j in self.south) | frozenset(
-                (i, setting.q) for i in self.east
-            )
-        return frozenset((i, setting.n) for i in self.east)
-
 
 class BoundaryData(
     namedtuple(
@@ -250,14 +243,6 @@ def enumerate_F(setting, k):
         for f in families:
             by_pts.setdefault(f.points, f)
     return sorted(by_pts.values(), key=lambda f: sorted(f.points))
-
-
-def enumerate_F_E(setting, k, endpoints):
-    """All path families with the given endpoint data."""
-    grouped = _families_by_endpoints(setting, k)
-    if endpoints not in grouped:
-        raise ValueError(f"endpoint set {endpoints} is not realizable")
-    return list(grouped[endpoints])
 
 
 @cache

@@ -19,35 +19,20 @@ def _require_dual_pair(setting):
         )
 
 
-class RootPoset:
+class RootPoset(namedtuple("RootPoset", "setting points")):
     """The poset of positive noncompact roots, held in depicted coordinates:
-    the minimal element sits in the northwest corner and covers point east and
-    south.  Immutable, since build_poset shares one instance per setting."""
+    the boxes of D_0, whose minimal element sits in the northwest corner and
+    covers point east and south.  Copies and pickles go through the
+    constructor, which reads the points from the setting."""
 
-    __slots__ = ("setting", "points")
+    __slots__ = ()
 
-    def __init__(self, setting):
+    def __new__(cls, setting):
         _require_dual_pair(setting)
-        f = setting.family
-        if f == UPQ:
-            pts = {(r, c) for r in range(1, setting.p + 1) for c in range(1, setting.q + 1)}
-        elif f == MP:
-            n = setting.n
-            pts = {(r, c) for r in range(1, n + 1) for c in range(1, n - r + 2)}
-        else:  # OSTAR
-            n = setting.n
-            pts = {(r, c) for r in range(1, n) for c in range(r, n)}
-        object.__setattr__(self, "setting", setting)
-        object.__setattr__(self, "points", frozenset(pts))
+        return super().__new__(cls, setting, diagrams.diagram_D0(setting))
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"RootPoset is immutable; cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"RootPoset is immutable; cannot delete {name!r}")
-
-    def __reduce__(self):  # copy and pickle through the constructor
-        return (RootPoset, (self.setting,))
+    def __getnewargs__(self):
+        return (self.setting,)
 
     def label(self, point):
         """The root label (i, j) of a depicted point."""

@@ -2,8 +2,8 @@
 product formulas for Sp_2k (type C) and O_k (types B and D), and a generic
 Weyl dimension formula over stored positive-root tables."""
 
+import os
 from functools import cache
-from importlib import resources
 
 from . import dualpair
 from .tableaux import check_partition, conjugate, exact_quotient, pad
@@ -119,7 +119,8 @@ def _dim_U(setting, sigma):
 def root_system(name):
     """Load a positive-root table: (lengths, roots) with roots in the
     simple-root basis."""
-    text = resources.files("dualdeg.data").joinpath("root_systems.txt").read_text()
+    with open(os.path.join(os.path.dirname(__file__), "data", "root_systems.txt")) as fh:
+        text = fh.read()
     systems = {}
     current = None
     for line in text.splitlines():

@@ -2,7 +2,7 @@
 
 import bisect
 import math
-from functools import cache, total_ordering
+from functools import cache
 
 
 def is_partition(parts):
@@ -37,66 +37,39 @@ def pad(parts, length):
     return parts + (0,) * (length - len(parts))
 
 
-@total_ordering
-class Tableau:
-    """A semistandard filling of a Young diagram, stored as a tuple of rows.
-    Immutable, since enumerate_ssyt shares its cached instances."""
+class Tableau(tuple):
+    """A semistandard filling of a Young diagram: the tuple of its rows, each
+    a tuple, longest first.  Equality, hashing, ordering, copying and
+    pickling are tuple ones; within one shape, tuple order is the
+    lexicographic order of the row-major entries."""
 
-    __slots__ = ("rows", "shape")
+    __slots__ = ()
 
-    def __init__(self, rows):
+    def __new__(cls, rows):
         rows = tuple(tuple(row) for row in rows if len(row) > 0)
         shape = tuple(len(row) for row in rows)
         if not is_partition(shape) and shape != ():
             raise ValueError(f"rows do not form a Young diagram: {shape}")
-        Tableau.rows.__set__(self, rows)
-        Tableau.shape.__set__(self, shape)
+        return super().__new__(cls, rows)
 
-    @classmethod
-    def _trusted(cls, rows, shape):
-        """A tableau from nonempty row tuples whose lengths are the partition
-        shape, skipping the checks: for fillings enumerate_ssyt builds itself."""
-        t = cls.__new__(cls)
-        Tableau.rows.__set__(t, rows)
-        Tableau.shape.__set__(t, shape)
-        return t
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"Tableau is immutable; cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"Tableau is immutable; cannot delete {name!r}")
-
-    def __reduce__(self):  # copy and pickle through the constructor
-        return (Tableau, (self.rows,))
+    @property
+    def shape(self):
+        return tuple(map(len, self))
 
     def entry(self, j, ell):
         """Entry in row j, column ell (1-based)."""
-        return self.rows[j - 1][ell - 1]
+        return self[j - 1][ell - 1]
 
     def column(self, ell):
         """Column ell (1-based) as a tuple, top to bottom."""
-        return tuple(row[ell - 1] for row in self.rows if len(row) >= ell)
+        return tuple(row[ell - 1] for row in self if len(row) >= ell)
 
     def first_column(self):
         """The initial column as a set of entries."""
         return set(self.column(1))
 
-    def entries(self):
-        """All entries in row-major order."""
-        return tuple(x for row in self.rows for x in row)
-
-    def __eq__(self, other):
-        return isinstance(other, Tableau) and self.rows == other.rows
-
-    def __lt__(self, other):
-        return (self.shape, self.entries()) < (other.shape, other.entries())
-
-    def __hash__(self):
-        return hash(self.rows)
-
     def __repr__(self):
-        return f"Tableau({list(map(list, self.rows))})"
+        return f"Tableau({list(map(list, self))})"
 
 
 @cache
@@ -136,10 +109,13 @@ def enumerate_ssyt(shape, max_entry):
             rows = below[key] = _bounded_rows(tuple(x + 1 for x in up[: shape[i]]), high[i])
         return rows
 
+    # the rows built here are nonempty tuples whose lengths are shape, so
+    # each tableau is made as a bare tuple, skipping Tableau's checks
+    trusted = tuple.__new__
     top = _bounded_rows((1,) * shape[0], high[0])
     last = len(shape) - 1
     if last == 0:
-        return tuple([Tableau._trusted((row,), shape) for row in top])
+        return tuple([trusted(Tableau, (row,)) for row in top])
     # stack[-1] walks a level under the rows in chosen; under each row of
     # the level above the last, the last level is emitted whole
     out = []
@@ -156,7 +132,7 @@ def enumerate_ssyt(shape, max_entry):
             stack.append(iter(rows_under(len(stack), row)))
         else:
             prefix = (*chosen, row)
-            out.extend([Tableau._trusted((*prefix, bottom), shape) for bottom in rows_under(last, row)])
+            out.extend([trusted(Tableau, (*prefix, bottom)) for bottom in rows_under(last, row)])
     return tuple(out)
 
 
@@ -223,31 +199,26 @@ def determinant(matrix):
     return sign * m[n - 1][n - 1]
 
 
-class IntPolynomial:
-    """A polynomial in one variable with integer coefficients (index = power)."""
+class IntPolynomial(tuple):
+    """A polynomial in one variable with integer coefficients: the tuple of
+    its coefficients (index = power), trailing zeros trimmed."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
 
-    def __init__(self, coeffs):
+    def __new__(cls, coeffs):
         coeffs = list(coeffs)
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
-        self.coeffs = tuple(coeffs)
+        return super().__new__(cls, coeffs)
 
     def evaluate(self, x):
-        return sum(c * x**i for i, c in enumerate(self.coeffs))
-
-    def __eq__(self, other):
-        return isinstance(other, IntPolynomial) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
+        return sum(c * x**i for i, c in enumerate(self))
 
     def __str__(self):
-        if not self.coeffs:
+        if not self:
             return "0"
         terms = []
-        for i, c in enumerate(self.coeffs):
+        for i, c in enumerate(self):
             if c == 0:
                 continue
             if i == 0:
@@ -258,4 +229,4 @@ class IntPolynomial:
         return " + ".join(terms)
 
     def __repr__(self):
-        return f"IntPolynomial({list(self.coeffs)})"
+        return f"IntPolynomial({list(self)})"

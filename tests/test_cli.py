@@ -268,6 +268,22 @@ def test_missing_shape_flags_exit_2():
         assert err.getvalue() == f"error: {message}\n"
 
 
+def test_so_families_below_their_least_n_exit_2():
+    # so-odd n=1 is so(2, 1) and so-even n=2 is so(2, 2), whose D_0 formulas
+    # put boxes outside the diagram; the settings are refused, not drawn
+    for argv, message in [
+        ("hilbert --family so-odd --n 1 --k 1", "so-odd needs n >= 2"),
+        ("hilbert --family so-even --n 2 --k 1", "so-even needs n >= 3"),
+    ]:
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code, out = run_cli(argv.split())
+        assert code == 2 and out == ""
+        assert err.getvalue() == f"error: {message}\n"
+    assert run_cli("hilbert --family so-odd --n 2 --k 1".split())[0] == 0
+    assert run_cli("hilbert --family so-even --n 3 --k 1".split())[0] == 0
+
+
 def test_sigma_flags_the_call_reads_are_accepted():
     assert run_cli("degree --family upq --p 2 --q 2 --k 1 --sigma-plus 1 --sigma-minus".split() + [""])[0] == 0
     assert run_cli("check conjecture --family mp --n 3 --k 4 --sigma 1".split())[0] == 0

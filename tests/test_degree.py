@@ -312,7 +312,6 @@ def test_public_entries_reject_a_non_partition(setting, good, bad):
         lambda: bernstein_degree(setting, bad),
         lambda: repdims.dim_F_lambda(setting, bad),
         lambda: dualpair.count_Q_determinant(setting, bad),
-        lambda: dualpair.in_Q_criteria(setting, bad, T),
         lambda: dualpair.enumerate_Q(setting, bad),
     ]
     if setting.family != "mp":

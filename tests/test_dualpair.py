@@ -144,10 +144,10 @@ def test_alpha_counts():
 def test_Q_golden():
     # ostar(3), k=1, sigma=(1): criteria T_{1,1} >= n+2(1-k)-1 = 2
     q = enumerate_Q(ostar(3, 1), (1,))
-    assert [t.rows for t in q] == [((2,),), ((3,),)]
+    assert [t for t in q] == [((2,),), ((3,),)]
     # mp(2), k=1, sigma=(1): T_{1,1} >= n-k+1 = 2
     q = enumerate_Q(mp(2, 1), (1,))
-    assert [t.rows for t in q] == [((2,),)]
+    assert [t for t in q] == [((2,),)]
     # sigma = 0 always gives the single empty tableau
     assert len(enumerate_Q(mp(3, 2), ())) == 1
     assert len(enumerate_Q(upq(2, 2, 1), ((), ()))) == 1

@@ -10,7 +10,6 @@ from dualdeg.jellyfish import (
     boundary_data,
     end_map,
     enumerate_F,
-    enumerate_F_E,
     enumerate_jellyfish,
     enumerate_maximal_F,
     enumerate_maximal_jellyfish,
@@ -92,20 +91,13 @@ def test_end_map_transposed_orientation():
 def test_families_partition_by_endpoints():
     setting = ostar(5, 1)
     all_families = {f.points for f in enumerate_F(setting, 1)}
+    grouped = jellyfish._families_by_endpoints(setting, 1)
     by_ends = set()
     for i in range(1, 5):
-        try:
-            fams = enumerate_F_E(setting, 1, Endpoints(east=(i,)))
-        except ValueError:
-            continue
-        for f in fams:
+        for f in grouped.get(Endpoints(east=(i,)), ()):
             by_ends.add(f.points)
     assert by_ends == all_families
-    try:
-        enumerate_F_E(setting, 1, Endpoints(east=(99,)))
-        assert False
-    except ValueError:
-        pass
+    assert Endpoints(east=(99,)) not in grouped
 
 
 def test_equal_cardinality_within_endpoint_class():
@@ -129,7 +121,7 @@ def test_families_by_endpoints_cache_cannot_be_corrupted():
         first[key].clear()
     again = jellyfish._families_by_endpoints(setting, 2)
     assert {ends: len(fams) for ends, fams in again.items()} == sizes
-    assert len(enumerate_F_E(setting, 2, key)) == sizes[key]
+    assert len(again[key]) == sizes[key]
 
 
 def test_maximal_families_match_poset_facets():

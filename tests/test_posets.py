@@ -1,9 +1,7 @@
 """Tests for the root poset, widths, facets, and the plane-partition bijection."""
 
-import copy
 import hashlib
 import itertools
-import pickle
 from pathlib import Path
 
 import pytest
@@ -253,18 +251,6 @@ def test_build_poset_cache_cannot_be_corrupted():
     assert again.label((2, 3)) == (2, 3)
     assert posets.RootPoset.leq((1, 2), (2, 2)) and not again.leq((1, 3), (2, 2))
 
-
-
-@pytest.mark.parametrize("setting", [upq(2, 2, 0), mp(3, 0), ostar(5, 0)])
-def test_root_poset_copies_and_pickles(setting):
-    poset = build_poset(setting)
-    for twin in (copy.copy(poset), copy.deepcopy(poset), pickle.loads(pickle.dumps(poset))):
-        assert twin.setting == poset.setting and twin.points == poset.points
-        with pytest.raises(AttributeError):
-            twin.points = frozenset()
-        with pytest.raises(AttributeError):
-            del twin.setting
-    assert build_poset(setting) is poset
 
 def test_diagram_D_is_a_frozenset():
     for setting in [upq(3, 4, 0), mp(4, 0), ostar(7, 0), Setting("so-even", n=5), Setting("e7")]:

@@ -1,5 +1,5 @@
-"""Tests for the record classes: fields, defaults, equality, immutability,
-and copy and pickle round-trips."""
+"""Tests for the record and value classes: fields, defaults, equality,
+hashing, immutability, and copy and pickle round-trips."""
 
 import copy
 import pickle
@@ -7,10 +7,11 @@ import pickle
 import pytest
 
 from dualdeg.degree import EXCEPTIONAL_ROWS, CrossCheck, DegreeReport, ExceptionalRow
+from dualdeg.diagrams import PlanePartition, rectangle
 from dualdeg.dualpair import Setting, mp, ostar, upq
 from dualdeg.jellyfish import BoundaryData, Endpoints, Jellyfish
-from dualdeg.posets import PathFamily
-from dualdeg.tableaux import Tableau
+from dualdeg.posets import PathFamily, RootPoset
+from dualdeg.tableaux import IntPolynomial, Tableau
 
 FACET = frozenset({(1, 1), (1, 2), (2, 2)})
 PATHS = (((1, 1), (1, 2), (2, 2)),)
@@ -91,6 +92,69 @@ def test_copy_deepcopy_and_pickle_round_trip(cls, args, fields, hashable):
         assert {name: getattr(twin, name) for name in fields} == fields
 
 
+PP_ENTRIES = {(1, 1): 2, (1, 2): 2, (2, 1): 0, (2, 2): 1}
+
+# (value class, builder of a fresh value, its named fields); each value type
+# is a tuple, so it compares, hashes, copies and pickles as one
+VALUES = [
+    (Tableau, lambda: Tableau([[1, 2], [3]]), ()),
+    (RootPoset, lambda: RootPoset(upq(2, 2, 0)), ("setting", "points")),
+    (RootPoset, lambda: RootPoset(mp(3, 0)), ("setting", "points")),
+    (RootPoset, lambda: RootPoset(ostar(5, 0)), ("setting", "points")),
+    (PlanePartition, lambda: PlanePartition(rectangle(2, 2), PP_ENTRIES), ("diagram", "entries")),
+    (IntPolynomial, lambda: IntPolynomial([1, 2, 0, 1, 0]), ()),
+]
+VALUE_IDS = [f"{cls.__name__}-{i}" for i, (cls, *_) in enumerate(VALUES)]
+
+
+def assert_immutable(value, fields):
+    for name in (*fields, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+    for name in fields:
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    with pytest.raises(TypeError):
+        value[0] = None
+    with pytest.raises(TypeError):
+        del value[0]
+    if isinstance(value, PlanePartition):
+        with pytest.raises(TypeError):
+            value.entries[(1, 1)] = 0
+        with pytest.raises(TypeError):
+            del value.entries[(1, 1)]
+
+
+@pytest.mark.parametrize("cls, make, fields", VALUES, ids=VALUE_IDS)
+def test_equal_values_hash_equal(cls, make, fields):
+    first, second = make(), make()
+    assert first is not second and first == second and hash(first) == hash(second)
+    assert len({first, second}) == 1
+
+
+def test_plane_partition_hash_ignores_entry_order():
+    backwards = PlanePartition(rectangle(2, 2), dict(reversed(PP_ENTRIES.items())))
+    forwards = PlanePartition(rectangle(2, 2), PP_ENTRIES)
+    assert backwards == forwards and hash(backwards) == hash(forwards)
+    assert PlanePartition(rectangle(2, 2), {**PP_ENTRIES, (1, 1): 3}) != forwards
+
+
+@pytest.mark.parametrize("cls, make, fields", VALUES, ids=VALUE_IDS)
+def test_values_are_immutable(cls, make, fields):
+    value = make()
+    assert_immutable(value, fields)
+    assert value == make()
+
+
+@pytest.mark.parametrize("cls, make, fields", VALUES, ids=VALUE_IDS)
+def test_values_copy_deepcopy_and_pickle(cls, make, fields):
+    value = make()
+    for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(twin) is cls and twin == value and hash(twin) == hash(value)
+        assert {name: getattr(twin, name) for name in fields} == {name: getattr(value, name) for name in fields}
+        assert_immutable(twin, fields)
+
+
 def test_degree_report_gets_its_own_cross_check_list():
     first = DegreeReport(mp(3, 2), (2,), 6, 1, 6, "k<=r", False)
     second = DegreeReport(mp(3, 2), (2,), 6, 1, 6, "k<=r", False)
@@ -109,6 +173,11 @@ def test_setting_validation_and_repr():
         Setting("mp")
     with pytest.raises(ValueError):
         Setting("ostar", k=1)
+    # so(2, 1) and so(2, 2): the so D_0 formulas put boxes outside the diagram
+    with pytest.raises(ValueError, match="so-odd needs n >= 2"):
+        Setting("so-odd", n=1)
+    with pytest.raises(ValueError, match="so-even needs n >= 3"):
+        Setting("so-even", n=2)
     assert repr(upq(3, 4, 2)) == "Setting(family='upq', k=2, p=3, q=4, n=0)"
     assert repr(ostar(5, 1)) == "Setting(family='ostar', k=1, p=0, q=0, n=5)"
     assert Setting("e6") == Setting(family="e6", k=0)
