@@ -2,9 +2,12 @@
 Hilbert series, and the verification harness, with JSON/CSV/text output."""
 
 import argparse
+import itertools
 import json
 import os
 import sys
+from functools import cache
+from json.encoder import encode_basestring_ascii
 
 from . import degree, diagrams, dualpair, jellyfish, posets
 
@@ -99,25 +102,56 @@ COUNT_KEYS = frozenset(
 )
 
 
-def _stringify_counts(obj):
-    """Replace the COUNT_KEYS integers in a payload by decimal strings, in place."""
+def to_json(obj, indent=2, depth=0):
+    """obj, whose dict keys are strings, as json.dumps(obj, indent=indent)
+    writes it (on one line for indent None), except that an int under a
+    COUNT_KEYS key is written as its decimal string.  json.dumps with an
+    indent runs the pure-Python encoder; here a list of ints is one % of a
+    cached template."""
     if isinstance(obj, dict):
-        for key, value in obj.items():
-            if key in COUNT_KEYS and isinstance(value, int):
-                obj[key] = str(value)
-            else:
-                _stringify_counts(value)
-    elif isinstance(obj, list):
-        for x in obj:
-            _stringify_counts(x)
+        if not obj:
+            return "{}"
+        start, sep, end = _layout(depth, indent)
+        fields = sep.join(
+            encode_basestring_ascii(key)
+            + ": "
+            + to_json(str(value) if key in COUNT_KEYS and isinstance(value, int) else value, indent, depth + 1)
+            for key, value in obj.items()
+        )
+        return "{" + start + fields + end + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        if all(type(x) is int for x in obj):
+            return _int_list_template(depth, len(obj), indent) % tuple(obj)
+        start, sep, end = _layout(depth, indent)
+        return "[" + start + sep.join(to_json(x, indent, depth + 1) for x in obj) + end + "]"
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    return json.dumps(obj)
+
+
+def _layout(depth, indent):
+    """What follows the opening bracket of a container at this depth, what
+    separates its items, and what precedes its closing bracket."""
+    if indent is None:
+        return "", ", ", ""
+    inner = "\n" + " " * (indent * (depth + 1))
+    return inner, "," + inner, "\n" + " " * (indent * depth)
+
+
+@cache
+def _int_list_template(depth, length, indent):
+    start, sep, end = _layout(depth, indent)
+    return "[" + start + sep.join(["%d"] * length) + end + "]"
 
 
 def emit(payload, fmt, out=None):
-    """Print a payload as JSON, CSV or text; its count fields become strings."""
+    """Print a payload as JSON, CSV or text, its count fields as decimal
+    strings; the payload itself is left as it is."""
     out = out or sys.stdout
-    _stringify_counts(payload)
     if fmt == "json":
-        print(json.dumps(payload, indent=2), file=out)
+        print(to_json(payload), file=out)
         return
     rows = payload if isinstance(payload, list) else [payload]
     flat_rows = [_flatten(r) for r in rows]
@@ -145,7 +179,7 @@ def _flatten(obj, prefix=""):
         if isinstance(value, dict):
             flat.update(_flatten(value, name))
         elif isinstance(value, list):
-            flat[name] = json.dumps(value)
+            flat[name] = to_json(value, indent=None)
         else:
             flat[name] = value
     return flat
@@ -167,7 +201,7 @@ def cmd_enumerate(args):
         objects = dualpair.enumerate_Q(setting, sigma)
         serialize = lambda T: serialize_tableau(setting, T)
     elif kind == "p":
-        objects = diagrams.enumerate_P(setting, setting.k)
+        objects = diagrams.iter_P(setting, setting.k)
         serialize = serialize_pp
     elif kind == "facets":
         objects = posets.enumerate_facets(setting, setting.k)
@@ -179,9 +213,10 @@ def cmd_enumerate(args):
             "tableau": serialize_tableau(setting, j.tableau),
             "facet": serialize_points(j.family.points),
         }
-    count = len(objects)
-    items = [serialize(x) for x in objects[: args.limit]]
-    del objects  # the full listing need not outlive the serialized items
+    # count the whole listing, but serialize and keep only what is printed
+    objects = iter(objects)
+    items = [serialize(x) for x in itertools.islice(objects, args.limit)]
+    count = len(items) + sum(1 for _ in objects)
     emit({"count": count, "truncated": len(items) < count, "items": items}, args.format)
     return 0
 

@@ -138,6 +138,10 @@ class PlanePartition(namedtuple("PlanePartition", "diagram entries")):
             raise ValueError("entries must cover exactly the diagram")
         return super().__new__(cls, diagram, MappingProxyType(entries))
 
+    @classmethod
+    def _make(cls, iterable):  # and so _replace: through the checks of __new__
+        return cls(*iterable)
+
     def __getnewargs__(self):  # a mappingproxy does not pickle
         return (self.diagram, dict(self.entries))
 
@@ -157,31 +161,46 @@ class PlanePartition(namedtuple("PlanePartition", "diagram entries")):
 
 
 def enumerate_P(setting, k):
-    """All plane partitions bounded by k in the diagram D_k."""
+    """All plane partitions bounded by k in the diagram D_k, as a list."""
+    return list(iter_P(setting, k))
+
+
+def iter_P(setting, k):
+    """The plane partitions bounded by k in the diagram D_k, one at a time,
+    so that a caller that counts or cuts the listing holds one filling."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    diagram = diagram_D(setting, k)
-    if not diagram:
-        return [PlanePartition(frozenset(), {})]
-    # Assign bottom-to-top, left-to-right so both lower-bound neighbors
-    # (below and to the left) are already fixed.
+    return _fillings(diagram_D(setting, k), k)
+
+
+def _fillings(diagram, k):
+    """The fillings of the diagram with entries in [0, k], in lexicographic
+    order of their values read bottom to top and left to right.  In that
+    order both lower-bound neighbours of a box (below it and to its left)
+    come before it, so the least value of a box is read from fixed values.
+    The next filling raises the last value below k and resets every later
+    value to its least one."""
     order = sorted(diagram, key=lambda box: (-box[0], box[1]))
-    out = []
-    entries = {}
-
-    def fill(pos):
-        if pos == len(order):
-            out.append(PlanePartition(diagram, entries))  # which copies entries
+    pos = {box: i for i, box in enumerate(order)}
+    # the positions of the south and west neighbours, or -1 for one absent,
+    # where the sentinel values[-1] = 0 is read
+    south = [pos.get((r + 1, c), -1) for r, c in order]
+    west = [pos.get((r, c - 1), -1) for r, c in order]
+    values = [0] * (len(order) + 1)
+    start = 0
+    while True:
+        for i in range(start, len(order)):
+            values[i] = max(values[south[i]], values[west[i]])
+        # built without the checks of __new__: the boxes are the diagram's
+        entries = MappingProxyType(dict(zip(order, values)))
+        yield tuple.__new__(PlanePartition, (diagram, entries))
+        start = len(order) - 1
+        while start >= 0 and values[start] == k:
+            start -= 1
+        if start < 0:
             return
-        r, c = order[pos]
-        low = max(entries.get((r + 1, c), 0), entries.get((r, c - 1), 0))
-        for v in range(low, k + 1):
-            entries[(r, c)] = v
-            fill(pos + 1)
-        del entries[(r, c)]
-
-    fill(0)
-    return out
+        values[start] += 1
+        start += 1
 
 
 def count_P_product(setting, k):

@@ -59,6 +59,10 @@ class Setting(namedtuple("Setting", "family k p q n", defaults=(0, 0, 0, 0))):
             raise ValueError("k must be >= 0")
         return self
 
+    @classmethod
+    def _make(cls, iterable):  # and so _replace: through the checks of __new__
+        return cls(*iterable)
+
 
 def upq(p, q, k):
     return Setting(UPQ, k=k, p=p, q=q)

@@ -23,7 +23,8 @@ class RootPoset(namedtuple("RootPoset", "setting points")):
     """The poset of positive noncompact roots, held in depicted coordinates:
     the boxes of D_0, whose minimal element sits in the northwest corner and
     covers point east and south.  Copies and pickles go through the
-    constructor, which reads the points from the setting."""
+    constructor, which reads the points from the setting; _make and with it
+    _replace, which would take the points as given, are refused."""
 
     __slots__ = ()
 
@@ -33,6 +34,10 @@ class RootPoset(namedtuple("RootPoset", "setting points")):
 
     def __getnewargs__(self):
         return (self.setting,)
+
+    @classmethod
+    def _make(cls, iterable):
+        raise TypeError("the points of a RootPoset are read from its setting; call RootPoset(setting)")
 
     def label(self, point):
         """The root label (i, j) of a depicted point."""

@@ -4,15 +4,20 @@ import csv
 import io
 import json
 import os
+import copy
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dualdeg import degree
-from dualdeg.cli import main, parse_partition
+from dualdeg import degree, diagrams
+from dualdeg.cli import COUNT_KEYS, emit, main, parse_partition, serialize_pp, to_json
+from dualdeg.dualpair import upq
 
 
 def run_cli(argv):
@@ -81,6 +86,105 @@ def test_enumerate_p_with_limit():
     payload = json.loads(out)
     assert payload["count"] == len(payload["items"]) == 50
     assert payload["truncated"] is False
+
+
+UPQ_7_7_P = "enumerate p --family upq --p 7 --q 7 --k 2".split()
+
+
+def test_enumerate_p_holds_only_what_it_prints():
+    # upq(7,7) at k=2 has 19,404 plane partitions; holding them all, or
+    # serializing more than the 10 printed, takes tens of MB
+    tracemalloc.start()
+    try:
+        code, out = run_cli(UPQ_7_7_P + ["--limit", "10"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["count"], payload["truncated"], len(payload["items"])) == (19404, True, 10)
+    assert peak < 2 * 2**20, peak
+
+
+def test_enumerate_p_counts_the_whole_listing_at_the_default_limit():
+    code, out = run_cli(UPQ_7_7_P)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["count"] == 19404 == diagrams.count_P_product(upq(7, 7, 0), 2)
+    assert payload["truncated"] is True
+    first = diagrams.enumerate_P(upq(7, 7, 0), 2)[: degree.DEFAULT_LIMIT]
+    assert payload["items"] == [serialize_pp(pp) for pp in first]
+
+
+def _counts_as_strings(obj):
+    """A copy of obj with each int under a COUNT_KEYS key as its decimal string."""
+    if isinstance(obj, dict):
+        return {
+            key: str(value) if key in COUNT_KEYS and isinstance(value, int) else _counts_as_strings(value)
+            for key, value in obj.items()
+        }
+    if isinstance(obj, (list, tuple)):
+        return [_counts_as_strings(x) for x in obj]
+    return obj
+
+
+def _keys(obj):
+    """Every dict key in obj, at any depth."""
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield key
+            yield from _keys(value)
+    elif isinstance(obj, (list, tuple)):
+        for x in obj:
+            yield from _keys(x)
+
+
+JSON_LEAVES = st.one_of(
+    st.integers(),
+    st.integers(min_value=-(10**60), max_value=10**60),
+    st.booleans(),
+    st.none(),
+    st.text(),
+    st.text(alphabet='"\\/\b\f\n\r\t\x00\x1f\x7f aé€☃\U0001d11e'),
+)
+JSON_KEYS = st.one_of(st.sampled_from(sorted(COUNT_KEYS)), st.text())
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(inner, max_size=5).map(tuple),
+        st.dictionaries(JSON_KEYS, inner, max_size=5),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_VALUES)
+def test_to_json_writes_what_json_dumps_writes(value):
+    before = copy.deepcopy(value)
+    assert to_json(value) == json.dumps(_counts_as_strings(value), indent=2)
+    assert to_json(value, indent=None) == json.dumps(_counts_as_strings(value))
+    if not any(key in COUNT_KEYS for key in _keys(value)):
+        assert to_json(value) == json.dumps(value, indent=2)
+    assert value == before
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_emit_leaves_its_payload_unchanged(fmt):
+    payload = {
+        "degree": 10**30,
+        "ok": True,
+        "entries": [{"sigma": (2, 1), "q_count": 3, "p_count": 7, "checks_ok": True}],
+        "nested": {"facet_count": 5, "rows": [[1, 2], [3]]},
+    }
+    before = copy.deepcopy(payload)
+    out = io.StringIO()
+    emit(payload, fmt, out)
+    assert payload == before and type(payload["degree"]) is int
+    assert type(payload["entries"][0]["q_count"]) is int
+    if fmt == "json":
+        assert json.loads(out.getvalue())["degree"] == str(10**30)
 
 
 def test_enumerate_facets_and_jellyfish():

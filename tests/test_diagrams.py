@@ -18,6 +18,7 @@ from dualdeg.diagrams import (
     enumerate_P,
     hilbert_series_orbit,
     interior,
+    iter_P,
     numerator_polynomial,
     rectangle,
     shifted_staircase,
@@ -146,6 +147,16 @@ def test_enumerate_P_golden():
     assert len(enumerate_P(upq(4, 5, 0), 2)) == 50
     assert len(enumerate_P(mp(3, 0), 1)) == 4
     assert len(enumerate_P(ostar(6, 0), 1)) == 14
+    # iter_P streams: the all-zero filling comes before any other is built
+    fillings = iter_P(upq(7, 7, 0), 2)
+    first = next(fillings)
+    assert len(first.diagram) == 25 and set(first.entries.values()) == {0}
+    assert 1 + sum(1 for _ in fillings) == count_P_product(upq(7, 7, 0), 2) == 19404
+    try:
+        iter_P(upq(3, 3, 0), 0)  # refused at the call, not at the first filling
+        assert False
+    except ValueError:
+        pass
 
 
 def test_product_formula_matches_enumeration():
@@ -198,6 +209,28 @@ def _numerator_by_enumeration(setting, k):
     return from_histogram(c_statistic(p) for p in enumerate_P(setting, k))
 
 
+def _enumerate_P_by_recursion(setting, k):
+    """The plane partitions of D_k by a recursive fill, box by box from the
+    bottom row up and left to right in a row: the listing and the order that
+    iter_P streams."""
+    diagram = diagram_D(setting, k)
+    order = sorted(diagram, key=lambda box: (-box[0], box[1]))
+    out, entries = [], {}
+
+    def fill(pos):
+        if pos == len(order):
+            out.append(PlanePartition(diagram, entries))
+            return
+        r, c = order[pos]
+        for v in range(max(entries.get((r + 1, c), 0), entries.get((r, c - 1), 0)), k + 1):
+            entries[(r, c)] = v
+            fill(pos + 1)
+        del entries[(r, c)]
+
+    fill(0)
+    return out
+
+
 def _within_enumeration_budget(setting, k):
     return len(diagram_D(setting, k)) <= 12 or count_P_product(setting, k) <= 5000
 
@@ -221,6 +254,8 @@ def dual_pair_orbits(draw):
 def test_transfer_matrix_numerator_matches_enumeration(orbit):
     setting, k = orbit
     assert numerator_polynomial(setting, k) == _numerator_by_enumeration(setting, k)
+    # the streamed listing: every filling once, in the recursive fill's order
+    assert list(iter_P(setting, k)) == _enumerate_P_by_recursion(setting, k)
 
 
 def test_transfer_matrix_numerator_matches_enumeration_other_types():

@@ -193,3 +193,34 @@ def test_exceptional_rows_keep_their_methods():
     assert isinstance(row, ExceptionalRow)
     assert row.sigma(2) == (2, 0, 0)
     assert row.dimension_polynomial(0) == 1
+
+
+def test_setting_make_and_replace_go_through_the_checks():
+    assert upq(2, 2, 1)._replace(k=3) == upq(2, 2, 3)
+    assert Setting._make(["mp", 2, 0, 0, 3]) == mp(3, 2)
+    with pytest.raises(ValueError, match="k must be >= 0"):
+        upq(2, 2, 1)._replace(k=-3)
+    with pytest.raises(ValueError, match="unknown family"):
+        Setting._make(["nope", 1, 0, 0, 3])
+
+
+def test_plane_partition_make_and_replace_go_through_the_checks():
+    pp = PlanePartition(rectangle(1, 2), {(1, 1): 0, (1, 2): 1})
+    twin = pp._replace(entries={(1, 1): 1, (1, 2): 1})
+    assert twin == PlanePartition(rectangle(1, 2), {(1, 1): 1, (1, 2): 1})
+    with pytest.raises(TypeError):
+        twin.entries[(1, 1)] = 0  # still a read-only view
+    with pytest.raises(ValueError, match="cover exactly the diagram"):
+        pp._replace(entries={(9, 9): 5})
+    with pytest.raises(ValueError, match="cover exactly the diagram"):
+        PlanePartition._make([rectangle(1, 2), {(1, 1): 0}])
+
+
+def test_root_poset_refuses_make_and_replace():
+    poset = RootPoset(upq(2, 2, 0))
+    with pytest.raises(TypeError, match="read from its setting"):
+        poset._replace(points=frozenset({(1, 1)}))
+    with pytest.raises(TypeError, match="read from its setting"):
+        poset._replace(setting=upq(3, 3, 0))
+    with pytest.raises(TypeError, match="read from its setting"):
+        RootPoset._make([upq(2, 2, 0), frozenset()])
