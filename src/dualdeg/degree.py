@@ -360,14 +360,22 @@ def _small_settings():
 
 
 def _suite_product():
+    """#P_k by the product formula, and the numerator polynomial, against
+    the listed fillings and their c statistics."""
     failures = []
     for setting in _small_settings():
         r = dualpair.real_rank(setting)
         for k in range(1, r + 1):
             if len(diagrams.diagram_D(setting, k)) > 10:
                 continue
-            if diagrams.count_P_product(setting, k) != len(diagrams.enumerate_P(setting, k)):
-                failures.append((setting, k))
+            stats = [diagrams.c_statistic(pp) for pp in diagrams.iter_P(setting, k)]
+            if diagrams.count_P_product(setting, k) != len(stats):
+                failures.append((setting, k, "count"))
+            coeffs = [0] * (max(stats) + 1)
+            for c in stats:
+                coeffs[c] += 1
+            if diagrams.numerator_polynomial(setting, k) != tuple(coeffs):
+                failures.append((setting, k, "numerator"))
     return failures
 
 

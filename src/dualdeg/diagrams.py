@@ -6,8 +6,8 @@ from collections import namedtuple
 from functools import cache
 from types import MappingProxyType
 
-from .dualpair import E6, MP, OSTAR, SO_EVEN, SO_ODD, UPQ, real_rank
-from .tableaux import IntPolynomial, exact_quotient
+from .dualpair import DUAL_PAIR_FAMILIES, E6, MP, OSTAR, SO_EVEN, SO_ODD, UPQ, real_rank
+from .tableaux import IntPolynomial, binomial, determinant, exact_quotient
 
 
 def normalize(boxes):
@@ -240,6 +240,78 @@ def c_statistic(pp):
 
 
 def numerator_polynomial(setting, k):
+    """Generating polynomial N(t) of the c statistic over P_k, so that
+    N(1) = #P_k.
+
+    upq and ostar take _numerator_by_determinant.  Their orbit closures are
+    the generic determinantal and Pfaffian varieties, whose h-polynomials
+    are k x k determinants of one-path turn polynomials (Abhyankar;
+    Conca-Herzog 1994; Ghorpade-Krattenthaler 2004):
+
+        upq:    t^C(k,2) N(t) = det_{1<=i,j<=k} sum_l C(p-i, l) C(q-j, l) t^l
+        ostar:  t^C(k,2) N(t) = det_{1<=i,j<=k} sum_l [C(M, l)^2
+                                - C(M, l+1) C(M, l-1)] t^l,  M = n-1-i-j,
+
+    the second a Hankel matrix of Narayana polynomials; N = 1 where D_k is
+    empty.  The determinant is taken once, of ints, at t = 2^B with
+    B = #P_k.bit_length() + 1: each coefficient of N is at most N(1) = #P_k
+    < 2^B, so the base-2^B digits of the value are the coefficients.  It
+    raises unless the low B * C(k,2) bits are zero and the digits sum to
+    count_P_product, so that a wrong identity cannot unpack silently.
+
+    mp, so-even, so-odd, e6 and e7 take _numerator_by_boxes, the box
+    transfer, which is also the determinants' test oracle; the column
+    transfer in the tests and enumerate_P with c_statistic are the oracles
+    of both paths.
+    """
+    r = real_rank(setting)
+    if not 1 <= k <= r:
+        raise ValueError(f"k must satisfy 1 <= k <= {r}")
+    if setting.family in (UPQ, OSTAR):
+        return _numerator_by_determinant(setting, k)
+    return _numerator_by_boxes(setting, k)
+
+
+def _numerator_by_determinant(setting, k):
+    """N(t) for upq and ostar from one packed k x k integer determinant;
+    the identities, the packing and the guards are in numerator_polynomial."""
+    if setting.family == UPQ:
+        p, q = setting.p, setting.q
+        if k >= min(p, q):
+            return IntPolynomial([1])
+    else:
+        n = setting.n
+        if n - 2 * k - 1 <= 0:
+            return IntPolynomial([1])
+    count = count_P_product(setting, k)
+    width = count.bit_length() + 1
+    if setting.family == UPQ:
+        rows = [[binomial(p - i, l) for l in range(p - i + 1)] for i in range(1, k + 1)]
+        cols = [[binomial(q - j, l) for l in range(q - j + 1)] for j in range(1, k + 1)]
+        matrix = [
+            [sum((a * b) << (width * l) for l, (a, b) in enumerate(zip(row, col))) for col in cols]
+            for row in rows
+        ]
+    else:
+        # hankel[i + j - 2] is the entry in row i and column j
+        hankel = []
+        for m in range(n - 3, n - 2 * k - 2, -1):
+            hankel.append(sum(
+                (binomial(m, l) ** 2 - binomial(m, l + 1) * binomial(m, l - 1)) << (width * l)
+                for l in range(m + 1)
+            ))
+        matrix = [hankel[i : i + k] for i in range(k)]
+    value = determinant(matrix)
+    shift = width * (k * (k - 1) // 2)
+    if value < 0 or value & ((1 << shift) - 1):
+        raise AssertionError(f"determinant for {setting} k={k} is not t^{k * (k - 1) // 2} times a polynomial")
+    num = _unpack(value >> shift, width)
+    if sum(num) != count:
+        raise AssertionError(f"determinant for {setting} k={k} gives N(1) = {sum(num)}, not #P_k = {count}")
+    return num
+
+
+def _numerator_by_boxes(setting, k):
     """Generating polynomial of the c statistic over P_k, by a box-by-box
     transfer over D_k (enumerate_P with c_statistic is its oracle).
 
@@ -259,9 +331,6 @@ def numerator_polynomial(setting, k):
     the next field; multiplying by t^m is a shift by mB, and adding two
     polynomials is adding the ints.
     """
-    r = real_rank(setting)
-    if not 1 <= k <= r:
-        raise ValueError(f"k must satisfy 1 <= k <= {r}")
     boxes = diagram_D(setting, k)
     order = sorted(boxes, key=lambda box: (box[1], -box[0]))
     pos = {box: i for i, box in enumerate(order)}
@@ -299,7 +368,12 @@ def numerator_polynomial(setting, k):
                     poly <<= width
         states = out
     # every box has left the frontier, so the sentinel alone is left
-    poly = states[(0,)]
+    return _unpack(states[(0,)], width)
+
+
+def _unpack(poly, width):
+    """The polynomial whose coefficient of t^j is bits [j*width, (j+1)*width)
+    of the nonnegative int poly."""
     mask = (1 << width) - 1
     coeffs = []
     while poly:
@@ -312,4 +386,5 @@ def hilbert_series_orbit(setting, k):
     """Hilbert series data of the k-th orbit closure: (numerator polynomial,
     denominator exponent)."""
     num = numerator_polynomial(setting, k)
-    return num, dim_p_plus(setting) - len(diagram_D(setting, k))
+    boxes = diagram_D_closed_form(setting, k) if setting.family in DUAL_PAIR_FAMILIES else diagram_D(setting, k)
+    return num, dim_p_plus(setting) - len(boxes)

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from dualdeg import degree, diagrams
 from dualdeg.cli import COUNT_KEYS, emit, main, parse_partition, serialize_pp, to_json
-from dualdeg.dualpair import upq
+from dualdeg.dualpair import ostar, upq
 
 
 def run_cli(argv):
@@ -246,6 +246,29 @@ def test_hilbert():
     payload = json.loads(out)
     assert payload["series"] == "(1 + t)/(1-t)^4"
     assert payload["p_count"] == "2"
+
+
+@pytest.mark.parametrize(
+    "argv, setting",
+    [
+        (["--family", "upq", "--p", "16", "--q", "16", "--k", "6"], upq(16, 16, 6)),
+        (["--family", "ostar", "--n", "24", "--k", "6"], ostar(24, 6)),
+    ],
+    ids=["upq-16-16-k6", "ostar-24-k6"],
+)
+def test_hilbert_beyond_the_box_transfer(argv, setting):
+    # upq(16,16) k=6 ran past 100 s by the box transfer; the determinant
+    # takes milliseconds
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "dualdeg.cli", "hilbert", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["p_count"] == str(diagrams.count_P_product(setting, setting.k))
 
 
 def test_verify():

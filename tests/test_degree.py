@@ -26,6 +26,7 @@ from dualdeg.degree import (
 )
 from dualdeg.dualpair import Setting, mp, ostar, upq
 from dualdeg.repdims import dim_U_sigma
+from dualdeg.tableaux import IntPolynomial
 
 
 def test_partitions_up_to():
@@ -277,6 +278,15 @@ def test_theta_check_sees_wrong_corners_and_a_wrong_inverse(monkeypatch):
     first = diagrams.enumerate_P(setting, 1)[0]
     monkeypatch.setattr(posets, "theta_inverse", lambda s, k, f: first)
     assert theta_check(setting, 1)[2] == ["round-trip"] * 5
+
+
+def test_product_suite_sees_a_wrong_numerator(monkeypatch):
+    # the suite checks the numerator of each of its 16 orbits against the
+    # c statistics of the listed fillings
+    assert verify_all(only="product")["ok"]
+    numerator = diagrams.numerator_polynomial
+    monkeypatch.setattr(diagrams, "numerator_polynomial", lambda s, k: IntPolynomial([*numerator(s, k), 1]))
+    assert verify_all(only="product")["suites"] == [{"suite": "product", "ok": False, "failures": 16}]
 
 
 def test_traced_names_resolve():

@@ -4,9 +4,11 @@ import hashlib
 from fractions import Fraction
 from importlib import resources
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from dualdeg import diagrams
 from dualdeg.diagrams import (
     PlanePartition,
     c_statistic,
@@ -382,6 +384,39 @@ def test_numerator_polynomial_large_coefficients():
     for setting, k in [(upq(12, 12, 0), 4), (ostar(19, 0), 3)]:
         coeffs = LARGE_NUMERATORS[setting, k]
         assert coeffs == coeffs[::-1], (setting, k)
+
+
+def test_numerator_determinant_matches_box_transfer():
+    # upq and ostar take the determinant; the box transfer, their oracle,
+    # runs at every k: 285 upq and 49 ostar cases
+    settings_ = [upq(p, q, 0) for p in range(1, 10) for q in range(1, 10)]
+    settings_ += [ostar(n, 0) for n in range(1, 15)]
+    cases = 0
+    for setting in settings_:
+        for k in range(1, real_rank(setting) + 1):
+            assert numerator_polynomial(setting, k) == diagrams._numerator_by_boxes(setting, k), (setting, k)
+            cases += 1
+    assert cases == 334
+
+
+def test_numerator_determinant_beyond_the_box_transfer():
+    # beyond the box transfer's reach (upq(16,16) k=6 ran past 100 s), so
+    # checked by properties that need no oracle
+    for setting, k in [(upq(16, 16, 0), 6), (upq(20, 20, 0), 8), (ostar(24, 0), 6), (ostar(30, 0), 8)]:
+        num = numerator_polynomial(setting, k)
+        assert num[0] == 1, (setting, k)
+        assert num[1] == len(diagram_D_closed_form(setting, k)), (setting, k)
+        assert num.evaluate(1) == count_P_product(setting, k), (setting, k)
+        assert list(num) == list(num)[::-1], (setting, k)
+
+
+def test_numerator_determinant_refuses_a_wrong_count(monkeypatch):
+    # the digit-sum guard: a #P_k off by one must raise, not unpack
+    true_count = diagrams.count_P_product
+    monkeypatch.setattr(diagrams, "count_P_product", lambda setting, k: true_count(setting, k) + 1)
+    for setting, k in [(upq(5, 6, 0), 1), (upq(7, 7, 0), 2), (ostar(9, 0), 1), (ostar(12, 0), 3)]:
+        with pytest.raises(AssertionError):
+            numerator_polynomial(setting, k)
 
 
 def _count_P_fraction(setting, k):
