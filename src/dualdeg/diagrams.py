@@ -6,7 +6,7 @@ from collections import namedtuple
 from functools import cache
 from types import MappingProxyType
 
-from .dualpair import DUAL_PAIR_FAMILIES, E6, MP, OSTAR, SO_EVEN, SO_ODD, UPQ, real_rank
+from .dualpair import E6, MP, OSTAR, SO_EVEN, SO_ODD, UPQ, real_rank
 from .tableaux import IntPolynomial, binomial, determinant, exact_quotient
 
 
@@ -275,17 +275,13 @@ def numerator_polynomial(setting, k):
 def _numerator_by_determinant(setting, k):
     """N(t) for upq and ostar from one packed k x k integer determinant;
     the identities, the packing and the guards are in numerator_polynomial."""
-    if setting.family == UPQ:
-        p, q = setting.p, setting.q
-        if k >= min(p, q):
-            return IntPolynomial([1])
-    else:
-        n = setting.n
-        if n - 2 * k - 1 <= 0:
-            return IntPolynomial([1])
     count = count_P_product(setting, k)
+    if count == 1:
+        # D_k is empty: a nonempty D_k has the all-0 and the all-k fillings
+        return IntPolynomial([1])
     width = count.bit_length() + 1
     if setting.family == UPQ:
+        p, q = setting.p, setting.q
         rows = [[binomial(p - i, l) for l in range(p - i + 1)] for i in range(1, k + 1)]
         cols = [[binomial(q - j, l) for l in range(q - j + 1)] for j in range(1, k + 1)]
         matrix = [
@@ -293,6 +289,7 @@ def _numerator_by_determinant(setting, k):
             for row in rows
         ]
     else:
+        n = setting.n
         # hankel[i + j - 2] is the entry in row i and column j
         hankel = []
         for m in range(n - 3, n - 2 * k - 2, -1):
@@ -386,5 +383,4 @@ def hilbert_series_orbit(setting, k):
     """Hilbert series data of the k-th orbit closure: (numerator polynomial,
     denominator exponent)."""
     num = numerator_polynomial(setting, k)
-    boxes = diagram_D_closed_form(setting, k) if setting.family in DUAL_PAIR_FAMILIES else diagram_D(setting, k)
-    return num, dim_p_plus(setting) - len(boxes)
+    return num, dim_p_plus(setting) - len(diagram_D(setting, k))
