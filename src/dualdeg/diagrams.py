@@ -381,6 +381,10 @@ def _unpack(poly, width):
 
 def hilbert_series_orbit(setting, k):
     """Hilbert series data of the k-th orbit closure: (numerator polynomial,
-    denominator exponent)."""
+    denominator exponent).
+
+    The exponent is dim p+ - |D_k|, and |D_k| is the t-coefficient of the
+    numerator: a filling with c = 1 is 1 on the boxes reached from one box by
+    north and east steps and 0 elsewhere, so there is one per box of D_k."""
     num = numerator_polynomial(setting, k)
-    return num, dim_p_plus(setting) - len(diagram_D(setting, k))
+    return num, dim_p_plus(setting) - (num[1] if len(num) > 1 else 0)

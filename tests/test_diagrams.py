@@ -196,6 +196,15 @@ def test_hilbert_series():
     for setting, k in [(upq(3, 4, 0), 2), (mp(3, 0), 1), (ostar(6, 0), 2)]:
         num, _ = hilbert_series_orbit(setting, k)
         assert num.evaluate(1) == len(enumerate_P(setting, k))
+    # the exponent, read from the numerator's t-coefficient, against the
+    # boxes of D_k built as the k-fold interior
+    settings_ = [upq(p, q, 0) for p in range(1, 7) for q in range(1, 7)]
+    settings_ += [mp(n, 0) for n in range(1, 9)] + [ostar(n, 0) for n in range(1, 11)]
+    settings_ += [Setting(family, n=n) for family in ("so-even", "so-odd") for n in range(3, 13)]
+    for setting in settings_ + [Setting("e6"), Setting("e7")]:
+        for k in range(1, real_rank(setting) + 1):
+            _, exponent = hilbert_series_orbit(setting, k)
+            assert exponent == dim_p_plus(setting) - len(diagram_D(setting, k)), (setting, k)
 
 
 def from_histogram(values):
