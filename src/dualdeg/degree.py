@@ -7,6 +7,7 @@ from functools import cache
 
 from . import diagrams, dualpair, jellyfish, posets, repdims
 from .dualpair import DEFAULT_LIMIT, IN_SIGMA, MP, OSTAR, UPQ
+from .tableaux import IntPolynomial, exact_quotient
 
 
 @cache
@@ -276,8 +277,7 @@ class ExceptionalRow(namedtuple("ExceptionalRow", "group k deg_orbit h_system np
                 * (3 * a + 2 * b + 11)
             )
             den = 12070840320000
-        assert num % den == 0
-        return num // den
+        return exact_quotient(num, den)
 
 
 EXCEPTIONAL_ROWS = (
@@ -479,8 +479,6 @@ def _suite_exceptional():
 
 
 def _suite_pinned():
-    from .tableaux import IntPolynomial
-
     failures = []
     for n in (3, 4, 5):
         num, exponent = diagrams.hilbert_series_orbit(dualpair.Setting("so-odd", n=n), 1)

@@ -129,24 +129,26 @@ def nonzero_label(setting, sigma):
     return sigma
 
 
+def _least_k(setting, sigma):
+    """The least k at which a label normalize_sigma has returned lies in the
+    label set of H(k): l(sigma+) + l(sigma-) for upq, c1 + c2 for mp and
+    l(sigma) for ostar."""
+    if setting.family == UPQ:
+        return len(sigma[0]) + len(sigma[1])
+    if setting.family == MP:
+        return sum(conjugate(sigma)[:2])
+    return len(sigma)
+
+
 def _classify(setting, sigma):
     """sigma_admissible of a label normalize_sigma has returned."""
-    k = setting.k
+    if _least_k(setting, sigma) > setting.k:
+        return NOT_IN_HHAT
     if setting.family == UPQ:
         plus, minus = sigma
-        in_hhat = len(plus) + len(minus) <= k
         in_big = len(plus) <= setting.q and len(minus) <= setting.p
-    elif setting.family == MP:
-        conj = conjugate(sigma)
-        c1 = conj[0] if len(conj) >= 1 else 0
-        c2 = conj[1] if len(conj) >= 2 else 0
-        in_hhat = c1 + c2 <= k
+    else:
         in_big = len(sigma) <= setting.n
-    else:  # OSTAR
-        in_hhat = len(sigma) <= k
-        in_big = len(sigma) <= setting.n
-    if not in_hhat:
-        return NOT_IN_HHAT
     return IN_SIGMA if in_big else IN_HHAT_NOT_SIGMA
 
 
@@ -388,20 +390,13 @@ def _evaluation_k(setting, sigma):
     - mp (s = 2n-1): a value fills at most two cells of the first two
       columns, so alpha_i(T) <= max(0, min(2(i-n), 2n-2)) < i;
     - ostar (s = n-1): alpha_i(T) <= max(0, n-2-2k+2i) <= max(0, 2i-k-1) < i.
-    The least admissible k is l(sigma+) + l(sigma-) for upq, c1 + c2 for mp
-    and l(sigma) for ostar, so k' is at most p+q, 2n and n respectively.
+    The least admissible k (_least_k) is at most p+q, 2n and n respectively,
+    and so is k'.
     """
     k, s = setting.k, free_threshold(setting)
     if k <= s:
         return k
-    if setting.family == UPQ:
-        least = len(sigma[0]) + len(sigma[1])
-    elif setting.family == MP:
-        conj = conjugate(sigma)
-        least = sum(conj[:2])
-    else:  # OSTAR
-        least = len(sigma)
-    return max(s, least)
+    return max(s, _least_k(setting, sigma))
 
 
 def count_Q_determinant(setting, sigma):

@@ -80,20 +80,6 @@ class Endpoints(namedtuple("Endpoints", "south east", defaults=((), ()))):
     __slots__ = ()
 
 
-class BoundaryData(
-    namedtuple(
-        "BoundaryData",
-        "region starts outer a_list b_list i_hat k_plus k_minus",
-        defaults=(None,) * 5,
-    )
-):
-    """Boundary regions and anchors for the path families at level k:
-    a_list holds the upq southern anchors a_u, b_list the eastern anchors
-    b_t and i_hat the ostar maximal east endpoints."""
-
-    __slots__ = ()
-
-
 def split_k(setting, k, sigma):
     """The (k_plus, k_minus) split of the inner boundary for upq."""
     plus, minus = dualpair.normalize_sigma(setting, sigma)
@@ -102,32 +88,6 @@ def split_k(setting, k, sigma):
         return k - k_minus, k_minus
     k_plus = max(len(plus), k - setting.p)
     return k_plus, k - k_plus
-
-
-def boundary_data(setting, k, sigma=None):
-    """Regions, anchor points, and maximal-endpoint data for level k."""
-    _check_family(setting)
-    _check_k(setting, k)
-    region = _region(setting, k)
-    starts = _starts(setting, k)
-    outer = _outer(setting)
-    if setting.family == OSTAR:
-        n = setting.n
-        b_list = _ostar_b_list(n, k)
-        i_hat = tuple(
-            t if t < 2 * (k + 1) - n else n + 2 * (t - k) - 1 for t in range(1, k + 1)
-        )
-        return BoundaryData(region, starts, outer, b_list=b_list, i_hat=i_hat)
-    p, q = setting.p, setting.q
-    a_list = tuple(p if u <= k - p else k - u + 1 for u in range(1, k + 1))
-    b_list = tuple(q if t <= k - q else k - t + 1 for t in range(1, k + 1))
-    k_plus = k_minus = None
-    if sigma is not None:
-        k_plus, k_minus = split_k(setting, k, sigma)
-    return BoundaryData(
-        region, starts, outer, a_list=a_list, b_list=b_list,
-        k_plus=k_plus, k_minus=k_minus,
-    )
 
 
 def i_hat_upq(setting, k, k_minus, south):
@@ -153,12 +113,16 @@ def end_map(setting, sigma, T):
 
 def _end_map(setting, sigma):
     """end_map as a function of T, for a sigma as normalize_sigma returns
-    it: the boundary data are built once, not once per tableau."""
+    it: what depends on the setting and sigma alone is worked out once, not
+    once per tableau."""
     _check_family(setting)
     k = setting.k
     _check_k(setting, k)
     if setting.family == OSTAR:
-        i_hat = boundary_data(setting, k).i_hat
+        n = setting.n
+        i_hat = tuple(
+            t if t < 2 * (k + 1) - n else n + 2 * (t - k) - 1 for t in range(1, k + 1)
+        )
 
         def ends(T):
             col = T.column(1)

@@ -1,8 +1,8 @@
 """Dimensions in exact integers: the GL hook-content product, Weyl's
 product formulas for Sp_2k (type C) and O_k (types B and D), and a generic
-Weyl dimension formula over stored positive-root tables."""
+Weyl dimension formula over positive roots generated from Cartan matrices."""
 
-import os
+import math
 from functools import cache
 
 from . import dualpair
@@ -117,30 +117,43 @@ def _dim_U(setting, sigma):
 
 @cache
 def root_system(name):
-    """Load a positive-root table: (lengths, roots) with roots in the
-    simple-root basis."""
-    with open(os.path.join(os.path.dirname(__file__), "data", "root_systems.txt")) as fh:
-        text = fh.read()
-    systems = {}
-    current = None
-    for line in text.splitlines():
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        kind, *rest = line.split()
-        if kind == "system":
-            current = rest[0]
-            systems[current] = {"lengths": None, "roots": []}
-        elif kind == "lengths":
-            systems[current]["lengths"] = tuple(int(x) for x in rest)
-        elif kind == "root":
-            systems[current]["roots"].append(tuple(int(x) for x in rest))
-        else:
-            raise ValueError(f"bad line in root data: {line!r}")
-    if name not in systems:
+    """The positive roots of B_n, C_n, F4 or G2: (lengths, roots) with roots
+    in the simple-root basis, in order of height, and lengths the squared
+    lengths of the simple roots in lowest terms.
+
+    The Cartan matrix a_ij = <alpha_i^vee, alpha_j> is a chain in Bourbaki
+    numbering.  beta + alpha_i is a root exactly when p > sum_j beta_j a_ij,
+    where p is how far beta - p alpha_i stays a root; d_i a_ij = d_j a_ji
+    gives the lengths d_i along the chain."""
+    kind, rank = name[:1], name[1:]
+    n = int(rank) if rank.isdecimal() else 0
+    # the one bond (i, i + 1) between a long and a short simple root, i
+    # counted from 1, as (i, a_{i,i+1}, a_{i+1,i}); none in rank 1
+    bonds = {"B": (n - 1, -1, -2), "C": (n - 1, -2, -1), "F": (2, -1, -2), "G": (1, -3, -1)}
+    if kind not in bonds or name != f"{kind}{n}" or n < 1 or {"F": 4, "G": 2}.get(kind, n) != n:
         raise ValueError(f"unknown root system {name!r}")
-    data = systems[name]
-    return data["lengths"], tuple(data["roots"])
+    a = [[2 if i == j else -(abs(i - j) == 1) for j in range(n)] for i in range(n)]
+    bond, up, down = bonds[kind]
+    if bond:
+        a[bond - 1][bond], a[bond][bond - 1] = up, down
+    lengths = [1]
+    for i in range(n - 1):
+        lengths = [x * -a[i + 1][i] for x in lengths] + [lengths[i] * -a[i][i + 1]]
+    scale = math.gcd(*lengths)
+    roots = dict.fromkeys(tuple(int(i == j) for j in range(n)) for i in range(n))
+    layer = list(roots)
+    while layer:
+        above = {}
+        for beta in layer:
+            for i, row in enumerate(a):
+                p = 0
+                while beta[:i] + (beta[i] - p - 1,) + beta[i + 1 :] in roots:
+                    p += 1
+                if p > sum(b * x for b, x in zip(beta, row)):
+                    above[beta[:i] + (beta[i] + 1,) + beta[i + 1 :]] = None
+        roots.update(above)
+        layer = list(above)
+    return tuple(x // scale for x in lengths), tuple(roots)
 
 
 def dim_weyl(name, weight):

@@ -168,7 +168,8 @@ def binomial(a, b):
 def exact_quotient(num, den):
     """num // den for integers where den divides num, checked."""
     quotient, remainder = divmod(num, den)
-    assert remainder == 0, f"{num}/{den} is not an integer"
+    if remainder:  # raised, not asserted, so that python -O keeps the check
+        raise AssertionError(f"{num}/{den} is not an integer")
     return quotient
 
 

@@ -32,7 +32,6 @@ from dualdeg.tableaux import IntPolynomial
 DATA_SHA256 = {
     "e6_d0.txt": "3bd023c60eec131a419bd038e0a96b98427f9c2dc95fbd0c890de8735ddf2fbc",
     "e7_d0.txt": "59c38b19eaa1d1099955b7e428c092413c485da65eda8fb727e80be2474bb011",
-    "root_systems.txt": "0a5900ee7c52b405249abd0beae93b6b126dd90fac32403a442da07d0728ef64",
 }
 
 

@@ -7,7 +7,6 @@ from dualdeg.degree import bernstein_degree, iter_sigmas
 from dualdeg.dualpair import enumerate_Q, mp, ostar, upq
 from dualdeg.jellyfish import (
     Endpoints,
-    boundary_data,
     end_map,
     enumerate_F,
     enumerate_jellyfish,
@@ -21,42 +20,29 @@ from dualdeg.tableaux import Tableau
 
 
 def test_family_restrictions():
-    try:
-        boundary_data(mp(5, 2), 2)
-        assert False
-    except ValueError:
-        pass
+    with pytest.raises(ValueError):
+        end_map(mp(5, 2), (), Tableau([]))
     # k at or past the free threshold is rejected
-    try:
-        boundary_data(ostar(5, 4), 4)
-        assert False
-    except ValueError:
-        pass
-    try:
-        boundary_data(upq(2, 3, 0), 0)
-        assert False
-    except ValueError:
-        pass
+    with pytest.raises(ValueError):
+        end_map(ostar(5, 4), (), Tableau([]))
+    with pytest.raises(ValueError):
+        end_map(upq(2, 3, 0), ((), ()), (Tableau([]), Tableau([])))
 
 
 def test_boundary_golden_ostar():
-    data = boundary_data(ostar(11, 4), 4)
-    assert data.b_list == (9, 8, 7, 6)
-    assert data.i_hat == (4, 6, 8, 10)
-    assert data.starts == ((1, 9), (2, 8), (3, 7), (4, 6))
-    data = boundary_data(ostar(11, 7), 7)
-    assert data.b_list[:4] == (11, 11, 11, 11)
-    assert data.b_list[4:] == (11, 10, 9)
+    assert jellyfish._ostar_b_list(11, 4) == (9, 8, 7, 6)
+    assert jellyfish._starts(ostar(11, 4), 4) == ((1, 9), (2, 8), (3, 7), (4, 6))
+    # an empty first column reaches the maximal east endpoints i_hat
+    assert end_map(ostar(11, 4), (), Tableau([])).east == (4, 6, 8, 10)
+    b_list = jellyfish._ostar_b_list(11, 7)
+    assert b_list[:4] == (11, 11, 11, 11)
+    assert b_list[4:] == (11, 10, 9)
 
 
 def test_boundary_golden_upq():
     setting = upq(7, 10, 8)
     sigma = ((3, 2, 1, 1, 1), (2, 1, 1))
     assert split_k(setting, 8, sigma) == (5, 3)
-    data = boundary_data(setting, 8, sigma)
-    assert data.k_plus == 5 and data.k_minus == 3
-    assert data.a_list == (7, 7, 6, 5, 4, 3, 2, 1)
-    assert data.b_list == (8, 7, 6, 5, 4, 3, 2, 1)
 
 
 def test_end_map_golden_ostar():

@@ -9,7 +9,7 @@ import pytest
 from dualdeg.degree import EXCEPTIONAL_ROWS, CrossCheck, DegreeReport, ExceptionalRow
 from dualdeg.diagrams import PlanePartition, rectangle
 from dualdeg.dualpair import Setting, mp, ostar, upq
-from dualdeg.jellyfish import BoundaryData, Endpoints, Jellyfish
+from dualdeg.jellyfish import Endpoints, Jellyfish
 from dualdeg.posets import PathFamily, RootPoset
 from dualdeg.tableaux import IntPolynomial, Tableau
 
@@ -38,15 +38,7 @@ RECORDS = [
     ),
     (Endpoints, (), dict(south=(), east=()), True),
     (Endpoints, ((2,), (1, 3)), dict(south=(2,), east=(1, 3)), True),
-    (
-        BoundaryData,
-        (FACET, ((1, 1),), FACET),
-        dict(
-            region=FACET, starts=((1, 1),), outer=FACET, a_list=None, b_list=None,
-            i_hat=None, k_plus=None, k_minus=None,
-        ),
-        True,
-    ),
+    (Endpoints, ((), (4, 6, 8, 10)), dict(south=(), east=(4, 6, 8, 10)), True),  # ostar
     (
         Jellyfish,
         (Tableau([[1, 2]]), PathFamily(FACET)),

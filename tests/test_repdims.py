@@ -1,8 +1,10 @@
 """Tests for the dimension formulas, against the Fraction products and the
 tableau counts they replaced."""
 
+import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -41,7 +43,7 @@ def _dim_gl_fraction(n, weight):
 
 
 def _dim_weyl_fraction(name, weight):
-    """Weyl's formula over the stored roots as one Fraction per root."""
+    """Weyl's formula over the generated roots as one Fraction per root."""
     lengths, roots = root_system(name)
     weight = tuple(weight)
     if len(weight) != len(lengths):
@@ -151,19 +153,32 @@ def test_dim_sp_golden():
         pass
 
 
-def _to_fundamental(sigma, rank):
-    """Partition (epsilon coordinates) to fundamental coordinates for C_rank."""
+def _to_fundamental(sigma, rank, last=1):
+    """Partition (epsilon coordinates) to fundamental coordinates for C_rank,
+    or for B_rank with last=2: the last fundamental weight of B_rank is half
+    of e_1 + ... + e_rank."""
     padded = tuple(sigma) + (0,) * (rank - len(sigma))
-    return tuple(padded[i] - padded[i + 1] for i in range(rank - 1)) + (padded[-1],)
+    return tuple(padded[i] - padded[i + 1] for i in range(rank - 1)) + (last * padded[-1],)
 
 
 def test_dim_sp_matches_weyl():
+    # the generated C_k and B_m roots against the epsilon-coordinate products
+    # of dim_sp and dim_o: fixed shapes, then seeded random labels
     shapes = [(), (1,), (2,), (1, 1), (2, 1), (2, 2), (3, 1)]
-    for k in (1, 2, 3):
-        for sigma in shapes:
+    rng = random.Random(19)
+    for k in range(1, 7):
+        labels = shapes + [
+            tuple(sorted(rng.choices(range(1, 6), k=rng.randint(1, k)), reverse=True))
+            for _ in range(12)
+        ]
+        for sigma in labels:
             if len(sigma) > k:
                 continue
             assert dim_sp(2 * k, sigma) == dim_weyl(f"C{k}", _to_fundamental(sigma, k)), (
+                k,
+                sigma,
+            )
+            assert dim_o(2 * k + 1, sigma) == dim_weyl(f"B{k}", _to_fundamental(sigma, k, 2)), (
                 k,
                 sigma,
             )
@@ -176,11 +191,19 @@ def test_root_tables():
     assert len(root_system("G2")[1]) == 6
     assert len(root_system("F4")[1]) == 24
     assert len(root_system("C3")[1]) == 9
-    try:
-        root_system("Z9")
-        assert False
-    except ValueError:
-        pass
+    # the roots come in order of height, so the highest root is the last
+    for name, highest in [
+        ("B3", (1, 2, 2)),
+        ("B4", (1, 2, 2, 2)),
+        ("C3", (2, 2, 1)),
+        ("C4", (2, 2, 2, 1)),
+        ("G2", (3, 2)),
+        ("F4", (2, 3, 4, 2)),
+    ]:
+        assert root_system(name)[1][-1] == highest, name
+    for name in ["Z9", "B0", "G3", "F5", "E6"]:
+        with pytest.raises(ValueError):
+            root_system(name)
 
 
 def test_dim_weyl_golden():
@@ -191,6 +214,11 @@ def test_dim_weyl_golden():
     assert dim_weyl("G2", (0, 1)) == 14  # adjoint rep of G2
     assert dim_weyl("B4", (0, 0, 0, 1)) == 16  # spin rep of so(9)
     assert dim_weyl("F4", (0, 0, 0, 1)) == 26
+    # adjoint reps: the highest weight is the highest root
+    assert dim_weyl("B3", (0, 1, 0)) == 21
+    assert dim_weyl("B4", (0, 1, 0, 0)) == 36
+    assert dim_weyl("C4", (2, 0, 0, 0)) == 36
+    assert dim_weyl("F4", (1, 0, 0, 0)) == 52
     try:
         dim_weyl("B3", (1, 0))
         assert False

@@ -1,6 +1,9 @@
 """Tests for partitions, tableau enumeration, and determinant kernels."""
 
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -232,6 +235,29 @@ def test_exact_quotient():
     assert exact_quotient(-12, 4) == -3
     with pytest.raises(AssertionError):
         exact_quotient(7, 2)
+
+
+@pytest.mark.parametrize(
+    "statement",
+    [
+        "from dualdeg.tableaux import exact_quotient; exact_quotient(7, 2)",
+        "from fractions import Fraction; from dualdeg.degree import EXCEPTIONAL_ROWS; "
+        "EXCEPTIONAL_ROWS[0].dimension_polynomial(Fraction(1, 2))",
+    ],
+    ids=["exact_quotient", "dimension_polynomial"],
+)
+def test_inexact_quotient_raises_under_python_O(statement):
+    # python -O strips assert statements; the remainder check must survive it
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", statement],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        timeout=60,
+    )
+    assert proc.returncode == 1
+    assert "AssertionError" in proc.stderr and "is not an integer" in proc.stderr
 
 
 def test_binomial():
