@@ -3,7 +3,8 @@ product counting formulas, and Hilbert-series numerators."""
 
 import os
 from collections import namedtuple
-from functools import cache
+from functools import cache, lru_cache
+from operator import itemgetter, le
 from types import MappingProxyType
 
 from .dualpair import E6, MP, OSTAR, SO_EVEN, SO_ODD, UPQ, real_rank
@@ -152,12 +153,34 @@ class PlanePartition(namedtuple("PlanePartition", "diagram entries")):
         return max(self.entries.values(), default=0)
 
     def is_monotone(self):
-        for (r, c), v in self.entries.items():
-            if (r, c + 1) in self.entries and self.entries[(r, c + 1)] < v:
-                return False
-            if (r + 1, c) in self.entries and self.entries[(r + 1, c)] > v:
-                return False
-        return True
+        values, lower, upper = _neighbour_pairs(self.diagram)
+        entries = values(self.entries)
+        return all(map(le, lower(entries), upper(entries)))
+
+
+def _getter(keys):
+    """itemgetter that returns a tuple for any number of keys."""
+    if len(keys) > 1:
+        return itemgetter(*keys)
+    return lambda items: tuple(items[key] for key in keys)
+
+
+@lru_cache(maxsize=256)  # bounded: a caller may build plane partitions on any diagram
+def _neighbour_pairs(diagram):
+    """The (lower, upper) neighbour pairs that a plane partition on the
+    diagram orders: a box and its east neighbour, a box's south neighbour
+    and the box.  Returned as getters: the first reads the entries of every
+    box, in a fixed order, from the entries mapping, and the other two read
+    the lower and the upper end of each pair from that tuple."""
+    boxes = tuple(diagram)
+    pos = {box: i for i, box in enumerate(boxes)}
+    pairs = [
+        (pos[low], pos[high])
+        for r, c in boxes
+        for low, high in (((r, c), (r, c + 1)), ((r + 1, c), (r, c)))
+        if low in pos and high in pos
+    ]
+    return _getter(boxes), _getter([i for i, _ in pairs]), _getter([j for _, j in pairs])
 
 
 def enumerate_P(setting, k):

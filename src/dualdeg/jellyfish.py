@@ -68,7 +68,8 @@ def _starts(setting, k):
         ]
     else:
         pts = list(enumerate(_ostar_b_list(setting.n, k), 1))
-    assert len(set(pts)) == k
+    if len(set(pts)) != k:  # raised, not asserted, so that python -O keeps the check
+        raise AssertionError(f"{setting} k={k} has start points {pts}, not {k} distinct ones")
     return tuple(sorted(pts))
 
 
@@ -189,7 +190,8 @@ def _families_by_endpoints(setting, k):
     grouped = {}
     seen = {}
     for combo, pts in disjoint_products(candidates):
-        assert pts.isdisjoint(fixed)
+        if not pts.isdisjoint(fixed):  # raised, not asserted, as above
+            raise AssertionError(f"a path family of {setting} k={k} meets the fixed region")
         family = PathFamily(pts | fixed, combo)
         ends = [path[-1] for path in combo]
         for key in _endpoint_keys(setting, ends):

@@ -3,9 +3,10 @@ antichain widths, the lattice-path engine shared with the jellyfish, facets
 of the width-k order complex as unions of k nonintersecting lattice paths,
 and the bijection with bounded plane partitions."""
 
-import bisect
+from bisect import bisect_left
 from collections import namedtuple
 from functools import cache
+from types import MappingProxyType
 
 from . import diagrams
 from .diagrams import PlanePartition
@@ -66,7 +67,7 @@ def width(poset, subset=None):
     strictly decreasing run of columns over the points sorted by (row, column)."""
     tails = []  # tails[i]: minus the largest column ending a falling run of length i + 1
     for _, c in sorted(poset.points if subset is None else subset):
-        i = bisect.bisect_left(tails, -c)
+        i = bisect_left(tails, -c)
         if i == len(tails):
             tails.append(-c)
         else:
@@ -130,6 +131,13 @@ def _forced_paths(setting, k):
     return a, b, tuple(prefixes), tuple(suffixes)
 
 
+@cache
+def _forced_points(setting, k):
+    """The points of the K_t prefixes and M_t suffixes, which every facet holds."""
+    _, _, prefixes, suffixes = _forced_paths(setting, k)
+    return frozenset().union(*prefixes, *suffixes)
+
+
 def lattice_paths(start, points, ends):
     """Every east/south lattice path from start whose later points lie in
     points, recorded at each visit to ends, east steps tried first."""
@@ -189,11 +197,11 @@ def enumerate_facets(setting, k):
             lattice_paths(start, {x for x in poset.points if RootPoset.leq(x, end)}, {end})
             for start, end in zip(a, b)
         ]
-    fixed = [x for segment in prefixes + suffixes for x in segment]
+    forced = _forced_points(setting, k)
     seen = set()
     out = []
     for combo, pts in disjoint_products(candidates):
-        pts = pts.union(fixed)
+        pts = pts.union(forced)
         if pts not in seen:
             seen.add(pts)
             paths = tuple(pre + seg + suf for pre, seg, suf in zip(prefixes, combo, suffixes))
@@ -202,9 +210,12 @@ def enumerate_facets(setting, k):
 
 
 def _validate_plane_partition(setting, k, pp):
-    if pp.diagram != diagrams.diagram_D(setting, k):
+    diagram = diagrams.diagram_D(setting, k)
+    # D_k is cached, so a plane partition built on it holds the same frozenset
+    if pp.diagram is not diagram and pp.diagram != diagram:
         raise ValueError("plane partition lives on the wrong diagram")
-    if pp.bound() > k or min(pp.entries.values(), default=0) < 0:
+    values = sorted(pp.entries.values())  # one pass for the least and the greatest entry
+    if values and (values[0] < 0 or values[-1] > k):
         raise ValueError(f"plane partition is not bounded by {k}")
     if not pp.is_monotone():
         raise ValueError("filling is not a plane partition")
@@ -220,35 +231,35 @@ def theta(setting, k, pp):
 
 
 def _theta(setting, k, pp):
-    """theta on a plane partition already validated for the setting and k."""
+    """theta on a plane partition already validated for the setting and k.
+    The free segment of path t walks from a_t; at (r, c) it reads the box
+    (x, y) = (r - ar + 1, c - ac + 1) of D_k and steps south when that entry
+    exceeds k - t, east otherwise.  It ends on the main antidiagonal for mp,
+    and at b_t otherwise, stepping only south once in the column of b_t."""
     if k >= real_rank(setting):
         return PathFamily(build_poset(setting).points)
     a, b, prefixes, suffixes = _forced_paths(setting, k)
-    n = setting.n
-    entries = pp.entries
-    paths = []
-    for t in range(1, k + 1):
-        ar, ac = a[t - 1]
-        dr = dc = 0
-        segment = [(ar, ac)]
-        while True:
-            r, c = segment[-1]
-            if setting.family == MP:
-                if r + c == n + 1:
-                    break
-            elif (r, c) == b[t - 1]:
-                break
-            clamp = setting.family != MP and c == b[t - 1][1]
+    entry = pp.entries.copy().get  # a dict's get is quicker than the read-only view's
+    paths, segments = [], []
+    for i, (r, c) in enumerate(a):
+        level = k - 1 - i  # path t = i + 1 steps south past entries above k - t
+        # the antidiagonal r + c = end and the last column of the segment;
+        # an mp segment ends before it reaches column n + 1
+        end, last = (setting.n + 1, setting.n + 1) if b is None else (sum(b[i]), b[i][1])
+        x = y = 1
+        segment = [(r, c)]
+        while r + c < end:
             # a missing box reads -1, never above k - t >= 0
-            if entries.get((dr + 1, dc + 1), -1) > k - t or clamp:
-                dr += 1
-                segment.append((r + 1, c))
+            if c < last and entry((x, y), -1) <= level:
+                c += 1
+                y += 1
             else:
-                dc += 1
-                segment.append((r, c + 1))
-        paths.append(prefixes[t - 1] + tuple(segment) + suffixes[t - 1])
-    points = frozenset(p for path in paths for p in path)
-    return PathFamily(points, tuple(paths))
+                r += 1
+                x += 1
+            segment.append((r, c))
+        segments.append(segment)
+        paths.append(prefixes[i] + tuple(segment) + suffixes[i])
+    return PathFamily(_forced_points(setting, k).union(*segments), tuple(paths))
 
 
 def decompose(setting, k, points):
@@ -282,55 +293,67 @@ def theta_inverse(setting, k, family):
     """The plane partition whose boundary paths trace the given facet; the
     entry of a box counts the free paths passing to its southwest.
 
-    Each free segment, taken relative to its anchor a_t, gets a profile:
-    deepest[y] is the largest row offset dr over its points with column
-    offset dc < y.  The segment passes southwest of box (x, y) exactly when
-    deepest[y] >= x, so one prefix-maximum pass per segment fills D_k."""
+    Each free segment, taken relative to its anchor a_t, has a depth in
+    every column y of D_k: the largest row offset dr over its points with
+    column offset dc < y, which one prefix-maximum pass yields.  The segment
+    passes southwest of box (x, y) exactly when its depth in column y is at
+    least x, so with the k depths of column y sorted, the entry of (x, y)
+    is k - bisect_left(depths, x)."""
     _require_dual_pair(setting)
-    poset = build_poset(setting)
     diagram = diagrams.diagram_D(setting, k)
     if k >= real_rank(setting):
-        if family.points != poset.points:
+        if family.points != build_poset(setting).points:
             raise ValueError("for k >= r the only facet is the whole poset")
         return PlanePartition(frozenset(), {})
     a, b, _, _ = _forced_paths(setting, k)
     paths = family.paths or decompose(setting, k, family.points)
-    columns = max((y for _, y in diagram), default=0)
+    columns = _column_count(diagram)
     profiles = []
-    for t in range(1, k + 1):
-        path = paths[t - 1]
-        ar, ac = a[t - 1]
-        if (ar, ac) not in path:
-            raise ValueError("path misses its anchor")
-        i0 = path.index((ar, ac))
-        if setting.family == MP:
-            i1 = next(
-                (i for i, (r, c) in enumerate(path) if r + c == setting.n + 1), None
-            )
+    for i, (ar, ac) in enumerate(a):
+        path = paths[i]
+        try:
+            i0 = path.index((ar, ac))
+        except ValueError:
+            raise ValueError("path misses its anchor") from None
+        if b is None:
+            end = setting.n + 1
+            i1 = next((j for j, (r, c) in enumerate(path) if r + c == end), None)
             if i1 is None:
                 raise ValueError("path misses its terminal anchor")
         else:
-            if b[t - 1] not in path:
-                raise ValueError("path misses its terminal anchor")
-            i1 = path.index(b[t - 1])
+            try:
+                i1 = path.index(b[i])
+            except ValueError:
+                raise ValueError("path misses its terminal anchor") from None
         # a point (dr, dc) counts toward every y > dc; entries start at 0 < x
         deepest = [0] * (columns + 1)
         for r, c in path[i0 : i1 + 1]:
-            y = max(1, c - ac + 1)
+            y = c - ac + 1
+            if y < 1:
+                y = 1
             if y <= columns and r - ar > deepest[y]:
                 deepest[y] = r - ar
-        for y in range(2, columns + 1):
-            if deepest[y] < deepest[y - 1]:
-                deepest[y] = deepest[y - 1]
+        depth = 0
+        for y in range(1, columns + 1):
+            if deepest[y] > depth:
+                depth = deepest[y]
+            else:
+                deepest[y] = depth
         profiles.append(deepest)
-    entries = {
-        (x, y): sum(1 for deepest in profiles if deepest[y] >= x) for x, y in diagram
-    }
-    pp = PlanePartition(diagram, entries)
+    depths = [sorted(column) for column in zip(*profiles)]
+    entries = {(x, y): k - bisect_left(depths[y], x) for x, y in diagram}
+    # built without the copies of __new__: the boxes are those of D_k
+    pp = tuple.__new__(PlanePartition, (diagram, MappingProxyType(entries)))
     _validate_plane_partition(setting, k, pp)
     if _theta(setting, k, pp).points != family.points:
         raise ValueError("point set is not a facet")
     return pp
+
+
+@cache
+def _column_count(diagram):
+    """The last column of the diagram, 0 if it is empty."""
+    return max((y for _, y in diagram), default=0)
 
 
 def corners(setting, k, family):
@@ -345,8 +368,9 @@ def corners(setting, k, family):
     paths = family.paths or decompose(setting, k, family.points)
     found = set()
     for path in paths:
-        for prev, cur, nxt in zip(path, path[1:], path[2:]):
-            if prev == (cur[0] - 1, cur[1]) and nxt == (cur[0], cur[1] + 1):
+        for (pr, pc), cur, (nr, nc) in zip(path, path[1:], path[2:]):
+            r, c = cur
+            if pc == c and nr == r and pr == r - 1 and nc == c + 1:
                 found.add(cur)
         if setting.family == MP and len(path) >= 2:
             last, before = path[-1], path[-2]

@@ -259,6 +259,59 @@ def dual_pair_orbits(draw):
     return setting, k
 
 
+def _is_monotone_by_probes(pp):
+    """is_monotone by four dict probes per box: each box against its east
+    and its south neighbour, where present."""
+    for (r, c), v in pp.entries.items():
+        if (r, c + 1) in pp.entries and pp.entries[(r, c + 1)] < v:
+            return False
+        if (r + 1, c) in pp.entries and pp.entries[(r + 1, c)] > v:
+            return False
+    return True
+
+
+@st.composite
+def fillings(draw):
+    """A filling with entries in [-1, k + 1] of D_k for a random upq, mp or
+    ostar setting, or of a rectangle, staircase or shifted staircase moved
+    off the origin and with some boxes removed, which is no D_k.  Half the
+    fillings start from a monotone one, c - r shifted, with one box changed."""
+    if draw(st.booleans()):
+        family = draw(st.sampled_from(["upq", "mp", "ostar"]))
+        if family == "upq":
+            setting = upq(draw(st.integers(1, 7)), draw(st.integers(1, 7)), 0)
+        elif family == "mp":
+            setting = mp(draw(st.integers(1, 8)), 0)
+        else:
+            setting = ostar(draw(st.integers(2, 12)), 0)
+        k = draw(st.integers(1, max(1, real_rank(setting) - 1)))  # D_k is empty at k = r
+        diagram = diagram_D(setting, k)
+    else:
+        k = draw(st.integers(1, 4))
+        shape = draw(st.sampled_from([rectangle, staircase, shifted_staircase]))
+        size = draw(st.integers(1, 5))
+        boxes = shape(size, draw(st.integers(1, 5))) if shape is rectangle else shape(size)
+        dr, dc = draw(st.sampled_from([(r, c) for r in range(4) for c in range(4) if r or c]))
+        dropped = draw(st.lists(st.sampled_from(sorted(boxes)), unique=True, max_size=len(boxes) - 1))
+        diagram = frozenset((r + dr, c + dc) for r, c in boxes.difference(dropped))
+    boxes = sorted(diagram)
+    if draw(st.booleans()):
+        shift = draw(st.integers(-3, 3))
+        values = [min(k + 1, max(-1, c - r + shift)) for r, c in boxes]
+        if boxes:
+            i = draw(st.integers(0, len(boxes) - 1))
+            values[i] = min(k + 1, max(-1, values[i] + draw(st.sampled_from([-1, 1]))))
+    else:
+        values = draw(st.lists(st.integers(-1, k + 1), min_size=len(boxes), max_size=len(boxes)))
+    return PlanePartition(diagram, dict(zip(boxes, values)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(fillings())
+def test_is_monotone_matches_the_probes(pp):
+    assert pp.is_monotone() == _is_monotone_by_probes(pp)
+
+
 @settings(max_examples=100, deadline=None)
 @given(dual_pair_orbits())
 def test_transfer_matrix_numerator_matches_enumeration(orbit):

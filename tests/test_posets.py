@@ -289,6 +289,24 @@ def test_theta_rejects_bad_input():
         assert theta_inverse(setting, k, image) == good
 
 
+def test_theta_reads_the_diagram_by_value():
+    # theta takes the cached D_k by identity; an equal diagram that is another
+    # frozenset passes, and a same-size diagram that is not D_k does not
+    for setting, k in [(upq(3, 4, 0), 1), (mp(5, 0), 2), (ostar(7, 0), 1)]:
+        diagram = diagrams.diagram_D(setting, k)
+        for pp in enumerate_P(setting, k)[::7]:
+            equal = PlanePartition(set(diagram), pp.entries)
+            assert equal.diagram == diagram and equal.diagram is not diagram
+            image = theta(setting, k, equal)
+            assert (image.points, image.paths) == tuple(theta(setting, k, pp))
+            assert theta_inverse(setting, k, image) == equal == pp
+            east = {(r, c + 1): v for (r, c), v in pp.entries.items()}
+            moved = PlanePartition(set(east), east)
+            assert len(moved.diagram) == len(diagram) and moved.diagram != diagram
+            with pytest.raises(ValueError, match="wrong diagram"):
+                theta(setting, k, moved)
+
+
 def test_theta_inverse_rejects_non_facets():
     for setting, k in [(upq(3, 3, 0), 1), (mp(4, 0), 2), (ostar(6, 0), 1)]:
         facets = enumerate_facets(setting, k)

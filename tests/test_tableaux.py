@@ -1,5 +1,6 @@
 """Tests for partitions, tableau enumeration, and determinant kernels."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dualdeg
 from dualdeg.degree import partitions_up_to
 from dualdeg.dualpair import enumerate_Q, ostar
 from dualdeg.repdims import dim_gl
@@ -258,6 +260,19 @@ def test_inexact_quotient_raises_under_python_O(statement):
     )
     assert proc.returncode == 1
     assert "AssertionError" in proc.stderr and "is not an integer" in proc.stderr
+
+
+def test_no_assert_statements_in_the_package():
+    # python -O strips assert statements, so the package raises its checks
+    modules = sorted(Path(dualdeg.__file__).parent.glob("*.py"))
+    assert len(modules) >= 9
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in modules
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
 
 
 def test_binomial():
