@@ -4,6 +4,7 @@ product counting formulas, and Hilbert-series numerators."""
 import os
 from collections import namedtuple
 from functools import cache, lru_cache
+from math import prod
 from operator import itemgetter, le
 from types import MappingProxyType
 
@@ -282,16 +283,42 @@ def numerator_polynomial(setting, k):
     raises unless the low B * C(k,2) bits are zero and the digits sum to
     count_P_product, so that a wrong identity cannot unpack silently.
 
-    mp, so-even, so-odd, e6 and e7 take _numerator_by_boxes, the box
-    transfer, which is also the determinants' test oracle; the column
-    transfer in the tests and enumerate_P with c_statistic are the oracles
-    of both paths.
+    mp with 2k <= n + 1 takes _numerator_mp_molien.  By the first
+    fundamental theorem for O(k), the orbit closure's ring is
+    C[M_{n x k}]^{O(k)}, graded by s = t^2, so its Hilbert series H is the
+    Molien-Weyl average of det(1 - t g)^(-n) over O(k): half the sum of the
+    averages E_SO over SO(k) and E_O- over its other coset.  Baik-Rains
+    (Duke 2001) write each as a Toeplitz +- Hankel determinant of size
+    m = floor(k/2) in a_j = sum_x C(n-1+x, x) C(n-1+x+j, x+j) t^(2x+j):
+
+        k even:  E_SO = det_{0<=i,j<m} [a_i if j = 0, else a_|i-j| + a_(i+j)]
+                 E_O- = (1-t^2)^(-n) det_{0<=i,j<m-1} [a_|i-j| - a_(i+j+2)]
+        k odd:   E_SO = (1-t)^(-n) det_{0<=i,j<m} [a_|i-j| - a_(i+j+1)]
+                 E_O- = (1+t)^(-n) det_{0<=i,j<m} [a_|i-j| + a_(i+j+1)]
+
+    and N(s) = H (1-s)^d mod s^(J+1), with d = kn - C(k,2) the dimension
+    and J = k floor((n-k+1)/2) the degree of N; at k = 1, where both
+    determinants are 0 x 0, H is the Veronese series.  Each determinant is
+    expanded once, row by row over the sets of columns used, on series cut
+    back mod t^(2J+1) and packed into ints with balanced base-2^B digits, B
+    from the product of the rows' coefficient L1 norms.  It raises unless
+    every odd power of t cancels, 2H has even coefficients, N(0) = 1 and
+    N(1) = count_P_product; the coefficients count fillings, so a J that is
+    too small lowers N(1).  mp(20) k=6 takes milliseconds this way; it took
+    49 s and 1 GB by the box transfer.
+
+    Narrow mp (2k > n + 1), so-even, so-odd, e6 and e7 take
+    _numerator_by_boxes, the box transfer.  It is also the test oracle of
+    the determinants and of the Molien route; the column transfer in the
+    tests and enumerate_P with c_statistic are the oracles of every path.
     """
     r = real_rank(setting)
     if not 1 <= k <= r:
         raise ValueError(f"k must satisfy 1 <= k <= {r}")
     if setting.family in (UPQ, OSTAR):
         return _numerator_by_determinant(setting, k)
+    if setting.family == MP and 2 * k <= setting.n + 1:
+        return _numerator_mp_molien(setting, k)
     return _numerator_by_boxes(setting, k)
 
 
@@ -331,9 +358,108 @@ def _numerator_by_determinant(setting, k):
     return num
 
 
+def _numerator_mp_molien(setting, k, degree=None):
+    """N(s) for mp from the Molien-Weyl integral over O(k); the identity,
+    the packing and the guards are in numerator_polynomial.  degree is the
+    bound J on deg N, k * floor((n - k + 1) / 2) unless given."""
+    n = setting.n
+    count = count_P_product(setting, k)
+    m, d = k // 2, k * n - k * (k - 1) // 2
+    if degree is None:
+        degree = k * ((n - k + 1) // 2)
+    terms = 2 * degree + 1  # every series is read mod t^terms
+    g = [binomial(n - 1 + y, y) for y in range(terms)]
+    # a[j][x] is the coefficient of t^(2x+j) in
+    # a_j = sum_x C(n-1+x, x) C(n-1+x+j, x+j) t^(2x+j)
+    a = [[g[x] * g[x + j] for x in range((terms + 1 - j) // 2)] for j in range(k + 1)]
+    # a block (size, offset, sign, e, c) has the entries
+    # a_|i-j| + sign * a_(i+j+offset), but column 0 of SO(k) at even k
+    # (offset 0) holds a_i alone; its factor times (1 - t^2)^d is
+    # (1 - t^2)^e (1 + c t)^n
+    if k % 2:  # SO(k), O-(k): the eigenvalue 1, -1 beside m pairs
+        blocks = [(m, 1, -1, d - n, 1), (m, 1, 1, d - n, -1)]
+    else:  # SO(k): m pairs; O-(k): the eigenvalues 1 and -1 beside m - 1 pairs
+        blocks = [(m, 0, 1, d, 0), (m - 1, 2, -1, d - n, 0)]
+    # a determinant's coefficients, and those of every partial expansion,
+    # are at most the product of its rows' L1 norms, and a factor's L1 norm
+    # mod t^terms is at most sum_{i<=J} C(e, i) 2^(n |c|); so every
+    # coefficient of the sum of the two products is below 2^(width - 1)
+    norm = [sum(series) for series in a]
+    bound = 0
+    for size, offset, _, e, c in blocks:
+        rows = prod(sum(norm[abs(i - j)] + norm[i + j + offset] for j in range(size)) for i in range(size))
+        bound = max(bound, rows * sum(binomial(e, i) for i in range(degree + 1)) << n * abs(c))
+    width = (2 * bound).bit_length() + 1
+    half = 1 << (width * terms - 1)
+    mask = (half << 1) - 1
+
+    def keep(value):  # value mod t^terms, balanced digits kept signed
+        return ((value + half) & mask) - half
+
+    packed = [sum(coeff << width * (2 * x + j) for x, coeff in enumerate(series)) for j, series in enumerate(a)]
+    total = 0
+    for size, offset, sign, e, c in blocks:
+        matrix = [[packed[abs(i - j)] + sign * packed[i + j + offset] for j in range(size)] for i in range(size)]
+        if offset == 0:
+            for i, row in enumerate(matrix):
+                row[0] = packed[i]
+        factor = sum((-1) ** i * binomial(e, i) << 2 * width * i for i in range(degree + 1))
+        total += _truncated_determinant(matrix, keep) * keep(factor * ((1 << width) * c + 1) ** n)
+    twice = _unpack_signed(keep(total), width, terms)  # 2 N(t^2), mod t^terms
+    if any(twice[1::2]) or any(c & 1 for c in twice[::2]):
+        raise AssertionError(f"Molien series for {setting} k={k} is not 2 N(t^2)")
+    num = IntPolynomial(c >> 1 for c in twice[::2])
+    if num[:1] != (1,):
+        raise AssertionError(f"Molien series for {setting} k={k} gives N(0) = {num.evaluate(0)}, not 1")
+    if sum(num) != count:
+        raise AssertionError(f"Molien series for {setting} k={k} gives N(1) = {sum(num)}, not #P_k = {count}")
+    return num
+
+
+def _truncated_determinant(matrix, keep):
+    """det of a square matrix of packed series, expanded row by row over the
+    sets of columns used so far, each product cut back by keep: m 2^(m-1)
+    products of two series and no division."""
+    states = {0: 1}
+    for row in matrix:
+        out = {}
+        for used, value in states.items():
+            for col, entry in enumerate(row):
+                bit = 1 << col
+                if used & bit:
+                    continue
+                term = keep(value * entry)
+                # each used column right of this one is an inversion with an earlier row
+                if (used >> col).bit_count() & 1:
+                    term = -term
+                out[used | bit] = out.get(used | bit, 0) + term
+        states = out
+    return states[(1 << len(matrix)) - 1]
+
+
+def _unpack_signed(value, width, terms):
+    """The first terms balanced base-2^width digits of value, each in
+    [-2^(width-1), 2^(width-1))."""
+    half, mask = 1 << (width - 1), (1 << width) - 1
+    digits = []
+    for _ in range(terms):
+        digit = ((value + half) & mask) - half
+        digits.append(digit)
+        value = (value - digit) >> width
+    return digits
+
+
+# The box transfer's budget of states: mp(18) k=5 reaches 116,424 of them in
+# about 5 s and 140 MB, mp(20) k=6 would reach 853,776 in about 1 GB
+_BOX_STATES = 200_000
+
+
 def _numerator_by_boxes(setting, k):
     """Generating polynomial of the c statistic over P_k, by a box-by-box
-    transfer over D_k (enumerate_P with c_statistic is its oracle).
+    transfer over D_k (enumerate_P with c_statistic is its oracle).  It
+    serves narrow mp (2k > n + 1), where D_k's frontier is at most n - k
+    wide, so-even, so-odd, e6 and e7, and it is the test oracle of the
+    determinants and of the Molien route.
 
     The boxes are placed one column at a time, left to right, and bottom to
     top within a column, so that the south and west neighbours of a box come
@@ -344,6 +470,12 @@ def _numerator_by_boxes(setting, k):
     a prefix of the state; every state ends in a 0 that absent neighbours
     read.
 
+    _box_steps plans the steps before any state is built.  The values on a
+    vertical run of frontier boxes weakly increase upward, so a frontier
+    whose runs have lengths l_i holds at most prod C(l_i + k, l_i) states;
+    where that bound exceeds _BOX_STATES at any step, the call raises
+    ValueError.
+
     A state carries the sum of t^c over the fillings that reach it, packed
     into one int: the coefficient of t^j sits in bits [jB, (j+1)B) with
     B = |D_k| * (k+1).bit_length() + 1.  A coefficient counts fillings of
@@ -352,34 +484,22 @@ def _numerator_by_boxes(setting, k):
     polynomials is adding the ints.
     """
     boxes = diagram_D(setting, k)
-    order = sorted(boxes, key=lambda box: (box[1], -box[0]))
-    pos = {box: i for i, box in enumerate(order)}
-    # the step whose box reads this one last, None if no box reads it
-    last = {
-        (row, col): max((pos[b] for b in ((row - 1, col), (row, col + 1)) if b in pos), default=None)
-        for row, col in order
-    }
+    steps, bound = _box_steps(boxes, k)
+    if bound > _BOX_STATES:
+        raise ValueError(f"box-transfer state bound={bound} > limit {_BOX_STATES}")
     width = len(boxes) * (k + 1).bit_length() + 1
     # spread[m] = 1 + t + ... + t^(m-1), packed
     spread = [0]
     for _ in range(k + 1):
         spread.append(spread[-1] << width | 1)
     states = {(0,): 1}
-    frontier = []  # boxes on the frontier, in the order they leave it
-    for step, (row, col) in enumerate(order):
-        south = frontier.index((row + 1, col)) if (row + 1, col) in pos else -1
-        west = frontier.index((row, col - 1)) if (row, col - 1) in pos else -1
-        drop = sum(1 for b in frontier if last[b] == step)
-        frontier = frontier[drop:]
+    for south, west, drop, at in steps:
         out = {}
-        if last[row, col] is None:
+        if at is None:
             for state, poly in states.items():
                 key = state[drop:]
                 out[key] = out.get(key, 0) + poly * spread[k + 1 - max(state[south], state[west])]
         else:
-            at = sum(1 for b in frontier if last[b] <= last[row, col])
-            frontier.insert(at, (row, col))
-            at += drop
             for state, poly in states.items():
                 head, tail = state[drop:at], state[at:]
                 for v in range(max(state[south], state[west]), k + 1):
@@ -389,6 +509,51 @@ def _numerator_by_boxes(setting, k):
         states = out
     # every box has left the frontier, so the sentinel alone is left
     return _unpack(states[(0,)], width)
+
+
+def _box_steps(boxes, k):
+    """The steps of the box transfer over the diagram, and the bound on its
+    states, without building a state.  Each step is (south, west, drop, at):
+    the state indices of the box's south and west neighbours (-1, the
+    sentinel, for an absent one), the length of the prefix that leaves the
+    frontier, and the index where the box joins it (None if it does not)."""
+    order = sorted(boxes, key=lambda box: (box[1], -box[0]))
+    pos = {box: i for i, box in enumerate(order)}
+    # the step whose box reads this one last, None if no box reads it
+    last = {
+        (row, col): max((pos[b] for b in ((row - 1, col), (row, col + 1)) if b in pos), default=None)
+        for row, col in order
+    }
+    steps = []
+    frontier = []  # boxes on the frontier, in the order they leave it
+    bound = 1  # a step that adds no box keeps a projection of the states
+    for step, (row, col) in enumerate(order):
+        south = frontier.index((row + 1, col)) if (row + 1, col) in pos else -1
+        west = frontier.index((row, col - 1)) if (row, col - 1) in pos else -1
+        drop = sum(1 for b in frontier if last[b] == step)
+        frontier = frontier[drop:]
+        at = None
+        if last[row, col] is not None:
+            at = sum(1 for b in frontier if last[b] <= last[row, col])
+            frontier.insert(at, (row, col))
+            bound = max(bound, _state_bound(frontier, k))
+            at += drop
+        steps.append((south, west, drop, at))
+    return steps, bound
+
+
+def _state_bound(frontier, k):
+    """prod C(l + k, l) over the vertical runs of the frontier, l boxes each:
+    a bound on the fillings of the frontier, as each run weakly increases upward."""
+    cells = set(frontier)
+    bound = 1
+    for row, col in cells:
+        if (row + 1, col) not in cells:  # the bottom of a run
+            length = 1
+            while (row - length, col) in cells:
+                length += 1
+            bound *= binomial(length + k, length)
+    return bound
 
 
 def _unpack(poly, width):

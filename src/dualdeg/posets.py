@@ -298,7 +298,15 @@ def theta_inverse(setting, k, family):
     column offset dc < y, which one prefix-maximum pass yields.  The segment
     passes southwest of box (x, y) exactly when its depth in column y is at
     least x, so with the k depths of column y sorted, the entry of (x, y)
-    is k - bisect_left(depths, x)."""
+    is k - bisect_left(depths, x).
+
+    That filling is a plane partition bounded by k on D_k by construction,
+    so it is not validated again: its boxes are those of D_k; an entry
+    counts some of the k segments, so it lies in [0, k]; a depth is a
+    prefix maximum, so it does not fall from column y to y + 1 and no entry
+    exceeds its east neighbour; and no more depths reach x + 1 than reach
+    x, so no entry exceeds the one above it.  Whether the facet is the image
+    of that filling is checked by mapping it back through theta."""
     _require_dual_pair(setting)
     diagram = diagrams.diagram_D(setting, k)
     if k >= real_rank(setting):
@@ -344,7 +352,6 @@ def theta_inverse(setting, k, family):
     entries = {(x, y): k - bisect_left(depths[y], x) for x, y in diagram}
     # built without the copies of __new__: the boxes are those of D_k
     pp = tuple.__new__(PlanePartition, (diagram, MappingProxyType(entries)))
-    _validate_plane_partition(setting, k, pp)
     if _theta(setting, k, pp).points != family.points:
         raise ValueError("point set is not a facet")
     return pp

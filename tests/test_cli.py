@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from dualdeg import degree, diagrams
 from dualdeg.cli import COUNT_KEYS, emit, main, parse_partition, serialize_pp, to_json
-from dualdeg.dualpair import ostar, upq
+from dualdeg.dualpair import mp, ostar, upq
 
 
 def run_cli(argv):
@@ -520,6 +520,20 @@ def test_check_theta_gate():
         code, _ = run_cli("check theta --family upq --p 7 --q 7 --k 2".split())
     assert code == 2
     assert err.getvalue() == "error: #P_k=19404 > limit 5000\n"
+
+
+def test_hilbert_box_transfer_gate():
+    # narrow mp (2k > n + 1) takes the box transfer; above its state budget
+    # the call exits 2 naming the bound, while mp(20) k=6, wide, takes the
+    # Molien route
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = run_cli("hilbert --family mp --n 40 --k 25".split())
+    assert code == 2 and out == ""
+    assert err.getvalue() == "error: box-transfer state bound=2478215821536 > limit 200000\n"
+    code, out = run_cli("hilbert --family mp --n 20 --k 6".split())
+    assert code == 0
+    assert json.loads(out)["p_count"] == str(diagrams.count_P_product(mp(20, 0), 6))
 
 
 @pytest.mark.parametrize("value", ["-1", "x"])

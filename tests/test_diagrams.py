@@ -430,6 +430,17 @@ LARGE_NUMERATORS = {
         1602276746304, 420665772021, 90788704578, 15982573035, 2273142300,
         258111568, 23052744, 1588158, 82160, 3081, 78, 1,
     ],
+    # computed with the box transfer (116,424 states, about 5 s and 140 MB);
+    # numerator_polynomial takes the Molien route here
+    (mp(18, 0), 5): [
+        1, 91, 4186, 129766, 3049501, 57940519, 855094240, 9587749600,
+        82282383820, 549198051780, 2891682413256, 12136734684984,
+        40934373531324, 111683602501044, 247815371283324, 449023679959764,
+        666302820570660, 811266222306540, 811266222306540, 666302820570660,
+        449023679959764, 247815371283324, 111683602501044, 40934373531324,
+        12136734684984, 2891682413256, 549198051780, 82282383820, 9587749600,
+        855094240, 57940519, 3049501, 129766, 4186, 91, 1,
+    ],
 }
 
 
@@ -478,6 +489,107 @@ def test_numerator_determinant_refuses_a_wrong_count(monkeypatch):
     for setting, k in [(upq(5, 6, 0), 1), (upq(7, 7, 0), 2), (ostar(9, 0), 1), (ostar(12, 0), 3)]:
         with pytest.raises(AssertionError):
             numerator_polynomial(setting, k)
+
+
+def test_numerator_molien_matches_box_transfer():
+    # both routes on both sides of 2k <= n + 1, which numerator_polynomial
+    # hides: every mp(n) with n <= 14 at 1 <= k <= n - 1, 91 cases
+    cases = 0
+    for n in range(2, 15):
+        for k in range(1, n):
+            setting = mp(n, 0)
+            assert diagrams._numerator_mp_molien(setting, k) == diagrams._numerator_by_boxes(setting, k), (n, k)
+            cases += 1
+    assert cases == 91
+    # n = 1, k = 1: the Veronese series, whose D_1 is empty
+    assert numerator_polynomial(mp(1, 0), 1) == IntPolynomial([1])
+
+
+def test_numerator_molien_refuses_a_short_degree(monkeypatch):
+    # a degree bound J one below k floor((n-k+1)/2) cuts off the top
+    # coefficient of N, so N(1) falls short of #P_k
+    cases = [(2, 1), (5, 2), (6, 3), (9, 4), (12, 5), (15, 7), (15, 8)]
+    for n, k in cases:
+        top = k * ((n - k + 1) // 2)
+        assert len(diagrams._numerator_mp_molien(mp(n, 0), k, degree=top)) == top + 1, (n, k)
+        with pytest.raises(AssertionError, match=r"N\(1\)"):
+            diagrams._numerator_mp_molien(mp(n, 0), k, degree=top - 1)
+    # a determinant off by one adds the block's factor, (1 - t^2)^d at
+    # even k and (1 - t^2)^(d-n) (1 +- t)^n at odd k: an odd power of t or an
+    # odd coefficient of 2H, or at k = 1, where both add, N(0) = 2
+    true_determinant = diagrams._truncated_determinant
+    with monkeypatch.context() as patch:
+        patch.setattr(diagrams, "_truncated_determinant", lambda matrix, keep: true_determinant(matrix, keep) + 1)
+        for n, k in cases:
+            with pytest.raises(AssertionError, match=r"is not 2 N|N\(0\) = 2,"):
+                numerator_polynomial(mp(n, 0), k)
+    # an odd power of t that leaves every other coefficient as it is
+    true_unpack = diagrams._unpack_signed
+    with monkeypatch.context() as patch:
+        patch.setattr(diagrams, "_unpack_signed", lambda *args: [c + (i == 1) for i, c in enumerate(true_unpack(*args))])
+        for n, k in cases:
+            with pytest.raises(AssertionError, match="is not 2 N"):
+                numerator_polynomial(mp(n, 0), k)
+    # and a #P_k off by one
+    true_count = diagrams.count_P_product
+    monkeypatch.setattr(diagrams, "count_P_product", lambda setting, k: true_count(setting, k) + 1)
+    for n, k in cases:
+        with pytest.raises(AssertionError, match=r"N\(1\)"):
+            numerator_polynomial(mp(n, 0), k)
+
+
+def test_numerator_molien_beyond_the_box_transfer():
+    # mp(20) k=6 took 49 s and 1 GB by the box transfer; checked by
+    # properties that need no oracle
+    for setting, k in [(mp(20, 0), 6), (mp(21, 0), 9), (mp(24, 0), 4)]:
+        num = numerator_polynomial(setting, k)
+        assert num[0] == 1, (setting, k)
+        assert num[1] == len(diagram_D_closed_form(setting, k)), (setting, k)
+        assert num.evaluate(1) == count_P_product(setting, k), (setting, k)
+        assert min(num) > 0 and len(num) == k * ((setting.n - k + 1) // 2) + 1, (setting, k)
+
+
+def test_box_transfer_state_budget():
+    # the budget admits every setting that reaches the box transfer in the
+    # tests, the CLI goldens and the benchmark: mp n <= 15 at every k, so
+    # n <= 40, e6 and e7, and the upq and ostar oracle runs
+    reached = [mp(n, 0) for n in range(1, 16)]
+    reached += [Setting(family, n=n) for family in ("so-even", "so-odd") for n in range(3, 41)]
+    reached += [Setting("e6"), Setting("e7")]
+    reached += [upq(p, q, 0) for p in range(1, 10) for q in range(1, 10)] + [ostar(n, 0) for n in range(1, 15)]
+    for setting in reached:
+        for k in range(1, real_rank(setting) + 1):
+            _, bound = diagrams._box_steps(diagram_D(setting, k), k)
+            assert bound <= diagrams._BOX_STATES, (setting, k, bound)
+    # the bound: two vertical runs of 4 boxes at k = 6, C(10, 4)^2, which
+    # the transfer reaches; mp(18) k=5 behind LARGE_NUMERATORS fits
+    assert diagrams._box_steps(diagram_D(mp(16, 0), 6), 6)[1] == 44_100
+    assert diagrams._box_steps(diagram_D(mp(18, 0), 5), 5)[1] == 116_424
+    # refused from the plan alone, before the first box: no state set of this
+    # bound could be built in the time the test takes
+    with pytest.raises(ValueError, match="box-transfer state bound=2478215821536 > limit 200000"):
+        numerator_polynomial(mp(40, 0), 25)
+
+
+def test_box_transfer_budget_is_inclusive(monkeypatch):
+    # mp(10) k=4 reaches a bound of 350 states: refused one below, run at it
+    monkeypatch.setattr(diagrams, "_BOX_STATES", 349)
+    with pytest.raises(ValueError, match="bound=350 > limit 349"):
+        diagrams._numerator_by_boxes(mp(10, 0), 4)
+    monkeypatch.setattr(diagrams, "_BOX_STATES", 350)
+    assert diagrams._numerator_by_boxes(mp(10, 0), 4) == diagrams._numerator_mp_molien(mp(10, 0), 4)
+
+
+def test_numerator_polynomial_routes_mp_by_width(monkeypatch):
+    # mp goes to the Molien route when 2k <= n + 1 and to the box transfer
+    # otherwise; so, e6 and e7 always go to the box transfer
+    monkeypatch.setattr(diagrams, "_numerator_mp_molien", lambda setting, k: "molien")
+    monkeypatch.setattr(diagrams, "_numerator_by_boxes", lambda setting, k: "boxes")
+    for n in range(1, 16):
+        for k in range(1, n + 1):
+            assert numerator_polynomial(mp(n, 0), k) == ("molien" if 2 * k <= n + 1 else "boxes"), (n, k)
+    for setting in [Setting("so-even", n=8), Setting("so-odd", n=8), Setting("e6"), Setting("e7")]:
+        assert numerator_polynomial(setting, 1) == "boxes", setting
 
 
 def _count_P_fraction(setting, k):

@@ -179,6 +179,72 @@ def test_corners_count_c_statistic():
     assert corners(setting, 3, full) == set()
 
 
+def _corners_by_scan(setting, k, family):
+    """corners as it reads every point of every path, the forced K_t
+    prefixes and M_t suffixes included: the oracle of any corners that
+    skips the forced parts, which hold no corner."""
+    poset = build_poset(setting)
+    if k >= real_rank(setting) and family.points == poset.points:
+        return set()
+    paths = family.paths or decompose(setting, k, family.points)
+    found = set()
+    for path in paths:
+        for (pr, pc), cur, (nr, nc) in zip(path, path[1:], path[2:]):
+            r, c = cur
+            if pc == c and nr == r and pr == r - 1 and nc == c + 1:
+                found.add(cur)
+        if setting.family == "mp" and len(path) >= 2:
+            last, before = path[-1], path[-2]
+            if sum(last) == setting.n + 1 and before == (last[0] - 1, last[1]):
+                found.add(last)
+    return found
+
+
+@st.composite
+def path_families(draw):
+    """k or so lattice walks on a upq, mp or ostar setting, mostly no theta
+    image: walk t may start with its forced prefix and end with its forced
+    suffix, or not, and in between takes random east and south steps, from
+    the prefix or from a random point; it may turn from south to east at
+    either join."""
+    family = draw(st.sampled_from(["upq", "mp", "ostar"]))
+    if family == "upq":
+        setting = upq(draw(st.integers(2, 7)), draw(st.integers(2, 7)), 0)
+    elif family == "mp":
+        setting = mp(draw(st.integers(2, 8)), 0)
+    else:
+        setting = ostar(draw(st.integers(4, 12)), 0)
+    k = draw(st.integers(1, real_rank(setting) - 1))
+    _, _, prefixes, suffixes = posets._forced_paths(setting, k)
+    points = sorted(build_poset(setting).points)
+    paths = []
+    for t in range(draw(st.integers(1, k + 1))):
+        forced = t < k
+        path = list(prefixes[t]) if forced and draw(st.booleans()) else []
+        if path and draw(st.booleans()):  # turn south to east just past the prefix
+            r, c = path[-1]
+            path += [(r + 1, c), (r + 1, c + 1)]
+        if not path or draw(st.booleans()):
+            path.append(draw(st.sampled_from(points)))
+        for step in draw(st.lists(st.sampled_from(["east", "south"]), max_size=12)):
+            r, c = path[-1]
+            path.append((r, c + 1) if step == "east" else (r + 1, c))
+        if forced and suffixes[t] and draw(st.booleans()):
+            r, c = suffixes[t][0]
+            if draw(st.booleans()):  # turn south to east just before the suffix
+                path += [(r - 1, c - 1), (r, c - 1)]
+            path += suffixes[t]
+        paths.append(tuple(path))
+    return setting, k, PathFamily(frozenset().union(*paths), tuple(paths))
+
+
+@settings(max_examples=300, deadline=None)
+@given(path_families())
+def test_corners_matches_the_full_scan(case):
+    setting, k, family = case
+    assert corners(setting, k, family) == _corners_by_scan(setting, k, family)
+
+
 def test_decompose_roundtrip():
     setting = upq(3, 4, 0)
     for f in enumerate_facets(setting, 2):
