@@ -1,10 +1,8 @@
 """Diagrams D_k for the seven Hermitian types, bounded plane partitions,
 product counting formulas, and Hilbert-series numerators."""
 
-import os
 from collections import namedtuple
 from functools import cache, lru_cache
-from math import prod
 from operator import itemgetter, le
 from types import MappingProxyType
 
@@ -50,20 +48,6 @@ def shifted_staircase(n):
     return frozenset((r, c) for r in range(1, n + 1) for c in range(r, n + 1))
 
 
-@cache
-def _load_d0(name):
-    with open(os.path.join(os.path.dirname(__file__), "data", f"{name}_d0.txt")) as fh:
-        text = fh.read()
-    boxes = set()
-    for line in text.splitlines():
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        r, c = line.split()
-        boxes.add((int(r), int(c)))
-    return frozenset(boxes)
-
-
 def diagram_D0(setting):
     """The full diagram D_0 of the Hermitian type."""
     f = setting.family
@@ -82,7 +66,12 @@ def diagram_D0(setting):
     if f == SO_ODD:
         n = setting.n
         return frozenset({(1, c) for c in range(1, n + 1)} | {(2, n - 1)})
-    return _load_d0(f)  # e6 / e7
+    # e6 and e7, one (row, first column, last column) run per row
+    if f == E6:
+        runs = [(1, 1, 5), (2, 3, 5), (3, 4, 6), (4, 4, 8)]
+    else:
+        runs = [(1, 1, 6), (2, 4, 6), (3, 5, 7), (4, 5, 9), (5, 5, 9), (6, 8, 9), (7, 9, 9), (8, 9, 9), (9, 9, 9)]
+    return frozenset((r, c) for r, first, last in runs for c in range(first, last + 1))
 
 
 def diagram_D_closed_form(setting, k):
@@ -279,33 +268,46 @@ def numerator_polynomial(setting, k):
     the second a Hankel matrix of Narayana polynomials; N = 1 where D_k is
     empty.  The determinant is taken once, of ints, at t = 2^B with
     B = #P_k.bit_length() + 1: each coefficient of N is at most N(1) = #P_k
-    < 2^B, so the base-2^B digits of the value are the coefficients.  It
-    raises unless the low B * C(k,2) bits are zero and the digits sum to
-    count_P_product, so that a wrong identity cannot unpack silently.
+    < 2^(B-1), so the balanced base-2^B digits of the value are the
+    coefficients.  It raises unless the low B * C(k,2) bits are zero and the
+    digits sum to count_P_product, so that a wrong identity cannot unpack
+    silently.
 
     mp with 2k <= n + 1 takes _numerator_mp_molien.  By the first
     fundamental theorem for O(k), the orbit closure's ring is
     C[M_{n x k}]^{O(k)}, graded by s = t^2, so its Hilbert series H is the
     Molien-Weyl average of det(1 - t g)^(-n) over O(k): half the sum of the
-    averages E_SO over SO(k) and E_O- over its other coset.  Baik-Rains
-    (Duke 2001) write each as a Toeplitz +- Hankel determinant of size
-    m = floor(k/2) in a_j = sum_x C(n-1+x, x) C(n-1+x+j, x+j) t^(2x+j):
+    averages over SO(k) and over its other coset O-(k).  Baik-Rains (Duke
+    2001) write each as a Toeplitz +- Hankel determinant of size
+    m = floor(k/2) in the series a_j = sum_x C(n-1+x, x) C(n-1+x+j, x+j)
+    t^(2x+j), and Euler's transformation of 2F1 makes each series a
+    polynomial over one power of (1 - t^2):
 
-        k even:  E_SO = det_{0<=i,j<m} [a_i if j = 0, else a_|i-j| + a_(i+j)]
-                 E_O- = (1-t^2)^(-n) det_{0<=i,j<m-1} [a_|i-j| - a_(i+j+2)]
-        k odd:   E_SO = (1-t)^(-n) det_{0<=i,j<m} [a_|i-j| - a_(i+j+1)]
-                 E_O- = (1+t)^(-n) det_{0<=i,j<m} [a_|i-j| + a_(i+j+1)]
+        a_j = A_j / (1-t^2)^(2n-1),  A_j = sum_{i<n} C(n-1+j, n-1-i) C(n-1-j, i) t^(2i+j).
 
-    and N(s) = H (1-s)^d mod s^(J+1), with d = kn - C(k,2) the dimension
-    and J = k floor((n-k+1)/2) the degree of N; at k = 1, where both
-    determinants are 0 x 0, H is the Veronese series.  Each determinant is
-    expanded once, row by row over the sets of columns used, on series cut
-    back mod t^(2J+1) and packed into ints with balanced base-2^B digits, B
-    from the product of the rows' coefficient L1 norms.  It raises unless
-    every odd power of t cancels, 2H has even coefficients, N(0) = 1 and
-    N(1) = count_P_product; the coefficients count fillings, so a J that is
-    too small lowers N(1).  mp(20) k=6 takes milliseconds this way; it took
-    49 s and 1 GB by the box transfer.
+    Only A_0 .. A_(k-2) are read, and k <= n, so every binomial is an
+    ordinary one.  With S and R the two determinants of the A_j,
+
+        k even:  S = det_{0<=i,j<m} [A_i if j = 0, else A_|i-j| + A_(i+j)]
+                 R = det_{0<=i,j<m-1} [A_|i-j| - A_(i+j+2)]
+                 2 N(t^2) (1-t^2)^(k(k-2)/2) = S + (1-t^2)^(n-1) R
+        k odd:   S = det_{0<=i,j<m} [A_|i-j| - A_(i+j+1)]   (SO(k))
+                 R = det_{0<=i,j<m} [A_|i-j| + A_(i+j+1)]   (O-(k))
+                 2 N(t^2) (1-t^2)^((k-1)^2/2) = (1+t)^n S + (1-t)^n R
+
+    clearing the denominators of N(s) = H (1-s)^d, d = kn - C(k,2).  At
+    k = 1 both determinants are 0 x 0 and 2 N(t^2) = (1+t)^n + (1-t)^n,
+    the Veronese numerator.  S and R are taken with determinant, of ints,
+    at t = 2^B with B = #P_k.bit_length() + 2, and the sum is divided once
+    by the packed power of (1 - t^2).  Evaluation at 2^B is a ring map, so
+    the quotient is 2 N(t^2) at 2^B, and its coefficients, in [0, 2 #P_k],
+    are its balanced base-2^B digits.  It raises unless the division
+    leaves no remainder, every odd power of t is zero, 2N has even
+    coefficients, N(0) = 1 and N(1) = count_P_product.  Before the first
+    determinant it raises ValueError if m^3 bits^2, bits = m (2n + k) B a
+    bound on each packed determinant, exceeds _MOLIEN_COST.  mp(20) k=6
+    takes under a millisecond this way; it took 49 s and 1 GB by the box
+    transfer.
 
     Narrow mp (2k > n + 1), so-even, so-odd, e6 and e7 take
     _numerator_by_boxes, the box transfer.  It is also the test oracle of
@@ -334,19 +336,14 @@ def _numerator_by_determinant(setting, k):
         p, q = setting.p, setting.q
         rows = [[binomial(p - i, l) for l in range(p - i + 1)] for i in range(1, k + 1)]
         cols = [[binomial(q - j, l) for l in range(q - j + 1)] for j in range(1, k + 1)]
-        matrix = [
-            [sum((a * b) << (width * l) for l, (a, b) in enumerate(zip(row, col))) for col in cols]
-            for row in rows
-        ]
+        matrix = [[_pack([a * b for a, b in zip(row, col)], width) for col in cols] for row in rows]
     else:
         n = setting.n
         # hankel[i + j - 2] is the entry in row i and column j
-        hankel = []
-        for m in range(n - 3, n - 2 * k - 2, -1):
-            hankel.append(sum(
-                (binomial(m, l) ** 2 - binomial(m, l + 1) * binomial(m, l - 1)) << (width * l)
-                for l in range(m + 1)
-            ))
+        hankel = [
+            _pack([binomial(m, l) ** 2 - binomial(m, l + 1) * binomial(m, l - 1) for l in range(m + 1)], width)
+            for m in range(n - 3, n - 2 * k - 2, -1)
+        ]
         matrix = [hankel[i : i + k] for i in range(k)]
     value = determinant(matrix)
     shift = width * (k * (k - 1) // 2)
@@ -358,54 +355,49 @@ def _numerator_by_determinant(setting, k):
     return num
 
 
-def _numerator_mp_molien(setting, k, degree=None):
-    """N(s) for mp from the Molien-Weyl integral over O(k); the identity,
-    the packing and the guards are in numerator_polynomial.  degree is the
-    bound J on deg N, k * floor((n - k + 1) / 2) unless given."""
-    n = setting.n
+# The Molien route's budget: m^3 bits^2 bounds the bit operations of the
+# m^3 schoolbook products and quotients of Bareiss on m x m determinants of
+# at most bits bits.  mp(30) k=10 (3.4e11) takes 0.03 s, mp(40) k=14 (1.0e13)
+# 0.8 s and mp(40) k=20 (5.9e13) 4 s on a 2-core x86 VM under Python 3.11
+_MOLIEN_COST = 2 * 10**13
+
+
+def _numerator_mp_molien(setting, k):
+    """N(s) for mp from the Molien-Weyl integral over O(k), by two packed
+    determinants; the identity, the packing, the guards and the budget are
+    in numerator_polynomial."""
+    n, m = setting.n, k // 2
     count = count_P_product(setting, k)
-    m, d = k // 2, k * n - k * (k - 1) // 2
-    if degree is None:
-        degree = k * ((n - k + 1) // 2)
-    terms = 2 * degree + 1  # every series is read mod t^terms
-    g = [binomial(n - 1 + y, y) for y in range(terms)]
-    # a[j][x] is the coefficient of t^(2x+j) in
-    # a_j = sum_x C(n-1+x, x) C(n-1+x+j, x+j) t^(2x+j)
-    a = [[g[x] * g[x + j] for x in range((terms + 1 - j) // 2)] for j in range(k + 1)]
-    # a block (size, offset, sign, e, c) has the entries
-    # a_|i-j| + sign * a_(i+j+offset), but column 0 of SO(k) at even k
-    # (offset 0) holds a_i alone; its factor times (1 - t^2)^d is
-    # (1 - t^2)^e (1 + c t)^n
+    width = count.bit_length() + 2  # 2N has coefficients in [0, 2 #P_k]
+    cost = m**3 * (m * (2 * n + k) * width) ** 2
+    if cost > _MOLIEN_COST:
+        raise ValueError(f"Molien bit-operation bound={cost} > limit {_MOLIEN_COST}")
+    # entry[j] = A_j, the numerator of a_j over (1 - t^2)^(2n-1)
+    entry = [
+        _pack([binomial(n - 1 + j, n - 1 - i) * binomial(n - 1 - j, i) for i in range(n)], 2 * width) << width * j
+        for j in range(k - 1)
+    ]
+    t = 1 << width
+    # a block (size, offset, sign, factor) is factor times the determinant of
+    # the entries A_|i-j| + sign * A_(i+j+offset), but column 0 of SO(k) at
+    # even k (offset 0) holds A_i alone
     if k % 2:  # SO(k), O-(k): the eigenvalue 1, -1 beside m pairs
-        blocks = [(m, 1, -1, d - n, 1), (m, 1, 1, d - n, -1)]
+        blocks = [(m, 1, -1, (1 + t) ** n), (m, 1, 1, (1 - t) ** n)]
+        power = (k - 1) ** 2 // 2
     else:  # SO(k): m pairs; O-(k): the eigenvalues 1 and -1 beside m - 1 pairs
-        blocks = [(m, 0, 1, d, 0), (m - 1, 2, -1, d - n, 0)]
-    # a determinant's coefficients, and those of every partial expansion,
-    # are at most the product of its rows' L1 norms, and a factor's L1 norm
-    # mod t^terms is at most sum_{i<=J} C(e, i) 2^(n |c|); so every
-    # coefficient of the sum of the two products is below 2^(width - 1)
-    norm = [sum(series) for series in a]
-    bound = 0
-    for size, offset, _, e, c in blocks:
-        rows = prod(sum(norm[abs(i - j)] + norm[i + j + offset] for j in range(size)) for i in range(size))
-        bound = max(bound, rows * sum(binomial(e, i) for i in range(degree + 1)) << n * abs(c))
-    width = (2 * bound).bit_length() + 1
-    half = 1 << (width * terms - 1)
-    mask = (half << 1) - 1
-
-    def keep(value):  # value mod t^terms, balanced digits kept signed
-        return ((value + half) & mask) - half
-
-    packed = [sum(coeff << width * (2 * x + j) for x, coeff in enumerate(series)) for j, series in enumerate(a)]
+        blocks = [(m, 0, 1, 1), (m - 1, 2, -1, (1 - t * t) ** (n - 1))]
+        power = k * (k - 2) // 2
     total = 0
-    for size, offset, sign, e, c in blocks:
-        matrix = [[packed[abs(i - j)] + sign * packed[i + j + offset] for j in range(size)] for i in range(size)]
+    for size, offset, sign, factor in blocks:
+        matrix = [[entry[abs(i - j)] + sign * entry[i + j + offset] for j in range(size)] for i in range(size)]
         if offset == 0:
             for i, row in enumerate(matrix):
-                row[0] = packed[i]
-        factor = sum((-1) ** i * binomial(e, i) << 2 * width * i for i in range(degree + 1))
-        total += _truncated_determinant(matrix, keep) * keep(factor * ((1 << width) * c + 1) ** n)
-    twice = _unpack_signed(keep(total), width, terms)  # 2 N(t^2), mod t^terms
+                row[0] = entry[i]
+        total += factor * determinant(matrix)
+    twice, rest = divmod(total, (1 - t * t) ** power)
+    if rest:
+        raise AssertionError(f"Molien sum for {setting} k={k} is not divisible by (1 - t^2)^{power}")
+    twice = _unpack(twice, width)
     if any(twice[1::2]) or any(c & 1 for c in twice[::2]):
         raise AssertionError(f"Molien series for {setting} k={k} is not 2 N(t^2)")
     num = IntPolynomial(c >> 1 for c in twice[::2])
@@ -414,39 +406,6 @@ def _numerator_mp_molien(setting, k, degree=None):
     if sum(num) != count:
         raise AssertionError(f"Molien series for {setting} k={k} gives N(1) = {sum(num)}, not #P_k = {count}")
     return num
-
-
-def _truncated_determinant(matrix, keep):
-    """det of a square matrix of packed series, expanded row by row over the
-    sets of columns used so far, each product cut back by keep: m 2^(m-1)
-    products of two series and no division."""
-    states = {0: 1}
-    for row in matrix:
-        out = {}
-        for used, value in states.items():
-            for col, entry in enumerate(row):
-                bit = 1 << col
-                if used & bit:
-                    continue
-                term = keep(value * entry)
-                # each used column right of this one is an inversion with an earlier row
-                if (used >> col).bit_count() & 1:
-                    term = -term
-                out[used | bit] = out.get(used | bit, 0) + term
-        states = out
-    return states[(1 << len(matrix)) - 1]
-
-
-def _unpack_signed(value, width, terms):
-    """The first terms balanced base-2^width digits of value, each in
-    [-2^(width-1), 2^(width-1))."""
-    half, mask = 1 << (width - 1), (1 << width) - 1
-    digits = []
-    for _ in range(terms):
-        digit = ((value + half) & mask) - half
-        digits.append(digit)
-        value = (value - digit) >> width
-    return digits
 
 
 # The box transfer's budget of states: mp(18) k=5 reaches 116,424 of them in
@@ -478,20 +437,18 @@ def _numerator_by_boxes(setting, k):
 
     A state carries the sum of t^c over the fillings that reach it, packed
     into one int: the coefficient of t^j sits in bits [jB, (j+1)B) with
-    B = |D_k| * (k+1).bit_length() + 1.  A coefficient counts fillings of
-    part of D_k, so it is at most (k+1)^|D_k| < 2^B and never carries into
-    the next field; multiplying by t^m is a shift by mB, and adding two
-    polynomials is adding the ints.
+    B = |D_k| * (k+1).bit_length() + 2.  A coefficient counts fillings of
+    part of D_k, so it is at most (k+1)^|D_k| < 2^(B-1), a balanced digit,
+    and never carries into the next field; multiplying by t^m is a shift by
+    mB, and adding two polynomials is adding the ints.
     """
     boxes = diagram_D(setting, k)
     steps, bound = _box_steps(boxes, k)
     if bound > _BOX_STATES:
         raise ValueError(f"box-transfer state bound={bound} > limit {_BOX_STATES}")
-    width = len(boxes) * (k + 1).bit_length() + 1
+    width = len(boxes) * (k + 1).bit_length() + 2
     # spread[m] = 1 + t + ... + t^(m-1), packed
-    spread = [0]
-    for _ in range(k + 1):
-        spread.append(spread[-1] << width | 1)
+    spread = [_pack([1] * m, width) for m in range(k + 2)]
     states = {(0,): 1}
     for south, west, drop, at in steps:
         out = {}
@@ -556,14 +513,23 @@ def _state_bound(frontier, k):
     return bound
 
 
-def _unpack(poly, width):
-    """The polynomial whose coefficient of t^j is bits [j*width, (j+1)*width)
-    of the nonnegative int poly."""
-    mask = (1 << width) - 1
+def _pack(coeffs, width):
+    """The polynomial with the given coefficients at t = 2^width, an int."""
+    return sum(c << width * j for j, c in enumerate(coeffs))
+
+
+def _unpack(value, width):
+    """The polynomial whose coefficient of t^j is the j-th balanced
+    base-2^width digit of the int value, each in [-2^(width-1), 2^(width-1));
+    the inverse of _pack on such coefficients, for width >= 2."""
+    half, mask = 1 << (width - 1), (1 << width) - 1
     coeffs = []
-    while poly:
-        coeffs.append(poly & mask)
-        poly >>= width
+    while value:
+        digit = ((value & mask) ^ half) - half
+        coeffs.append(digit)
+        value >>= width
+        if digit < 0:
+            value += 1
     return IntPolynomial(coeffs)
 
 

@@ -174,7 +174,15 @@ def exact_quotient(num, den):
 
 
 def determinant(matrix):
-    """Exact determinant of an integer matrix via fraction-free elimination."""
+    """Exact determinant of an integer matrix via fraction-free (Bareiss)
+    elimination: each quotient is a minor of the matrix, so each division
+    is exact.
+
+    The Hilbert numerators run it on packed polynomials, each entry a
+    polynomial in Z[t] taken at t = 2^B.  Evaluation at 2^B is a ring map
+    Z[t] -> Z, so the result is the polynomial determinant taken at 2^B,
+    for any B; B only decides whether the caller can read the coefficients
+    back as base-2^B digits."""
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise ValueError("matrix must be square")

@@ -536,6 +536,20 @@ def test_hilbert_box_transfer_gate():
     assert json.loads(out)["p_count"] == str(diagrams.count_P_product(mp(20, 0), 6))
 
 
+def test_hilbert_molien_gate():
+    # wide mp (2k <= n + 1) takes the Molien route; above its budget the
+    # call exits 2 naming the bound before the first determinant, while
+    # mp(30) k=10 runs
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = run_cli("hilbert --family mp --n 40 --k 20".split())
+    assert code == 2 and out == ""
+    assert err.getvalue() == "error: Molien bit-operation bound=58564000000000 > limit 20000000000000\n"
+    code, out = run_cli("hilbert --family mp --n 30 --k 10".split())
+    assert code == 0
+    assert json.loads(out)["p_count"] == str(diagrams.count_P_product(mp(30, 0), 10))
+
+
 @pytest.mark.parametrize("value", ["-1", "x"])
 @pytest.mark.parametrize(
     "argv",

@@ -2,10 +2,9 @@
 
 import hashlib
 from fractions import Fraction
-from importlib import resources
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dualdeg import diagrams
@@ -29,16 +28,19 @@ from dualdeg.diagrams import (
 from dualdeg.dualpair import Setting, free_threshold, mp, ostar, real_rank, upq
 from dualdeg.tableaux import IntPolynomial
 
-DATA_SHA256 = {
-    "e6_d0.txt": "3bd023c60eec131a419bd038e0a96b98427f9c2dc95fbd0c890de8735ddf2fbc",
-    "e7_d0.txt": "59c38b19eaa1d1099955b7e428c092413c485da65eda8fb727e80be2474bb011",
+# the box count and the sha256 of repr(sorted(boxes)) of the e6 and e7
+# diagrams D_0, taken when they were read from data files
+D0_PINNED = {
+    "e6": (16, "e214378b9c31a587d981e2b467520291beaccda8f9cb072b0c15a41256da597b"),
+    "e7": (27, "39246aa30860a9d4d22c6d8d90cd90106093211519784070c823900ebac14d69"),
 }
 
 
-def test_data_files_pinned():
-    for name, digest in DATA_SHA256.items():
-        raw = resources.files("dualdeg.data").joinpath(name).read_bytes()
-        assert hashlib.sha256(raw).hexdigest() == digest, name
+def test_exceptional_D0_pinned():
+    for family, (size, digest) in D0_PINNED.items():
+        boxes = sorted(diagram_D0(Setting(family)))
+        assert len(boxes) == size, family
+        assert hashlib.sha256(repr(boxes).encode()).hexdigest() == digest, family
 
 
 def test_builders():
@@ -493,40 +495,48 @@ def test_numerator_determinant_refuses_a_wrong_count(monkeypatch):
 
 def test_numerator_molien_matches_box_transfer():
     # both routes on both sides of 2k <= n + 1, which numerator_polynomial
-    # hides: every mp(n) with n <= 14 at 1 <= k <= n - 1, 91 cases
+    # hides: every mp(n) with n <= 14 at 1 <= k <= n - 1, 91 cases, 55 of
+    # them wide; deg N = k floor((n-k+1)/2) on both sides
     cases = 0
     for n in range(2, 15):
         for k in range(1, n):
             setting = mp(n, 0)
-            assert diagrams._numerator_mp_molien(setting, k) == diagrams._numerator_by_boxes(setting, k), (n, k)
+            num = diagrams._numerator_mp_molien(setting, k)
+            assert num == diagrams._numerator_by_boxes(setting, k), (n, k)
+            assert len(num) == k * ((n - k + 1) // 2) + 1, (n, k)
             cases += 1
     assert cases == 91
     # n = 1, k = 1: the Veronese series, whose D_1 is empty
     assert numerator_polynomial(mp(1, 0), 1) == IntPolynomial([1])
 
 
-def test_numerator_molien_refuses_a_short_degree(monkeypatch):
-    # a degree bound J one below k floor((n-k+1)/2) cuts off the top
-    # coefficient of N, so N(1) falls short of #P_k
+def test_numerator_molien_guards(monkeypatch):
     cases = [(2, 1), (5, 2), (6, 3), (9, 4), (12, 5), (15, 7), (15, 8)]
-    for n, k in cases:
-        top = k * ((n - k + 1) // 2)
-        assert len(diagrams._numerator_mp_molien(mp(n, 0), k, degree=top)) == top + 1, (n, k)
-        with pytest.raises(AssertionError, match=r"N\(1\)"):
-            diagrams._numerator_mp_molien(mp(n, 0), k, degree=top - 1)
-    # a determinant off by one adds the block's factor, (1 - t^2)^d at
-    # even k and (1 - t^2)^(d-n) (1 +- t)^n at odd k: an odd power of t or an
-    # odd coefficient of 2H, or at k = 1, where both add, N(0) = 2
-    true_determinant = diagrams._truncated_determinant
+    # a determinant off by one adds the blocks' factors to the sum: at
+    # k >= 3 the power of (1 - t^2) no longer divides it; at k = 2, where
+    # that power is 1, 1 + (1 - t^2)^(n-1) adds an odd coefficient or
+    # N(0) = 2; at k = 1, where both add, N(0) = 2
+    true_determinant = diagrams.determinant
     with monkeypatch.context() as patch:
-        patch.setattr(diagrams, "_truncated_determinant", lambda matrix, keep: true_determinant(matrix, keep) + 1)
+        patch.setattr(diagrams, "determinant", lambda matrix: true_determinant(matrix) + 1)
         for n, k in cases:
-            with pytest.raises(AssertionError, match=r"is not 2 N|N\(0\) = 2,"):
+            with pytest.raises(AssertionError, match=r"is not divisible by|is not 2 N|N\(0\) = 2,"):
+                numerator_polynomial(mp(n, 0), k)
+    # an entry A_j off by one: a sum that (1 - t^2)^e does not divide, e >= 1
+    true_pack = diagrams._pack
+    with monkeypatch.context() as patch:
+        patch.setattr(diagrams, "_pack", lambda coeffs, width: true_pack(coeffs, width) + 1)
+        for n, k in cases[2:]:
+            with pytest.raises(AssertionError, match="is not divisible by"):
                 numerator_polynomial(mp(n, 0), k)
     # an odd power of t that leaves every other coefficient as it is
-    true_unpack = diagrams._unpack_signed
+    true_unpack = diagrams._unpack
     with monkeypatch.context() as patch:
-        patch.setattr(diagrams, "_unpack_signed", lambda *args: [c + (i == 1) for i, c in enumerate(true_unpack(*args))])
+        patch.setattr(
+            diagrams,
+            "_unpack",
+            lambda *args: IntPolynomial(c + (i == 1) for i, c in enumerate(list(true_unpack(*args)) + [0, 0])),
+        )
         for n, k in cases:
             with pytest.raises(AssertionError, match="is not 2 N"):
                 numerator_polynomial(mp(n, 0), k)
@@ -541,12 +551,24 @@ def test_numerator_molien_refuses_a_short_degree(monkeypatch):
 def test_numerator_molien_beyond_the_box_transfer():
     # mp(20) k=6 took 49 s and 1 GB by the box transfer; checked by
     # properties that need no oracle
-    for setting, k in [(mp(20, 0), 6), (mp(21, 0), 9), (mp(24, 0), 4)]:
+    for setting, k in [(mp(20, 0), 6), (mp(21, 0), 9), (mp(24, 0), 4), (mp(30, 0), 10)]:
         num = numerator_polynomial(setting, k)
         assert num[0] == 1, (setting, k)
         assert num[1] == len(diagram_D_closed_form(setting, k)), (setting, k)
         assert num.evaluate(1) == count_P_product(setting, k), (setting, k)
         assert min(num) > 0 and len(num) == k * ((setting.n - k + 1) // 2) + 1, (setting, k)
+
+
+def test_molien_budget_is_inclusive(monkeypatch):
+    # mp(10) k=4 has m^3 bits^2 = 2^3 (2 * 24 * 21)^2 = 8,128,512: refused
+    # one below, run at it, and refused before any determinant is taken
+    monkeypatch.setattr(diagrams, "_MOLIEN_COST", 8_128_511)
+    monkeypatch.setattr(diagrams, "determinant", None)
+    with pytest.raises(ValueError, match="Molien bit-operation bound=8128512 > limit 8128511"):
+        diagrams._numerator_mp_molien(mp(10, 0), 4)
+    monkeypatch.undo()
+    monkeypatch.setattr(diagrams, "_MOLIEN_COST", 8_128_512)
+    assert diagrams._numerator_mp_molien(mp(10, 0), 4) == diagrams._numerator_by_boxes(mp(10, 0), 4)
 
 
 def test_box_transfer_state_budget():
@@ -590,6 +612,24 @@ def test_numerator_polynomial_routes_mp_by_width(monkeypatch):
             assert numerator_polynomial(mp(n, 0), k) == ("molien" if 2 * k <= n + 1 else "boxes"), (n, k)
     for setting in [Setting("so-even", n=8), Setting("so-odd", n=8), Setting("e6"), Setting("e7")]:
         assert numerator_polynomial(setting, 1) == "boxes", setting
+
+
+def _balanced_coefficients(width):
+    """(width, coefficients), each coefficient a balanced base-2^width digit."""
+    half = 1 << (width - 1)
+    return st.tuples(st.just(width), st.lists(st.integers(-half, half - 1), max_size=12))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 40).flatmap(_balanced_coefficients))
+@example((2, [-2]))  # -2^(w-1), the least digit
+@example((5, [3, -16, 15, -7]))  # a negative leading coefficient
+@example((3, [0, 3, -4]))  # -2^(w-1) leading
+def test_pack_unpack_round_trip(case):
+    # the codec of every packed route: digits in [-2^(w-1), 2^(w-1)), so a
+    # coefficient of either sign unpacks as it was packed
+    width, coeffs = case
+    assert diagrams._unpack(diagrams._pack(coeffs, width), width) == IntPolynomial(coeffs)
 
 
 def _count_P_fraction(setting, k):
