@@ -254,31 +254,92 @@ def c_statistic(pp):
 
 def numerator_polynomial(setting, k):
     """Generating polynomial N(t) of the c statistic over P_k, so that
-    N(1) = #P_k.
+    N(1) = #P_k.  One rule routes every setting: upq, mp and ostar take the
+    packed determinants of _numerator_by_determinant unless their bound
+    exceeds _PACKED_COST; a refused one, so-even, so-odd, e6 and e7 take the
+    box transfer under its own state budget.  If both refuse, the ValueError
+    names both bounds, so that `dualdeg hilbert` exits 2.  The box transfer,
+    the column transfer of the tests and enumerate_P with c_statistic are
+    the test oracles."""
+    r = real_rank(setting)
+    if not 1 <= k <= r:
+        raise ValueError(f"k must satisfy 1 <= k <= {r}")
+    if setting.family not in (UPQ, MP, OSTAR):
+        return _numerator_by_boxes(setting, k)
+    try:
+        return _numerator_by_determinant(setting, k)
+    except ValueError as packed:
+        try:
+            return _numerator_by_boxes(setting, k)
+        except ValueError as boxes:
+            raise ValueError(f"{packed}; {boxes}") from None
 
-    upq and ostar take _numerator_by_determinant.  Their orbit closures are
-    the generic determinantal and Pfaffian varieties, whose h-polynomials
-    are k x k determinants of one-path turn polynomials (Abhyankar;
-    Conca-Herzog 1994; Ghorpade-Krattenthaler 2004):
+
+# The packed route's budget: size^3 bits^2 bounds the bit operations of the
+# size^3 schoolbook products and quotients of Bareiss on a size x size
+# determinant of at most bits bits.  upq(33,33) k=11 (1.85e13) takes 1.2 s
+# and mp(40) k=14 (1.0e13) 0.8 s on one core of an x86 VM under Python 3.11
+_PACKED_COST = 2 * 10**13
+
+
+def _numerator_by_determinant(setting, k):
+    """N(t) for upq, mp and ostar from the blocks of _determinant_blocks at
+    t = 2^B, B = (s #P_k).bit_length() + 1, with s = 2 for mp, whose quotient
+    is 2 N(t^2), else 1: each coefficient of the quotient, in [0, s #P_k],
+    is one balanced base-2^B digit.  Evaluation at 2^B is a ring map, so the
+    sum of factor * det(matrix) is divided once and unpacked.  Before the
+    first determinant it raises ValueError if the sum over the blocks of
+    size^3 bits^2, bits = size * the widest entry's bit length, exceeds
+    _PACKED_COST.  It raises AssertionError on a remainder, a quotient <= 0,
+    for mp an odd power of t or odd coefficient of 2N, and unless N(0) = 1
+    and N(1) = count_P_product, so that a wrong identity cannot unpack."""
+    count = count_P_product(setting, k)
+    if count == 1:
+        # D_k is empty: a nonempty D_k has the all-0 and the all-k fillings
+        return IntPolynomial([1])
+    scale = 2 if setting.family == MP else 1
+    width = (scale * count).bit_length() + 1
+    blocks, divisor = _determinant_blocks(setting, k, width)
+    cost = sum(len(m) ** 5 * max((e.bit_length() for row in m for e in row), default=0) ** 2 for _, m in blocks)
+    if cost > _PACKED_COST:
+        raise ValueError(f"packed bit-operation bound={cost} > limit {_PACKED_COST}")
+    quotient, rest = divmod(sum(factor * determinant(matrix) for factor, matrix in blocks), divisor)
+    if rest or quotient <= 0:
+        raise AssertionError(f"determinant sum for {setting} k={k} is not a positive multiple of its divisor")
+    num = _unpack(quotient, width)
+    if scale == 2:
+        if any(num[1::2]) or any(c & 1 for c in num[::2]):
+            raise AssertionError(f"Molien series for {setting} k={k} is not 2 N(t^2)")
+        num = IntPolynomial(c >> 1 for c in num[::2])
+    if num[:1] != (1,):
+        raise AssertionError(f"determinants for {setting} k={k} give N(0) = {num.evaluate(0)}, not 1")
+    if sum(num) != count:
+        raise AssertionError(f"determinants for {setting} k={k} give N(1) = {sum(num)}, not #P_k = {count}")
+    return num
+
+
+def _determinant_blocks(setting, k, width):
+    """The blocks (factor, matrix) and the divisor whose quotient
+    sum factor * det(matrix) / divisor is N(t) for upq and ostar, and 2 N(t^2)
+    for mp, each entry a polynomial packed at t = 2^width.
+
+    The orbit closures of upq and ostar are the generic determinantal and
+    Pfaffian varieties, whose h-polynomials are k x k determinants of
+    one-path turn polynomials (Abhyankar; Conca-Herzog 1994;
+    Ghorpade-Krattenthaler 2004):
 
         upq:    t^C(k,2) N(t) = det_{1<=i,j<=k} sum_l C(p-i, l) C(q-j, l) t^l
         ostar:  t^C(k,2) N(t) = det_{1<=i,j<=k} sum_l [C(M, l)^2
                                 - C(M, l+1) C(M, l-1)] t^l,  M = n-1-i-j,
 
-    the second a Hankel matrix of Narayana polynomials; N = 1 where D_k is
-    empty.  The determinant is taken once, of ints, at t = 2^B with
-    B = #P_k.bit_length() + 1: each coefficient of N is at most N(1) = #P_k
-    < 2^(B-1), so the balanced base-2^B digits of the value are the
-    coefficients.  It raises unless the low B * C(k,2) bits are zero and the
-    digits sum to count_P_product, so that a wrong identity cannot unpack
-    silently.
+    the second a Hankel matrix of Narayana polynomials: one block, and the
+    divisor t^C(k,2).
 
-    mp with 2k <= n + 1 takes _numerator_mp_molien.  By the first
-    fundamental theorem for O(k), the orbit closure's ring is
-    C[M_{n x k}]^{O(k)}, graded by s = t^2, so its Hilbert series H is the
-    Molien-Weyl average of det(1 - t g)^(-n) over O(k): half the sum of the
-    averages over SO(k) and over its other coset O-(k).  Baik-Rains (Duke
-    2001) write each as a Toeplitz +- Hankel determinant of size
+    For mp, by the first fundamental theorem for O(k), the orbit closure's
+    ring is C[M_{n x k}]^{O(k)}, graded by s = t^2, so its Hilbert series H
+    is the Molien-Weyl average of det(1 - t g)^(-n) over O(k): half the sum
+    of the averages over SO(k) and over its other coset O-(k).  Baik-Rains
+    (Duke 2001) write each as a Toeplitz +- Hankel determinant of size
     m = floor(k/2) in the series a_j = sum_x C(n-1+x, x) C(n-1+x+j, x+j)
     t^(2x+j), and Euler's transformation of 2F1 makes each series a
     polynomial over one power of (1 - t^2):
@@ -295,117 +356,47 @@ def numerator_polynomial(setting, k):
                  R = det_{0<=i,j<m} [A_|i-j| + A_(i+j+1)]   (O-(k))
                  2 N(t^2) (1-t^2)^((k-1)^2/2) = (1+t)^n S + (1-t)^n R
 
-    clearing the denominators of N(s) = H (1-s)^d, d = kn - C(k,2).  At
-    k = 1 both determinants are 0 x 0 and 2 N(t^2) = (1+t)^n + (1-t)^n,
-    the Veronese numerator.  S and R are taken with determinant, of ints,
-    at t = 2^B with B = #P_k.bit_length() + 2, and the sum is divided once
-    by the packed power of (1 - t^2).  Evaluation at 2^B is a ring map, so
-    the quotient is 2 N(t^2) at 2^B, and its coefficients, in [0, 2 #P_k],
-    are its balanced base-2^B digits.  It raises unless the division
-    leaves no remainder, every odd power of t is zero, 2N has even
-    coefficients, N(0) = 1 and N(1) = count_P_product.  Before the first
-    determinant it raises ValueError if m^3 bits^2, bits = m (2n + k) B a
-    bound on each packed determinant, exceeds _MOLIEN_COST.  mp(20) k=6
-    takes under a millisecond this way; it took 49 s and 1 GB by the box
-    transfer.
-
-    Narrow mp (2k > n + 1), so-even, so-odd, e6 and e7 take
-    _numerator_by_boxes, the box transfer.  It is also the test oracle of
-    the determinants and of the Molien route; the column transfer in the
-    tests and enumerate_P with c_statistic are the oracles of every path.
+    clearing the denominators of N(s) = H (1-s)^d, d = kn - C(k,2): two
+    blocks, and the divisor (1-t^2)^e.  At k = 1 both determinants are 0 x 0
+    and 2 N(t^2) = (1+t)^n + (1-t)^n, the Veronese numerator.
     """
-    r = real_rank(setting)
-    if not 1 <= k <= r:
-        raise ValueError(f"k must satisfy 1 <= k <= {r}")
-    if setting.family in (UPQ, OSTAR):
-        return _numerator_by_determinant(setting, k)
-    if setting.family == MP and 2 * k <= setting.n + 1:
-        return _numerator_mp_molien(setting, k)
-    return _numerator_by_boxes(setting, k)
-
-
-def _numerator_by_determinant(setting, k):
-    """N(t) for upq and ostar from one packed k x k integer determinant;
-    the identities, the packing and the guards are in numerator_polynomial."""
-    count = count_P_product(setting, k)
-    if count == 1:
-        # D_k is empty: a nonempty D_k has the all-0 and the all-k fillings
-        return IntPolynomial([1])
-    width = count.bit_length() + 1
+    t, n = 1 << width, setting.n
     if setting.family == UPQ:
         p, q = setting.p, setting.q
         rows = [[binomial(p - i, l) for l in range(p - i + 1)] for i in range(1, k + 1)]
         cols = [[binomial(q - j, l) for l in range(q - j + 1)] for j in range(1, k + 1)]
         matrix = [[_pack([a * b for a, b in zip(row, col)], width) for col in cols] for row in rows]
-    else:
-        n = setting.n
+        return [(1, matrix)], t ** (k * (k - 1) // 2)
+    if setting.family == OSTAR:
         # hankel[i + j - 2] is the entry in row i and column j
         hankel = [
             _pack([binomial(m, l) ** 2 - binomial(m, l + 1) * binomial(m, l - 1) for l in range(m + 1)], width)
             for m in range(n - 3, n - 2 * k - 2, -1)
         ]
-        matrix = [hankel[i : i + k] for i in range(k)]
-    value = determinant(matrix)
-    shift = width * (k * (k - 1) // 2)
-    if value < 0 or value & ((1 << shift) - 1):
-        raise AssertionError(f"determinant for {setting} k={k} is not t^{k * (k - 1) // 2} times a polynomial")
-    num = _unpack(value >> shift, width)
-    if sum(num) != count:
-        raise AssertionError(f"determinant for {setting} k={k} gives N(1) = {sum(num)}, not #P_k = {count}")
-    return num
-
-
-# The Molien route's budget: m^3 bits^2 bounds the bit operations of the
-# m^3 schoolbook products and quotients of Bareiss on m x m determinants of
-# at most bits bits.  mp(30) k=10 (3.4e11) takes 0.03 s, mp(40) k=14 (1.0e13)
-# 0.8 s and mp(40) k=20 (5.9e13) 4 s on a 2-core x86 VM under Python 3.11
-_MOLIEN_COST = 2 * 10**13
-
-
-def _numerator_mp_molien(setting, k):
-    """N(s) for mp from the Molien-Weyl integral over O(k), by two packed
-    determinants; the identity, the packing, the guards and the budget are
-    in numerator_polynomial."""
-    n, m = setting.n, k // 2
-    count = count_P_product(setting, k)
-    width = count.bit_length() + 2  # 2N has coefficients in [0, 2 #P_k]
-    cost = m**3 * (m * (2 * n + k) * width) ** 2
-    if cost > _MOLIEN_COST:
-        raise ValueError(f"Molien bit-operation bound={cost} > limit {_MOLIEN_COST}")
+        return [(1, [hankel[i : i + k] for i in range(k)])], t ** (k * (k - 1) // 2)
+    m = k // 2
     # entry[j] = A_j, the numerator of a_j over (1 - t^2)^(2n-1)
     entry = [
         _pack([binomial(n - 1 + j, n - 1 - i) * binomial(n - 1 - j, i) for i in range(n)], 2 * width) << width * j
         for j in range(k - 1)
     ]
-    t = 1 << width
     # a block (size, offset, sign, factor) is factor times the determinant of
     # the entries A_|i-j| + sign * A_(i+j+offset), but column 0 of SO(k) at
     # even k (offset 0) holds A_i alone
     if k % 2:  # SO(k), O-(k): the eigenvalue 1, -1 beside m pairs
-        blocks = [(m, 1, -1, (1 + t) ** n), (m, 1, 1, (1 - t) ** n)]
+        shapes = [(m, 1, -1, (1 + t) ** n), (m, 1, 1, (1 - t) ** n)]
         power = (k - 1) ** 2 // 2
     else:  # SO(k): m pairs; O-(k): the eigenvalues 1 and -1 beside m - 1 pairs
-        blocks = [(m, 0, 1, 1), (m - 1, 2, -1, (1 - t * t) ** (n - 1))]
+        shapes = [(m, 0, 1, 1), (m - 1, 2, -1, (1 - t * t) ** (n - 1))]
         power = k * (k - 2) // 2
-    total = 0
-    for size, offset, sign, factor in blocks:
+    blocks = []
+    for size, offset, sign, factor in shapes:
         matrix = [[entry[abs(i - j)] + sign * entry[i + j + offset] for j in range(size)] for i in range(size)]
         if offset == 0:
             for i, row in enumerate(matrix):
                 row[0] = entry[i]
-        total += factor * determinant(matrix)
-    twice, rest = divmod(total, (1 - t * t) ** power)
-    if rest:
-        raise AssertionError(f"Molien sum for {setting} k={k} is not divisible by (1 - t^2)^{power}")
-    twice = _unpack(twice, width)
-    if any(twice[1::2]) or any(c & 1 for c in twice[::2]):
-        raise AssertionError(f"Molien series for {setting} k={k} is not 2 N(t^2)")
-    num = IntPolynomial(c >> 1 for c in twice[::2])
-    if num[:1] != (1,):
-        raise AssertionError(f"Molien series for {setting} k={k} gives N(0) = {num.evaluate(0)}, not 1")
-    if sum(num) != count:
-        raise AssertionError(f"Molien series for {setting} k={k} gives N(1) = {sum(num)}, not #P_k = {count}")
-    return num
+        blocks.append((factor, matrix))
+    return blocks, (1 - t * t) ** power
 
 
 # The box transfer's budget of states: mp(18) k=5 reaches 116,424 of them in
@@ -416,9 +407,8 @@ _BOX_STATES = 200_000
 def _numerator_by_boxes(setting, k):
     """Generating polynomial of the c statistic over P_k, by a box-by-box
     transfer over D_k (enumerate_P with c_statistic is its oracle).  It
-    serves narrow mp (2k > n + 1), where D_k's frontier is at most n - k
-    wide, so-even, so-odd, e6 and e7, and it is the test oracle of the
-    determinants and of the Molien route.
+    serves so-even, so-odd, e6, e7 and the settings the packed route
+    refuses, and it is the test oracle of the determinants.
 
     The boxes are placed one column at a time, left to right, and bottom to
     top within a column, so that the south and west neighbours of a box come

@@ -523,31 +523,62 @@ def test_check_theta_gate():
 
 
 def test_hilbert_box_transfer_gate():
-    # narrow mp (2k > n + 1) takes the box transfer; above its state budget
-    # the call exits 2 naming the bound, while mp(20) k=6, wide, takes the
-    # Molien route
+    # mp(40) k=25: the packed route refuses, and so does the box transfer,
+    # from its plan; the call exits 2 naming both bounds, while mp(60) k=58,
+    # refused by the packed route, runs by the box transfer
     err = io.StringIO()
     with redirect_stderr(err):
         code, out = run_cli("hilbert --family mp --n 40 --k 25".split())
     assert code == 2 and out == ""
-    assert err.getvalue() == "error: box-transfer state bound=2478215821536 > limit 200000\n"
-    code, out = run_cli("hilbert --family mp --n 20 --k 6".split())
+    assert err.getvalue() == (
+        "error: packed bit-operation bound=110471554750464 > limit 20000000000000; "
+        "box-transfer state bound=2478215821536 > limit 200000\n"
+    )
+    code, out = run_cli("hilbert --family mp --n 60 --k 58".split())
     assert code == 0
-    assert json.loads(out)["p_count"] == str(diagrams.count_P_product(mp(20, 0), 6))
+    assert json.loads(out)["p_count"] == str(diagrams.count_P_product(mp(60, 0), 58))
 
 
 def test_hilbert_molien_gate():
-    # wide mp (2k <= n + 1) takes the Molien route; above its budget the
-    # call exits 2 naming the bound before the first determinant, while
-    # mp(30) k=10 runs
+    # mp(40) k=20: above the packed budget, read before the first
+    # determinant, and above the box transfer's; the call exits 2 naming
+    # both bounds, while mp(30) k=10 runs by the packed route
     err = io.StringIO()
     with redirect_stderr(err):
         code, out = run_cli("hilbert --family mp --n 40 --k 20".split())
     assert code == 2 and out == ""
-    assert err.getvalue() == "error: Molien bit-operation bound=58564000000000 > limit 20000000000000\n"
+    assert err.getvalue() == (
+        "error: packed bit-operation bound=56675700226321 > limit 20000000000000; "
+        "box-transfer state bound=100300325150025 > limit 200000\n"
+    )
     code, out = run_cli("hilbert --family mp --n 30 --k 10".split())
     assert code == 0
     assert json.loads(out)["p_count"] == str(diagrams.count_P_product(mp(30, 0), 10))
+
+
+def test_hilbert_determinant_gate():
+    # upq(34,34) k=11, among the cheapest upq settings above both budgets
+    # (the ungated determinant took about 1.4 s), exits 2 naming both bounds
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = run_cli("hilbert --family upq --p 34 --q 34 --k 11".split())
+    assert code == 2 and out == ""
+    assert err.getvalue() == (
+        "error: packed bit-operation bound=21982251845939 > limit 20000000000000; "
+        "box-transfer state bound=953799087696 > limit 200000\n"
+    )
+
+
+def test_hilbert_upq_beyond_the_packed_budget():
+    # upq(60,60) k=58: the 58 x 58 determinant is refused (it took 71 s
+    # without a gate), and the box transfer over the 2 x 2 D_k runs
+    code, out = run_cli("hilbert --family upq --p 60 --q 60 --k 58".split())
+    assert code == 0
+    payload = json.loads(out)
+    num = diagrams.numerator_polynomial(upq(60, 60, 0), 58)
+    assert payload["numerator"] == str(num)
+    assert payload["p_count"] == str(diagrams.count_P_product(upq(60, 60, 0), 58))
+    assert list(num) == list(num)[::-1]
 
 
 @pytest.mark.parametrize("value", ["-1", "x"])

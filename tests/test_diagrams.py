@@ -433,7 +433,7 @@ LARGE_NUMERATORS = {
         258111568, 23052744, 1588158, 82160, 3081, 78, 1,
     ],
     # computed with the box transfer (116,424 states, about 5 s and 140 MB);
-    # numerator_polynomial takes the Molien route here
+    # numerator_polynomial takes the packed route here
     (mp(18, 0), 5): [
         1, 91, 4186, 129766, 3049501, 57940519, 855094240, 9587749600,
         82282383820, 549198051780, 2891682413256, 12136734684984,
@@ -484,24 +484,15 @@ def test_numerator_determinant_beyond_the_box_transfer():
         assert list(num) == list(num)[::-1], (setting, k)
 
 
-def test_numerator_determinant_refuses_a_wrong_count(monkeypatch):
-    # the digit-sum guard: a #P_k off by one must raise, not unpack
-    true_count = diagrams.count_P_product
-    monkeypatch.setattr(diagrams, "count_P_product", lambda setting, k: true_count(setting, k) + 1)
-    for setting, k in [(upq(5, 6, 0), 1), (upq(7, 7, 0), 2), (ostar(9, 0), 1), (ostar(12, 0), 3)]:
-        with pytest.raises(AssertionError):
-            numerator_polynomial(setting, k)
-
-
 def test_numerator_molien_matches_box_transfer():
-    # both routes on both sides of 2k <= n + 1, which numerator_polynomial
-    # hides: every mp(n) with n <= 14 at 1 <= k <= n - 1, 91 cases, 55 of
-    # them wide; deg N = k floor((n-k+1)/2) on both sides
+    # mp takes the packed route at every k here, the box transfer is its
+    # oracle: every mp(n) with n <= 14 at 1 <= k <= n - 1, 91 cases;
+    # deg N = k floor((n-k+1)/2)
     cases = 0
     for n in range(2, 15):
         for k in range(1, n):
             setting = mp(n, 0)
-            num = diagrams._numerator_mp_molien(setting, k)
+            num = numerator_polynomial(setting, k)
             assert num == diagrams._numerator_by_boxes(setting, k), (n, k)
             assert len(num) == k * ((n - k + 1) // 2) + 1, (n, k)
             cases += 1
@@ -511,25 +502,39 @@ def test_numerator_molien_matches_box_transfer():
 
 
 def test_numerator_molien_guards(monkeypatch):
+    # planted faults in the packed route must raise, not unpack
     cases = [(2, 1), (5, 2), (6, 3), (9, 4), (12, 5), (15, 7), (15, 8)]
-    # a determinant off by one adds the blocks' factors to the sum: at
+    others = [(upq(5, 6, 0), 1), (upq(7, 7, 0), 2), (upq(6, 8, 0), 3), (ostar(9, 0), 1), (ostar(12, 0), 3)]
+    # a determinant off by one adds the blocks' factors to the sum.  mp: at
     # k >= 3 the power of (1 - t^2) no longer divides it; at k = 2, where
     # that power is 1, 1 + (1 - t^2)^(n-1) adds an odd coefficient or
-    # N(0) = 2; at k = 1, where both add, N(0) = 2
+    # N(0) = 2; at k = 1, where both add, N(0) = 2.  upq and ostar: t^C(k,2)
+    # leaves a remainder at k >= 2, and N(0) = 2 at k = 1
     true_determinant = diagrams.determinant
     with monkeypatch.context() as patch:
         patch.setattr(diagrams, "determinant", lambda matrix: true_determinant(matrix) + 1)
-        for n, k in cases:
-            with pytest.raises(AssertionError, match=r"is not divisible by|is not 2 N|N\(0\) = 2,"):
-                numerator_polynomial(mp(n, 0), k)
-    # an entry A_j off by one: a sum that (1 - t^2)^e does not divide, e >= 1
+        for setting, k in [(mp(n, 0), k) for n, k in cases] + others:
+            with pytest.raises(AssertionError, match=r"is not a positive multiple|is not 2 N|N\(0\) = 2,"):
+                numerator_polynomial(setting, k)
+    # an entry off by one via _pack: for mp a sum that (1 - t^2)^e, e >= 1,
+    # does not divide; for upq and ostar one that t^C(k,2) does not divide,
+    # or a quotient with N(0) > 1 (ostar(12) k=3 gives 3)
     true_pack = diagrams._pack
     with monkeypatch.context() as patch:
         patch.setattr(diagrams, "_pack", lambda coeffs, width: true_pack(coeffs, width) + 1)
         for n, k in cases[2:]:
-            with pytest.raises(AssertionError, match="is not divisible by"):
+            with pytest.raises(AssertionError, match="is not a positive multiple"):
                 numerator_polynomial(mp(n, 0), k)
-    # an odd power of t that leaves every other coefficient as it is
+        for setting, k in others:
+            with pytest.raises(AssertionError, match=r"is not a positive multiple|N\(0\) = [2-9],"):
+                numerator_polynomial(setting, k)
+    # a negated determinant: a quotient < 0 for upq and ostar
+    with monkeypatch.context() as patch:
+        patch.setattr(diagrams, "determinant", lambda matrix: -true_determinant(matrix))
+        for setting, k in others:
+            with pytest.raises(AssertionError, match="is not a positive multiple"):
+                numerator_polynomial(setting, k)
+    # an odd power of t that leaves every other coefficient as it is: mp only
     true_unpack = diagrams._unpack
     with monkeypatch.context() as patch:
         patch.setattr(
@@ -540,12 +545,12 @@ def test_numerator_molien_guards(monkeypatch):
         for n, k in cases:
             with pytest.raises(AssertionError, match="is not 2 N"):
                 numerator_polynomial(mp(n, 0), k)
-    # and a #P_k off by one
+    # and a #P_k off by one: the digit-sum guard
     true_count = diagrams.count_P_product
     monkeypatch.setattr(diagrams, "count_P_product", lambda setting, k: true_count(setting, k) + 1)
-    for n, k in cases:
+    for setting, k in [(mp(n, 0), k) for n, k in cases] + others:
         with pytest.raises(AssertionError, match=r"N\(1\)"):
-            numerator_polynomial(mp(n, 0), k)
+            numerator_polynomial(setting, k)
 
 
 def test_numerator_molien_beyond_the_box_transfer():
@@ -560,21 +565,24 @@ def test_numerator_molien_beyond_the_box_transfer():
 
 
 def test_molien_budget_is_inclusive(monkeypatch):
-    # mp(10) k=4 has m^3 bits^2 = 2^3 (2 * 24 * 21)^2 = 8,128,512: refused
-    # one below, run at it, and refused before any determinant is taken
-    monkeypatch.setattr(diagrams, "_MOLIEN_COST", 8_128_511)
-    monkeypatch.setattr(diagrams, "determinant", None)
-    with pytest.raises(ValueError, match="Molien bit-operation bound=8128512 > limit 8128511"):
-        diagrams._numerator_mp_molien(mp(10, 0), 4)
-    monkeypatch.undo()
-    monkeypatch.setattr(diagrams, "_MOLIEN_COST", 8_128_512)
-    assert diagrams._numerator_mp_molien(mp(10, 0), 4) == diagrams._numerator_by_boxes(mp(10, 0), 4)
+    # the packed budget, on size^3 (size * widest entry's bits)^2 summed over
+    # the blocks: mp(10) k=4 has 2^3 (2 * 379)^2 + 1^3 (1 * 379)^2 and
+    # upq(7,7) k=2 has 2^3 (2 * 97)^2.  Each is refused one below its bound,
+    # before any determinant is taken, and runs at it
+    for setting, k, bound in [(mp(10, 0), 4, 4_740_153), (upq(7, 7, 0), 2, 301_088)]:
+        with monkeypatch.context() as patch:
+            patch.setattr(diagrams, "_PACKED_COST", bound - 1)
+            patch.setattr(diagrams, "determinant", None)
+            with pytest.raises(ValueError, match=f"packed bit-operation bound={bound} > limit {bound - 1}"):
+                diagrams._numerator_by_determinant(setting, k)
+        monkeypatch.setattr(diagrams, "_PACKED_COST", bound)
+        assert diagrams._numerator_by_determinant(setting, k) == diagrams._numerator_by_boxes(setting, k), setting
 
 
 def test_box_transfer_state_budget():
-    # the budget admits every setting that reaches the box transfer in the
-    # tests, the CLI goldens and the benchmark: mp n <= 15 at every k, so
-    # n <= 40, e6 and e7, and the upq and ostar oracle runs
+    # the budget admits every setting the tests run the box transfer on,
+    # as the route or as the oracle: mp n <= 15 at every k, so n <= 40, e6
+    # and e7, and the upq and ostar oracle runs
     reached = [mp(n, 0) for n in range(1, 16)]
     reached += [Setting(family, n=n) for family in ("so-even", "so-odd") for n in range(3, 41)]
     reached += [Setting("e6"), Setting("e7")]
@@ -590,7 +598,7 @@ def test_box_transfer_state_budget():
     # refused from the plan alone, before the first box: no state set of this
     # bound could be built in the time the test takes
     with pytest.raises(ValueError, match="box-transfer state bound=2478215821536 > limit 200000"):
-        numerator_polynomial(mp(40, 0), 25)
+        diagrams._numerator_by_boxes(mp(40, 0), 25)
 
 
 def test_box_transfer_budget_is_inclusive(monkeypatch):
@@ -599,19 +607,79 @@ def test_box_transfer_budget_is_inclusive(monkeypatch):
     with pytest.raises(ValueError, match="bound=350 > limit 349"):
         diagrams._numerator_by_boxes(mp(10, 0), 4)
     monkeypatch.setattr(diagrams, "_BOX_STATES", 350)
-    assert diagrams._numerator_by_boxes(mp(10, 0), 4) == diagrams._numerator_mp_molien(mp(10, 0), 4)
+    assert diagrams._numerator_by_boxes(mp(10, 0), 4) == numerator_polynomial(mp(10, 0), 4)
 
 
-def test_numerator_polynomial_routes_mp_by_width(monkeypatch):
-    # mp goes to the Molien route when 2k <= n + 1 and to the box transfer
-    # otherwise; so, e6 and e7 always go to the box transfer
-    monkeypatch.setattr(diagrams, "_numerator_mp_molien", lambda setting, k: "molien")
+class _Packed(Exception):
+    pass
+
+
+def _raise_packed(matrix):
+    raise _Packed
+
+
+def test_numerator_polynomial_routes_by_cost(monkeypatch):
+    # upq, mp and ostar take the packed route at or below its budget and the
+    # box transfer above it; so-even, so-odd, e6 and e7 take the box
+    # transfer; an empty D_k gives 1 before any route
+    monkeypatch.setattr(diagrams, "determinant", _raise_packed)
     monkeypatch.setattr(diagrams, "_numerator_by_boxes", lambda setting, k: "boxes")
-    for n in range(1, 16):
-        for k in range(1, n + 1):
-            assert numerator_polynomial(mp(n, 0), k) == ("molien" if 2 * k <= n + 1 else "boxes"), (n, k)
+
+    def route(setting, k):
+        try:
+            return numerator_polynomial(setting, k)
+        except _Packed:
+            return "packed"
+
+    for setting in [upq(4, 6, 0), mp(9, 0), ostar(11, 0)]:
+        for k in range(1, real_rank(setting) + 1):
+            empty = count_P_product(setting, k) == 1
+            assert route(setting, k) == ((1,) if empty else "packed"), (setting, k)
     for setting in [Setting("so-even", n=8), Setting("so-odd", n=8), Setting("e6"), Setting("e7")]:
-        assert numerator_polynomial(setting, 1) == "boxes", setting
+        for k in range(1, real_rank(setting) + 1):
+            assert route(setting, k) == "boxes", (setting, k)
+    # on both sides of the budget: the cheapest upq setting refused at
+    # k = 11, and settings the CLI tests run or refuse
+    cases = [
+        (upq(33, 33, 0), 11, "packed"),
+        (upq(34, 34, 0), 11, "boxes"),
+        (upq(60, 60, 0), 58, "boxes"),
+        (mp(40, 0), 14, "packed"),
+        (mp(40, 0), 20, "boxes"),
+        (mp(60, 0), 58, "boxes"),
+        (ostar(30, 0), 8, "packed"),
+        (ostar(42, 0), 14, "boxes"),
+    ]
+    for setting, k, expected in cases:
+        assert route(setting, k) == expected, (setting, k)
+
+
+@st.composite
+def box_transfer_orbits(draw):
+    """Small upq, mp and ostar settings, with k, that the box transfer runs
+    in milliseconds."""
+    family = draw(st.sampled_from(["upq", "mp", "ostar"]))
+    if family == "upq":
+        setting = upq(draw(st.integers(1, 8)), draw(st.integers(1, 8)), 0)
+    elif family == "mp":
+        setting = mp(draw(st.integers(1, 12)), 0)
+    else:
+        setting = ostar(draw(st.integers(2, 14)), 0)
+    return setting, draw(st.integers(1, real_rank(setting)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(box_transfer_orbits())
+def test_numerator_polynomial_matches_box_transfer_on_either_route(orbit):
+    # as routed (the packed route here), and with the packed budget at 0, so
+    # that every setting whose blocks are not all 0 x 0 falls back to the
+    # box transfer
+    setting, k = orbit
+    expected = diagrams._numerator_by_boxes(setting, k)
+    assert numerator_polynomial(setting, k) == expected
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(diagrams, "_PACKED_COST", 0)
+        assert numerator_polynomial(setting, k) == expected
 
 
 def _balanced_coefficients(width):
