@@ -484,6 +484,15 @@ def test_numerator_determinant_beyond_the_box_transfer():
         assert list(num) == list(num)[::-1], (setting, k)
 
 
+def test_numerator_determinant_refuses_a_wrong_count(monkeypatch):
+    # the digit-sum guard: a #P_k off by one must raise, not unpack
+    true_count = diagrams.count_P_product
+    monkeypatch.setattr(diagrams, "count_P_product", lambda setting, k: true_count(setting, k) + 1)
+    for setting, k in [(upq(5, 6, 0), 1), (upq(7, 7, 0), 2), (upq(6, 8, 0), 3), (ostar(9, 0), 1), (ostar(12, 0), 3)]:
+        with pytest.raises(AssertionError, match=r"N\(1\)"):
+            numerator_polynomial(setting, k)
+
+
 def test_numerator_molien_matches_box_transfer():
     # mp takes the packed route at every k here, the box transfer is its
     # oracle: every mp(n) with n <= 14 at 1 <= k <= n - 1, 91 cases;
@@ -548,9 +557,9 @@ def test_numerator_molien_guards(monkeypatch):
     # and a #P_k off by one: the digit-sum guard
     true_count = diagrams.count_P_product
     monkeypatch.setattr(diagrams, "count_P_product", lambda setting, k: true_count(setting, k) + 1)
-    for setting, k in [(mp(n, 0), k) for n, k in cases] + others:
+    for n, k in cases:
         with pytest.raises(AssertionError, match=r"N\(1\)"):
-            numerator_polynomial(setting, k)
+            numerator_polynomial(mp(n, 0), k)
 
 
 def test_numerator_molien_beyond_the_box_transfer():
