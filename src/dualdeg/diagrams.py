@@ -1,5 +1,6 @@
 """Diagrams D_k for the seven Hermitian types, bounded plane partitions,
-product counting formulas, and Hilbert-series numerators."""
+product counting formulas, and Hilbert-series numerators: packed
+determinants for the dual pairs, a transfer over level fillings otherwise."""
 
 from collections import namedtuple
 from functools import cache, lru_cache
@@ -257,22 +258,22 @@ def numerator_polynomial(setting, k):
     N(1) = #P_k.  One rule routes every setting: upq, mp and ostar take the
     packed determinants of _numerator_by_determinant unless their bound
     exceeds _PACKED_COST; a refused one, so-even, so-odd, e6 and e7 take the
-    box transfer under its own state budget.  If both refuse, the ValueError
-    names both bounds, so that `dualdeg hilbert` exits 2.  The box transfer,
-    the column transfer of the tests and enumerate_P with c_statistic are
-    the test oracles."""
+    level transfer under its own work budget.  If both refuse, the ValueError
+    names both bounds, so that `dualdeg hilbert` exits 2.  The level
+    transfer, the column transfer of the tests and enumerate_P with
+    c_statistic are the test oracles."""
     r = real_rank(setting)
     if not 1 <= k <= r:
         raise ValueError(f"k must satisfy 1 <= k <= {r}")
     if setting.family not in (UPQ, MP, OSTAR):
-        return _numerator_by_boxes(setting, k)
+        return _numerator_by_levels(setting, k)
     try:
         return _numerator_by_determinant(setting, k)
     except ValueError as packed:
         try:
-            return _numerator_by_boxes(setting, k)
-        except ValueError as boxes:
-            raise ValueError(f"{packed}; {boxes}") from None
+            return _numerator_by_levels(setting, k)
+        except ValueError as levels:
+            raise ValueError(f"{packed}; {levels}") from None
 
 
 # The packed route's budget: size^3 bits^2 bounds the bit operations of the
@@ -399,108 +400,57 @@ def _determinant_blocks(setting, k, width):
     return blocks, (1 - t * t) ** power
 
 
-# The box transfer's budget of states: mp(18) k=5 reaches 116,424 of them in
-# about 5 s and 140 MB, mp(20) k=6 would reach 853,776 in about 1 GB
-_BOX_STATES = 200_000
+# Budget on #filters * |D_k| * k, a bound on the level steps' pair updates
+# that ignores the packed width: upq(23,40) k=19 (2.0e7) takes about 2 s and
+# ostar(88) k=39 (2.9e7) 15 s and 280 MB, one core of an x86 VM, Python 3.11
+_LEVEL_WORK = 3 * 10**7
 
 
-def _numerator_by_boxes(setting, k):
-    """Generating polynomial of the c statistic over P_k, by a box-by-box
-    transfer over D_k (enumerate_P with c_statistic is its oracle).  It
-    serves so-even, so-odd, e6, e7 and the settings the packed route
-    refuses, and it is the test oracle of the determinants.
+def _numerator_by_levels(setting, k):
+    """N(t) over the level fillings, for so, e6, e7 and the settings the
+    packed route refuses.  pi -> (pi>=1, ..., pi>=k), pi>=l = [pi(b) >= l],
+    is a bijection onto the nested chains of filters of D_k (closed under
+    north and east steps), and c is additive over the levels, since
+    v - max(s, w) = sum_l [v>=l] - max([s>=l], [w>=l]): N = sum prod t^c(F_l).
 
-    The boxes are placed one column at a time, left to right, and bottom to
-    top within a column, so that the south and west neighbours of a box come
-    before it.  A state is the tuple of values on the frontier: the placed
-    boxes that a later box still reads.  A box leaves the frontier once its
-    north and east neighbours are placed, or at once if D_k has neither.
-    The frontier is kept in the order the boxes leave it, so each step drops
-    a prefix of the state; every state ends in a 0 that absent neighbours
-    read.
-
-    _box_steps plans the steps before any state is built.  The values on a
-    vertical run of frontier boxes weakly increase upward, so a frontier
-    whose runs have lengths l_i holds at most prod C(l_i + k, l_i) states;
-    where that bound exceeds _BOX_STATES at any step, the call raises
-    ValueError.
-
-    A state carries the sum of t^c over the fillings that reach it, packed
-    into one int: the coefficient of t^j sits in bits [jB, (j+1)B) with
-    B = |D_k| * (k+1).bit_length() + 2.  A coefficient counts fillings of
-    part of D_k, so it is at most (k+1)^|D_k| < 2^(B-1), a balanced digit,
-    and never carries into the next field; multiplying by t^m is a shift by
-    mB, and adding two polynomials is adding the ints.
-    """
-    boxes = diagram_D(setting, k)
-    steps, bound = _box_steps(boxes, k)
-    if bound > _BOX_STATES:
-        raise ValueError(f"box-transfer state bound={bound} > limit {_BOX_STATES}")
-    width = len(boxes) * (k + 1).bit_length() + 2
-    # spread[m] = 1 + t + ... + t^(m-1), packed
-    spread = [_pack([1] * m, width) for m in range(k + 2)]
-    states = {(0,): 1}
-    for south, west, drop, at in steps:
-        out = {}
-        if at is None:
-            for state, poly in states.items():
-                key = state[drop:]
-                out[key] = out.get(key, 0) + poly * spread[k + 1 - max(state[south], state[west])]
-        else:
-            for state, poly in states.items():
-                head, tail = state[drop:at], state[at:]
-                for v in range(max(state[south], state[west]), k + 1):
-                    key = head + (v,) + tail
-                    out[key] = out.get(key, 0) + poly
-                    poly <<= width
-        states = out
-    # every box has left the frontier, so the sentinel alone is left
-    return _unpack(states[(0,)], width)
+    The filters are listed box by box in the order of _fillings: a box is in
+    when its south or west neighbour is, else free, adding 1 to c if chosen.
+    A partial filter extends by all later boxes, so the count only grows,
+    and the call raises ValueError once #filters * |D_k| * k exceeds
+    _LEVEL_WORK, before any level step.  Each of the k - 1 steps is the
+    superset sum vec[F] += vec[F + b], box by box in that order (the north
+    and east neighbours of b come later), then the factor t^c(F).  Packed as
+    in _pack at B = |D_k| * (k+1).bit_length() + 2, a coefficient counts
+    fillings, at most (k+1)^|D_k| < 2^(B-1), so it never carries."""
+    order = sorted(diagram_D(setting, k), key=lambda box: (-box[0], box[1]))
+    bit = {box: 1 << i for i, box in enumerate(order)}
+    one, filters = 1 << len(order), [0]  # a filter is one int: its boxes' bits, plus c times one
+    for r, c in order:
+        b, below = bit[r, c], bit.get((r + 1, c), 0) | bit.get((r, c - 1), 0)
+        filters = [f | b if f & below else f for f in filters] + [f + b + one for f in filters if not f & below]
+        work = len(filters) * len(order) * k
+        if work > _LEVEL_WORK:
+            raise ValueError(f"level-transfer work bound>={work} > limit {_LEVEL_WORK}")
+    width = len(order) * (k + 1).bit_length() + 2
+    shifts = [(f >> len(order)) * width for f in filters]
+    vec = [1 << s for s in shifts]
+    if k > 1:
+        index = {f % one: i for i, f in enumerate(filters)}
+        pairs = []
+        for r, c in order:
+            b, above = bit[r, c], bit.get((r - 1, c), 0) | bit.get((r, c + 1), 0)
+            pairs += [(i, index[f % one | b]) for i, f in enumerate(filters) if f & (b | above) == above]
+        for _ in range(k - 1):
+            _level_step(vec, pairs, shifts)
+    return _unpack(sum(vec), width)
 
 
-def _box_steps(boxes, k):
-    """The steps of the box transfer over the diagram, and the bound on its
-    states, without building a state.  Each step is (south, west, drop, at):
-    the state indices of the box's south and west neighbours (-1, the
-    sentinel, for an absent one), the length of the prefix that leaves the
-    frontier, and the index where the box joins it (None if it does not)."""
-    order = sorted(boxes, key=lambda box: (box[1], -box[0]))
-    pos = {box: i for i, box in enumerate(order)}
-    # the step whose box reads this one last, None if no box reads it
-    last = {
-        (row, col): max((pos[b] for b in ((row - 1, col), (row, col + 1)) if b in pos), default=None)
-        for row, col in order
-    }
-    steps = []
-    frontier = []  # boxes on the frontier, in the order they leave it
-    bound = 1  # a step that adds no box keeps a projection of the states
-    for step, (row, col) in enumerate(order):
-        south = frontier.index((row + 1, col)) if (row + 1, col) in pos else -1
-        west = frontier.index((row, col - 1)) if (row, col - 1) in pos else -1
-        drop = sum(1 for b in frontier if last[b] == step)
-        frontier = frontier[drop:]
-        at = None
-        if last[row, col] is not None:
-            at = sum(1 for b in frontier if last[b] <= last[row, col])
-            frontier.insert(at, (row, col))
-            bound = max(bound, _state_bound(frontier, k))
-            at += drop
-        steps.append((south, west, drop, at))
-    return steps, bound
-
-
-def _state_bound(frontier, k):
-    """prod C(l + k, l) over the vertical runs of the frontier, l boxes each:
-    a bound on the fillings of the frontier, as each run weakly increases upward."""
-    cells = set(frontier)
-    bound = 1
-    for row, col in cells:
-        if (row + 1, col) not in cells:  # the bottom of a run
-            length = 1
-            while (row - length, col) in cells:
-                length += 1
-            bound *= binomial(length + k, length)
-    return bound
+def _level_step(vec, pairs, shifts):
+    """One level, in place: the superset sums, then the factor t^c(F)."""
+    for i, j in pairs:
+        vec[i] += vec[j]
+    for i, shift in enumerate(shifts):
+        vec[i] <<= shift
 
 
 def _pack(coeffs, width):

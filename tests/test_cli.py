@@ -257,8 +257,8 @@ def test_hilbert():
     ids=["upq-16-16-k6", "ostar-24-k6"],
 )
 def test_hilbert_beyond_the_box_transfer(argv, setting):
-    # upq(16,16) k=6 ran past 100 s by the box transfer; the determinant
-    # takes milliseconds
+    # upq(16,16) k=6 ran past 100 s by an earlier box-by-box transfer and is
+    # above the level transfer's gate; the determinant takes milliseconds
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(
         [sys.executable, "-m", "dualdeg.cli", "hilbert", *argv],
@@ -523,16 +523,16 @@ def test_check_theta_gate():
 
 
 def test_hilbert_box_transfer_gate():
-    # mp(40) k=25: the packed route refuses, and so does the box transfer,
-    # from its plan; the call exits 2 naming both bounds, while mp(60) k=58,
-    # refused by the packed route, runs by the box transfer
+    # mp(40) k=25: the packed route refuses, and so does the level transfer
+    # while it lists the filters; the call exits 2 naming both bounds, while
+    # mp(60) k=58, refused by the packed route, runs by the level transfer
     err = io.StringIO()
     with redirect_stderr(err):
         code, out = run_cli("hilbert --family mp --n 40 --k 25".split())
     assert code == 2 and out == ""
     assert err.getvalue() == (
         "error: packed bit-operation bound=110471554750464 > limit 20000000000000; "
-        "box-transfer state bound=2478215821536 > limit 200000\n"
+        "level-transfer work bound>=36864000 > limit 30000000\n"
     )
     code, out = run_cli("hilbert --family mp --n 60 --k 58".split())
     assert code == 0
@@ -541,7 +541,7 @@ def test_hilbert_box_transfer_gate():
 
 def test_hilbert_molien_gate():
     # mp(40) k=20: above the packed budget, read before the first
-    # determinant, and above the box transfer's; the call exits 2 naming
+    # determinant, and above the level transfer's; the call exits 2 naming
     # both bounds, while mp(30) k=10 runs by the packed route
     err = io.StringIO()
     with redirect_stderr(err):
@@ -549,7 +549,7 @@ def test_hilbert_molien_gate():
     assert code == 2 and out == ""
     assert err.getvalue() == (
         "error: packed bit-operation bound=56675700226321 > limit 20000000000000; "
-        "box-transfer state bound=100300325150025 > limit 200000\n"
+        "level-transfer work bound>=30105600 > limit 30000000\n"
     )
     code, out = run_cli("hilbert --family mp --n 30 --k 10".split())
     assert code == 0
@@ -565,13 +565,13 @@ def test_hilbert_determinant_gate():
     assert code == 2 and out == ""
     assert err.getvalue() == (
         "error: packed bit-operation bound=21982251845939 > limit 20000000000000; "
-        "box-transfer state bound=953799087696 > limit 200000\n"
+        "level-transfer work bound>=40290756 > limit 30000000\n"
     )
 
 
 def test_hilbert_upq_beyond_the_packed_budget():
     # upq(60,60) k=58: the 58 x 58 determinant is refused (it took 71 s
-    # without a gate), and the box transfer over the 2 x 2 D_k runs
+    # without a gate), and the level transfer over the 2 x 2 D_k runs
     code, out = run_cli("hilbert --family upq --p 60 --q 60 --k 58".split())
     assert code == 0
     payload = json.loads(out)

@@ -182,6 +182,25 @@ def test_c_statistic():
     assert c_statistic(empty) == 0
 
 
+def test_level_fillings_rebuild_the_plane_partition():
+    # the identity the level transfer rests on: each level filling
+    # pi>=l = [pi(b) >= l] is a plane partition bounded by 1, the levels are
+    # nested and sum to pi, and c is additive over them
+    cases = [(upq(4, 5, 0), 2), (upq(5, 6, 0), 3), (mp(6, 0), 2), (mp(7, 0), 3), (ostar(9, 0), 2), (ostar(11, 0), 3)]
+    cases += [(Setting("e6"), k) for k in (1, 2)] + [(Setting("e7"), k) for k in (1, 2, 3)]
+    fillings_seen = 0
+    for setting, k in cases:
+        for pp in enumerate_P(setting, k):
+            levels = [PlanePartition(pp.diagram, {b: int(v >= l) for b, v in pp.entries.items()}) for l in range(1, k + 1)]
+            assert all(level.is_monotone() and level.bound() <= 1 for level in levels), (setting, k, pp)
+            for upper, lower in zip(levels, levels[1:]):
+                assert all(lower.entries[b] <= upper.entries[b] for b in pp.diagram), (setting, k, pp)
+            assert {b: sum(level.entries[b] for level in levels) for b in pp.diagram} == pp.entries, (setting, k, pp)
+            assert c_statistic(pp) == sum(c_statistic(level) for level in levels), (setting, k, pp)
+            fillings_seen += 1
+    assert fillings_seen == 6_431
+
+
 def test_hilbert_series():
     for n in (3, 4, 5):
         num, exponent = hilbert_series_orbit(Setting("so-odd", n=n), 1)
@@ -393,8 +412,9 @@ def _column_fillings(rows, west, keep, k):
 
 
 def test_numerator_polynomial_matches_column_transfer():
-    # the box-by-box transfer against the column transfer, every k of every
-    # listed setting: 204 upq, 55 mp, 42 ostar, 152 so, 2 e6 and 3 e7 cases
+    # the packed route (upq, mp, ostar) and the level transfer (so, e6, e7)
+    # against the column transfer, every k of every listed setting: 204 upq,
+    # 55 mp, 42 ostar, 152 so, 2 e6 and 3 e7 cases
     settings_ = [upq(p, q, 0) for p in range(1, 9) for q in range(1, 9)]
     settings_ += [mp(n, 0) for n in range(1, 11)] + [ostar(n, 0) for n in range(1, 14)]
     settings_ += [Setting(family, n=n) for family in ("so-even", "so-odd") for n in range(3, 41)]
@@ -432,8 +452,8 @@ LARGE_NUMERATORS = {
         1602276746304, 420665772021, 90788704578, 15982573035, 2273142300,
         258111568, 23052744, 1588158, 82160, 3081, 78, 1,
     ],
-    # computed with the box transfer (116,424 states, about 5 s and 140 MB);
-    # numerator_polynomial takes the packed route here
+    # computed with an earlier box-by-box transfer (116,424 states, about 5 s
+    # and 140 MB); numerator_polynomial takes the packed route here
     (mp(18, 0), 5): [
         1, 91, 4186, 129766, 3049501, 57940519, 855094240, 9587749600,
         82282383820, 549198051780, 2891682413256, 12136734684984,
@@ -454,29 +474,39 @@ def test_numerator_polynomial_large_coefficients():
     assert count_P_product(upq(12, 12, 0), 4) == 15_484_613_937_936
     assert count_P_product(mp(15, 0), 3) == 3_042_918_400
     assert count_P_product(ostar(19, 0), 3) == 694_280_570_551_875
+    # the level transfer, where its gate admits the setting (ostar(19) k=3,
+    # with 742,900 filters of 78 boxes, is above it), gives the same
+    # coefficients
+    for setting, k in [(upq(12, 12, 0), 4), (mp(15, 0), 3), (mp(18, 0), 5)]:
+        assert list(diagrams._numerator_by_levels(setting, k)) == LARGE_NUMERATORS[setting, k], (setting, k)
+    with pytest.raises(ValueError, match="level-transfer work"):
+        diagrams._numerator_by_levels(ostar(19, 0), 3)
     # the box and the shifted staircase give palindromic numerators
     for setting, k in [(upq(12, 12, 0), 4), (ostar(19, 0), 3)]:
         coeffs = LARGE_NUMERATORS[setting, k]
         assert coeffs == coeffs[::-1], (setting, k)
 
 
-def test_numerator_determinant_matches_box_transfer():
-    # upq and ostar take the determinant; the box transfer, their oracle,
-    # runs at every k: 285 upq and 49 ostar cases
+def test_numerator_determinant_matches_level_transfer():
+    # upq and ostar take the determinant; the level transfer, their oracle,
+    # runs at every k under its gate: 285 upq and 49 ostar cases
     settings_ = [upq(p, q, 0) for p in range(1, 10) for q in range(1, 10)]
     settings_ += [ostar(n, 0) for n in range(1, 15)]
     cases = 0
     for setting in settings_:
         for k in range(1, real_rank(setting) + 1):
-            assert numerator_polynomial(setting, k) == diagrams._numerator_by_boxes(setting, k), (setting, k)
+            assert numerator_polynomial(setting, k) == diagrams._numerator_by_levels(setting, k), (setting, k)
             cases += 1
     assert cases == 334
 
 
 def test_numerator_determinant_beyond_the_box_transfer():
-    # beyond the box transfer's reach (upq(16,16) k=6 ran past 100 s), so
-    # checked by properties that need no oracle
+    # beyond the reach of an earlier box-by-box transfer (upq(16,16) k=6 ran
+    # past 100 s) and above the level transfer's gate, so checked by
+    # properties that need no oracle
     for setting, k in [(upq(16, 16, 0), 6), (upq(20, 20, 0), 8), (ostar(24, 0), 6), (ostar(30, 0), 8)]:
+        with pytest.raises(ValueError, match="level-transfer work"):
+            diagrams._numerator_by_levels(setting, k)
         num = numerator_polynomial(setting, k)
         assert num[0] == 1, (setting, k)
         assert num[1] == len(diagram_D_closed_form(setting, k)), (setting, k)
@@ -493,8 +523,8 @@ def test_numerator_determinant_refuses_a_wrong_count(monkeypatch):
             numerator_polynomial(setting, k)
 
 
-def test_numerator_molien_matches_box_transfer():
-    # mp takes the packed route at every k here, the box transfer is its
+def test_numerator_molien_matches_level_transfer():
+    # mp takes the packed route at every k here, the level transfer is its
     # oracle: every mp(n) with n <= 14 at 1 <= k <= n - 1, 91 cases;
     # deg N = k floor((n-k+1)/2)
     cases = 0
@@ -502,7 +532,7 @@ def test_numerator_molien_matches_box_transfer():
         for k in range(1, n):
             setting = mp(n, 0)
             num = numerator_polynomial(setting, k)
-            assert num == diagrams._numerator_by_boxes(setting, k), (n, k)
+            assert num == diagrams._numerator_by_levels(setting, k), (n, k)
             assert len(num) == k * ((n - k + 1) // 2) + 1, (n, k)
             cases += 1
     assert cases == 91
@@ -563,10 +593,16 @@ def test_numerator_molien_guards(monkeypatch):
 
 
 def test_numerator_molien_beyond_the_box_transfer():
-    # mp(20) k=6 took 49 s and 1 GB by the box transfer; checked by
-    # properties that need no oracle
-    for setting, k in [(mp(20, 0), 6), (mp(21, 0), 9), (mp(24, 0), 4), (mp(30, 0), 10)]:
+    # mp(20) k=6 took 49 s and 1 GB by an earlier box-by-box transfer; the
+    # level transfer checks the two its gate admits (mp(20) k=6 in about
+    # 0.8 s), and properties that need no oracle check all four
+    for setting, k, admitted in [(mp(20, 0), 6, True), (mp(21, 0), 9, True), (mp(24, 0), 4, False), (mp(30, 0), 10, False)]:
         num = numerator_polynomial(setting, k)
+        if admitted:
+            assert diagrams._numerator_by_levels(setting, k) == num, (setting, k)
+        else:
+            with pytest.raises(ValueError, match="level-transfer work"):
+                diagrams._numerator_by_levels(setting, k)
         assert num[0] == 1, (setting, k)
         assert num[1] == len(diagram_D_closed_form(setting, k)), (setting, k)
         assert num.evaluate(1) == count_P_product(setting, k), (setting, k)
@@ -585,38 +621,34 @@ def test_molien_budget_is_inclusive(monkeypatch):
             with pytest.raises(ValueError, match=f"packed bit-operation bound={bound} > limit {bound - 1}"):
                 diagrams._numerator_by_determinant(setting, k)
         monkeypatch.setattr(diagrams, "_PACKED_COST", bound)
-        assert diagrams._numerator_by_determinant(setting, k) == diagrams._numerator_by_boxes(setting, k), setting
+        assert diagrams._numerator_by_determinant(setting, k) == diagrams._numerator_by_levels(setting, k), setting
 
 
-def test_box_transfer_state_budget():
-    # the budget admits every setting the tests run the box transfer on,
-    # as the route or as the oracle: mp n <= 15 at every k, so n <= 40, e6
-    # and e7, and the upq and ostar oracle runs
-    reached = [mp(n, 0) for n in range(1, 16)]
-    reached += [Setting(family, n=n) for family in ("so-even", "so-odd") for n in range(3, 41)]
-    reached += [Setting("e6"), Setting("e7")]
-    reached += [upq(p, q, 0) for p in range(1, 10) for q in range(1, 10)] + [ostar(n, 0) for n in range(1, 15)]
-    for setting in reached:
-        for k in range(1, real_rank(setting) + 1):
-            _, bound = diagrams._box_steps(diagram_D(setting, k), k)
-            assert bound <= diagrams._BOX_STATES, (setting, k, bound)
-    # the bound: two vertical runs of 4 boxes at k = 6, C(10, 4)^2, which
-    # the transfer reaches; mp(18) k=5 behind LARGE_NUMERATORS fits
-    assert diagrams._box_steps(diagram_D(mp(16, 0), 6), 6)[1] == 44_100
-    assert diagrams._box_steps(diagram_D(mp(18, 0), 5), 5)[1] == 116_424
-    # refused from the plan alone, before the first box: no state set of this
-    # bound could be built in the time the test takes
-    with pytest.raises(ValueError, match="box-transfer state bound=2478215821536 > limit 200000"):
-        diagrams._numerator_by_boxes(mp(40, 0), 25)
+def test_level_transfer_work_budget(monkeypatch):
+    # the heaviest oracle run, ostar(14) k=1: at k = 1 the filters are P_1,
+    # so it reads 208,012 filters of 66 boxes, under the budget
+    assert count_P_product(ostar(14, 0), 1) * len(diagram_D(ostar(14, 0), 1)) == 13_728_792 <= diagrams._LEVEL_WORK
+    # refused while the filters are listed, before any level step; the
+    # message reads the work of the filters listed so far
+    monkeypatch.setattr(diagrams, "_level_step", lambda *args: pytest.fail("a level step ran"))
+    for setting, k, work in [(mp(40, 0), 20, 30_105_600), (mp(40, 0), 25, 36_864_000), (upq(34, 34, 0), 11, 40_290_756)]:
+        with pytest.raises(ValueError, match=f"level-transfer work bound>={work} > limit 30000000$"):
+            diagrams._numerator_by_levels(setting, k)
+    monkeypatch.undo()
+    # settings above the packed budget whose D_k is tiny still run
+    for setting, k in [(upq(60, 60, 0), 58), (mp(60, 0), 58)]:
+        num = diagrams._numerator_by_levels(setting, k)
+        assert num.evaluate(1) == count_P_product(setting, k) and num[1] == len(diagram_D(setting, k)), setting
 
 
-def test_box_transfer_budget_is_inclusive(monkeypatch):
-    # mp(10) k=4 reaches a bound of 350 states: refused one below, run at it
-    monkeypatch.setattr(diagrams, "_BOX_STATES", 349)
-    with pytest.raises(ValueError, match="bound=350 > limit 349"):
-        diagrams._numerator_by_boxes(mp(10, 0), 4)
-    monkeypatch.setattr(diagrams, "_BOX_STATES", 350)
-    assert diagrams._numerator_by_boxes(mp(10, 0), 4) == numerator_polynomial(mp(10, 0), 4)
+def test_level_transfer_budget_is_inclusive(monkeypatch):
+    # mp(10) k=4: 64 filters of the 21 boxes of staircase(6), work
+    # 64 * 21 * 4 = 5,376: refused one below, run at it
+    monkeypatch.setattr(diagrams, "_LEVEL_WORK", 5_375)
+    with pytest.raises(ValueError, match="bound>=5376 > limit 5375"):
+        diagrams._numerator_by_levels(mp(10, 0), 4)
+    monkeypatch.setattr(diagrams, "_LEVEL_WORK", 5_376)
+    assert diagrams._numerator_by_levels(mp(10, 0), 4) == numerator_polynomial(mp(10, 0), 4)
 
 
 class _Packed(Exception):
@@ -629,10 +661,10 @@ def _raise_packed(matrix):
 
 def test_numerator_polynomial_routes_by_cost(monkeypatch):
     # upq, mp and ostar take the packed route at or below its budget and the
-    # box transfer above it; so-even, so-odd, e6 and e7 take the box
+    # level transfer above it; so-even, so-odd, e6 and e7 take the level
     # transfer; an empty D_k gives 1 before any route
     monkeypatch.setattr(diagrams, "determinant", _raise_packed)
-    monkeypatch.setattr(diagrams, "_numerator_by_boxes", lambda setting, k: "boxes")
+    monkeypatch.setattr(diagrams, "_numerator_by_levels", lambda setting, k: "levels")
 
     def route(setting, k):
         try:
@@ -646,27 +678,27 @@ def test_numerator_polynomial_routes_by_cost(monkeypatch):
             assert route(setting, k) == ((1,) if empty else "packed"), (setting, k)
     for setting in [Setting("so-even", n=8), Setting("so-odd", n=8), Setting("e6"), Setting("e7")]:
         for k in range(1, real_rank(setting) + 1):
-            assert route(setting, k) == "boxes", (setting, k)
+            assert route(setting, k) == "levels", (setting, k)
     # on both sides of the budget: the cheapest upq setting refused at
     # k = 11, and settings the CLI tests run or refuse
     cases = [
         (upq(33, 33, 0), 11, "packed"),
-        (upq(34, 34, 0), 11, "boxes"),
-        (upq(60, 60, 0), 58, "boxes"),
+        (upq(34, 34, 0), 11, "levels"),
+        (upq(60, 60, 0), 58, "levels"),
         (mp(40, 0), 14, "packed"),
-        (mp(40, 0), 20, "boxes"),
-        (mp(60, 0), 58, "boxes"),
+        (mp(40, 0), 20, "levels"),
+        (mp(60, 0), 58, "levels"),
         (ostar(30, 0), 8, "packed"),
-        (ostar(42, 0), 14, "boxes"),
+        (ostar(42, 0), 14, "levels"),
     ]
     for setting, k, expected in cases:
         assert route(setting, k) == expected, (setting, k)
 
 
 @st.composite
-def box_transfer_orbits(draw):
-    """Small upq, mp and ostar settings, with k, that the box transfer runs
-    in milliseconds."""
+def level_transfer_orbits(draw):
+    """Small upq, mp and ostar settings, with k, under the level transfer's
+    gate."""
     family = draw(st.sampled_from(["upq", "mp", "ostar"]))
     if family == "upq":
         setting = upq(draw(st.integers(1, 8)), draw(st.integers(1, 8)), 0)
@@ -678,13 +710,13 @@ def box_transfer_orbits(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(box_transfer_orbits())
-def test_numerator_polynomial_matches_box_transfer_on_either_route(orbit):
+@given(level_transfer_orbits())
+def test_numerator_polynomial_matches_level_transfer_on_either_route(orbit):
     # as routed (the packed route here), and with the packed budget at 0, so
     # that every setting whose blocks are not all 0 x 0 falls back to the
-    # box transfer
+    # level transfer
     setting, k = orbit
-    expected = diagrams._numerator_by_boxes(setting, k)
+    expected = diagrams._numerator_by_levels(setting, k)
     assert numerator_polynomial(setting, k) == expected
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(diagrams, "_PACKED_COST", 0)
