@@ -1,6 +1,7 @@
 """Diagrams D_k for the seven Hermitian types, bounded plane partitions,
-product counting formulas, and Hilbert-series numerators: packed
-determinants for the dual pairs, a transfer over level fillings otherwise."""
+product counting formulas, and Hilbert-series numerators: a transfer over
+level fillings, or for the dual pairs packed determinants where the level
+work would exceed a multiple of the determinants' size cubed."""
 
 from collections import namedtuple
 from functools import cache, lru_cache
@@ -76,8 +77,8 @@ def diagram_D0(setting):
 
 
 def diagram_D_closed_form(setting, k):
-    """Closed-form D_k for the three dual-pair types, for every k >= 0;
-    diagram_D builds the same boxes as the k-fold interior of D_0."""
+    """Closed-form D_k for the three dual-pair types, for every k >= 0: the
+    k-fold interior of D_0, built in O(|D_k|)."""
     f = setting.family
     if f == UPQ:
         return rectangle(setting.p - k, setting.q - k)
@@ -89,12 +90,28 @@ def diagram_D_closed_form(setting, k):
     raise ValueError(f"no closed form for family {setting.family!r}")
 
 
+def _level_work(setting, k):
+    """#filters * |D_k| * k, the work the level transfer reads, for the three
+    dual-pair types from the shape of the closed form, without its boxes: the
+    a x b rectangle has C(a+b, a) filters, staircase(m) has 2^m and
+    shifted_staircase(m) the Catalan number C(2m+2, m+1) / (m+2)."""
+    if setting.family == UPQ:
+        a, b = max(setting.p - k, 0), max(setting.q - k, 0)
+        return binomial(a + b, a) * a * b * k
+    m = max(setting.n - k if setting.family == MP else setting.n - 2 * k - 1, 0)
+    filters = 2**m if setting.family == MP else binomial(2 * m + 2, m + 1) // (m + 2)
+    return filters * m * (m + 1) // 2 * k
+
+
 @cache
 def diagram_D(setting, k):
-    """D_k as the k-fold interior of D_0, a frozenset of boxes; cached, and
+    """D_k, the k-fold interior of D_0, a frozenset of boxes: the closed form
+    for the dual pairs, else k interior passes over D_0; cached, and
     immutable so that no caller can change the cached copy."""
     if k < 0:
         raise ValueError("k must be >= 0")
+    if setting.family in (UPQ, MP, OSTAR):
+        return diagram_D_closed_form(setting, k)
     boxes = diagram_D0(setting)
     for _ in range(k):
         boxes = _southwest_interior(boxes)
@@ -255,32 +272,70 @@ def c_statistic(pp):
 
 def numerator_polynomial(setting, k):
     """Generating polynomial N(t) of the c statistic over P_k, so that
-    N(1) = #P_k.  One rule routes every setting: upq, mp and ostar take the
-    packed determinants of _numerator_by_determinant unless their bound
-    exceeds _PACKED_COST; a refused one, so-even, so-odd, e6 and e7 take the
-    level transfer under its own work budget.  If both refuse, the ValueError
-    names both bounds, so that `dualdeg hilbert` exits 2.  The level
-    transfer, the column transfer of the tests and enumerate_P with
-    c_statistic are the test oracles."""
+    N(1) = #P_k.  so-even, so-odd, e6 and e7 take the level transfer.  For
+    upq, mp and ostar one rule, read before any work, picks the cheaper
+    route: the level transfer where its work #filters |D_k| k, read by
+    _level_work from the shape of D_k, is at most
+    min(_LEVEL_WORK, _LEVEL_PER_CUBE s^3), s the size of the largest
+    determinant block (k, or floor(k/2) for mp), and its bit budget admits
+    it; else the packed determinants of _numerator_by_determinant under
+    _PACKED_COST; else the level transfer under its own budgets.  If both
+    refuse, the ValueError names both bounds, so that `dualdeg hilbert`
+    exits 2.  Either route raises AssertionError unless N(0) = 1 and
+    N(1) = count_P_product.  The level transfer, the column transfer of the
+    tests and enumerate_P with c_statistic are the test oracles."""
     r = real_rank(setting)
     if not 1 <= k <= r:
         raise ValueError(f"k must satisfy 1 <= k <= {r}")
     if setting.family not in (UPQ, MP, OSTAR):
         return _numerator_by_levels(setting, k)
+    work = _level_work(setting, k)
+    if not work:
+        return IntPolynomial([1])  # the one filling of the empty D_k
+    block = k // 2 if setting.family == MP else k
+    if work <= min(_LEVEL_WORK, _LEVEL_PER_CUBE * block**3):
+        try:
+            return _checked_levels(setting, k)
+        except ValueError:  # the bit budget
+            pass
     try:
         return _numerator_by_determinant(setting, k)
     except ValueError as packed:
         try:
-            return _numerator_by_levels(setting, k)
+            return _checked_levels(setting, k)
         except ValueError as levels:
             raise ValueError(f"{packed}; {levels}") from None
 
+
+# The route rule's exchange rate: the level transfer takes about 0.06 us per
+# unit of #filters * |D_k| * k and the determinants about 1.3 us per s^3
+# (total time over total units, the 683 non-trivial dual-pair settings of
+# the `hilbert` benchmark candidates, one core of an x86 VM, Python 3.11);
+# 5 rather than about 20 leaves the level transfer only the settings where
+# it wins by a wide margin
+_LEVEL_PER_CUBE = 5
 
 # The packed route's budget: size^3 bits^2 bounds the bit operations of the
 # size^3 schoolbook products and quotients of Bareiss on a size x size
 # determinant of at most bits bits.  upq(33,33) k=11 (1.85e13) takes 1.2 s
 # and mp(40) k=14 (1.0e13) 0.8 s on one core of an x86 VM under Python 3.11
 _PACKED_COST = 2 * 10**13
+
+
+def _check_ends(num, count, setting, k, route):
+    """num, unless N(0) != 1 or N(1) != count: then AssertionError, so that a
+    wrong identity or transfer cannot pass as a numerator."""
+    if num[:1] != (1,):
+        raise AssertionError(f"{route} for {setting} k={k} give N(0) = {num.evaluate(0)}, not 1")
+    if sum(num) != count:
+        raise AssertionError(f"{route} for {setting} k={k} give N(1) = {sum(num)}, not #P_k = {count}")
+    return num
+
+
+def _checked_levels(setting, k):
+    """_numerator_by_levels for a dual-pair setting, with the guards of the
+    packed route on N(0) and N(1)."""
+    return _check_ends(_numerator_by_levels(setting, k), count_P_product(setting, k), setting, k, "level fillings")
 
 
 def _numerator_by_determinant(setting, k):
@@ -312,11 +367,7 @@ def _numerator_by_determinant(setting, k):
         if any(num[1::2]) or any(c & 1 for c in num[::2]):
             raise AssertionError(f"Molien series for {setting} k={k} is not 2 N(t^2)")
         num = IntPolynomial(c >> 1 for c in num[::2])
-    if num[:1] != (1,):
-        raise AssertionError(f"determinants for {setting} k={k} give N(0) = {num.evaluate(0)}, not 1")
-    if sum(num) != count:
-        raise AssertionError(f"determinants for {setting} k={k} give N(1) = {sum(num)}, not #P_k = {count}")
-    return num
+    return _check_ends(num, count, setting, k, "determinants")
 
 
 def _determinant_blocks(setting, k, width):
@@ -400,15 +451,19 @@ def _determinant_blocks(setting, k, width):
     return blocks, (1 - t * t) ** power
 
 
-# Budget on #filters * |D_k| * k, a bound on the level steps' pair updates
-# that ignores the packed width: upq(23,40) k=19 (2.0e7) takes about 2 s and
-# ostar(88) k=39 (2.9e7) 15 s and 280 MB, one core of an x86 VM, Python 3.11
+# Budgets of the level transfer: on #filters * |D_k| * k, a bound on the
+# level steps' pair updates, and on that times (k c_max + 1) B, a bound on
+# the bits those updates add, which grows with the packed width.  upq(23,40)
+# k=19 (2.0e7, 6.6e11 bits) takes about 2 s and 86 MB; ostar(88) k=39
+# (2.9e7, 2.8e12 bits) would take 16 s and 280 MB, one core of an x86 VM
+# under Python 3.11
 _LEVEL_WORK = 3 * 10**7
+_LEVEL_BITS = 10**12
 
 
 def _numerator_by_levels(setting, k):
-    """N(t) over the level fillings, for so, e6, e7 and the settings the
-    packed route refuses.  pi -> (pi>=1, ..., pi>=k), pi>=l = [pi(b) >= l],
+    """N(t) over the level fillings, for so, e6, e7 and the dual-pair
+    settings routed to it.  pi -> (pi>=1, ..., pi>=k), pi>=l = [pi(b) >= l],
     is a bijection onto the nested chains of filters of D_k (closed under
     north and east steps), and c is additive over the levels, since
     v - max(s, w) = sum_l [v>=l] - max([s>=l], [w>=l]): N = sum prod t^c(F_l).
@@ -419,9 +474,12 @@ def _numerator_by_levels(setting, k):
     and the call raises ValueError once #filters * |D_k| * k exceeds
     _LEVEL_WORK, before any level step.  Each of the k - 1 steps is the
     superset sum vec[F] += vec[F + b], box by box in that order (the north
-    and east neighbours of b come later), then the factor t^c(F).  Packed as
-    in _pack at B = |D_k| * (k+1).bit_length() + 2, a coefficient counts
-    fillings, at most (k+1)^|D_k| < 2^(B-1), so it never carries."""
+    and east neighbours of b come later), then the factor t^c(F).  Packed as in _pack at B = |D_k| * (k+1).bit_length() + 2, a
+    coefficient counts fillings, at most (k+1)^|D_k| < 2^(B-1), so it never
+    carries.  Each sum has degree at most k c_max, c_max the largest c(F),
+    so once the filters are listed the call also raises ValueError, before
+    any level step, where #filters * |D_k| * k * (k c_max + 1) B exceeds
+    _LEVEL_BITS."""
     order = sorted(diagram_D(setting, k), key=lambda box: (-box[0], box[1]))
     bit = {box: 1 << i for i, box in enumerate(order)}
     one, filters = 1 << len(order), [0]  # a filter is one int: its boxes' bits, plus c times one
@@ -433,6 +491,9 @@ def _numerator_by_levels(setting, k):
             raise ValueError(f"level-transfer work bound>={work} > limit {_LEVEL_WORK}")
     width = len(order) * (k + 1).bit_length() + 2
     shifts = [(f >> len(order)) * width for f in filters]
+    bits = len(filters) * len(order) * k * (k * max(shifts) + width)
+    if bits > _LEVEL_BITS:
+        raise ValueError(f"level-transfer bit bound={bits} > limit {_LEVEL_BITS}")
     vec = [1 << s for s in shifts]
     if k > 1:
         index = {f % one: i for i, f in enumerate(filters)}

@@ -569,6 +569,28 @@ def test_hilbert_determinant_gate():
     )
 
 
+@pytest.mark.parametrize(
+    "argv, packed, bits",
+    [
+        ("--family ostar --n 88 --k 39", 14474447737627644, 2822243973120),
+        ("--family upq --p 44 --q 44 --k 36", 3194054638977024, 3307852753920),
+    ],
+    ids=["ostar-88-k39", "upq-44-44-k36"],
+)
+def test_hilbert_level_bit_gate(argv, packed, bits):
+    # under the level transfer's work budget but above its bit budget, which
+    # reads the packed width (they ran for 16 s and 8.8 s without it): the
+    # call exits 2 naming both bounds
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = run_cli(f"hilbert {argv}".split())
+    assert code == 2 and out == ""
+    assert err.getvalue() == (
+        f"error: packed bit-operation bound={packed} > limit 20000000000000; "
+        f"level-transfer bit bound={bits} > limit 1000000000000\n"
+    )
+
+
 def test_hilbert_upq_beyond_the_packed_budget():
     # upq(60,60) k=58: the 58 x 58 determinant is refused (it took 71 s
     # without a gate), and the level transfer over the 2 x 2 D_k runs

@@ -60,13 +60,33 @@ def test_interior():
 
 
 def test_closed_forms_match_recursion():
-    # bernstein_degree reads |D_k| from the closed form at every k >= 1
-    for setting in [upq(3, 5, 0), upq(4, 4, 0), mp(4, 0), ostar(7, 0), ostar(8, 0)]:
-        for k in range(0, free_threshold(setting) + 3):
-            assert diagram_D(setting, k) == diagram_D_closed_form(setting, k), (
-                setting,
-                k,
-            )
+    # diagram_D returns the closed form for the dual pairs, and
+    # bernstein_degree reads |D_k| from it at every k >= 1: both equal the
+    # k-fold interior of D_0 for upq p, q <= 13, mp n <= 24 and ostar
+    # n <= 24 at k = 0 .. s + 1, s the free threshold: 3,483 cases
+    settings_ = [upq(p, q, 0) for p in range(1, 14) for q in range(1, 14)]
+    settings_ += [mp(n, 0) for n in range(1, 25)] + [ostar(n, 0) for n in range(1, 25)]
+    cases = 0
+    for setting in settings_:
+        boxes = diagram_D0(setting)
+        for k in range(0, free_threshold(setting) + 2):
+            assert diagram_D(setting, k) == diagram_D_closed_form(setting, k) == boxes, (setting, k)
+            boxes = interior(boxes)
+            cases += 1
+    assert cases == 3_483
+
+
+def test_level_work_counts_the_filters():
+    # the route rule reads #filters |D_k| k from the shape of D_k; here the
+    # filters, the fillings bounded by 1, are listed: upq p, q <= 8, mp
+    # n <= 14 and ostar n <= 12 at every k and one past the real rank
+    settings_ = [upq(p, q, 0) for p in range(1, 9) for q in range(1, 9)]
+    settings_ += [mp(n, 0) for n in range(1, 15)] + [ostar(n, 0) for n in range(2, 13)]
+    for setting in settings_:
+        for k in range(1, real_rank(setting) + 2):
+            boxes = diagram_D(setting, k)
+            filters = sum(1 for _ in diagrams._fillings(boxes, 1))
+            assert diagrams._level_work(setting, k) == filters * len(boxes) * k, (setting, k)
 
 
 def test_D_r_empty():
@@ -641,6 +661,27 @@ def test_level_transfer_work_budget(monkeypatch):
         assert num.evaluate(1) == count_P_product(setting, k) and num[1] == len(diagram_D(setting, k)), setting
 
 
+def test_level_transfer_bit_budget(monkeypatch):
+    # the second budget, read once the filters are listed, before any level
+    # step: #filters |D_k| k (k c_max + 1) B.  ostar(88) k=39 (16,796
+    # filters of 45 boxes, c_max 9, B = 272) took 16 s and 280 MB, and
+    # upq(44,44) k=36 8.8 s and 190 MB; upq(23,40) k=19 (6.6e11) runs in
+    # about 2 s
+    monkeypatch.setattr(diagrams, "_level_step", _take)
+    for setting, k, bits in [(ostar(88, 0), 39, 2_822_243_973_120), (upq(44, 44, 0), 36, 3_307_852_753_920)]:
+        with pytest.raises(ValueError, match=f"^level-transfer bit bound={bits} > limit 1000000000000$"):
+            diagrams._numerator_by_levels(setting, k)
+    with pytest.raises(_Taken):
+        diagrams._numerator_by_levels(upq(23, 40, 0), 19)
+    monkeypatch.undo()
+    # inclusive: mp(10) k=4, 5,376 (4 * 3 + 1) 65
+    monkeypatch.setattr(diagrams, "_LEVEL_BITS", 4_542_719)
+    with pytest.raises(ValueError, match="bit bound=4542720 > limit 4542719"):
+        diagrams._numerator_by_levels(mp(10, 0), 4)
+    monkeypatch.setattr(diagrams, "_LEVEL_BITS", 4_542_720)
+    assert diagrams._numerator_by_levels(mp(10, 0), 4) == diagrams._numerator_by_determinant(mp(10, 0), 4)
+
+
 def test_level_transfer_budget_is_inclusive(monkeypatch):
     # mp(10) k=4: 64 filters of the 21 boxes of staircase(6), work
     # 64 * 21 * 4 = 5,376: refused one below, run at it
@@ -651,48 +692,140 @@ def test_level_transfer_budget_is_inclusive(monkeypatch):
     assert diagrams._numerator_by_levels(mp(10, 0), 4) == numerator_polynomial(mp(10, 0), 4)
 
 
-class _Packed(Exception):
+class _Taken(Exception):
     pass
 
 
-def _raise_packed(matrix):
-    raise _Packed
+def _take(*args):
+    raise _Taken
 
 
 def test_numerator_polynomial_routes_by_cost(monkeypatch):
-    # upq, mp and ostar take the packed route at or below its budget and the
-    # level transfer above it; so-even, so-odd, e6 and e7 take the level
-    # transfer; an empty D_k gives 1 before any route
-    monkeypatch.setattr(diagrams, "determinant", _raise_packed)
-    monkeypatch.setattr(diagrams, "_numerator_by_levels", lambda setting, k: "levels")
+    # each call is traced without the work: the determinants and the level
+    # steps are replaced by _take, so a route is taken once its gates pass.
+    # A dual pair takes the level transfer where #filters |D_k| k is at most
+    # min(_LEVEL_WORK, 5 s^3), s = k (floor(k/2) for mp); else the packed
+    # route under _PACKED_COST; else the level transfer under its budgets
+    trace = []
+
+    def spy(name, route):
+        def call(setting, k):
+            try:
+                route(setting, k)
+            except ValueError:
+                trace.append((name, "refused"))
+                raise
+            except _Taken:
+                pass
+            trace.append(name)
+            raise _Taken
+
+        return call
+
+    monkeypatch.setattr(diagrams, "determinant", _take)
+    monkeypatch.setattr(diagrams, "_level_step", _take)
+    monkeypatch.setattr(diagrams, "_numerator_by_determinant", spy("packed", diagrams._numerator_by_determinant))
+    monkeypatch.setattr(diagrams, "_numerator_by_levels", spy("levels", diagrams._numerator_by_levels))
 
     def route(setting, k):
-        try:
-            return numerator_polynomial(setting, k)
-        except _Packed:
-            return "packed"
+        trace.clear()
+        with pytest.raises((_Taken, ValueError)) as outcome:
+            numerator_polynomial(setting, k)
+        return trace + (["exit 2"] if outcome.type is ValueError else [])
 
-    for setting in [upq(4, 6, 0), mp(9, 0), ostar(11, 0)]:
-        for k in range(1, real_rank(setting) + 1):
-            empty = count_P_product(setting, k) == 1
-            assert route(setting, k) == ((1,) if empty else "packed"), (setting, k)
+    # so-even, so-odd, e6 and e7 take the level transfer alone
     for setting in [Setting("so-even", n=8), Setting("so-odd", n=8), Setting("e6"), Setting("e7")]:
         for k in range(1, real_rank(setting) + 1):
-            assert route(setting, k) == "levels", (setting, k)
-    # on both sides of the budget: the cheapest upq setting refused at
-    # k = 11, and settings the CLI tests run or refuse
+            assert route(setting, k) == ["levels"], (setting, k)
+    refused = ("levels", "refused")
     cases = [
-        (upq(33, 33, 0), 11, "packed"),
-        (upq(34, 34, 0), 11, "levels"),
-        (upq(60, 60, 0), 58, "levels"),
-        (mp(40, 0), 14, "packed"),
-        (mp(40, 0), 20, "levels"),
-        (mp(60, 0), 58, "levels"),
-        (ostar(30, 0), 8, "packed"),
-        (ostar(42, 0), 14, "levels"),
+        # work at 5 s^3 and just above it: upq(3,6) k=2 has 40 = 5 * 2^3,
+        # upq(4,4) k=2 48, mp(20) k=16 2,560 = 5 * 8^3 and mp(21) k=17 2,720
+        (upq(3, 6, 0), 2, ["levels"]),
+        (upq(4, 4, 0), 2, ["packed"]),
+        (mp(20, 0), 16, ["levels"]),
+        (mp(21, 0), 17, ["packed"]),
+        # far above 5 s^3, where the determinants are cheap
+        (upq(7, 7, 0), 2, ["packed"]),
+        (mp(40, 0), 14, ["packed"]),
+        (upq(33, 33, 0), 11, ["packed"]),
+        (ostar(30, 0), 8, ["packed"]),
+        # a tiny D_k at large k
+        (mp(30, 0), 28, ["levels"]),
+        (upq(20, 20, 0), 18, ["levels"]),
+        (ostar(60, 0), 28, ["levels"]),
+        (mp(60, 0), 58, ["levels"]),
+        (upq(60, 60, 0), 58, ["levels"]),
+        # above the packed budget: the level transfer under its own budgets
+        (mp(60, 0), 50, [("packed", "refused"), "levels"]),
+        (upq(30, 30, 0), 24, [("packed", "refused"), "levels"]),
+        (mp(40, 0), 20, [("packed", "refused"), refused, "exit 2"]),
+        (upq(34, 34, 0), 11, [("packed", "refused"), refused, "exit 2"]),
+        (ostar(42, 0), 14, [("packed", "refused"), refused, "exit 2"]),
+        (upq(44, 44, 0), 36, [("packed", "refused"), refused, "exit 2"]),
+        (ostar(88, 0), 39, [("packed", "refused"), refused, "exit 2"]),
     ]
     for setting, k, expected in cases:
         assert route(setting, k) == expected, (setting, k)
+    # the rule's multiplier is read at call time, and inclusive: upq(3,6) k=2
+    # turns to the packed route once 5 s^3 = 40 falls below its work
+    monkeypatch.setattr(diagrams, "_LEVEL_PER_CUBE", 4)
+    assert route(upq(3, 6, 0), 2) == ["packed"]
+    # under the work budget but above the bit budget: the packed route
+    monkeypatch.setattr(diagrams, "_LEVEL_PER_CUBE", 5)
+    monkeypatch.setattr(diagrams, "_LEVEL_BITS", 0)
+    assert route(mp(30, 0), 28) == [refused, "packed"]
+    # an empty D_k gives 1 before any route
+    for setting, k in [(upq(4, 6, 0), 4), (mp(1, 0), 1), (ostar(9, 0), 4)]:
+        trace.clear()
+        assert numerator_polynomial(setting, k) == (1,) and trace == [], (setting, k)
+
+
+def test_numerator_levels_route_guards(monkeypatch):
+    # settings routed to the level transfer keep the packed route's guards:
+    # N(0) = 1 and N(1) = #P_k, or AssertionError
+    routed = [(mp(30, 0), 28), (upq(20, 20, 0), 18), (ostar(60, 0), 28), (upq(3, 6, 0), 2), (mp(60, 0), 50)]
+    monkeypatch.setattr(diagrams, "determinant", _take)
+    for setting, k in routed:
+        num = numerator_polynomial(setting, k)
+        assert num[0] == 1 and num.evaluate(1) == count_P_product(setting, k), (setting, k)
+    true_unpack = diagrams._unpack
+    with monkeypatch.context() as patch:
+        patch.setattr(diagrams, "_unpack", lambda *args: IntPolynomial([2, *true_unpack(*args)[1:]]))
+        for setting, k in routed:
+            with pytest.raises(AssertionError, match=r"^level fillings for .* give N\(0\) = 2, not 1$"):
+                numerator_polynomial(setting, k)
+    true_count = diagrams.count_P_product
+    monkeypatch.setattr(diagrams, "count_P_product", lambda setting, k: true_count(setting, k) + 1)
+    for setting, k in routed:
+        with pytest.raises(AssertionError, match=r"^level fillings for .* give N\(1\) = \d+, not #P_k"):
+            numerator_polynomial(setting, k)
+
+
+@st.composite
+def both_route_orbits(draw):
+    """upq, mp and ostar settings with k <= 16 whose D_k has at most 6 rows
+    and 6 columns: inside both routes' budgets, and quick on either."""
+    family = draw(st.sampled_from(["upq", "mp", "ostar"]))
+    k = draw(st.integers(1, 16))
+    if family == "upq":
+        return upq(k + draw(st.integers(0, 6)), k + draw(st.integers(0, 6)), 0), k
+    if family == "mp":
+        return mp(k + draw(st.integers(0, 6)), 0), k
+    return ostar(2 * k + 1 + draw(st.integers(0, 6)), 0), k
+
+
+@settings(max_examples=100, deadline=None)
+@given(both_route_orbits())
+@example((upq(22, 22, 0), 16))  # packed bound 2.5e12, level work 5.3e5
+@example((mp(20, 0), 14))  # 7 x 7 and 6 x 6 Baik-Rains blocks, level work 18,816
+def test_numerator_routes_agree(orbit):
+    # whichever route the rule picks, the other gives the same numerator,
+    # with N(0) = 1 and N(1) = #P_k
+    setting, k = orbit
+    levels = diagrams._numerator_by_levels(setting, k)
+    assert levels == diagrams._numerator_by_determinant(setting, k), orbit
+    assert levels[0] == 1 and levels.evaluate(1) == count_P_product(setting, k), orbit
 
 
 @st.composite
