@@ -76,31 +76,42 @@ def diagram_D0(setting):
     return frozenset((r, c) for r, first, last in runs for c in range(first, last + 1))
 
 
+def _dual_pair_shape(setting, k):
+    """The shape of D_k for the three dual-pair types, (family, a, b), its
+    edges clipped at 0: the a x b rectangle for upq, a = p - k, b = q - k;
+    staircase(a) for mp, a = n - k; shifted_staircase(a) for ostar,
+    a = n - 2k - 1; b = a for the two staircases."""
+    f = setting.family
+    if f == UPQ:
+        return f, max(setting.p - k, 0), max(setting.q - k, 0)
+    if f == MP:
+        m = max(setting.n - k, 0)
+    elif f == OSTAR:
+        m = max(setting.n - 2 * k - 1, 0)
+    else:
+        raise ValueError(f"no closed form for family {setting.family!r}")
+    return f, m, m
+
+
 def diagram_D_closed_form(setting, k):
     """Closed-form D_k for the three dual-pair types, for every k >= 0: the
     k-fold interior of D_0, built in O(|D_k|)."""
-    f = setting.family
+    f, a, b = _dual_pair_shape(setting, k)
     if f == UPQ:
-        return rectangle(setting.p - k, setting.q - k)
-    if f == MP:
-        return staircase(setting.n - k) if setting.n - k > 0 else frozenset()
-    if f == OSTAR:
-        m = setting.n - 2 * k - 1
-        return shifted_staircase(m) if m > 0 else frozenset()
-    raise ValueError(f"no closed form for family {setting.family!r}")
+        return rectangle(a, b)
+    return staircase(a) if f == MP else shifted_staircase(a)
 
 
 def _level_work(setting, k):
     """#filters * |D_k| * k, the work the level transfer reads, for the three
-    dual-pair types from the shape of the closed form, without its boxes: the
-    a x b rectangle has C(a+b, a) filters, staircase(m) has 2^m and
-    shifted_staircase(m) the Catalan number C(2m+2, m+1) / (m+2)."""
-    if setting.family == UPQ:
-        a, b = max(setting.p - k, 0), max(setting.q - k, 0)
+    dual-pair types from the shape of D_k, without its boxes: the a x b
+    rectangle has C(a+b, a) filters, staircase(a) has 2^a and
+    shifted_staircase(a) the Catalan number C(2a+2, a+1) / (a+2)."""
+    f, a, b = _dual_pair_shape(setting, k)
+    if f == UPQ:
         return binomial(a + b, a) * a * b * k
-    m = max(setting.n - k if setting.family == MP else setting.n - 2 * k - 1, 0)
-    filters = 2**m if setting.family == MP else binomial(2 * m + 2, m + 1) // (m + 2)
-    return filters * m * (m + 1) // 2 * k
+    filters = 2**a if f == MP else binomial(2 * a + 2, a + 1) // (a + 2)
+    return filters * a * (a + 1) // 2 * k
 
 
 @cache
@@ -273,14 +284,14 @@ def c_statistic(pp):
 def numerator_polynomial(setting, k):
     """Generating polynomial N(t) of the c statistic over P_k, so that
     N(1) = #P_k.  so-even, so-odd, e6 and e7 take the level transfer.  For
-    upq, mp and ostar one rule, read before any work, picks the cheaper
-    route: the level transfer where its work #filters |D_k| k, read by
-    _level_work from the shape of D_k, is at most
+    upq, mp and ostar one rule, read before any work, orders the two exact
+    routes: the level transfer first where its work #filters |D_k| k, read
+    by _level_work from the shape of D_k, is at most
     min(_LEVEL_WORK, _LEVEL_PER_CUBE s^3), s the size of the largest
-    determinant block (k, or floor(k/2) for mp), and its bit budget admits
-    it; else the packed determinants of _numerator_by_determinant under
-    _PACKED_COST; else the level transfer under its own budgets.  If both
-    refuse, the ValueError names both bounds, so that `dualdeg hilbert`
+    determinant block (k, or floor(k/2) for mp), else the packed
+    determinants of _numerator_by_determinant first.  Each route runs at
+    most once; the second runs only if the first refuses its budget, and if
+    both refuse, the ValueError names both bounds, so that `dualdeg hilbert`
     exits 2.  Either route raises AssertionError unless N(0) = 1 and
     N(1) = count_P_product.  The level transfer, the column transfer of the
     tests and enumerate_P with c_statistic are the test oracles."""
@@ -293,18 +304,16 @@ def numerator_polynomial(setting, k):
     if not work:
         return IntPolynomial([1])  # the one filling of the empty D_k
     block = k // 2 if setting.family == MP else k
+    routes = [_numerator_by_determinant, _checked_levels]
     if work <= min(_LEVEL_WORK, _LEVEL_PER_CUBE * block**3):
+        routes.reverse()
+    refusals = []
+    for route in routes:
         try:
-            return _checked_levels(setting, k)
-        except ValueError:  # the bit budget
-            pass
-    try:
-        return _numerator_by_determinant(setting, k)
-    except ValueError as packed:
-        try:
-            return _checked_levels(setting, k)
-        except ValueError as levels:
-            raise ValueError(f"{packed}; {levels}") from None
+            return route(setting, k)
+        except ValueError as refusal:
+            refusals.append(str(refusal))
+    raise ValueError("; ".join(refusals))
 
 
 # The route rule's exchange rate: the level transfer takes about 0.06 us per
@@ -474,12 +483,12 @@ def _numerator_by_levels(setting, k):
     and the call raises ValueError once #filters * |D_k| * k exceeds
     _LEVEL_WORK, before any level step.  Each of the k - 1 steps is the
     superset sum vec[F] += vec[F + b], box by box in that order (the north
-    and east neighbours of b come later), then the factor t^c(F).  Packed as in _pack at B = |D_k| * (k+1).bit_length() + 2, a
-    coefficient counts fillings, at most (k+1)^|D_k| < 2^(B-1), so it never
-    carries.  Each sum has degree at most k c_max, c_max the largest c(F),
-    so once the filters are listed the call also raises ValueError, before
-    any level step, where #filters * |D_k| * k * (k c_max + 1) B exceeds
-    _LEVEL_BITS."""
+    and east neighbours of b come later), then the factor t^c(F).  Packed
+    as in _pack at B = |D_k| * (k+1).bit_length() + 2, a coefficient counts
+    fillings, at most (k+1)^|D_k| < 2^(B-1), so it never carries.  Each sum
+    has degree at most k c_max, c_max the largest c(F), so once the filters
+    are listed the call also raises ValueError, before any level step, where
+    #filters * |D_k| * k * (k c_max + 1) B exceeds _LEVEL_BITS."""
     order = sorted(diagram_D(setting, k), key=lambda box: (-box[0], box[1]))
     bit = {box: 1 << i for i, box in enumerate(order)}
     one, filters = 1 << len(order), [0]  # a filter is one int: its boxes' bits, plus c times one

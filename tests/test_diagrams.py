@@ -432,9 +432,10 @@ def _column_fillings(rows, west, keep, k):
 
 
 def test_numerator_polynomial_matches_column_transfer():
-    # the packed route (upq, mp, ostar) and the level transfer (so, e6, e7)
-    # against the column transfer, every k of every listed setting: 204 upq,
-    # 55 mp, 42 ostar, 152 so, 2 e6 and 3 e7 cases
+    # numerator_polynomial as routed, and for upq, mp and ostar the packed
+    # determinants called directly, against the column transfer, every k of
+    # every listed setting: 204 upq, 55 mp, 42 ostar, 152 so, 2 e6 and 3 e7
+    # cases
     settings_ = [upq(p, q, 0) for p in range(1, 9) for q in range(1, 9)]
     settings_ += [mp(n, 0) for n in range(1, 11)] + [ostar(n, 0) for n in range(1, 14)]
     settings_ += [Setting(family, n=n) for family in ("so-even", "so-odd") for n in range(3, 41)]
@@ -442,7 +443,10 @@ def test_numerator_polynomial_matches_column_transfer():
     cases = 0
     for setting in settings_:
         for k in range(1, real_rank(setting) + 1):
-            assert numerator_polynomial(setting, k) == _numerator_by_columns(setting, k), (setting, k)
+            expected = _numerator_by_columns(setting, k)
+            assert numerator_polynomial(setting, k) == expected, (setting, k)
+            if setting.family in ("upq", "mp", "ostar"):
+                assert diagrams._numerator_by_determinant(setting, k) == expected, (setting, k)
             cases += 1
     assert cases == 458
 
@@ -508,14 +512,17 @@ def test_numerator_polynomial_large_coefficients():
 
 
 def test_numerator_determinant_matches_level_transfer():
-    # upq and ostar take the determinant; the level transfer, their oracle,
-    # runs at every k under its gate: 285 upq and 49 ostar cases
+    # the determinants of upq and ostar, called directly whichever route the
+    # rule picks, against their oracle, the level transfer, at every k under
+    # its gate: 285 upq and 49 ostar cases
     settings_ = [upq(p, q, 0) for p in range(1, 10) for q in range(1, 10)]
     settings_ += [ostar(n, 0) for n in range(1, 15)]
     cases = 0
     for setting in settings_:
         for k in range(1, real_rank(setting) + 1):
-            assert numerator_polynomial(setting, k) == diagrams._numerator_by_levels(setting, k), (setting, k)
+            levels = diagrams._numerator_by_levels(setting, k)
+            assert diagrams._numerator_by_determinant(setting, k) == levels, (setting, k)
+            assert numerator_polynomial(setting, k) == levels, (setting, k)
             cases += 1
     assert cases == 334
 
@@ -544,15 +551,16 @@ def test_numerator_determinant_refuses_a_wrong_count(monkeypatch):
 
 
 def test_numerator_molien_matches_level_transfer():
-    # mp takes the packed route at every k here, the level transfer is its
-    # oracle: every mp(n) with n <= 14 at 1 <= k <= n - 1, 91 cases;
-    # deg N = k floor((n-k+1)/2)
+    # the Molien determinants of mp, called directly whichever route the rule
+    # picks, against their oracle, the level transfer: every mp(n) with
+    # n <= 14 at 1 <= k <= n - 1, 91 cases; deg N = k floor((n-k+1)/2)
     cases = 0
     for n in range(2, 15):
         for k in range(1, n):
             setting = mp(n, 0)
-            num = numerator_polynomial(setting, k)
+            num = diagrams._numerator_by_determinant(setting, k)
             assert num == diagrams._numerator_by_levels(setting, k), (n, k)
+            assert numerator_polynomial(setting, k) == num, (n, k)
             assert len(num) == k * ((n - k + 1) // 2) + 1, (n, k)
             cases += 1
     assert cases == 91
@@ -704,8 +712,9 @@ def test_numerator_polynomial_routes_by_cost(monkeypatch):
     # each call is traced without the work: the determinants and the level
     # steps are replaced by _take, so a route is taken once its gates pass.
     # A dual pair takes the level transfer where #filters |D_k| k is at most
-    # min(_LEVEL_WORK, 5 s^3), s = k (floor(k/2) for mp); else the packed
-    # route under _PACKED_COST; else the level transfer under its budgets
+    # min(_LEVEL_WORK, 5 s^3), s = k (floor(k/2) for mp), and falls back to
+    # the packed route under _PACKED_COST; else the packed route first, and
+    # the level transfer under its budgets if that refuses
     trace = []
 
     def spy(name, route):
@@ -775,6 +784,10 @@ def test_numerator_polynomial_routes_by_cost(monkeypatch):
     monkeypatch.setattr(diagrams, "_LEVEL_PER_CUBE", 5)
     monkeypatch.setattr(diagrams, "_LEVEL_BITS", 0)
     assert route(mp(30, 0), 28) == [refused, "packed"]
+    # each route runs at most once: when both refuse, the level transfer is
+    # not tried again after the packed route
+    monkeypatch.setattr(diagrams, "_PACKED_COST", 0)
+    assert route(mp(30, 0), 28) == [refused, ("packed", "refused"), "exit 2"]
     # an empty D_k gives 1 before any route
     for setting, k in [(upq(4, 6, 0), 4), (mp(1, 0), 1), (ostar(9, 0), 4)]:
         trace.clear()
@@ -845,11 +858,12 @@ def level_transfer_orbits(draw):
 @settings(max_examples=150, deadline=None)
 @given(level_transfer_orbits())
 def test_numerator_polynomial_matches_level_transfer_on_either_route(orbit):
-    # as routed (the packed route here), and with the packed budget at 0, so
-    # that every setting whose blocks are not all 0 x 0 falls back to the
-    # level transfer
+    # the determinants called directly, as routed, and with the packed
+    # budget at 0, so that every setting whose blocks are not all 0 x 0 takes
+    # the level transfer
     setting, k = orbit
     expected = diagrams._numerator_by_levels(setting, k)
+    assert diagrams._numerator_by_determinant(setting, k) == expected
     assert numerator_polynomial(setting, k) == expected
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(diagrams, "_PACKED_COST", 0)
