@@ -32,13 +32,8 @@ def nonnegative_int(text):
 
 
 def _shape_flags_read(family):
-    """The dests of the shape flags the family reads: upq reads --p and
-    --q, e6 and e7 read none, and the other families read --n."""
-    if family == dualpair.UPQ:
-        return ("p", "q")
-    if family in (dualpair.E6, dualpair.E7):
-        return ()
-    return ("n",)
+    """The dests of the shape flags the family reads, from its record."""
+    return dualpair.FAMILIES[family].flags
 
 
 def setting_from_args(args):

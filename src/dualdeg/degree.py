@@ -78,7 +78,7 @@ def classify_regime(setting):
 
 def is_conjectural(setting):
     """True in the metaplectic window where the product formula is unproven."""
-    return setting.family == MP and setting.n + 1 <= setting.k <= 2 * setting.n - 2
+    return setting.family == MP and classify_regime(setting) == "r<k<s"
 
 
 def _jellyfish_gate(setting, t_size, limit):
@@ -223,8 +223,9 @@ def mp_window_boundary_check(n, sigma_list):
     metaplectic window, for each admissible sigma: the path count times #P_k
     against the collapse value times #P_k."""
     results = []
-    for k in (n, 2 * n - 1):
-        setting = dualpair.mp(n, k)
+    window = dualpair.mp(n, 0)
+    for k in (dualpair.real_rank(window), dualpair.free_threshold(window)):
+        setting = window._replace(k=k)
         for sigma in sigma_list:
             if dualpair.sigma_admissible(setting, sigma) != IN_SIGMA:
                 continue
@@ -241,12 +242,18 @@ def mp_window_boundary_check(n, sigma_list):
     return {"n": n, "ok": all(r["ok"] for r in results), "entries": results}
 
 
-class ExceptionalRow(namedtuple("ExceptionalRow", "group k deg_orbit h_system nparams")):
-    """One non-Wallach exceptional family: group, level, orbit degree, the
-    rank-k side root system with its label pattern, and the closed-form
-    dimension polynomial."""
+class ExceptionalRow(namedtuple("ExceptionalRow", "group k h_system nparams")):
+    """One non-Wallach exceptional family: group, level, the rank-k side
+    root system with its label pattern, and the closed-form dimension
+    polynomial; the orbit degree is read from the Hilbert numerator."""
 
     __slots__ = ()
+
+    @property
+    @cache
+    def deg_orbit(self):
+        """#P_k at the row's level, N(1) of the Hilbert numerator; once per row."""
+        return diagrams.numerator_polynomial(dualpair.Setting(self.group), self.k).evaluate(1)
 
     def sigma(self, a, b=0):
         if self.h_system == "B3":
@@ -281,10 +288,10 @@ class ExceptionalRow(namedtuple("ExceptionalRow", "group k deg_orbit h_system np
 
 
 EXCEPTIONAL_ROWS = (
-    ExceptionalRow("e6", 2, 1, "B3", 1),
-    ExceptionalRow("e6", 2, 1, "G2", 1),
-    ExceptionalRow("e7", 2, 3, "B4", 1),
-    ExceptionalRow("e7", 3, 1, "F4", 2),
+    ExceptionalRow("e6", 2, "B3", 1),
+    ExceptionalRow("e6", 2, "G2", 1),
+    ExceptionalRow("e7", 2, "B4", 1),
+    ExceptionalRow("e7", 3, "F4", 2),
 )
 
 

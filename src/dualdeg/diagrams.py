@@ -8,7 +8,7 @@ from functools import cache, lru_cache
 from operator import itemgetter, le
 from types import MappingProxyType
 
-from .dualpair import E6, MP, OSTAR, SO_EVEN, SO_ODD, UPQ, real_rank
+from .dualpair import DUAL_PAIR_FAMILIES, E6, FAMILIES, MP, OSTAR, SO_EVEN, SO_ODD, UPQ, real_rank
 from .tableaux import IntPolynomial, binomial, determinant, exact_quotient
 
 
@@ -51,14 +51,13 @@ def shifted_staircase(n):
 
 
 def diagram_D0(setting):
-    """The full diagram D_0 of the Hermitian type."""
+    """The diagram D_0 of the Hermitian type.  Its boxes are the dim p+
+    positive noncompact roots for every type but so-odd, whose D_0 has
+    n + 1 boxes while dim p+ = 2n - 1 (the B_n roots form a chain); as
+    r = 2, only its D_1 and D_2 are read."""
     f = setting.family
-    if f == UPQ:
-        return rectangle(setting.p, setting.q)
-    if f == MP:
-        return staircase(setting.n)
-    if f == OSTAR:
-        return shifted_staircase(setting.n - 1)
+    if f in DUAL_PAIR_FAMILIES:
+        return diagram_D_closed_form(setting, 0)
     if f == SO_EVEN:
         n = setting.n
         boxes = {(1, c) for c in range(1, n)}
@@ -77,20 +76,14 @@ def diagram_D0(setting):
 
 
 def _dual_pair_shape(setting, k):
-    """The shape of D_k for the three dual-pair types, (family, a, b), its
-    edges clipped at 0: the a x b rectangle for upq, a = p - k, b = q - k;
-    staircase(a) for mp, a = n - k; shifted_staircase(a) for ostar,
-    a = n - 2k - 1; b = a for the two staircases."""
-    f = setting.family
-    if f == UPQ:
-        return f, max(setting.p - k, 0), max(setting.q - k, 0)
-    if f == MP:
-        m = max(setting.n - k, 0)
-    elif f == OSTAR:
-        m = max(setting.n - 2 * k - 1, 0)
-    else:
+    """The shape of D_k for the three dual-pair types, (family, a, b): the
+    edges of D_0 less step * k, clipped at 0.  D_k is the a x b rectangle
+    for upq, staircase(a) for mp and shifted_staircase(a) for ostar, b = a."""
+    family = FAMILIES[setting.family]
+    if not family.step:
         raise ValueError(f"no closed form for family {setting.family!r}")
-    return f, m, m
+    (a, b), fall = family.edges(setting), family.step * k
+    return setting.family, max(a - fall, 0), max(b - fall, 0)
 
 
 def diagram_D_closed_form(setting, k):
@@ -121,7 +114,7 @@ def diagram_D(setting, k):
     immutable so that no caller can change the cached copy."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    if setting.family in (UPQ, MP, OSTAR):
+    if setting.family in DUAL_PAIR_FAMILIES:
         return diagram_D_closed_form(setting, k)
     boxes = diagram_D0(setting)
     for _ in range(k):
@@ -131,18 +124,7 @@ def diagram_D(setting, k):
 
 def dim_p_plus(setting):
     """Number of positive noncompact roots of the Hermitian type."""
-    f = setting.family
-    if f == UPQ:
-        return setting.p * setting.q
-    if f == MP:
-        return setting.n * (setting.n + 1) // 2
-    if f == OSTAR:
-        return setting.n * (setting.n - 1) // 2
-    if f == SO_EVEN:
-        return 2 * setting.n - 2
-    if f == SO_ODD:
-        return 2 * setting.n - 1
-    return 16 if f == E6 else 27
+    return FAMILIES[setting.family].dim_p_plus(setting)
 
 
 class PlanePartition(namedtuple("PlanePartition", "diagram entries")):
@@ -246,24 +228,19 @@ def _fillings(diagram, k):
 
 
 def count_P_product(setting, k):
-    """#P_k for the three dual-pair types, by the exact product formulas."""
+    """#P_k for the three dual-pair types, by the exact product formulas:
+    one factor (h + step k) / h per box of D_k, h = i + j - 1 over the
+    a x b rectangle for upq, and over 1 <= i <= j <= a, plus step - 1, for
+    the staircases of mp and ostar."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    f = setting.family
-    # one factor (h + shift) / h per box (i, j) of D_k
+    f, a, b = _dual_pair_shape(setting, k)
+    step = FAMILIES[f].step
     if f == UPQ:
-        hooks = [i + j - 1 for i in range(1, setting.p - k + 1) for j in range(1, setting.q - k + 1)]
-        shift = k
-    elif f == MP:
-        m = setting.n - k
-        hooks = [i + j - 1 for i in range(1, m + 1) for j in range(i, m + 1)]
-        shift = k
-    elif f == OSTAR:
-        m = setting.n - 2 * k - 1
-        hooks = [i + j for i in range(1, m + 1) for j in range(i, m + 1)]
-        shift = 2 * k
+        hooks = [i + j - 1 for i in range(1, a + 1) for j in range(1, b + 1)]
     else:
-        raise ValueError(f"no product formula for family {f!r}")
+        hooks = [i + j + step - 2 for i in range(1, a + 1) for j in range(i, a + 1)]
+    shift = step * k
     num = den = 1
     for h in hooks:
         num *= h + shift
@@ -298,7 +275,7 @@ def numerator_polynomial(setting, k):
     r = real_rank(setting)
     if not 1 <= k <= r:
         raise ValueError(f"k must satisfy 1 <= k <= {r}")
-    if setting.family not in (UPQ, MP, OSTAR):
+    if setting.family not in DUAL_PAIR_FAMILIES:
         return _numerator_by_levels(setting, k)
     work = _level_work(setting, k)
     if not work:

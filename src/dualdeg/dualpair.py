@@ -24,9 +24,6 @@ SO_ODD = "so-odd"
 E6 = "e6"
 E7 = "e7"
 
-DUAL_PAIR_FAMILIES = (UPQ, MP, OSTAR)
-ALL_FAMILIES = (UPQ, MP, OSTAR, SO_EVEN, SO_ODD, E6, E7)
-
 # The default --limit: the largest set an oracle or a listing check enumerates.
 DEFAULT_LIMIT = 5000
 
@@ -35,14 +32,39 @@ NOT_IN_HHAT = "not-in-hhat"
 IN_HHAT_NOT_SIGMA = "in-hhat-not-sigma"
 IN_SIGMA = "in-sigma"
 
-# The least n of each family read by n.  so-even n is so(2, 2n-2) and so-odd
-# n is so(2, 2n-1).  so(2, 2) is not simple, and for so(2, 1), which is mp(1),
-# the so-odd D_0 would put a box in column 0.
-_LEAST_N = {MP: 1, OSTAR: 1, SO_EVEN: 3, SO_ODD: 2}
+
+class Family(namedtuple("Family", "flags least rank dim_p_plus threshold edges step", defaults=(None, None, 0))):
+    """The fixed data of one Hermitian family: flags, the shape fields of
+    Setting it reads, each at least least; rank and dim_p_plus, r and the
+    number of positive noncompact roots as functions of a setting.  The dual
+    pairs also carry threshold, the free threshold s; edges, the edges (a, b)
+    of D_0; and step, by which both edges of D_k fall per unit of k."""
+
+    __slots__ = ()
+
+
+# so-even n is so(2, 2n-2) and so-odd n is so(2, 2n-1).  so(2, 2) is not
+# simple, and for so(2, 1), which is mp(1), the so-odd D_0 would put a box in
+# column 0.
+FAMILIES = {
+    UPQ: Family(flags=("p", "q"), least=1, rank=lambda s: min(s.p, s.q), dim_p_plus=lambda s: s.p * s.q,
+                threshold=lambda s: s.p + s.q - 1, edges=lambda s: (s.p, s.q), step=1),
+    MP: Family(flags=("n",), least=1, rank=lambda s: s.n, dim_p_plus=lambda s: s.n * (s.n + 1) // 2,
+               threshold=lambda s: 2 * s.n - 1, edges=lambda s: (s.n, s.n), step=1),
+    OSTAR: Family(flags=("n",), least=1, rank=lambda s: s.n // 2, dim_p_plus=lambda s: s.n * (s.n - 1) // 2,
+                  threshold=lambda s: s.n - 1, edges=lambda s: (s.n - 1, s.n - 1), step=2),
+    SO_EVEN: Family(flags=("n",), least=3, rank=lambda s: 2, dim_p_plus=lambda s: 2 * s.n - 2),
+    # dim p+ = 2n - 1, though D_0 has n + 1 boxes
+    SO_ODD: Family(flags=("n",), least=2, rank=lambda s: 2, dim_p_plus=lambda s: 2 * s.n - 1),
+    E6: Family(flags=(), least=0, rank=lambda s: 2, dim_p_plus=lambda s: 16),
+    E7: Family(flags=(), least=0, rank=lambda s: 3, dim_p_plus=lambda s: 27),
+}
+ALL_FAMILIES = tuple(FAMILIES)
+DUAL_PAIR_FAMILIES = tuple(f for f in ALL_FAMILIES if FAMILIES[f].step)
 
 
 class Setting(namedtuple("Setting", "family k p q n", defaults=(0, 0, 0, 0))):
-    """One Hermitian family with its parameters and the dual-pair rank k."""
+    """One Hermitian family with its parameters and the dual-pair rank k; unread shape fields are 0."""
 
     __slots__ = ()
 
@@ -50,11 +72,13 @@ class Setting(namedtuple("Setting", "family k p q n", defaults=(0, 0, 0, 0))):
         self = super().__new__(cls, *args, **kwargs)
         if self.family not in ALL_FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
-        if self.family == UPQ and (self.p < 1 or self.q < 1):
-            raise ValueError("upq needs p, q >= 1")
-        least = _LEAST_N.get(self.family, 0)
-        if self.n < least:
-            raise ValueError(f"{self.family} needs n >= {least}")
+        family = FAMILIES[self.family]
+        for field, value in zip(self._fields[2:], self[2:]):  # the shape fields p, q, n
+            if field not in family.flags:
+                if value:
+                    raise ValueError(f"{self.family} takes no {field}")
+            elif value < family.least:
+                raise ValueError(f"{self.family} needs {', '.join(family.flags)} >= {family.least}")
         if self.k < 0:
             raise ValueError("k must be >= 0")
         return self
@@ -78,30 +102,15 @@ def ostar(n, k):
 
 def real_rank(setting):
     """The real rank r of the family."""
-    f = setting.family
-    if f == UPQ:
-        return min(setting.p, setting.q)
-    if f == MP:
-        return setting.n
-    if f == OSTAR:
-        return setting.n // 2
-    if f in (SO_EVEN, SO_ODD):
-        return 2
-    if f == E6:
-        return 2
-    return 3  # E7
+    return FAMILIES[setting.family].rank(setting)
 
 
 def free_threshold(setting):
     """The threshold s beyond which every module in the family is free."""
-    f = setting.family
-    if f == UPQ:
-        return setting.p + setting.q - 1
-    if f == MP:
-        return 2 * setting.n - 1
-    if f == OSTAR:
-        return setting.n - 1
-    raise ValueError(f"free threshold undefined for family {f!r}")
+    threshold = FAMILIES[setting.family].threshold
+    if threshold is None:
+        raise ValueError(f"free threshold undefined for family {setting.family!r}")
+    return threshold(setting)
 
 
 def normalize_sigma(setting, sigma):

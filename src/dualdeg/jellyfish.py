@@ -36,7 +36,7 @@ def _points(setting):
 @cache
 def _region(setting, k):
     """The fixed region A on the small side of the boundary diagonal."""
-    cutoff = k + 1 if setting.family == UPQ else 2 * (k + 1)
+    cutoff = dualpair.FAMILIES[setting.family].step * (k + 1)
     return frozenset(p for p in _points(setting) if p[0] + p[1] <= cutoff)
 
 

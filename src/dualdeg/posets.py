@@ -10,7 +10,7 @@ from types import MappingProxyType
 
 from . import diagrams
 from .diagrams import PlanePartition
-from .dualpair import DUAL_PAIR_FAMILIES, MP, OSTAR, UPQ, real_rank
+from .dualpair import DUAL_PAIR_FAMILIES, FAMILIES, MP, OSTAR, UPQ, real_rank
 
 
 def _require_dual_pair(setting):
@@ -93,42 +93,24 @@ def _west_col(setting, row):
 
 
 def _anchor_points(setting, k):
-    """The forced path anchors: start a_t on the k-th antidiagonal (2k-th for
-    the ostar family) and, where defined, its translate b_t."""
-    f = setting.family
-    if f in (UPQ, MP):
-        a = tuple((t, k + 1 - t) for t in range(1, k + 1))
-    else:
-        a = tuple((t, 2 * k + 1 - t) for t in range(1, k + 1))
-    if f == UPQ:
-        b = tuple((r + setting.p - k, c + setting.q - k) for r, c in a)
-    elif f == OSTAR:
-        m = setting.n - 2 * k - 1
-        b = tuple((r + m, c + m) for r, c in a)
-    else:
-        b = None
-    return a, b
+    """The forced path anchors: start a_t on the (step k)-th antidiagonal
+    and, except for mp, its translate b_t by the edges of D_k."""
+    f, da, db = diagrams._dual_pair_shape(setting, k)
+    a = tuple((t, FAMILIES[f].step * k + 1 - t) for t in range(1, k + 1))
+    return a, None if f == MP else tuple((r + da, c + db) for r, c in a)
 
 
 @cache
 def _forced_paths(setting, k):
-    """The anchors a and b (None for mp), the K_t prefixes (west of a_t) and
-    the M_t suffixes (south of b_t); cached, so all of it is tuples."""
+    """The anchors a and b (None for mp), the K_t prefixes (the points of
+    the row of a_t west of it) and the M_t suffixes (the points of the
+    column of b_t south of it); cached, so all of it is tuples."""
     a, b = _anchor_points(setting, k)
-    prefixes, suffixes = [], []
-    for t in range(1, k + 1):
-        ar, ac = a[t - 1]
-        prefixes.append(tuple((ar, c) for c in range(_west_col(setting, ar), ac)))
-        if b is None:
-            suffixes.append(())
-            continue
-        br, bc = b[t - 1]
-        if setting.family == UPQ:
-            bottom = setting.p
-        else:  # OSTAR: column c is occupied by rows 1..c
-            bottom = bc
-        suffixes.append(tuple((r, bc) for r in range(br + 1, bottom + 1)))
-    return a, b, tuple(prefixes), tuple(suffixes)
+    points = sorted(build_poset(setting).points)
+    prefixes = tuple(tuple(x for x in points if x[0] == ar and x[1] < ac) for ar, ac in a)
+    if b is None:
+        return a, b, prefixes, ((),) * k
+    return a, b, prefixes, tuple(tuple(x for x in points if x[1] == bc and x[0] > br) for br, bc in b)
 
 
 @cache

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import os
+import re
 import copy
 import subprocess
 import sys
@@ -16,8 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualdeg import degree, diagrams
-from dualdeg.cli import COUNT_KEYS, emit, main, parse_partition, serialize_pp, to_json
-from dualdeg.dualpair import mp, ostar, upq
+from dualdeg.cli import COUNT_KEYS, _shape_flags_read, emit, main, parse_partition, serialize_pp, to_json
+from dualdeg.dualpair import ALL_FAMILIES, Setting, mp, ostar, upq
 
 
 def run_cli(argv):
@@ -393,6 +394,37 @@ def test_missing_shape_flags_exit_2():
             code, out = run_cli(argv.split())
         assert code == 2 and out == ""
         assert err.getvalue() == f"error: {message}\n"
+
+
+def test_shape_flags_read_are_the_fields_setting_validates():
+    # family: (flags, least value, the message one below it), typed by hand
+    expected = {
+        "upq": (("p", "q"), 1, "upq needs p, q >= 1"),
+        "mp": (("n",), 1, "mp needs n >= 1"),
+        "ostar": (("n",), 1, "ostar needs n >= 1"),
+        "so-even": (("n",), 3, "so-even needs n >= 3"),
+        "so-odd": (("n",), 2, "so-odd needs n >= 2"),
+        "e6": ((), 0, None),
+        "e7": ((), 0, None),
+    }
+    assert sorted(expected) == sorted(ALL_FAMILIES)
+    for family, (flags, least, message) in expected.items():
+        assert _shape_flags_read(family) == flags
+        at_least = {field: least for field in flags}
+        setting = Setting(family, k=1, **at_least)
+        for field in flags:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                Setting(family, k=1, **{**at_least, field: least - 1})
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                setting._replace(**{field: least - 1})
+        # a nonzero field the family does not read would give one group a
+        # second cache key
+        for field in sorted({"p", "q", "n"} - set(flags)):
+            with pytest.raises(ValueError, match=f"^{family} takes no {field}$"):
+                Setting(family, k=1, **at_least, **{field: 1})
+            with pytest.raises(ValueError, match=f"^{family} takes no {field}$"):
+                setting._replace(**{field: -1})
+        assert setting._replace(k=2).k == 2
 
 
 def test_so_families_below_their_least_n_exit_2():

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from dualdeg import dualpair
 from dualdeg.degree import iter_sigmas
+from dualdeg.diagrams import dim_p_plus
 from dualdeg.dualpair import (
     IN_HHAT_NOT_SIGMA,
     IN_SIGMA,
@@ -39,15 +40,31 @@ from dualdeg.tableaux import Tableau, binomial, conjugate, determinant, pad
 
 
 def test_parameters():
-    assert real_rank(upq(3, 5, 1)) == 3
-    assert real_rank(mp(4, 1)) == 4
-    assert real_rank(ostar(7, 1)) == 3
-    assert real_rank(Setting("so-even", n=6)) == 2
-    assert real_rank(Setting("e6")) == 2
-    assert real_rank(Setting("e7")) == 3
-    assert free_threshold(upq(3, 5, 1)) == 7
-    assert free_threshold(mp(4, 1)) == 7
-    assert free_threshold(ostar(7, 1)) == 6
+    # (setting, r, s or None where it is undefined, dim p+), two per family
+    cases = [
+        (upq(3, 5, 1), 3, 7, 15),
+        (upq(6, 2, 0), 2, 7, 12),
+        (mp(4, 1), 4, 7, 10),
+        (mp(1, 0), 1, 1, 1),
+        (ostar(7, 1), 3, 6, 21),
+        (ostar(4, 0), 2, 3, 6),
+        (Setting("so-even", n=6), 2, None, 10),
+        (Setting("so-even", n=3), 2, None, 4),
+        (Setting("so-odd", n=2), 2, None, 3),
+        (Setting("so-odd", n=5), 2, None, 9),
+        (Setting("e6"), 2, None, 16),
+        (Setting("e6", k=2), 2, None, 16),
+        (Setting("e7"), 3, None, 27),
+        (Setting("e7", k=3), 3, None, 27),
+    ]
+    for setting, r, s, dim in cases:
+        assert real_rank(setting) == r, setting
+        assert dim_p_plus(setting) == dim, setting
+        if s is None:
+            with pytest.raises(ValueError, match=f"free threshold undefined for family '{setting.family}'"):
+                free_threshold(setting)
+        else:
+            assert free_threshold(setting) == s, setting
 
 
 def test_setting_validation():

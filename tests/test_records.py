@@ -32,8 +32,8 @@ RECORDS = [
     ),
     (
         ExceptionalRow,
-        ("e6", 2, 1, "B3", 1),
-        dict(group="e6", k=2, deg_orbit=1, h_system="B3", nparams=1),
+        ("e6", 2, "B3", 1),
+        dict(group="e6", k=2, h_system="B3", nparams=1),
         True,
     ),
     (Endpoints, (), dict(south=(), east=()), True),
