@@ -9,7 +9,10 @@ import sys
 from functools import cache
 from json.encoder import encode_basestring_ascii
 
-from . import degree, diagrams, dualpair, jellyfish, posets
+from . import degree, diagrams, dualpair, jellyfish, posets, repdims
+
+# the most tableaux of T(sigma), dim F_lambda, that enumerate q or jellyfish lists
+LISTING_BUDGET = 10**6
 
 
 def parse_partition(text):
@@ -188,11 +191,23 @@ def cmd_degree(args):
     return 0 if report.ok() else 1
 
 
+def _check_listing_size(setting, sigma):
+    """ValueError naming dim F_lambda, before any tableau is listed, where
+    T(sigma) holds more than LISTING_BUDGET tableaux.  A label that is no
+    nonzero label passes: the listing reports it."""
+    label = dualpair.normalize_sigma(setting, sigma)
+    if dualpair._classify(setting, label) == dualpair.IN_SIGMA:
+        t_size = repdims._dim_F(setting, label)
+        if t_size > LISTING_BUDGET:
+            raise ValueError(f"dim F_lambda={t_size} > listing budget {LISTING_BUDGET}")
+
+
 def cmd_enumerate(args):
     setting = setting_from_args(args)
     kind = args.object
     if kind == "q":
         sigma = sigma_from_args(setting, args)
+        _check_listing_size(setting, sigma)
         objects = dualpair.enumerate_Q(setting, sigma)
         serialize = lambda T: serialize_tableau(setting, T)
     elif kind == "p":
@@ -203,6 +218,8 @@ def cmd_enumerate(args):
         serialize = lambda f: {"points": serialize_points(f.points)}
     else:  # jellyfish
         sigma = sigma_from_args(setting, args)
+        if setting.family in jellyfish.FAMILIES:  # else enumerate_jellyfish names the family
+            _check_listing_size(setting, sigma)
         objects = jellyfish.enumerate_jellyfish(setting, sigma)
         serialize = lambda j: {
             "tableau": serialize_tableau(setting, j.tableau),
@@ -225,22 +242,32 @@ def cmd_check(args):
     limit = degree.DEFAULT_LIMIT if args.limit is None else args.limit
     if args.identity == "not":
         sigma = sigma_from_args(setting, args)
-        report = degree.not_identity_check(setting, sigma, limit=limit)
+        if setting.k > dualpair.real_rank(setting):
+            raise ValueError("identity only applies for k <= r")
+        # #Q from the path count, dim U_sigma from the report
+        d, q_count, failures = degree.path_count_check(setting, sigma, limit=limit)
+        report = {"q_count": q_count, "dim_u": d.q_count, "p_count": d.p_count,
+                  "degree": q_count * d.p_count, "ok": not failures}
     elif args.identity == "collapse":
         sigma = sigma_from_args(setting, args)
-        report = dualpair.q_collapse_check(setting, sigma, limit=limit)
+        report = degree.q_collapse_check(setting, sigma, limit=limit)
     elif args.identity == "theta":
         p_count, facet_count, failures = degree.theta_check(setting, setting.k, limit=limit)
         report = {"p_count": p_count, "facet_count": facet_count, "ok": not failures}
     elif args.identity == "conjecture":
         if setting.family != dualpair.MP:
             raise ValueError("the conjecture probe applies to the mp family")
-        if args.sigma is not None:
-            sigmas = [parse_partition(args.sigma)]
-        else:
-            sigmas = list(degree.iter_sigmas(setting, 2))
-        report = degree.mp_conjecture_probe(setting.n, setting.k, sigmas, limit=limit)
-        report["ok"] = all(e["checks_ok"] for e in report["entries"])
+        if not degree.is_conjectural(setting):
+            r, s = dualpair.real_rank(setting), dualpair.free_threshold(setting)
+            raise ValueError(f"k must lie in the window [{r + 1}, {s - 1}]")
+        sigmas = degree.iter_sigmas(setting, 2) if args.sigma is None else [parse_partition(args.sigma)]
+        entries = []
+        for sigma in sigmas:
+            d = degree.bernstein_degree(setting, sigma, limit=limit)
+            entries.append({"sigma": dualpair.normalize_sigma(setting, sigma), "q_count": d.q_count,
+                            "p_count": d.p_count, "degree": d.degree, "checks_ok": d.ok()})
+        ok = all(e["checks_ok"] for e in entries)
+        report = {"n": setting.n, "k": setting.k, "conjectural": True, "entries": entries, "ok": ok}
     emit(report, args.format)
     return 0 if report.get("ok", True) else 1
 

@@ -1,13 +1,16 @@
-"""Bernstein degrees, boundary-identity checks, the metaplectic window probe,
-exceptional-family degrees, Hilbert reports, and the cross-validation harness."""
+"""Bernstein degrees, boundary-identity checks, exceptional-family degrees,
+Hilbert reports, and the cross-validation harness."""
 
 import random
 from collections import namedtuple
 from functools import cache
 
 from . import diagrams, dualpair, jellyfish, posets, repdims
-from .dualpair import DEFAULT_LIMIT, IN_SIGMA, MP, OSTAR, UPQ
+from .dualpair import IN_SIGMA, MP, UPQ
 from .tableaux import IntPolynomial, exact_quotient
+
+# The default --limit: the largest set an oracle or a listing check enumerates.
+DEFAULT_LIMIT = 5000
 
 
 @cache
@@ -84,7 +87,7 @@ def is_conjectural(setting):
 def _jellyfish_gate(setting, t_size, limit):
     """The first gate of the jellyfish oracle that the instance fails, or None."""
     k = setting.k
-    if setting.family not in (UPQ, OSTAR):
+    if setting.family not in jellyfish.FAMILIES:
         return f"no jellyfish for family {setting.family}"
     s = dualpair.free_threshold(setting)
     if k >= s:
@@ -99,14 +102,22 @@ def _jellyfish_gate(setting, t_size, limit):
     return None
 
 
+def _collapse(setting, label, t_size):
+    """The regime and #Q_k(sigma) by its collapse: dim U_sigma at k <= r,
+    t_size = dim F_lambda at k >= s, and None for r < k < s."""
+    regime = classify_regime(setting)
+    if regime == "k<=r":
+        return regime, repdims._dim_U(setting, label)
+    return regime, t_size if regime == "k>=s" else None
+
+
 def bernstein_degree(setting, sigma, limit=DEFAULT_LIMIT):
     """Degree of the module labeled by sigma as #Q_k(sigma) * #P_k, with
     oracle cross-checks on instances small enough to enumerate.
 
-    #Q_k(sigma) is read from its collapse where there is one: dim U_sigma
-    for k <= r and dim F_lambda for k >= s.  Only r < k < s runs the path
-    count, count_Q_determinant; not_identity_check and
-    mp_window_boundary_check compare it with the collapses.
+    #Q_k(sigma) is read from its collapse where there is one, _collapse.
+    Only r < k < s runs the path count, count_Q_determinant;
+    path_count_check compares it with the collapses.
 
     sigma is validated once, here; the closed forms take the normalized
     label.  The path count and the oracles are called through their public
@@ -116,13 +127,9 @@ def bernstein_degree(setting, sigma, limit=DEFAULT_LIMIT):
     if setting.k < 1:
         raise ValueError("k must be >= 1")
     label = dualpair.nonzero_label(setting, sigma)
-    regime = classify_regime(setting)
     t_size = repdims._dim_F(setting, label)
-    if regime == "k<=r":
-        q_count = repdims._dim_U(setting, label)
-    elif regime == "k>=s":
-        q_count = t_size
-    else:
+    regime, q_count = _collapse(setting, label, t_size)
+    if q_count is None:
         q_count = dualpair.count_Q_determinant(setting, label)
     p_count = diagrams.count_P_product(setting, setting.k)
     checks = []
@@ -183,63 +190,25 @@ def path_count_check(setting, sigma, limit=DEFAULT_LIMIT):
     return report, q_count, failures
 
 
-def not_identity_check(setting, sigma, limit=DEFAULT_LIMIT):
-    """For k <= r, degree = dim U_sigma * #P_k with #Q from the path count:
-    path_count_check, reported with dim U_sigma as dim_u."""
-    if setting.k > dualpair.real_rank(setting):
-        raise ValueError("identity only applies for k <= r")
-    report, q_count, failures = path_count_check(setting, sigma, limit=limit)
-    return {
-        "q_count": q_count,
-        "dim_u": report.q_count,
-        "p_count": report.p_count,
-        "degree": q_count * report.p_count,
-        "ok": not failures,
-    }
-
-
-def mp_conjecture_probe(n, k, sigma_list, limit=DEFAULT_LIMIT):
-    """Degrees in the unproven metaplectic window, flagged as conjectural."""
-    if not n + 1 <= k <= 2 * n - 2:
-        raise ValueError(f"k must lie in the window [{n + 1}, {2 * n - 2}]")
-    entries = []
-    for sigma in sigma_list:
-        setting = dualpair.mp(n, k)
-        report = bernstein_degree(setting, sigma, limit=limit)
-        entries.append(
-            {
-                "sigma": dualpair.normalize_sigma(setting, sigma),
-                "q_count": report.q_count,
-                "p_count": report.p_count,
-                "degree": report.degree,
-                "checks_ok": report.ok(),
-            }
-        )
-    return {"n": n, "k": k, "conjectural": True, "entries": entries}
-
-
-def mp_window_boundary_check(n, sigma_list):
-    """path_count_check at the proven endpoints k = n and k = 2n-1 of the
-    metaplectic window, for each admissible sigma: the path count times #P_k
-    against the collapse value times #P_k."""
-    results = []
-    window = dualpair.mp(n, 0)
-    for k in (dualpair.real_rank(window), dualpair.free_threshold(window)):
-        setting = window._replace(k=k)
-        for sigma in sigma_list:
-            if dualpair.sigma_admissible(setting, sigma) != IN_SIGMA:
-                continue
-            report, q_count, failures = path_count_check(setting, sigma)
-            results.append(
-                {
-                    "k": k,
-                    "sigma": dualpair.normalize_sigma(setting, sigma),
-                    "degree": q_count * report.p_count,
-                    "expected": report.degree,
-                    "ok": not failures,
-                }
-            )
-    return {"n": n, "ok": all(r["ok"] for r in results), "entries": results}
+def q_collapse_check(setting, sigma, limit=DEFAULT_LIMIT):
+    """The listed Q_k(sigma) against its collapse, _collapse: at k >= s it
+    must be the whole of T(sigma).  For r < k < s no collapse is asserted.
+    The check lists the dim F_lambda tableaux of T(sigma); above limit it
+    raises ValueError instead, naming that size."""
+    label = dualpair.nonzero_label(setting, sigma)
+    t_size = repdims._dim_F(setting, label)
+    if t_size > limit:
+        raise ValueError(f"dim F_lambda={t_size} > limit {limit}")
+    q_list = dualpair.enumerate_Q(setting, label)
+    k, r, s = setting.k, dualpair.real_rank(setting), dualpair.free_threshold(setting)
+    report = {"k": k, "r": r, "s": s, "q_count": len(q_list)}
+    regime, expected = _collapse(setting, label, t_size)
+    if expected is None:
+        report.update(regime="interpolation range, no collapse asserted", ok=True)
+    else:
+        ok = len(q_list) == expected and (regime == "k<=r" or q_list == dualpair._enumerate_T(setting, label))
+        report.update(regime=regime, expected=expected, ok=ok)
+    return report
 
 
 class ExceptionalRow(namedtuple("ExceptionalRow", "group k h_system nparams")):
@@ -472,7 +441,7 @@ def _suite_collapse():
         for k in list(range(1, r + 1)) + [s, s + 1]:
             setting = setting0._replace(k=k)
             for sigma in iter_sigmas(setting, 2):
-                if not dualpair.q_collapse_check(setting, sigma)["ok"]:
+                if not q_collapse_check(setting, sigma)["ok"]:
                     failures.append((setting, sigma))
     return failures
 
@@ -499,7 +468,11 @@ def _suite_pinned():
 
 
 def _suite_conjecture():
-    return [n for n in (3, 4) if not mp_window_boundary_check(n, list(iter_sigmas(dualpair.mp(n, n), 2)))["ok"]]
+    """path_count_check at the proven ends k = r and k = s of the
+    metaplectic window, r < k < s, for n = 3, 4 and |sigma| <= 2."""
+    windows = [dualpair.mp(n, 0) for n in (3, 4)]
+    ends = [w._replace(k=k) for w in windows for k in (dualpair.real_rank(w), dualpair.free_threshold(w))]
+    return [(end, sigma) for end in ends for sigma in iter_sigmas(end, 2) if path_count_check(end, sigma)[2]]
 
 
 def _suite_random(seed):

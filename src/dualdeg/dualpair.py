@@ -24,9 +24,6 @@ SO_ODD = "so-odd"
 E6 = "e6"
 E7 = "e7"
 
-# The default --limit: the largest set an oracle or a listing check enumerates.
-DEFAULT_LIMIT = 5000
-
 # sigma_admissible results
 NOT_IN_HHAT = "not-in-hhat"
 IN_HHAT_NOT_SIGMA = "in-hhat-not-sigma"
@@ -447,36 +444,3 @@ def count_Q_determinant(setting, sigma):
             row.append(binomial(e + n - a_j, e))
         mat.append(row)
     return determinant(mat)
-
-
-def q_collapse_check(setting, sigma, limit=DEFAULT_LIMIT):
-    """Check the boundary collapses of #Q_k(sigma).
-
-    For k <= r it must equal the dimension of the H(k)-irrep labeled by sigma;
-    for k >= s, Q_k(sigma) is the whole base tableau set and its size is the
-    dimension of the K-irrep with the attached highest weight.  The check
-    lists the dim F_lambda tableaux of T(sigma); above limit it raises
-    ValueError instead, naming that size.
-    """
-    from . import repdims
-
-    sigma = nonzero_label(setting, sigma)
-    t_size = repdims._dim_F(setting, sigma)
-    if t_size > limit:
-        raise ValueError(f"dim F_lambda={t_size} > limit {limit}")
-    k, r, s = setting.k, real_rank(setting), free_threshold(setting)
-    q_list = enumerate_Q(setting, sigma)
-    report = {"k": k, "r": r, "s": s, "q_count": len(q_list)}
-    if k <= r:
-        expected = repdims._dim_U(setting, sigma)
-        report.update(regime="k<=r", expected=expected, ok=len(q_list) == expected)
-    elif k >= s:
-        full = _enumerate_T(setting, sigma)
-        report.update(
-            regime="k>=s",
-            expected=t_size,
-            ok=q_list == full and len(q_list) == t_size,
-        )
-    else:
-        report.update(regime="interpolation range, no collapse asserted", ok=True)
-    return report

@@ -16,8 +16,12 @@ from .dualpair import OSTAR, UPQ, free_threshold
 from .posets import PathFamily, build_poset, disjoint_products, lattice_paths
 
 
+# the families that carry jellyfish
+FAMILIES = (UPQ, OSTAR)
+
+
 def _check_family(setting):
-    if setting.family not in (UPQ, OSTAR):
+    if setting.family not in FAMILIES:
         raise ValueError("jellyfish exist only for the upq and ostar families")
 
 

@@ -7,13 +7,12 @@ from functools import cache
 from dualdeg import diagrams, posets
 from dualdeg.degree import (
     SUITES,
+    bernstein_degree,
     criterion_check,
     exceptional_check,
     is_conjectural,
     iter_sigmas,
     jellyfish_check,
-    mp_conjecture_probe,
-    mp_window_boundary_check,
     path_count_check,
     theta_check,
 )
@@ -156,19 +155,16 @@ def test_criterion_10_poset_width():
 
 
 def test_criterion_11_metaplectic_window():
+    # inside the window every degree is flagged conjectural and passes its
+    # oracles; the proven ends k = r and k = s are criterion 7's
     failures = []
-    for n in (2, 3, 4):
-        sigmas = list(iter_sigmas(mp(n, n), 3))
-        out = mp_window_boundary_check(n, sigmas)
-        if not out["ok"]:
-            failures.append(("boundary", n))
     for n in (3, 4):
         for k in range(n + 1, 2 * n - 1):
             setting = mp(n, k)
             if not is_conjectural(setting):
                 failures.append(("flag", n, k))
-            sigmas = list(iter_sigmas(setting, 3))
-            probe = mp_conjecture_probe(n, k, sigmas)
-            if not probe["conjectural"] or not all(e["checks_ok"] for e in probe["entries"]):
-                failures.append(("probe", n, k))
+            for sigma in iter_sigmas(setting, 3):
+                report = bernstein_degree(setting, sigma)
+                if not report.conjectural or not report.ok():
+                    failures.append(("probe", n, k, sigma))
     _report(11, failures)

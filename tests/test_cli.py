@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualdeg import degree, diagrams
+from dualdeg import cli, degree, diagrams, dualpair, jellyfish, tableaux
 from dualdeg.cli import COUNT_KEYS, _shape_flags_read, emit, main, parse_partition, serialize_pp, to_json
 from dualdeg.dualpair import ALL_FAMILIES, Setting, mp, ostar, upq
 
@@ -514,6 +514,78 @@ def test_check_exceptional_rejects_setting_flags(argv, message):
         run_cli(argv.split())
     assert exc.value.code == 2
     assert err.getvalue().endswith(f"error: {message}\n")
+
+
+def run_cli_err(argv):
+    """The exit code, stdout and stderr of one call."""
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = run_cli(argv)
+    return code, out, err.getvalue()
+
+
+def test_identity_window_refusals():
+    assert run_cli_err("check conjecture --family mp --n 4 --k 3".split()) == (
+        2, "", "error: k must lie in the window [5, 6]\n"
+    )
+    assert run_cli_err("check not --family mp --n 2 --k 3 --sigma 1".split()) == (
+        2, "", "error: identity only applies for k <= r\n"
+    )
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_check_conjecture_window_from_both_sides(n):
+    for k in range(1, 2 * n + 1):
+        code, out, err = run_cli_err(f"check conjecture --family mp --n {n} --k {k}".split())
+        if n + 1 <= k <= 2 * n - 2:
+            assert (code, err) == (0, "") and json.loads(out)["conjectural"], (n, k)
+        else:
+            assert (code, out) == (2, ""), (n, k)
+            assert err == f"error: k must lie in the window [{n + 1}, {2 * n - 2}]\n"
+
+
+@pytest.mark.parametrize("kind", ["q", "jellyfish"])
+def test_enumerate_refuses_a_tableau_set_above_the_listing_budget(monkeypatch, kind):
+    # T(4,3,2,1) of ostar(14) at k = 6 holds 56,632,576 tableaux: the call
+    # reads dim F_lambda and exits 2 before it lists any
+    def refuse(*args):
+        raise RuntimeError("listed a tableau")
+
+    for module in (tableaux, dualpair):
+        monkeypatch.setattr(module, "enumerate_ssyt", refuse)
+    monkeypatch.setattr(jellyfish, "_families_by_endpoints", refuse)
+    argv = f"enumerate {kind} --family ostar --n 14 --k 6 --sigma 4,3,2,1 --limit 1".split()
+    assert run_cli_err(argv) == (2, "", "error: dim F_lambda=56632576 > listing budget 1000000\n")
+
+
+@pytest.mark.parametrize(
+    "argv, t_size, count",
+    [
+        ("enumerate q --family ostar --n 3 --k 1 --sigma 1", 3, 2),
+        ("enumerate jellyfish --family upq --p 2 --q 2 --k 1 --sigma-plus 1", 2, 3),
+    ],
+    ids=["q", "jellyfish"],
+)
+def test_enumerate_lists_at_the_listing_budget(monkeypatch, argv, t_size, count):
+    monkeypatch.setattr(cli, "LISTING_BUDGET", t_size)
+    code, out = run_cli(argv.split())
+    assert code == 0 and json.loads(out)["count"] == count
+    monkeypatch.setattr(cli, "LISTING_BUDGET", t_size - 1)
+    assert run_cli_err(argv.split()) == (2, "", f"error: dim F_lambda={t_size} > listing budget {t_size - 1}\n")
+
+
+def test_listing_budget_passes_a_label_that_is_not_admissible(monkeypatch):
+    # the listing still reports it: count 0 from enumerate q, exit 2 from
+    # enumerate jellyfish
+    monkeypatch.setattr(cli, "LISTING_BUDGET", 0)
+    code, out = run_cli("enumerate q --family ostar --n 4 --k 1 --sigma 1,1".split())
+    assert code == 0 and json.loads(out) == {"count": 0, "truncated": False, "items": []}
+    assert run_cli_err("enumerate jellyfish --family ostar --n 4 --k 1 --sigma 1,1".split()) == (
+        2, "", "error: sigma is not an admissible nonzero label\n"
+    )
+    assert run_cli_err("enumerate jellyfish --family mp --n 4 --k 1 --sigma 1".split()) == (
+        2, "", "error: jellyfish exist only for the upq and ostar families\n"
+    )
 
 
 def test_check_collapse_gate():

@@ -1,11 +1,16 @@
 """Tests for degree reports, boundary identities, and the verification harness."""
 
 import importlib.util
+import io
+import itertools
+import json
+import re
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
-from dualdeg import degree, diagrams, dualpair, jellyfish, posets, repdims
+from dualdeg import cli, degree, diagrams, dualpair, jellyfish, posets, repdims
 from dualdeg.degree import (
     EXCEPTIONAL_ROWS,
     bernstein_degree,
@@ -16,11 +21,9 @@ from dualdeg.degree import (
     is_conjectural,
     iter_sigmas,
     jellyfish_check,
-    mp_conjecture_probe,
-    mp_window_boundary_check,
-    not_identity_check,
     partitions_up_to,
     path_count_check,
+    q_collapse_check,
     theta_check,
     verify_all,
 )
@@ -101,17 +104,33 @@ def test_classify_regime_and_conjectural():
     assert not is_conjectural(upq(4, 4, 5))
 
 
+def run_cli(argv):
+    """The exit code and JSON payload of one dualdeg call that exits 0 or 1."""
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = cli.main(argv)
+    return code, json.loads(buf.getvalue())
+
+
+def check_not(setting, sigma):
+    """dualdeg check not on a mp or ostar label."""
+    argv = ["check", "not", "--family", setting.family, "--n", str(setting.n), "--k", str(setting.k)]
+    return run_cli(argv + ["--sigma", ",".join(map(str, sigma))])
+
+
 def test_not_identity():
-    out = not_identity_check(ostar(3, 1), (1,))
-    assert out["ok"] and out["dim_u"] == 2 and out["q_count"] == 2
-    out = not_identity_check(mp(2, 1), (1,))
-    assert out["ok"] and out["dim_u"] == 1
-    out = not_identity_check(upq(2, 3, 2), ((1,), (1,)))
-    assert out["ok"]
-    out = not_identity_check(mp(3, 2), ())
-    assert out["ok"] and out["q_count"] == 1
-    with pytest.raises(ValueError):
-        not_identity_check(mp(2, 3), ())
+    # #Q from the path count against the report's #Q, dim U_sigma
+    for setting, sigma, dim_u in [(ostar(3, 1), (1,), 2), (mp(2, 1), (1,), 1), (upq(2, 3, 2), ((1,), (1,)), 3)]:
+        report, q_count, failures = path_count_check(setting, sigma)
+        assert q_count == report.q_count == dim_u and failures == [], (setting, sigma)
+    code, out = check_not(mp(3, 2), ())
+    assert code == 0 and out["ok"] and out["q_count"] == "1"
+    assert check_not(ostar(3, 1), (1,)) == (
+        0,
+        {"q_count": "2", "dim_u": "2", "p_count": "1", "degree": "2", "ok": True},
+    )
+    with redirect_stderr(io.StringIO()):
+        assert cli.main("check not --family mp --n 2 --k 3".split()) == 2  # k > r
 
 
 def test_p_enumeration_gate_at_its_boundary():
@@ -132,12 +151,12 @@ def test_dim_U_sigma():
 
 
 def test_mp_conjecture_probe():
-    with pytest.raises(ValueError):
-        mp_conjecture_probe(2, 2, [()])  # n = 2 window is empty
-    out = mp_conjecture_probe(3, 4, [(), (1,)])
-    assert out["conjectural"]
-    by_sigma = {e["sigma"]: e for e in out["entries"]}
-    assert by_sigma[()]["degree"] == 1 * out["entries"][0]["p_count"]
+    with redirect_stderr(io.StringIO()):
+        assert cli.main("check conjecture --family mp --n 2 --k 2".split()) == 2  # the n = 2 window is empty
+    code, out = run_cli("check conjecture --family mp --n 3 --k 4".split())
+    assert code == 0 and out["ok"] and out["conjectural"]
+    by_sigma = {tuple(e["sigma"]): e for e in out["entries"]}
+    assert by_sigma[()]["degree"] == out["entries"][0]["p_count"]
     assert all(e["checks_ok"] for e in out["entries"])
 
 
@@ -237,17 +256,30 @@ def test_collapse_checks_compare_with_the_path_count(monkeypatch):
     # q-enumeration gate
     count = dualpair.count_Q_determinant
     monkeypatch.setattr(dualpair, "count_Q_determinant", lambda setting, sigma: count(setting, sigma) + 1)
-    report = not_identity_check(ostar(14, 6), (3, 3, 2, 2, 1))
-    assert report["q_count"] == report["dim_u"] + 1 == 3_675_673
-    assert not report["ok"]
+    code, report = check_not(ostar(14, 6), (3, 3, 2, 2, 1))
+    assert int(report["q_count"]) == int(report["dim_u"]) + 1 == 3_675_673
+    assert code == 1 and not report["ok"]
     assert not verify_all(only="conjecture")["ok"]
-    out = mp_window_boundary_check(3, [(), (1,)])
-    assert not out["ok"] and all(not e["ok"] for e in out["entries"])
+    for setting in (mp(3, 3), mp(3, 5)):  # the ends k = r, s of the window
+        for sigma in ((), (1,)):
+            assert path_count_check(setting, sigma)[2] == ["path-count"], (setting, sigma)
     for setting, sigma, _ in COLLAPSE_DEGREES:
         assert path_count_check(setting, sigma)[2] == ["path-count"], (setting, sigma)
     assert criterion_check(upq(2, 3, 2), ((1,), (1,)))[-1][0] == "path-count"
     with pytest.raises(ValueError):
         path_count_check(upq(4, 5, 6), ((1,), ()))  # no collapse for r < k < s
+
+
+def test_q_collapse_check_sees_a_dropped_tableau(monkeypatch):
+    # at k <= r against dim U_sigma, at k >= s against the whole of T(sigma)
+    cases = [(mp(3, 2), (1, 1)), (upq(2, 3, 4), ((1,), ()))]
+    assert all(q_collapse_check(setting, sigma)["ok"] for setting, sigma in cases)
+    listed = dualpair.enumerate_Q
+    monkeypatch.setattr(dualpair, "enumerate_Q", lambda s, label: listed(s, label)[1:])
+    for setting, sigma in cases:
+        report = q_collapse_check(setting, sigma)
+        assert report["q_count"] == report["expected"] - 1 and not report["ok"], (setting, sigma)
+    assert not verify_all(only="collapse")["ok"]
 
 
 def test_criterion_check_sees_one_flipped_verdict(monkeypatch):
@@ -303,6 +335,21 @@ def test_traced_names_resolve():
         "criterion", "product", "theta", "jellyfish", "collapse", "width", "exceptional", "pinned", "conjecture",
     ]
     assert callable(degree._suite_random)
+
+
+def test_readme_checkers_resolve():
+    # each row of README's checker table names a checker in dualdeg.degree,
+    # a function or SUITES["name"], and the verify suites that run it
+    lines = (Path(__file__).parents[1] / "README.md").read_text().splitlines()
+    start = lines.index("| identity | checker | verify suite | `check` | criterion |") + 2
+    rows = list(itertools.takewhile(lambda line: line.startswith("|"), lines[start:]))
+    assert len(rows) == 7
+    for row in rows:
+        _, checker, suites, _, _ = [cell.strip() for cell in row.strip("|").split("|")]
+        name, suite_key = re.fullmatch(r'`(\w+)(?:\(.*\)|\["([\w-]+)"\])`', checker).groups()
+        target = degree.SUITES[suite_key] if suite_key else getattr(degree, name, None)
+        assert callable(target), checker
+        assert all(suite in degree.SUITES for suite in re.findall(r"`([\w-]+)`", suites)), suites
 
 
 @pytest.mark.parametrize(

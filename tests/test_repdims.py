@@ -1,14 +1,18 @@
 """Tests for the dimension formulas, against the Fraction products and the
 tableau counts they replaced."""
 
+import io
+import json
 import random
+from contextlib import redirect_stdout
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dualdeg.degree import iter_sigmas, not_identity_check, partitions_up_to
+from dualdeg.cli import main
+from dualdeg.degree import iter_sigmas, partitions_up_to
 from dualdeg.dualpair import count_Q_determinant, mp, ostar, real_rank, upq
 from dualdeg.repdims import (
     _dim_gl_partition,
@@ -370,13 +374,14 @@ def test_weyl_products_pinned():
     # 371,800 symplectic tableaux, far too many to list in a test
     assert dim_sp(12, (3, 2, 2, 1)) == 371_800
     assert dim_sp(10, (3, 2, 2, 1)) == 66_066  # as many symplectic tableaux, listed once
-    # dualdeg check not --family ostar --n 14 --k 6 --sigma 3,3,2,2,1
-    report = not_identity_check(ostar(14, 6), (3, 3, 2, 2, 1))
-    assert report == {
-        "q_count": 3_675_672,
-        "dim_u": 3_675_672,
-        "p_count": 7,
-        "degree": 25_729_704,
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main("check not --family ostar --n 14 --k 6 --sigma 3,3,2,2,1".split()) == 0
+    assert json.loads(out.getvalue()) == {
+        "q_count": "3675672",
+        "dim_u": "3675672",
+        "p_count": "7",
+        "degree": "25729704",
         "ok": True,
     }
     # the associate and the doubled labels of O_k
