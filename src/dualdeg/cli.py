@@ -11,7 +11,8 @@ from json.encoder import encode_basestring_ascii
 
 from . import degree, diagrams, dualpair, jellyfish, posets, repdims
 
-# the most tableaux of T(sigma), dim F_lambda, that enumerate q or jellyfish lists
+# the most objects enumerate lists: the dim F_lambda tableaux of T(sigma) for
+# q and jellyfish, the #P_k plane partitions or facets of a dual pair for p and facets
 LISTING_BUDGET = 10**6
 
 
@@ -191,15 +192,21 @@ def cmd_degree(args):
     return 0 if report.ok() else 1
 
 
-def _check_listing_size(setting, sigma):
-    """ValueError naming dim F_lambda, before any tableau is listed, where
-    T(sigma) holds more than LISTING_BUDGET tableaux.  A label that is no
-    nonzero label passes: the listing reports it."""
-    label = dualpair.normalize_sigma(setting, sigma)
-    if dualpair._classify(setting, label) == dualpair.IN_SIGMA:
-        t_size = repdims._dim_F(setting, label)
-        if t_size > LISTING_BUDGET:
-            raise ValueError(f"dim F_lambda={t_size} > listing budget {LISTING_BUDGET}")
+def _check_listing_size(setting, sigma=None):
+    """ValueError naming the size, before anything is listed, above LISTING_BUDGET:
+    dim F_lambda for T(sigma), else #P_k for a dual pair.  A label that is no
+    nonzero label passes, and so does any other family: the listing reports them."""
+    if sigma is None:
+        if setting.family not in dualpair.DUAL_PAIR_FAMILIES:
+            return
+        name, size = "#P_k", diagrams.count_P_product(setting, setting.k)
+    else:
+        label = dualpair.normalize_sigma(setting, sigma)
+        if dualpair._classify(setting, label) != dualpair.IN_SIGMA:
+            return
+        name, size = "dim F_lambda", repdims._dim_F(setting, label)
+    if size > LISTING_BUDGET:
+        raise ValueError(f"{name}={size} > listing budget {LISTING_BUDGET}")
 
 
 def cmd_enumerate(args):
@@ -211,9 +218,11 @@ def cmd_enumerate(args):
         objects = dualpair.enumerate_Q(setting, sigma)
         serialize = lambda T: serialize_tableau(setting, T)
     elif kind == "p":
+        _check_listing_size(setting)
         objects = diagrams.iter_P(setting, setting.k)
         serialize = serialize_pp
     elif kind == "facets":
+        _check_listing_size(setting)
         objects = posets.enumerate_facets(setting, setting.k)
         serialize = lambda f: {"points": serialize_points(f.points)}
     else:  # jellyfish

@@ -94,7 +94,7 @@ def _jellyfish_gate(setting, t_size, limit):
         return f"k={k} >= s={s}"
     if k > 2:
         return f"k={k} > 2"
-    points = len(posets.build_poset(setting).points)
+    points = diagrams.dim_p_plus(setting)  # the boxes of D_0 for upq and ostar
     if points > 20:
         return f"|poset|={points} > 20"
     if t_size > limit:
@@ -141,7 +141,7 @@ def bernstein_degree(setting, sigma, limit=DEFAULT_LIMIT):
     else:
         checks.append(CrossCheck("q-enumeration", "skipped", f"dim F_lambda={t_size} > limit {limit}"))
 
-    d_size = len(diagrams.diagram_D_closed_form(setting, setting.k))
+    d_size = len(diagrams.diagram_D(setting, setting.k))
     if p_count <= limit and d_size <= 12:
         brute = len(diagrams.enumerate_P(setting, setting.k))
         status = "pass" if brute == p_count else "fail"

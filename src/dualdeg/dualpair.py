@@ -4,15 +4,9 @@ import bisect
 import itertools
 from collections import namedtuple
 from functools import cache
+from math import comb
 
-from .tableaux import (
-    binomial,
-    check_partition,
-    conjugate,
-    determinant,
-    enumerate_ssyt,
-    pad,
-)
+from .tableaux import binomial, check_partition, conjugate, determinant, enumerate_ssyt
 
 # Family tags. The first three are the dual-pair settings; the rest are the
 # additional Hermitian types that only carry diagram/Hilbert-series data.
@@ -171,11 +165,7 @@ def _enumerate_T(setting, sigma):
     """enumerate_T of a label nonzero_label has returned."""
     if setting.family == UPQ:
         plus, minus = sigma
-        return list(
-            itertools.product(
-                enumerate_ssyt(plus, setting.q), enumerate_ssyt(minus, setting.p)
-            )
-        )
+        return list(itertools.product(enumerate_ssyt(plus, setting.q), enumerate_ssyt(minus, setting.p)))
     return list(enumerate_ssyt(sigma, setting.n))
 
 
@@ -341,7 +331,9 @@ def enumerate_Q(setting, sigma):
 def _count_Q_mp(n, k, sigma):
     """#Q_k(sigma) for mp: a sum over first columns C of the interval
     I = [n-k+1, n] of c2 x c2 path determinants whose column j has the flag
-    a_j = max(C_j, L_j), L = I minus C, evaluated as one scan of I.
+    a_j = max(C_j, L_j), L = I minus C, evaluated as one scan of I.  Each is
+    _flagged_determinant of sigma less its first column, rows 1..c2, with
+    widths n + 1 - a_j, and the scan builds column j of it at a_j.
 
     Each v in I joins C (only if v >= 1) or L; the state is (#C, #L) so far.
     a_j is the v at which min(#C, #L) reaches j, so column j is wedged in at
@@ -405,9 +397,22 @@ def _evaluation_k(setting, sigma):
     return max(s, _least_k(setting, sigma))
 
 
+def _flagged_determinant(parts, widths, shifts):
+    """det[C(e + w_j - 1, e)], i, j from 0, e = parts[i] - i + j + shifts[j], w_j = widths[j]:
+    a flagged Jacobi-Trudi determinant of h_e in w_j variables, 0 for e < 0 or w_j < 1.  With
+    no shifts and widths N + 1 - a_j, a weakly increasing, it counts the SSYT of shape parts with
+    entries <= N whose row i holds only entries >= a_i, as nonintersecting paths (Wachs 1985)."""
+    cols = [(j + shift, width - 1) for j, (width, shift) in enumerate(zip(widths, shifts))]
+    return determinant([
+        [comb(e + w, e) if (e := part - i + o) >= 0 and w >= 0 else 0 for o, w in cols]
+        for i, part in enumerate(parts)
+    ])
+
+
 def count_Q_determinant(setting, sigma):
     """#Q_k(sigma) via the family-specific nonintersecting-path determinant,
-    evaluated at k' = _evaluation_k(setting, sigma), whose count is the same."""
+    evaluated at k' = _evaluation_k(setting, sigma), whose count is the same:
+    _flagged_determinant for upq and ostar, the scan of _count_Q_mp for mp."""
     sigma = nonzero_label(setting, sigma)
     k = _evaluation_k(setting, sigma)
     if setting.family == UPQ:
@@ -416,31 +421,14 @@ def count_Q_determinant(setting, sigma):
         if p > q:
             p, q = q, p
             plus, minus = minus, plus
-        r, big = p, q
-        minus1 = minus[0] if minus else 0
-        # the weakly decreasing k-tuple: plus parts, zeros, negated reversed minus
+        # the k-tuple (sigma+, zeros, -reversed sigma-); width q and shift 0 on the
+        # (k - p)+ free columns, width min(k, p) and shift sigma-_1 on the rest
         full = list(plus) + [0] * (k - len(plus) - len(minus)) + [-x for x in reversed(minus)]
-        mat = []
-        for i in range(1, k + 1):
-            row = []
-            for j in range(1, k + 1):
-                c = 0 if j <= k - r else minus1
-                d = -1 + (big if j <= k - r else min(k, r))
-                e = full[i - 1] - i + j + c
-                row.append(binomial(e + d, e))
-            mat.append(row)
-        return determinant(mat)
+        free, shift = max(k - p, 0), (minus[0] if minus else 0)
+        return _flagged_determinant(full, [q] * free + [min(k, p)] * (k - free), [0] * free + [shift] * (k - free))
     if setting.family == MP:
         return _count_Q_mp(setting.n, k, sigma)
-    # ostar
+    # the rows of sigma alone: the zero rows of pad(sigma, k) add an upper unitriangular block
     n = setting.n
-    full = pad(sigma, k)
-    mat = []
-    for i in range(1, k + 1):
-        row = []
-        for j in range(1, k + 1):
-            a_j = max(1, n + 2 * (j - k) - 1)
-            e = full[i - 1] - i + j
-            row.append(binomial(e + n - a_j, e))
-        mat.append(row)
-    return determinant(mat)
+    return _flagged_determinant(sigma, [n + 1 - max(1, n + 2 * (j - k) - 1) for j in range(1, len(sigma) + 1)],
+                                [0] * len(sigma))

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualdeg import cli, degree, diagrams, dualpair, jellyfish, tableaux
+from dualdeg import cli, degree, diagrams, dualpair, jellyfish, posets, tableaux
 from dualdeg.cli import COUNT_KEYS, _shape_flags_read, emit, main, parse_partition, serialize_pp, to_json
 from dualdeg.dualpair import ALL_FAMILIES, Setting, mp, ostar, upq
 
@@ -572,6 +572,51 @@ def test_enumerate_lists_at_the_listing_budget(monkeypatch, argv, t_size, count)
     assert code == 0 and json.loads(out)["count"] == count
     monkeypatch.setattr(cli, "LISTING_BUDGET", t_size - 1)
     assert run_cli_err(argv.split()) == (2, "", f"error: dim F_lambda={t_size} > listing budget {t_size - 1}\n")
+
+
+@pytest.mark.parametrize("kind", ["p", "facets"])
+@pytest.mark.parametrize(
+    "flags, p_count",
+    [("--family upq --p 12 --q 12 --k 6", 1478619421136), ("--family mp --n 12 --k 4", 40831076),
+     ("--family ostar --n 16 --k 3", 24801924512)],
+    ids=["upq", "mp", "ostar"],
+)
+def test_enumerate_refuses_a_plane_partition_count_above_the_listing_budget(monkeypatch, kind, flags, p_count):
+    # the call reads #P_k from the product formula and exits 2 before it lists any
+    def refuse(*args):
+        raise RuntimeError("listed a plane partition")
+
+    monkeypatch.setattr(diagrams, "iter_P", refuse)
+    monkeypatch.setattr(posets, "enumerate_facets", refuse)
+    argv = f"enumerate {kind} {flags} --limit 1".split()
+    assert run_cli_err(argv) == (2, "", f"error: #P_k={p_count} > listing budget 1000000\n")
+
+
+@pytest.mark.parametrize("kind", ["p", "facets"])
+@pytest.mark.parametrize(
+    "flags, p_count",
+    [("--family upq --p 2 --q 3 --k 1", 3), ("--family mp --n 3 --k 1", 4), ("--family ostar --n 5 --k 1", 5)],
+    ids=["upq", "mp", "ostar"],
+)
+def test_enumerate_lists_plane_partitions_at_the_listing_budget(monkeypatch, kind, flags, p_count):
+    argv = f"enumerate {kind} {flags}".split()
+    monkeypatch.setattr(cli, "LISTING_BUDGET", p_count)
+    code, out = run_cli(argv)
+    assert code == 0 and json.loads(out)["count"] == p_count
+    monkeypatch.setattr(cli, "LISTING_BUDGET", p_count - 1)
+    assert run_cli_err(argv) == (2, "", f"error: #P_k={p_count} > listing budget {p_count - 1}\n")
+
+
+def test_listing_budget_passes_the_families_without_a_product_formula(monkeypatch):
+    # so-even, so-odd, e6 and e7 read no #P_k: their listings and messages are unchanged
+    monkeypatch.setattr(cli, "LISTING_BUDGET", 0)
+    code, out = run_cli("enumerate p --family so-even --n 3 --k 1 --limit 0".split())
+    assert code == 0 and json.loads(out) == {"count": 2, "truncated": True, "items": []}
+    code, out = run_cli("enumerate p --family e6 --k 1 --limit 0".split())
+    assert code == 0 and json.loads(out)["count"] == 12
+    assert run_cli_err("enumerate facets --family so-odd --n 3 --k 1".split()) == (
+        2, "", "error: lattice-path machinery is only implemented for ('upq', 'mp', 'ostar')\n"
+    )
 
 
 def test_listing_budget_passes_a_label_that_is_not_admissible(monkeypatch):

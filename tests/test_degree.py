@@ -352,6 +352,15 @@ def test_readme_checkers_resolve():
         assert all(suite in degree.SUITES for suite in re.findall(r"`([\w-]+)`", suites)), suites
 
 
+def test_readme_src_line_count():
+    # the start-up paragraph's count of the lines of src/, which
+    # cat src/dualdeg/*.py | wc -l prints
+    root = Path(__file__).parents[1]
+    stated = re.search(r"compile the ([\d,]+) lines of `src/`", (root / "README.md").read_text())
+    lines = sum(path.read_bytes().count(b"\n") for path in (root / "src" / "dualdeg").glob("*.py"))
+    assert stated and int(stated.group(1).replace(",", "")) == lines
+
+
 @pytest.mark.parametrize(
     "setting, good, bad",
     [

@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dualdeg import dualpair
-from dualdeg.degree import iter_sigmas
+from dualdeg.degree import iter_sigmas, partitions_up_to
 from dualdeg.diagrams import dim_p_plus
 from dualdeg.dualpair import (
     IN_HHAT_NOT_SIGMA,
@@ -20,6 +20,7 @@ from dualdeg.dualpair import (
     UPQ,
     Setting,
     _count_Q_mp,
+    _flagged_determinant,
     _in_Q_criteria,
     _q_test,
     alpha,
@@ -36,7 +37,7 @@ from dualdeg.dualpair import (
     upq,
 )
 from dualdeg.repdims import dim_F_lambda
-from dualdeg.tableaux import Tableau, binomial, conjugate, determinant, pad
+from dualdeg.tableaux import Tableau, binomial, conjugate, determinant, enumerate_ssyt, pad
 
 
 def test_parameters():
@@ -278,6 +279,28 @@ def upq_ostar_labels(draw):
 def test_upq_ostar_determinant_matches_enumeration(label):
     setting, sigma = label
     assert count_Q_determinant(setting, sigma) == len(enumerate_Q(setting, sigma))
+
+
+@st.composite
+def row_flagged_shapes(draw):
+    """A partition of size <= 6, a bound N <= 6 and weakly increasing row
+    flags a_i in [1, N + 1], one per row."""
+    parts = draw(st.sampled_from(partitions_up_to(6)))
+    bound = draw(st.integers(1, 6))
+    flags = sorted(draw(st.lists(st.integers(1, bound + 1), min_size=len(parts), max_size=len(parts))))
+    return parts, bound, flags
+
+
+@settings(max_examples=300, deadline=None)
+@given(row_flagged_shapes())
+def test_flagged_determinant_counts_row_flagged_tableaux(case):
+    # Wachs: with no shifts and widths N + 1 - a_i, the kernel counts the
+    # SSYT of the shape with entries <= N whose row i holds only entries >= a_i
+    parts, bound, flags = case
+    want = sum(
+        1 for T in enumerate_ssyt(parts, bound) if all(x >= a for row, a in zip(T, flags) for x in row)
+    )
+    assert _flagged_determinant(parts, [bound + 1 - a for a in flags], [0] * len(parts)) == want
 
 
 def test_mp_scan_pinned():
