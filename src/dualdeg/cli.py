@@ -35,15 +35,10 @@ def nonnegative_int(text):
     return value
 
 
-def _shape_flags_read(family):
-    """The dests of the shape flags the family reads, from its record."""
-    return dualpair.FAMILIES[family].flags
-
-
 def setting_from_args(args):
     family = args.family
     k = getattr(args, "k", 0) or 0
-    read = _shape_flags_read(family)
+    read = dualpair.FAMILIES[family].flags
     if not all(getattr(args, dest) for dest in read):
         raise ValueError(f"family {family} needs " + " and ".join(f"--{dest}" for dest in read))
     return dualpair.Setting(family, k=k, **{dest: getattr(args, dest) for dest in read})
@@ -55,15 +50,11 @@ def sigma_from_args(setting, args):
     return parse_partition(args.sigma)
 
 
-def tableau_rows(T):
-    return [list(row) for row in T]
-
-
 def serialize_tableau(setting, T):
     if setting.family == dualpair.UPQ:
         plus, minus = T
-        return {"plus": tableau_rows(plus), "minus": tableau_rows(minus)}
-    return {"rows": tableau_rows(T)}
+        return {"plus": [list(row) for row in plus], "minus": [list(row) for row in minus]}
+    return {"rows": [list(row) for row in T]}
 
 
 def serialize_pp(pp):
@@ -223,7 +214,7 @@ def cmd_enumerate(args):
         serialize = serialize_pp
     elif kind == "facets":
         _check_listing_size(setting)
-        objects = posets.enumerate_facets(setting, setting.k)
+        objects = posets.iter_facets(setting, setting.k)
         serialize = lambda f: {"points": serialize_points(f.points)}
     else:  # jellyfish
         sigma = sigma_from_args(setting, args)
@@ -377,7 +368,7 @@ def main(argv=None):
         parser.error(f"verify --only {args.only} takes no --seed")
     if args.command != "verify":
         where = f"{call} --family {args.family}" if args.family else call
-        read = () if what == "exceptional" else (*_shape_flags_read(args.family), "k")
+        read = () if what == "exceptional" else (*dualpair.FAMILIES[args.family].flags, "k")
         for dest in ("p", "q", "n", "k"):
             if getattr(args, dest) is not None and dest not in read:
                 parser.error(f"{where} takes no --{dest}")

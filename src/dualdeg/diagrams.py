@@ -54,7 +54,7 @@ def diagram_D0(setting):
     """The diagram D_0 of the Hermitian type.  Its boxes are the dim p+
     positive noncompact roots for every type but so-odd, whose D_0 has
     n + 1 boxes while dim p+ = 2n - 1 (the B_n roots form a chain); as
-    r = 2, only its D_1 and D_2 are read."""
+    r = 2, only its D_1 and D_2 are read, which diagram_D writes down."""
     f = setting.family
     if f in DUAL_PAIR_FAMILIES:
         return diagram_D_closed_form(setting, 0)
@@ -110,12 +110,15 @@ def _level_work(setting, k):
 @cache
 def diagram_D(setting, k):
     """D_k, the k-fold interior of D_0, a frozenset of boxes: the closed form
-    for the dual pairs, else k interior passes over D_0; cached, and
-    immutable so that no caller can change the cached copy."""
+    for the dual pairs and for so at k >= 1, else k interior passes over
+    D_0; cached, and immutable so that no caller can change the cached copy."""
     if k < 0:
         raise ValueError("k must be >= 0")
     if setting.family in DUAL_PAIR_FAMILIES:
         return diagram_D_closed_form(setting, k)
+    if setting.family in (SO_EVEN, SO_ODD) and k:
+        # r = 2: D_1 is the box (1, n - 1) of D_0, (1, n) for so-odd, and D_2 is empty
+        return frozenset({(1, 1)} if k == 1 else ())
     boxes = diagram_D0(setting)
     for _ in range(k):
         boxes = _southwest_interior(boxes)
@@ -281,7 +284,7 @@ def numerator_polynomial(setting, k):
     if not work:
         return IntPolynomial([1])  # the one filling of the empty D_k
     block = k // 2 if setting.family == MP else k
-    routes = [_numerator_by_determinant, _checked_levels]
+    routes = [_numerator_by_determinant, _numerator_by_levels]
     if work <= min(_LEVEL_WORK, _LEVEL_PER_CUBE * block**3):
         routes.reverse()
     refusals = []
@@ -316,12 +319,6 @@ def _check_ends(num, count, setting, k, route):
     if sum(num) != count:
         raise AssertionError(f"{route} for {setting} k={k} give N(1) = {sum(num)}, not #P_k = {count}")
     return num
-
-
-def _checked_levels(setting, k):
-    """_numerator_by_levels for a dual-pair setting, with the guards of the
-    packed route on N(0) and N(1)."""
-    return _check_ends(_numerator_by_levels(setting, k), count_P_product(setting, k), setting, k, "level fillings")
 
 
 def _numerator_by_determinant(setting, k):
@@ -454,27 +451,29 @@ def _numerator_by_levels(setting, k):
     north and east steps), and c is additive over the levels, since
     v - max(s, w) = sum_l [v>=l] - max([s>=l], [w>=l]): N = sum prod t^c(F_l).
 
-    The filters are listed box by box in the order of _fillings: a box is in
-    when its south or west neighbour is, else free, adding 1 to c if chosen.
-    A partial filter extends by all later boxes, so the count only grows,
-    and the call raises ValueError once #filters * |D_k| * k exceeds
-    _LEVEL_WORK, before any level step.  Each of the k - 1 steps is the
-    superset sum vec[F] += vec[F + b], box by box in that order (the north
-    and east neighbours of b come later), then the factor t^c(F).  Packed
-    as in _pack at B = |D_k| * (k+1).bit_length() + 2, a coefficient counts
-    fillings, at most (k+1)^|D_k| < 2^(B-1), so it never carries.  Each sum
-    has degree at most k c_max, c_max the largest c(F), so once the filters
-    are listed the call also raises ValueError, before any level step, where
-    #filters * |D_k| * k * (k c_max + 1) B exceeds _LEVEL_BITS."""
+    For a dual pair the call raises ValueError where #filters * |D_k| * k,
+    read by _level_work, exceeds _LEVEL_WORK, before D_k is built; D_k of
+    so, e6 and e7 has at most 10 boxes at every 1 <= k <= r.  The filters
+    are listed box by box in the order of _fillings: a box is in when its
+    south or west neighbour is, else free, adding 1 to c if chosen.  Each
+    of the k - 1 steps is the superset sum vec[F] += vec[F + b], box by box
+    in that order (the north and east neighbours of b come later), then the
+    factor t^c(F).  Packed as in _pack at B = |D_k| * (k+1).bit_length() + 2,
+    a coefficient counts fillings, at most (k+1)^|D_k| < 2^(B-1), so it
+    never carries.  Each sum has degree at most k c_max, c_max the largest
+    c(F), so once the filters are listed the call also raises ValueError,
+    before any level step, where #filters * |D_k| * k * (k c_max + 1) B
+    exceeds _LEVEL_BITS.  A dual pair's N(t) passes _check_ends."""
+    dual_pair = setting.family in DUAL_PAIR_FAMILIES
+    work = _level_work(setting, k) if dual_pair else 0
+    if work > _LEVEL_WORK:
+        raise ValueError(f"level-transfer work bound={work} > limit {_LEVEL_WORK}")
     order = sorted(diagram_D(setting, k), key=lambda box: (-box[0], box[1]))
     bit = {box: 1 << i for i, box in enumerate(order)}
     one, filters = 1 << len(order), [0]  # a filter is one int: its boxes' bits, plus c times one
     for r, c in order:
         b, below = bit[r, c], bit.get((r + 1, c), 0) | bit.get((r, c - 1), 0)
         filters = [f | b if f & below else f for f in filters] + [f + b + one for f in filters if not f & below]
-        work = len(filters) * len(order) * k
-        if work > _LEVEL_WORK:
-            raise ValueError(f"level-transfer work bound>={work} > limit {_LEVEL_WORK}")
     width = len(order) * (k + 1).bit_length() + 2
     shifts = [(f >> len(order)) * width for f in filters]
     bits = len(filters) * len(order) * k * (k * max(shifts) + width)
@@ -489,7 +488,8 @@ def _numerator_by_levels(setting, k):
             pairs += [(i, index[f % one | b]) for i, f in enumerate(filters) if f & (b | above) == above]
         for _ in range(k - 1):
             _level_step(vec, pairs, shifts)
-    return _unpack(sum(vec), width)
+    num = _unpack(sum(vec), width)
+    return _check_ends(num, count_P_product(setting, k), setting, k, "level fillings") if dual_pair else num
 
 
 def _level_step(vec, pairs, shifts):

@@ -267,7 +267,7 @@ def _in_Q_criteria(setting, sigma, T):
         if sigma and T.entry(1, 1) < n - k + 1:
             return False
         interval = range(n - k + 1, n + 1)
-        leftover = sorted(set(interval) - T.first_column())
+        leftover = sorted(set(interval) - set(T.column(1)))
         conj = conjugate(sigma)
         c2 = conj[1] if len(conj) >= 2 else 0
         for j in range(1, c2 + 1):

@@ -87,11 +87,6 @@ class PathFamily(namedtuple("PathFamily", "points paths", defaults=(None,))):
         return len(self.points)
 
 
-def _west_col(setting, row):
-    """First column of the given depicted row."""
-    return row if setting.family == OSTAR else 1
-
-
 def _anchor_points(setting, k):
     """The forced path anchors: start a_t on the (step k)-th antidiagonal
     and, except for mp, its translate b_t by the edges of D_k."""
@@ -162,14 +157,23 @@ def disjoint_products(candidates):
 
 
 def enumerate_facets(setting, k):
-    """All facets of the width-k order complex of the root poset: the free
-    segment t runs from a_t to b_t, or to the main antidiagonal for mp."""
+    """All facets of the width-k order complex of the root poset, as a list."""
+    return list(iter_facets(setting, k))
+
+
+def iter_facets(setting, k):
+    """The facets of the width-k order complex, one at a time, checked and
+    set up at the call: the free segment t runs from a_t to b_t, or to the
+    main antidiagonal for mp.  No facet repeats: disjoint east/south paths
+    from anchors ordered along an antidiagonal never cross, so a point east
+    of path 1 lies on no later path, walking the union east first rebuilds
+    path 1, and by induction the rest, as decompose does."""
     _require_dual_pair(setting)
     if k < 1:
         raise ValueError("k must be >= 1")
     poset = build_poset(setting)
     if k >= real_rank(setting):
-        return [PathFamily(poset.points)]
+        return iter([PathFamily(poset.points)])
     a, b, prefixes, suffixes = _forced_paths(setting, k)
     if b is None:
         antidiagonal = {x for x in poset.points if sum(x) == setting.n + 1}
@@ -180,15 +184,10 @@ def enumerate_facets(setting, k):
             for start, end in zip(a, b)
         ]
     forced = _forced_points(setting, k)
-    seen = set()
-    out = []
-    for combo, pts in disjoint_products(candidates):
-        pts = pts.union(forced)
-        if pts not in seen:
-            seen.add(pts)
-            paths = tuple(pre + seg + suf for pre, seg, suf in zip(prefixes, combo, suffixes))
-            out.append(PathFamily(pts, paths))
-    return out
+    return (
+        PathFamily(pts.union(forced), tuple(pre + seg + suf for pre, seg, suf in zip(prefixes, combo, suffixes)))
+        for combo, pts in disjoint_products(candidates)
+    )
 
 
 def _validate_plane_partition(setting, k, pp):
@@ -250,7 +249,7 @@ def decompose(setting, k, points):
     remaining = set(points)
     paths = []
     for t in range(1, k + 1):
-        start = (t, _west_col(setting, t))
+        start = (t, t if setting.family == OSTAR else 1)  # the west end of row t
         if start not in remaining:
             raise ValueError("point set is not a union of k anchored paths")
         path = [start]

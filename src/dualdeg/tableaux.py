@@ -64,10 +64,6 @@ class Tableau(tuple):
         """Column ell (1-based) as a tuple, top to bottom."""
         return tuple(row[ell - 1] for row in self if len(row) >= ell)
 
-    def first_column(self):
-        """The initial column as a set of entries."""
-        return set(self.column(1))
-
     def __repr__(self):
         return f"Tableau({list(map(list, self))})"
 

@@ -108,6 +108,19 @@ def test_theta_paths_are_the_canonical_decomposition():
     assert not failures, failures[:5]
 
 
+def test_disjoint_segment_choices_are_distinct_facets():
+    # iter_facets yields one facet per choice of disjoint free segments and
+    # drops none as a repeat: the choices number #P_k and their point sets
+    # are pairwise distinct, as the east-first peeling argument says
+    failures = []
+    for base in _theta_sweep():
+        for k in range(1, min(3, real_rank(base)) + 1):
+            points = [f.points for f in posets.iter_facets(base, k)]
+            if len(points) != diagrams.count_P_product(base, k) or len(set(points)) != len(points):
+                failures.append((base, k, len(points), len(set(points))))
+    assert not failures, failures[:5]
+
+
 def test_criterion_6_jellyfish_factorization():
     failures = []
     cases = []

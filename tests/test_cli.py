@@ -17,8 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualdeg import cli, degree, diagrams, dualpair, jellyfish, posets, tableaux
-from dualdeg.cli import COUNT_KEYS, _shape_flags_read, emit, main, parse_partition, serialize_pp, to_json
-from dualdeg.dualpair import ALL_FAMILIES, Setting, mp, ostar, upq
+from dualdeg.cli import COUNT_KEYS, emit, main, parse_partition, serialize_pp, to_json
+from dualdeg.dualpair import ALL_FAMILIES, FAMILIES, Setting, mp, ostar, upq
 
 
 def run_cli(argv):
@@ -98,6 +98,21 @@ def test_enumerate_p_holds_only_what_it_prints():
     tracemalloc.start()
     try:
         code, out = run_cli(UPQ_7_7_P + ["--limit", "10"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["count"], payload["truncated"], len(payload["items"])) == (19404, True, 10)
+    assert peak < 2 * 2**20, peak
+
+
+def test_enumerate_facets_holds_only_what_it_prints():
+    # the 19,404 facets of upq(7,7) at k=2 are streamed like the plane
+    # partitions: holding them all took about 29 MB
+    tracemalloc.start()
+    try:
+        code, out = run_cli("enumerate facets --family upq --p 7 --q 7 --k 2 --limit 10".split())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -409,7 +424,7 @@ def test_shape_flags_read_are_the_fields_setting_validates():
     }
     assert sorted(expected) == sorted(ALL_FAMILIES)
     for family, (flags, least, message) in expected.items():
-        assert _shape_flags_read(family) == flags
+        assert FAMILIES[family].flags == flags
         at_least = {field: least for field in flags}
         setting = Setting(family, k=1, **at_least)
         for field in flags:
@@ -587,7 +602,7 @@ def test_enumerate_refuses_a_plane_partition_count_above_the_listing_budget(monk
         raise RuntimeError("listed a plane partition")
 
     monkeypatch.setattr(diagrams, "iter_P", refuse)
-    monkeypatch.setattr(posets, "enumerate_facets", refuse)
+    monkeypatch.setattr(posets, "iter_facets", refuse)
     argv = f"enumerate {kind} {flags} --limit 1".split()
     assert run_cli_err(argv) == (2, "", f"error: #P_k={p_count} > listing budget 1000000\n")
 
@@ -681,7 +696,7 @@ def test_hilbert_box_transfer_gate():
     assert code == 2 and out == ""
     assert err.getvalue() == (
         "error: packed bit-operation bound=110471554750464 > limit 20000000000000; "
-        "level-transfer work bound>=36864000 > limit 30000000\n"
+        "level-transfer work bound=98304000 > limit 30000000\n"
     )
     code, out = run_cli("hilbert --family mp --n 60 --k 58".split())
     assert code == 0
@@ -698,7 +713,7 @@ def test_hilbert_molien_gate():
     assert code == 2 and out == ""
     assert err.getvalue() == (
         "error: packed bit-operation bound=56675700226321 > limit 20000000000000; "
-        "level-transfer work bound>=30105600 > limit 30000000\n"
+        "level-transfer work bound=4404019200 > limit 30000000\n"
     )
     code, out = run_cli("hilbert --family mp --n 30 --k 10".split())
     assert code == 0
@@ -714,7 +729,7 @@ def test_hilbert_determinant_gate():
     assert code == 2 and out == ""
     assert err.getvalue() == (
         "error: packed bit-operation bound=21982251845939 > limit 20000000000000; "
-        "level-transfer work bound>=40290756 > limit 30000000\n"
+        "level-transfer work bound=47910333403904400 > limit 30000000\n"
     )
 
 

@@ -20,6 +20,7 @@ from dualdeg.diagrams import (
     hilbert_series_orbit,
     interior,
     iter_P,
+    normalize,
     numerator_polynomial,
     rectangle,
     shifted_staircase,
@@ -74,6 +75,28 @@ def test_closed_forms_match_recursion():
             boxes = interior(boxes)
             cases += 1
     assert cases == 3_483
+
+
+def test_so_closed_form_matches_recursion():
+    # diagram_D writes so's D_1 and D_2 down without building D_0: both equal
+    # the k-fold interior of D_0 for so-even n = 3..40 and so-odd n = 2..40
+    settings_ = [Setting("so-even", n=n) for n in range(3, 41)] + [Setting("so-odd", n=n) for n in range(2, 41)]
+    for setting in settings_:
+        boxes = diagram_D0(setting)
+        for k in range(0, real_rank(setting) + 2):
+            assert diagram_D(setting, k) == normalize(boxes), (setting, k)
+            boxes = diagrams._southwest_interior(boxes)
+
+
+def test_level_transfer_needs_no_work_gate_off_the_dual_pairs():
+    # _numerator_by_levels reads no work bound for so, e6 and e7: their D_k,
+    # the k-fold interior of D_0, has at most 10 boxes at every 1 <= k <= r
+    settings_ = [Setting("so-even", n=n) for n in range(3, 61)] + [Setting("so-odd", n=n) for n in range(2, 61)]
+    for setting in settings_ + [Setting("e6"), Setting("e7")]:
+        boxes = diagram_D0(setting)
+        for k in range(1, real_rank(setting) + 1):
+            boxes = interior(boxes)
+            assert len(boxes) == len(diagram_D(setting, k)) <= 10, (setting, k)
 
 
 def test_level_work_counts_the_filters():
@@ -656,11 +679,16 @@ def test_level_transfer_work_budget(monkeypatch):
     # the heaviest oracle run, ostar(14) k=1: at k = 1 the filters are P_1,
     # so it reads 208,012 filters of 66 boxes, under the budget
     assert count_P_product(ostar(14, 0), 1) * len(diagram_D(ostar(14, 0), 1)) == 13_728_792 <= diagrams._LEVEL_WORK
-    # refused while the filters are listed, before any level step; the
-    # message reads the work of the filters listed so far
-    monkeypatch.setattr(diagrams, "_level_step", lambda *args: pytest.fail("a level step ran"))
-    for setting, k, work in [(mp(40, 0), 20, 30_105_600), (mp(40, 0), 25, 36_864_000), (upq(34, 34, 0), 11, 40_290_756)]:
-        with pytest.raises(ValueError, match=f"level-transfer work bound>={work} > limit 30000000$"):
+    # refused at entry, before D_k is built; the message reads the exact
+    # work from the shape of D_k
+    monkeypatch.setattr(diagrams, "diagram_D", lambda *args: pytest.fail("D_k was built"))
+    for setting, k, work in [
+        (mp(40, 0), 20, 4_404_019_200),
+        (mp(40, 0), 25, 98_304_000),
+        (upq(34, 34, 0), 11, 47_910_333_403_904_400),
+        (ostar(19, 0), 3, 173_838_600),
+    ]:
+        with pytest.raises(ValueError, match=f"^level-transfer work bound={work} > limit 30000000$"):
             diagrams._numerator_by_levels(setting, k)
     monkeypatch.undo()
     # settings above the packed budget whose D_k is tiny still run
@@ -694,7 +722,7 @@ def test_level_transfer_budget_is_inclusive(monkeypatch):
     # mp(10) k=4: 64 filters of the 21 boxes of staircase(6), work
     # 64 * 21 * 4 = 5,376: refused one below, run at it
     monkeypatch.setattr(diagrams, "_LEVEL_WORK", 5_375)
-    with pytest.raises(ValueError, match="bound>=5376 > limit 5375"):
+    with pytest.raises(ValueError, match="bound=5376 > limit 5375"):
         diagrams._numerator_by_levels(mp(10, 0), 4)
     monkeypatch.setattr(diagrams, "_LEVEL_WORK", 5_376)
     assert diagrams._numerator_by_levels(mp(10, 0), 4) == numerator_polynomial(mp(10, 0), 4)
