@@ -96,8 +96,8 @@ def to_json(obj, indent=2, depth=0):
     """obj, whose dict keys are strings, as json.dumps(obj, indent=indent)
     writes it (on one line for indent None), except that an int under a
     COUNT_KEYS key is written as its decimal string.  json.dumps with an
-    indent runs the pure-Python encoder; here a list of ints is one % of a
-    cached template."""
+    indent runs the pure-Python encoder; here a list of ints, or of int lists
+    of one length, is one % of a cached template."""
     if isinstance(obj, dict):
         if not obj:
             return "{}"
@@ -114,6 +114,11 @@ def to_json(obj, indent=2, depth=0):
             return "[]"
         if all(type(x) is int for x in obj):
             return _int_list_template(depth, len(obj), indent) % tuple(obj)
+        width = len(obj[0]) if isinstance(obj[0], (list, tuple)) else 0
+        if width and all(
+            isinstance(x, (list, tuple)) and len(x) == width and all(type(v) is int for v in x) for x in obj
+        ):
+            return _int_list_template(depth, len(obj), indent, width) % tuple([v for x in obj for v in x])
         start, sep, end = _layout(depth, indent)
         return "[" + start + sep.join(to_json(x, indent, depth + 1) for x in obj) + end + "]"
     if isinstance(obj, str):
@@ -131,9 +136,11 @@ def _layout(depth, indent):
 
 
 @cache
-def _int_list_template(depth, length, indent):
+def _int_list_template(depth, length, indent, width=0):
+    """A list of length ints at depth, or with a width, of length lists of width ints."""
+    item = _int_list_template(depth + 1, width, indent) if width else "%d"
     start, sep, end = _layout(depth, indent)
-    return "[" + start + sep.join(["%d"] * length) + end + "]"
+    return "[" + start + sep.join([item] * length) + end + "]"
 
 
 def emit(payload, fmt, out=None):

@@ -117,7 +117,9 @@ def bernstein_degree(setting, sigma, limit=DEFAULT_LIMIT):
 
     #Q_k(sigma) is read from its collapse where there is one, _collapse.
     Only r < k < s runs the path count, count_Q_determinant;
-    path_count_check compares it with the collapses.
+    path_count_check compares it with the collapses.  The q-enumeration
+    oracle, count_Q_enumeration, walks T(sigma) by column class and lists
+    no tableau.
 
     sigma is validated once, here; the closed forms take the normalized
     label.  The path count and the oracles are called through their public
@@ -135,7 +137,7 @@ def bernstein_degree(setting, sigma, limit=DEFAULT_LIMIT):
     checks = []
 
     if t_size <= limit:
-        brute = len(dualpair.enumerate_Q(setting, label))
+        brute = dualpair.count_Q_enumeration(setting, label)
         status = "pass" if brute == q_count else "fail"
         checks.append(CrossCheck("q-enumeration", status, f"determinant {q_count}, enumeration {brute}"))
     else:
@@ -490,7 +492,9 @@ def _suite_random(seed):
         if not sigmas:
             continue
         sigma = rng.choice(sigmas)
-        if dualpair.count_Q_determinant(setting, sigma) != len(dualpair.enumerate_Q(setting, sigma)):
+        counts = {dualpair.count_Q_determinant(setting, sigma), dualpair.count_Q_enumeration(setting, sigma),
+                  len(dualpair.enumerate_Q(setting, sigma))}
+        if len(counts) != 1:
             failures.append((setting, sigma))
     return failures
 

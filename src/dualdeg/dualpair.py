@@ -6,7 +6,7 @@ from collections import namedtuple
 from functools import cache
 from math import comb
 
-from .tableaux import binomial, check_partition, conjugate, determinant, enumerate_ssyt
+from .tableaux import binomial, check_partition, column_classes, conjugate, determinant, enumerate_ssyt
 
 # Family tags. The first three are the dual-pair settings; the rest are the
 # additional Hermitian types that only carry diagram/Hilbert-series data.
@@ -326,6 +326,25 @@ def enumerate_Q(setting, sigma):
         if ok:
             out.append(T)
     return out
+
+
+def count_Q_enumeration(setting, sigma):
+    """len(enumerate_Q(setting, sigma)), listing nothing: the definition,
+    _q_test(setting), decides each column class of T(sigma) once, and its
+    tableaux are counted by tableaux.column_classes.  A key is a valid
+    argument of the test, which reads only row[0] (row[:2] for mp) of each
+    row; for upq a pair of T+ and T- classes of sizes a and b adds a * b."""
+    sigma = normalize_sigma(setting, sigma)
+    if _classify(setting, sigma) != IN_SIGMA:
+        return 0
+    test = _q_test(setting)
+    if setting.family == UPQ:
+        plus, minus = sigma
+        minus_classes = column_classes(minus, setting.p, 1)
+        return sum(a * b for kp, a in column_classes(plus, setting.q, 1)
+                   for km, b in minus_classes if test((kp, km)))
+    width = 2 if setting.family == MP else 1
+    return sum(count for key, count in column_classes(sigma, setting.n, width) if test(key))
 
 
 def _count_Q_mp(n, k, sigma):

@@ -2,7 +2,9 @@
 
 import bisect
 import math
+from collections import Counter
 from functools import cache
+from operator import itemgetter
 
 
 def is_partition(parts):
@@ -73,20 +75,52 @@ def enumerate_ssyt(shape, max_entry):
     """All semistandard tableaux of the given shape with entries in [1, max_entry].
 
     Returned as a tuple, so the cached result cannot be changed by a caller,
-    in lexicographic order of the row-major entry vector.
+    in lexicographic order of the row-major entry vector: the blocks of
+    _ssyt_blocks, each flattened.
+    """
+    # the rows built there are nonempty tuples whose lengths are shape, so
+    # each tableau is made as a bare tuple, skipping Tableau's checks
+    trusted = tuple.__new__
+    out = [trusted(Tableau, (*above, row)) for above, rows in _ssyt_blocks(shape, max_entry) for row in rows]
+    return tuple(out) if shape else (Tableau(()),)
+
+
+@cache
+def column_classes(shape, max_entry, width):
+    """The tableaux of enumerate_ssyt(shape, max_entry) by class, as a tuple
+    of (key, count): key is the tuple of each row's first width entries.
+    Each list of last rows is tallied once, and each class of the rows
+    above it adds that tally once per block, so no tableau is built."""
+    first = itemgetter(slice(width))
+    lasts = {}  # the lists of last rows by identity; the walk hands one list to many blocks
+    blocks = []
+    for above, rows in _ssyt_blocks(shape, max_entry):
+        lasts[id(rows)] = rows
+        blocks.append((tuple(map(first, above)), id(rows)))
+    tallies = {i: Counter(map(first, rows)).items() for i, rows in lasts.items()}
+    counts = Counter()
+    for (prefix, i), times in Counter(blocks).items():
+        for key, count in tallies[i]:
+            counts[(*prefix, key)] += times * count
+    return tuple(counts.items()) if shape else (((), 1),)
+
+
+def _ssyt_blocks(shape, max_entry):
+    """The tableaux of enumerate_ssyt(shape, max_entry), in its order, as
+    blocks (rows above the last, the list of last rows under them); nothing
+    for the empty shape, whose one tableau has no last row.
 
     A tableau is one choice of row per level, each admissible under the
-    row above it.  The rows under a row are listed once per call and
-    reused.  The levels are walked with an explicit stack, so no recursion
-    deepens with the number of cells or rows.
+    row above it.  The rows under a row depend only on its entries above
+    them; they are listed once per call for each such part and reused.  The
+    levels are walked with an explicit stack, so no recursion deepens with
+    the number of cells or rows.
     """
     shape = check_partition(shape) if shape else ()
     if max_entry < 0:
         raise ValueError("max_entry must be >= 0")
-    if not shape:
-        return (Tableau(()),)
-    if len(shape) > max_entry:
-        return ()
+    if not shape or len(shape) > max_entry:
+        return
     # column j holds heights[j] cells, so cell (i, j) leaves room for the
     # heights[j] - 1 - i strictly larger entries below it
     heights = conjugate(shape)
@@ -99,22 +133,19 @@ def enumerate_ssyt(shape, max_entry):
     def rows_under(i, up):
         # up[j] + 1 is at most high[i][j], so every row has a row under it
         # and no branch of the walk is a dead end
-        key = (i, up)
+        key = (i, up[: shape[i]])
         rows = below.get(key)
         if rows is None:
-            rows = below[key] = _bounded_rows(tuple(x + 1 for x in up[: shape[i]]), high[i])
+            rows = below[key] = _bounded_rows(tuple(x + 1 for x in key[1]), high[i])
         return rows
 
-    # the rows built here are nonempty tuples whose lengths are shape, so
-    # each tableau is made as a bare tuple, skipping Tableau's checks
-    trusted = tuple.__new__
     top = _bounded_rows((1,) * shape[0], high[0])
     last = len(shape) - 1
     if last == 0:
-        return tuple([trusted(Tableau, (row,)) for row in top])
+        yield (), top
+        return
     # stack[-1] walks a level under the rows in chosen; under each row of
-    # the level above the last, the last level is emitted whole
-    out = []
+    # the level above the last, the last level is yielded whole
     chosen = []
     stack = [iter(top)]
     while stack:
@@ -127,9 +158,7 @@ def enumerate_ssyt(shape, max_entry):
             chosen.append(row)
             stack.append(iter(rows_under(len(stack), row)))
         else:
-            prefix = (*chosen, row)
-            out.extend([trusted(Tableau, (*prefix, bottom)) for bottom in rows_under(last, row)])
-    return tuple(out)
+            yield (*chosen, row), rows_under(last, row)
 
 
 def _bounded_rows(low, high):

@@ -186,6 +186,34 @@ def test_to_json_writes_what_json_dumps_writes(value):
     assert value == before
 
 
+@st.composite
+def int_matrices(draw):
+    """A list of int lists of one drawn width, bare or as a field of a dict."""
+    width, kind = draw(st.integers(0, 4)), draw(st.sampled_from([list, tuple]))
+    rows = [kind(row) for row in draw(st.lists(st.lists(st.integers(), min_size=width, max_size=width), max_size=6))]
+    return draw(st.sampled_from([rows, {"boxes": rows}, [{"boxes": rows}, {"boxes": rows[:1]}]]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_matrices())
+def test_to_json_writes_an_int_matrix_as_json_dumps_does(value):
+    assert to_json(value) == json.dumps(value, indent=2)
+    assert to_json(value, indent=None) == json.dumps(value)
+
+
+def test_to_json_writes_an_int_matrix_with_one_template():
+    # a 7 x 3 matrix is written with two templates, its own and its rows',
+    # not one per row
+    from dualdeg.cli import _int_list_template
+
+    matrix = [[i, i + 1, -i] for i in range(7)]
+    _int_list_template.cache_clear()
+    assert to_json({"boxes": matrix}) == json.dumps({"boxes": matrix}, indent=2)
+    assert _int_list_template.cache_info().currsize == 2
+    assert to_json([[1, 2], [3]]) == json.dumps([[1, 2], [3]], indent=2)
+    assert to_json([[1, 2], [3, True]]) == json.dumps([[1, 2], [3, True]], indent=2)
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
 def test_emit_leaves_its_payload_unchanged(fmt):
     payload = {

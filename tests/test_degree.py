@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from dualdeg import cli, degree, diagrams, dualpair, jellyfish, posets, repdims
+from dualdeg import cli, degree, diagrams, dualpair, jellyfish, posets, repdims, tableaux
 from dualdeg.degree import (
     EXCEPTIONAL_ROWS,
     bernstein_degree,
@@ -27,7 +27,7 @@ from dualdeg.degree import (
     theta_check,
     verify_all,
 )
-from dualdeg.dualpair import Setting, mp, ostar, upq
+from dualdeg.dualpair import UPQ, Setting, mp, ostar, upq
 from dualdeg.repdims import dim_U_sigma
 from dualdeg.tableaux import IntPolynomial
 
@@ -280,6 +280,41 @@ def test_q_collapse_check_sees_a_dropped_tableau(monkeypatch):
         report = q_collapse_check(setting, sigma)
         assert report["q_count"] == report["expected"] - 1 and not report["ok"], (setting, sigma)
     assert not verify_all(only="collapse")["ok"]
+
+
+@pytest.mark.parametrize(
+    "setting, sigma", [(upq(2, 3, 3), ((2, 1), (1,))), (mp(3, 4), (2, 1)), (ostar(7, 3), (2, 1))]
+)
+def test_q_enumeration_lists_no_tableau(monkeypatch, setting, sigma):
+    # k = 3 shuts the jellyfish gate; the q-enumeration check counts classes
+    def refuse(*args):
+        raise RuntimeError("listed a tableau")
+
+    tableaux.column_classes.cache_clear()
+    for module in (tableaux, dualpair):
+        monkeypatch.setattr(module, "enumerate_ssyt", refuse)
+    monkeypatch.setattr(dualpair, "enumerate_Q", refuse)
+    checks = {c.name: c for c in bernstein_degree(setting, sigma).cross_checks}
+    assert checks["jellyfish"].status == "skipped"
+    assert checks["q-enumeration"].status == "pass", checks["q-enumeration"]
+
+
+@pytest.mark.parametrize("setting, sigma", [(upq(2, 3, 3), ((2, 1), (1,))), (ostar(7, 3), (2, 1))])
+def test_q_enumeration_sees_one_flipped_class(monkeypatch, setting, sigma):
+    report = bernstein_degree(setting, sigma)
+    assert report.cross_checks[0].status == "pass"
+    label = dualpair.normalize_sigma(setting, sigma)
+    if setting.family == UPQ:
+        (plus_key, a), (minus_key, b) = (tableaux.column_classes(shape, n, 1)[0]
+                                         for shape, n in zip(label, (setting.q, setting.p)))
+        key, size = (plus_key, minus_key), a * b
+    else:
+        key, size = tableaux.column_classes(label, setting.n, 1)[0]
+    test = dualpair._q_test(setting)
+    monkeypatch.setattr(dualpair, "_q_test", lambda s: lambda T: test(T) != (T == key))
+    flipped = report.q_count + (-size if test(key) else size)
+    check = bernstein_degree(setting, sigma).cross_checks[0]
+    assert check == ("q-enumeration", "fail", f"determinant {report.q_count}, enumeration {flipped}")
 
 
 def test_criterion_check_sees_one_flipped_verdict(monkeypatch):

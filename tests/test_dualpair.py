@@ -25,6 +25,7 @@ from dualdeg.dualpair import (
     _q_test,
     alpha,
     count_Q_determinant,
+    count_Q_enumeration,
     enumerate_Q,
     enumerate_T,
     free_threshold,
@@ -279,6 +280,22 @@ def upq_ostar_labels(draw):
 def test_upq_ostar_determinant_matches_enumeration(label):
     setting, sigma = label
     assert count_Q_determinant(setting, sigma) == len(enumerate_Q(setting, sigma))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(mp_labels(), upq_ostar_labels()))
+def test_class_count_matches_enumeration(label):
+    setting, sigma = label
+    assert count_Q_enumeration(setting, sigma) == len(enumerate_Q(setting, sigma))
+
+
+def test_class_count_of_every_small_label():
+    # as the listing, and 0 for a label that is no nonzero label
+    for setting in GROUPING_SETTINGS:
+        for sigma in iter_sigmas(setting, 4):
+            assert count_Q_enumeration(setting, sigma) == len(enumerate_Q(setting, sigma)), (setting, sigma)
+    assert count_Q_enumeration(upq(2, 3, 1), ((1, 1, 1, 1), ())) == 0
+    assert count_Q_enumeration(mp(3, 1), (1, 1)) == 0
 
 
 @st.composite

@@ -1,9 +1,11 @@
 """Tests for partitions, tableau enumeration, and determinant kernels."""
 
 import ast
+import hashlib
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -19,6 +21,7 @@ from dualdeg.tableaux import (
     Tableau,
     binomial,
     check_partition,
+    column_classes,
     conjugate,
     determinant,
     enumerate_ssyt,
@@ -229,6 +232,52 @@ def test_enumerate_ssyt_long_rows_and_columns():
     column = enumerate_ssyt((1,) * 1000, 1001)
     assert len(column) == 1001 == binomial(1001, 1000)
     assert all(is_semistandard(t) for t in column)
+    assert sys.getrecursionlimit() == limit
+
+
+def test_enumerate_ssyt_listing_checksum():
+    # every tableau of every shape of size <= 7 at bounds 0..6, in order: the
+    # digest of the listing before it was split into blocks
+    digest = hashlib.sha256()
+    count = 0
+    for shape in partitions_up_to(7):
+        for max_entry in range(7):
+            for t in enumerate_ssyt(shape, max_entry):
+                digest.update(repr(tuple(t)).encode())
+                count += 1
+            digest.update(b";")
+    assert count == 33826
+    assert digest.hexdigest() == "1ed93fe481325d99db8f6dac5d3c93679a30992869da534649dba819e812b3d3"
+
+
+def test_column_classes_match_the_listing():
+    for shape in partitions_up_to(7):
+        for max_entry in range(7):
+            listing = enumerate_ssyt(shape, max_entry)
+            for width in (1, 2):
+                classes = column_classes(shape, max_entry, width)
+                assert len({key for key, _ in classes}) == len(classes)
+                assert dict(classes) == Counter(tuple(row[:width] for row in t) for t in listing), (shape, width)
+
+
+def test_column_classes_edges():
+    assert all(column_classes((), n, w) == (((), 1),) for n in range(3) for w in (1, 2))
+    assert column_classes((1, 1, 1), 2, 1) == ()
+    for shape in ((), (1,)):
+        with pytest.raises(ValueError):
+            column_classes(shape, -1, 1)
+        with pytest.raises(ValueError):
+            enumerate_ssyt(shape, -1)
+    classes = column_classes((2, 1), 3, 1)
+    with pytest.raises(AttributeError):
+        classes.append(((), 1))
+    with pytest.raises(TypeError):
+        classes[0] = ((), 1)
+    assert sum(count for _, count in column_classes((2, 1), 3, 1)) == 8
+    # one block of 1201 rows, under the default recursion limit
+    limit = sys.getrecursionlimit()
+    assert column_classes((1200,), 2, 1) == ((((1,),), 1200), (((2,),), 1))
+    assert column_classes((1200,), 2, 2) == ((((1, 1),), 1199), (((1, 2),), 1), (((2, 2),), 1))
     assert sys.getrecursionlimit() == limit
 
 
