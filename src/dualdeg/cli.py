@@ -358,6 +358,8 @@ def _sigma_flags_read(args, what):
 
 
 def main(argv=None):
+    if hasattr(sys, "set_int_max_str_digits"):  # absent, with no limit, before Python 3.10.7
+        sys.set_int_max_str_digits(0)  # print counts of any length, as #P_k can be
     parser = build_parser()
     args = parser.parse_args(argv)
     what = getattr(args, "object", None) or getattr(args, "identity", None)

@@ -52,21 +52,13 @@ class DegreeReport(
     namedtuple(
         "DegreeReport",
         "setting sigma q_count p_count degree regime conjectural cross_checks",
+        defaults=((),),
     )
 ):
     """#Q_k(sigma), #P_k and their product; regime is "k<=r", "r<k<s" or
-    "k>=s"; cross_checks is a list of CrossCheck, a new empty one by default."""
+    "k>=s"; cross_checks is a tuple of CrossCheck, empty by default."""
 
     __slots__ = ()
-
-    def __new__(
-        cls, setting, sigma, q_count, p_count, degree, regime, conjectural, cross_checks=None
-    ):
-        if cross_checks is None:
-            cross_checks = []
-        return super().__new__(
-            cls, setting, sigma, q_count, p_count, degree, regime, conjectural, cross_checks
-        )
 
     def ok(self):
         return all(c.status != "fail" for c in self.cross_checks)
@@ -172,7 +164,7 @@ def bernstein_degree(setting, sigma, limit=DEFAULT_LIMIT):
         degree=q_count * p_count,
         regime=regime,
         conjectural=is_conjectural(setting),
-        cross_checks=checks,
+        cross_checks=tuple(checks),
     )
 
 
@@ -419,7 +411,7 @@ def theta_check(setting, k, limit=DEFAULT_LIMIT):
 def _suite_theta():
     failures = []
     for setting in _small_settings():
-        if len(posets.build_poset(setting).points) > 21:
+        if diagrams.dim_p_plus(setting) > 21:  # the boxes of D_0
             continue
         for k in range(1, min(2, dualpair.real_rank(setting)) + 1):
             failures += [(setting, k, name) for name in theta_check(setting, k)[2]]
@@ -449,7 +441,7 @@ def _suite_collapse():
 
 
 def _suite_width():
-    return [s for s in _small_settings() if posets.width(posets.build_poset(s)) != dualpair.real_rank(s)]
+    return [s for s in _small_settings() if posets.width(diagrams.diagram_D(s, 0)) != dualpair.real_rank(s)]
 
 
 def _suite_exceptional():

@@ -57,7 +57,7 @@ def diagram_D0(setting):
     r = 2, only its D_1 and D_2 are read, which diagram_D writes down."""
     f = setting.family
     if f in DUAL_PAIR_FAMILIES:
-        return diagram_D_closed_form(setting, 0)
+        return diagram_D(setting, 0)
     if f == SO_EVEN:
         n = setting.n
         boxes = {(1, c) for c in range(1, n)}
@@ -86,15 +86,6 @@ def _dual_pair_shape(setting, k):
     return setting.family, max(a - fall, 0), max(b - fall, 0)
 
 
-def diagram_D_closed_form(setting, k):
-    """Closed-form D_k for the three dual-pair types, for every k >= 0: the
-    k-fold interior of D_0, built in O(|D_k|)."""
-    f, a, b = _dual_pair_shape(setting, k)
-    if f == UPQ:
-        return rectangle(a, b)
-    return staircase(a) if f == MP else shifted_staircase(a)
-
-
 def _level_work(setting, k):
     """#filters * |D_k| * k, the work the level transfer reads, for the three
     dual-pair types from the shape of D_k, without its boxes: the a x b
@@ -110,12 +101,16 @@ def _level_work(setting, k):
 @cache
 def diagram_D(setting, k):
     """D_k, the k-fold interior of D_0, a frozenset of boxes: the closed form
-    for the dual pairs and for so at k >= 1, else k interior passes over
-    D_0; cached, and immutable so that no caller can change the cached copy."""
+    for the dual pairs, built in O(|D_k|) from the shape _dual_pair_shape
+    reads, and for so at k >= 1, else k interior passes over D_0; cached,
+    and immutable so that no caller can change the cached copy."""
     if k < 0:
         raise ValueError("k must be >= 0")
     if setting.family in DUAL_PAIR_FAMILIES:
-        return diagram_D_closed_form(setting, k)
+        f, a, b = _dual_pair_shape(setting, k)
+        if f == UPQ:
+            return rectangle(a, b)
+        return staircase(a) if f == MP else shifted_staircase(a)
     if setting.family in (SO_EVEN, SO_ODD) and k:
         # r = 2: D_1 is the box (1, n - 1) of D_0, (1, n) for so-odd, and D_2 is empty
         return frozenset({(1, 1)} if k == 1 else ())

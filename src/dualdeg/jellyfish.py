@@ -11,9 +11,9 @@ from collections import namedtuple
 from functools import cache
 from types import MappingProxyType
 
-from . import dualpair
+from . import diagrams, dualpair
 from .dualpair import OSTAR, UPQ, free_threshold
-from .posets import PathFamily, build_poset, disjoint_products, lattice_paths
+from .posets import PathFamily, disjoint_products, lattice_paths
 
 
 # the families that carry jellyfish
@@ -32,9 +32,11 @@ def _check_k(setting, k):
 
 @cache
 def _points(setting):
-    """The root labels (i, j) of the positive noncompact roots."""
-    poset = build_poset(setting)
-    return frozenset(map(poset.label, poset.points))
+    """The root labels (i, j) of the positive noncompact roots: the box
+    (r, c) of D_0 is the root (r, c) for upq and (r, c + 1) for ostar, whose
+    D_0 is the shifted staircase of the roots i < j <= n."""
+    shift = setting.family == OSTAR
+    return frozenset((r, c + shift) for r, c in diagrams.diagram_D(setting, 0))
 
 
 @cache

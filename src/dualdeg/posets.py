@@ -1,5 +1,7 @@
-"""The root poset of positive noncompact roots for the dual-pair families,
-antichain widths, the lattice-path engine shared with the jellyfish, facets
+"""The root poset of the dual-pair families, read as the boxes of D_0,
+diagrams.diagram_D(setting, 0), under the product order: its minimal
+element sits in the northwest corner and covers point east and south.
+Antichain widths, the lattice-path engine shared with the jellyfish, facets
 of the width-k order complex as unions of k nonintersecting lattice paths,
 and the bijection with bounded plane partitions."""
 
@@ -10,7 +12,7 @@ from types import MappingProxyType
 
 from . import diagrams
 from .diagrams import PlanePartition
-from .dualpair import DUAL_PAIR_FAMILIES, FAMILIES, MP, OSTAR, UPQ, real_rank
+from .dualpair import DUAL_PAIR_FAMILIES, FAMILIES, MP, OSTAR, real_rank
 
 
 def _require_dual_pair(setting):
@@ -20,53 +22,13 @@ def _require_dual_pair(setting):
         )
 
 
-class RootPoset(namedtuple("RootPoset", "setting points")):
-    """The poset of positive noncompact roots, held in depicted coordinates:
-    the boxes of D_0, whose minimal element sits in the northwest corner and
-    covers point east and south.  Copies and pickles go through the
-    constructor, which reads the points from the setting; _make and with it
-    _replace, which would take the points as given, are refused."""
-
-    __slots__ = ()
-
-    def __new__(cls, setting):
-        _require_dual_pair(setting)
-        return super().__new__(cls, setting, diagrams.diagram_D0(setting))
-
-    def __getnewargs__(self):
-        return (self.setting,)
-
-    @classmethod
-    def _make(cls, iterable):
-        raise TypeError("the points of a RootPoset are read from its setting; call RootPoset(setting)")
-
-    def label(self, point):
-        """The root label (i, j) of a depicted point."""
-        r, c = point
-        if self.setting.family == UPQ:
-            return (r, c)
-        if self.setting.family == MP:
-            return (c, self.setting.n + 1 - r)
-        return (r, c + 1)
-
-    @staticmethod
-    def leq(a, b):
-        """Order relation in depicted coordinates (product order)."""
-        return a[0] <= b[0] and a[1] <= b[1]
-
-
-@cache
-def build_poset(setting):
-    """The root poset of the setting, one shared immutable instance per setting."""
-    return RootPoset(setting)
-
-
-def width(poset, subset=None):
-    """Largest antichain inside the subset (whole poset by default).  Read row
-    by row, an antichain has strictly falling columns, so this is a longest
-    strictly decreasing run of columns over the points sorted by (row, column)."""
+def width(points):
+    """Largest antichain of a set of boxes of D_0 under the product order.
+    Read row by row, an antichain has strictly falling columns, so this is a
+    longest strictly decreasing run of columns over the boxes sorted by (row,
+    column)."""
     tails = []  # tails[i]: minus the largest column ending a falling run of length i + 1
-    for _, c in sorted(poset.points if subset is None else subset):
+    for _, c in sorted(points):
         i = bisect_left(tails, -c)
         if i == len(tails):
             tails.append(-c)
@@ -101,7 +63,7 @@ def _forced_paths(setting, k):
     the row of a_t west of it) and the M_t suffixes (the points of the
     column of b_t south of it); cached, so all of it is tuples."""
     a, b = _anchor_points(setting, k)
-    points = sorted(build_poset(setting).points)
+    points = sorted(diagrams.diagram_D(setting, 0))
     prefixes = tuple(tuple(x for x in points if x[0] == ar and x[1] < ac) for ar, ac in a)
     if b is None:
         return a, b, prefixes, ((),) * k
@@ -171,16 +133,16 @@ def iter_facets(setting, k):
     _require_dual_pair(setting)
     if k < 1:
         raise ValueError("k must be >= 1")
-    poset = build_poset(setting)
+    points = diagrams.diagram_D(setting, 0)
     if k >= real_rank(setting):
-        return iter([PathFamily(poset.points)])
+        return iter([PathFamily(points)])
     a, b, prefixes, suffixes = _forced_paths(setting, k)
     if b is None:
-        antidiagonal = {x for x in poset.points if sum(x) == setting.n + 1}
-        candidates = [lattice_paths(start, poset.points, antidiagonal) for start in a]
+        antidiagonal = {x for x in points if sum(x) == setting.n + 1}
+        candidates = [lattice_paths(start, points, antidiagonal) for start in a]
     else:
         candidates = [
-            lattice_paths(start, {x for x in poset.points if RootPoset.leq(x, end)}, {end})
+            lattice_paths(start, {(r, c) for r, c in points if r <= end[0] and c <= end[1]}, {end})
             for start, end in zip(a, b)
         ]
     forced = _forced_points(setting, k)
@@ -218,7 +180,7 @@ def _theta(setting, k, pp):
     exceeds k - t, east otherwise.  It ends on the main antidiagonal for mp,
     and at b_t otherwise, stepping only south once in the column of b_t."""
     if k >= real_rank(setting):
-        return PathFamily(build_poset(setting).points)
+        return PathFamily(diagrams.diagram_D(setting, 0))
     a, b, prefixes, suffixes = _forced_paths(setting, k)
     entry = pp.entries.copy().get  # a dict's get is quicker than the read-only view's
     paths, segments = [], []
@@ -291,7 +253,7 @@ def theta_inverse(setting, k, family):
     _require_dual_pair(setting)
     diagram = diagrams.diagram_D(setting, k)
     if k >= real_rank(setting):
-        if family.points != build_poset(setting).points:
+        if family.points != diagrams.diagram_D(setting, 0):
             raise ValueError("for k >= r the only facet is the whole poset")
         return PlanePartition(frozenset(), {})
     a, b, _, _ = _forced_paths(setting, k)
@@ -350,8 +312,7 @@ def corners(setting, k, family):
     one, else decompose builds it.  A metaplectic path arriving at the main
     antidiagonal by a south step contributes its terminal point as well."""
     _require_dual_pair(setting)
-    poset = build_poset(setting)
-    if k >= real_rank(setting) and family.points == poset.points:
+    if k >= real_rank(setting) and family.points == diagrams.diagram_D(setting, 0):
         return set()
     paths = family.paths or decompose(setting, k, family.points)
     found = set()

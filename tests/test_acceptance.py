@@ -162,7 +162,7 @@ def test_criterion_9_exceptional_polynomials():
 def test_criterion_10_poset_width():
     failures = []
     for base in _sweep_settings():
-        if posets.width(posets.build_poset(base)) != real_rank(base):
+        if posets.width(diagrams.diagram_D(base, 0)) != real_rank(base):
             failures.append(base)
     _report(10, failures)
 

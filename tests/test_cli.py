@@ -315,6 +315,45 @@ def test_hilbert_beyond_the_box_transfer(argv, setting):
     assert json.loads(proc.stdout)["p_count"] == str(diagrams.count_P_product(setting, setting.k))
 
 
+def test_degree_prints_counts_past_the_default_digit_limit():
+    # #P_k of upq(300,300) k=150 has 7,670 digits; Python refuses to convert
+    # an int of more than 4,300 by default, so a fresh interpreter shows
+    # whether main lifts that limit
+    src = Path(__file__).resolve().parents[1] / "src"
+    argv = ["degree", "--family", "upq", "--p", "300", "--q", "300", "--k", "150", "--sigma-plus", "1"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "dualdeg.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={key: value for key, value in os.environ.items() if key != "PYTHONINTMAXSTRDIGITS"} | {"PYTHONPATH": str(src)},
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)
+    p_count = diagrams.count_P_product(upq(300, 300, 150), 150)
+    if hasattr(sys, "get_int_max_str_digits"):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+    try:
+        assert len(payload["p_count"]) == 7670
+        assert payload["p_count"] == str(p_count)
+        assert payload["degree"] == str(p_count * int(payload["q_count"]))
+    finally:
+        if hasattr(sys, "get_int_max_str_digits"):
+            sys.set_int_max_str_digits(limit)
+
+
+def test_degree_refuses_a_large_mp_path_scan():
+    # the 30-row staircase took about 190 s in the scan; the bound reads the
+    # shape alone, so the refusal is immediate
+    sigma = ",".join(map(str, range(31, 1, -1)))
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = run_cli(["degree", "--family", "mp", "--n", "34", "--k", "61", "--sigma", sigma])
+    assert (code, out) == (2, "")
+    assert err.getvalue() == "error: mp path-scan bound=120258497 > limit 500000\n"
+
+
 def test_verify():
     code, out = run_cli(["verify", "--only", "width"])
     assert code == 0

@@ -14,7 +14,6 @@ from dualdeg.diagrams import (
     count_P_product,
     diagram_D,
     diagram_D0,
-    diagram_D_closed_form,
     dim_p_plus,
     enumerate_P,
     hilbert_series_orbit,
@@ -62,16 +61,21 @@ def test_interior():
 
 def test_closed_forms_match_recursion():
     # diagram_D returns the closed form for the dual pairs, and
-    # bernstein_degree reads |D_k| from it at every k >= 1: both equal the
-    # k-fold interior of D_0 for upq p, q <= 13, mp n <= 24 and ostar
-    # n <= 24 at k = 0 .. s + 1, s the free threshold: 3,483 cases
+    # bernstein_degree reads |D_k| from it at every k >= 1: it equals the
+    # k-fold interior of D_0, written out here as the p x q rectangle, the
+    # staircase(n) and the shifted_staircase(n - 1), for upq p, q <= 13, mp
+    # n <= 24 and ostar n <= 24 at k = 0 .. s + 1, s the free threshold:
+    # 3,483 cases
     settings_ = [upq(p, q, 0) for p in range(1, 14) for q in range(1, 14)]
     settings_ += [mp(n, 0) for n in range(1, 25)] + [ostar(n, 0) for n in range(1, 25)]
     cases = 0
     for setting in settings_:
-        boxes = diagram_D0(setting)
+        n = setting.n
+        boxes = {"upq": rectangle(setting.p, setting.q), "mp": staircase(n), "ostar": shifted_staircase(n - 1)}
+        boxes = boxes[setting.family]
+        assert diagram_D0(setting) is diagram_D(setting, 0), setting
         for k in range(0, free_threshold(setting) + 2):
-            assert diagram_D(setting, k) == diagram_D_closed_form(setting, k) == boxes, (setting, k)
+            assert diagram_D(setting, k) == boxes, (setting, k)
             boxes = interior(boxes)
             cases += 1
     assert cases == 3_483
@@ -559,7 +563,7 @@ def test_numerator_determinant_beyond_the_box_transfer():
             diagrams._numerator_by_levels(setting, k)
         num = numerator_polynomial(setting, k)
         assert num[0] == 1, (setting, k)
-        assert num[1] == len(diagram_D_closed_form(setting, k)), (setting, k)
+        assert num[1] == len(diagram_D(setting, k)), (setting, k)
         assert num.evaluate(1) == count_P_product(setting, k), (setting, k)
         assert list(num) == list(num)[::-1], (setting, k)
 
@@ -655,7 +659,7 @@ def test_numerator_molien_beyond_the_box_transfer():
             with pytest.raises(ValueError, match="level-transfer work"):
                 diagrams._numerator_by_levels(setting, k)
         assert num[0] == 1, (setting, k)
-        assert num[1] == len(diagram_D_closed_form(setting, k)), (setting, k)
+        assert num[1] == len(diagram_D(setting, k)), (setting, k)
         assert num.evaluate(1) == count_P_product(setting, k), (setting, k)
         assert min(num) > 0 and len(num) == k * ((setting.n - k + 1) // 2) + 1, (setting, k)
 

@@ -219,6 +219,59 @@ def test_mp_scan_matches_first_column_sum():
     assert cases == 4934
 
 
+def _mp_scan_pairs(n, k, sigma):
+    """The (state, row-mask) pairs of _count_Q_mp's scan, summed over its
+    steps, with every mask kept that a usable row could give: the scan
+    without coefficients, so a superset of the pairs it holds."""
+    c1, c2 = (tuple(conjugate(sigma)) + (0, 0))[:2]
+    states, total = {(0, 0): {0}}, 0
+    for v in range(n - k + 1, n + 1):
+        nxt = {}
+        for (x, y), masks in states.items():
+            for x2, y2 in ((x + 1, y), (x, y + 1)):
+                if x2 > c1 or y2 > k - c1 or (x2 > x and v < 1):
+                    continue
+                out, j = masks, min(x2, y2)
+                if min(x, y) < j <= c2:
+                    rows = [i for i in range(c2) if sigma[i] - i + j - 2 >= 0]
+                    out = {m | 1 << i for m in masks for i in rows if not m >> i & 1}
+                nxt.setdefault((x2, y2), set()).update(out)
+        states = {key: masks for key, masks in nxt.items() if masks}
+        total += sum(map(len, states.values()))
+    return total
+
+
+def test_mp_scan_bound_holds_every_pair_and_gates_at_the_limit(monkeypatch):
+    # the bound the scan reads before it starts is at least the pairs it can
+    # hold; a limit one below the bound refuses, the bound itself runs
+    cases = 0
+    for n in range(2, 8):
+        for k in range(n + 1, 2 * n - 1):
+            for sigma in iter_sigmas(mp(n, k), 9):
+                sigma = tuple(sigma)
+                monkeypatch.setattr(dualpair, "_MP_SCAN_PAIRS", -1)
+                with pytest.raises(ValueError, match="mp path-scan bound=") as refused:
+                    _count_Q_mp(n, k, sigma)
+                bound = int(str(refused.value).split("=")[1].split()[0])
+                assert _mp_scan_pairs(n, k, sigma) <= bound, (n, k, sigma)
+                monkeypatch.setattr(dualpair, "_MP_SCAN_PAIRS", bound - 1)
+                with pytest.raises(ValueError, match=f"bound={bound} > limit {bound - 1}"):
+                    _count_Q_mp(n, k, sigma)
+                monkeypatch.setattr(dualpair, "_MP_SCAN_PAIRS", bound)
+                assert _count_Q_mp(n, k, sigma) == _count_Q_mp_by_first_columns(n, k, sigma)
+                cases += 1
+    assert cases == 1201
+
+
+def test_mp_scan_bound_reads_only_the_usable_rows():
+    # equal rows wedge each column into one row, so 40 rows of 2 pass the
+    # gate; the 30-row staircase is refused before any scan step
+    assert count_Q_determinant(mp(44, 81), (2,) * 40) > 0
+    staircase = tuple(range(31, 1, -1))
+    with pytest.raises(ValueError, match=r"^mp path-scan bound=120258497 > limit 500000$"):
+        count_Q_determinant(mp(34, 61), staircase)
+
+
 @st.composite
 def mp_labels(draw):
     n = draw(st.integers(1, 8))

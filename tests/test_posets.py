@@ -1,4 +1,4 @@
-"""Tests for the root poset, widths, facets, and the plane-partition bijection."""
+"""Tests for widths on the root poset D_0, facets, and the plane-partition bijection."""
 
 import hashlib
 import itertools
@@ -8,12 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualdeg import diagrams, posets
+from dualdeg import diagrams, jellyfish, posets
 from dualdeg.diagrams import PlanePartition, c_statistic, enumerate_P
 from dualdeg.dualpair import Setting, mp, ostar, real_rank, upq
 from dualdeg.posets import (
     PathFamily,
-    build_poset,
     corners,
     decompose,
     enumerate_facets,
@@ -55,39 +54,61 @@ def _load_fixture(name, setting, k):
     return PlanePartition(diagram, entries), points
 
 
+def test_lattice_path_entries_read_the_one_cached_D0(monkeypatch):
+    # iter_facets, theta, theta_inverse and corners read diagram_D(setting, 0)
+    # itself: with the builders of D_0 broken they still run once D_k is
+    # cached, and at k >= r the one facet holds that very frozenset
+    for setting in [upq(3, 4, 0), mp(4, 0), ostar(6, 0)]:
+        r = real_rank(setting)
+        d0, _, _ = (diagrams.diagram_D(setting, k) for k in (0, 1, r))
+        monkeypatch.setattr(diagrams, "diagram_D0", None)
+        for name in ("rectangle", "staircase", "shifted_staircase"):
+            monkeypatch.setattr(diagrams, name, None)
+        posets._forced_paths.cache_clear()
+        for k in (1, r):
+            facets = list(posets.iter_facets(setting, k))
+            for f in facets:
+                image = theta(setting, k, theta_inverse(setting, k, f))
+                assert image.points == f.points
+                corners(setting, k, image)
+        assert facets == [PathFamily(d0)] and facets[0].points is d0
+        assert theta(setting, r, PlanePartition(frozenset(), {})).points is d0
+        assert corners(setting, r, PathFamily(d0)) == set()
+        monkeypatch.undo()
+
+
 def test_poset_shapes_and_labels():
-    poset = build_poset(upq(3, 4, 0))
-    assert len(poset.points) == 12
-    assert poset.label((2, 3)) == (2, 3)
-    poset = build_poset(mp(4, 0))
-    assert len(poset.points) == 10
-    assert poset.label((1, 1)) == (1, 4)  # top row is the long diagonal
-    assert poset.label((4, 1)) == (1, 1)
-    poset = build_poset(ostar(5, 0))
-    assert len(poset.points) == 10
-    assert poset.label((2, 3)) == (2, 4)
-    try:
-        build_poset(Setting("e6"))
-        assert False
-    except ValueError:
-        pass
+    # D_0 holds the positive noncompact roots; jellyfish._points labels its
+    # boxes, against the roots written out: i <= p, j <= q for upq, i < j <= n
+    # for ostar
+    for p in range(1, 7):
+        for q in range(1, 7):
+            want = {(i, j) for i in range(1, p + 1) for j in range(1, q + 1)}
+            assert jellyfish._points(upq(p, q, 0)) == want, (p, q)
+            assert len(diagrams.diagram_D(upq(p, q, 0), 0)) == p * q
+    for n in range(2, 10):
+        want = {(i, j) for j in range(1, n + 1) for i in range(1, j)}
+        assert jellyfish._points(ostar(n, 0)) == want, n
+    assert len(diagrams.diagram_D(mp(4, 0), 0)) == 10
+    for entry in (lambda s: enumerate_facets(s, 1), lambda s: corners(s, 1, PathFamily(frozenset()))):
+        with pytest.raises(ValueError, match="lattice-path machinery"):
+            entry(Setting("e6"))
 
 
 def test_width_equals_real_rank():
     for setting in [upq(2, 5, 0), upq(3, 3, 0), mp(2, 0), mp(4, 0), ostar(4, 0), ostar(7, 0)]:
-        assert width(build_poset(setting)) == real_rank(setting), setting
+        assert width(diagrams.diagram_D(setting, 0)) == real_rank(setting), setting
 
 
 def test_width_on_subsets():
-    poset = build_poset(upq(3, 3, 0))
-    assert width(poset, {(1, 1), (2, 2), (3, 3)}) == 1  # a chain
-    assert width(poset, {(1, 3), (2, 2), (3, 1)}) == 3  # an antichain
-    assert width(poset, set()) == 0
+    assert width({(1, 1), (2, 2), (3, 3)}) == 1  # a chain
+    assert width({(1, 3), (2, 2), (3, 1)}) == 3  # an antichain
+    assert width(set()) == 0
 
 
 @st.composite
 def poset_subsets(draw):
-    """A upq, mp or ostar root poset and a subset of at most 14 of its points."""
+    """A subset of at most 14 boxes of the D_0 of a upq, mp or ostar setting."""
     family = draw(st.sampled_from(["upq", "mp", "ostar"]))
     if family == "upq":
         setting = upq(draw(st.integers(1, 6)), draw(st.integers(1, 6)), 0)
@@ -95,14 +116,13 @@ def poset_subsets(draw):
         setting = mp(draw(st.integers(1, 7)), 0)
     else:
         setting = ostar(draw(st.integers(2, 8)), 0)
-    poset = build_poset(setting)
-    subset = draw(st.lists(st.sampled_from(sorted(poset.points)), max_size=14, unique=True))
-    return poset, subset
+    return draw(st.lists(st.sampled_from(sorted(diagrams.diagram_D(setting, 0))), max_size=14, unique=True))
 
 
 def _max_antichain_size(points):
-    """Brute force: the size of the largest pairwise-incomparable subset."""
-    leq = posets.RootPoset.leq
+    """Brute force: the size of the largest pairwise-incomparable subset
+    under the product order."""
+    leq = lambda a, b: a[0] <= b[0] and a[1] <= b[1]
     for size in range(len(points), 0, -1):
         for combo in itertools.combinations(points, size):
             if not any(leq(a, b) or leq(b, a) for a, b in itertools.combinations(combo, 2)):
@@ -112,9 +132,8 @@ def _max_antichain_size(points):
 
 @settings(max_examples=200, deadline=None)
 @given(poset_subsets())
-def test_width_matches_brute_force_antichain(case):
-    poset, subset = case
-    assert width(poset, set(subset)) == _max_antichain_size(subset)
+def test_width_matches_brute_force_antichain(subset):
+    assert width(set(subset)) == _max_antichain_size(subset)
 
 
 def test_facet_counts_golden():
@@ -126,36 +145,36 @@ def test_facet_counts_golden():
         r = real_rank(setting)
         facets = enumerate_facets(setting, r)
         assert len(facets) == 1
-        assert facets[0].points == build_poset(setting).points
+        assert facets[0].points == diagrams.diagram_D(setting, 0)
 
 
-def _max_width_subsets(poset, k):
+def _max_width_subsets(points, k):
     """Brute force: inclusion-maximal subsets of width <= k."""
-    pts = sorted(poset.points)
+    pts = sorted(points)
     good = []
     for size in range(len(pts), -1, -1):
         for combo in itertools.combinations(pts, size):
             sub = set(combo)
             if any(sub < g for g in good):
                 continue
-            if width(poset, sub) <= k:
+            if width(sub) <= k:
                 good.append(sub)
     return {frozenset(g) for g in good if not any(g < h for h in good)}
 
 
 def test_facets_match_brute_force():
     for setting in [upq(2, 3, 0), mp(3, 0), ostar(5, 0)]:
-        poset = build_poset(setting)
-        if len(poset.points) > 10:
+        points = diagrams.diagram_D(setting, 0)
+        if len(points) > 10:
             continue
         for k in range(1, real_rank(setting)):
             got = {f.points for f in enumerate_facets(setting, k)}
-            assert got == _max_width_subsets(poset, k), (setting, k)
+            assert got == _max_width_subsets(points, k), (setting, k)
 
 
 def test_facet_sizes_match_d_k():
     for setting in [upq(3, 4, 0), mp(4, 0), ostar(6, 0)]:
-        d0 = len(diagrams.diagram_D0(setting))
+        d0 = len(diagrams.diagram_D(setting, 0))
         for k in range(1, real_rank(setting)):
             target = d0 - len(diagrams.diagram_D(setting, k))
             for f in enumerate_facets(setting, k):
@@ -175,7 +194,7 @@ def test_corners_count_c_statistic():
     # below r, acceptance criterion 5 runs degree.theta_check; the full
     # poset (k >= r) has no corners
     setting = mp(3, 0)
-    full = PathFamily(build_poset(setting).points)
+    full = PathFamily(diagrams.diagram_D(setting, 0))
     assert corners(setting, 3, full) == set()
 
 
@@ -183,8 +202,7 @@ def _corners_by_scan(setting, k, family):
     """corners as it reads every point of every path, the forced K_t
     prefixes and M_t suffixes included: the oracle of any corners that
     skips the forced parts, which hold no corner."""
-    poset = build_poset(setting)
-    if k >= real_rank(setting) and family.points == poset.points:
+    if k >= real_rank(setting) and family.points == diagrams.diagram_D(setting, 0):
         return set()
     paths = family.paths or decompose(setting, k, family.points)
     found = set()
@@ -216,7 +234,7 @@ def path_families(draw):
         setting = ostar(draw(st.integers(4, 12)), 0)
     k = draw(st.integers(1, real_rank(setting) - 1))
     _, _, prefixes, suffixes = posets._forced_paths(setting, k)
-    points = sorted(build_poset(setting).points)
+    points = sorted(diagrams.diagram_D(setting, 0))
     paths = []
     for t in range(draw(st.integers(1, k + 1))):
         forced = t < k
@@ -265,7 +283,7 @@ def test_theta_fixtures():
         assert f.points == points, name
         assert theta_inverse(setting, setting.k, f) == pp, name
         assert len(corners(setting, setting.k, f)) == c_statistic(pp), name
-        d0 = len(diagrams.diagram_D0(setting))
+        d0 = len(diagrams.diagram_D(setting, 0))
         assert len(f) == d0 - len(diagrams.diagram_D(setting, setting.k)), name
 
 
@@ -296,26 +314,6 @@ def test_error_cases():
         assert False
     except ValueError:
         pass
-
-
-def test_build_poset_cache_cannot_be_corrupted():
-    setting = upq(3, 4, 0)
-    first = build_poset(setting)
-    assert build_poset(setting) is first
-    with pytest.raises(AttributeError):
-        first.points = frozenset()
-    with pytest.raises(AttributeError):
-        first.setting = mp(3, 0)
-    with pytest.raises(AttributeError):
-        del first.points
-    with pytest.raises(AttributeError):
-        first.extra = None
-    with pytest.raises(AttributeError):
-        first.points.add((9, 9))
-    again = build_poset(setting)
-    assert again.setting == setting and len(again.points) == 12
-    assert again.label((2, 3)) == (2, 3)
-    assert posets.RootPoset.leq((1, 2), (2, 2)) and not again.leq((1, 3), (2, 2))
 
 
 def test_diagram_D_is_a_frozenset():
@@ -349,7 +347,7 @@ def test_theta_rejects_bad_input():
         for bad in bad_inputs:
             with pytest.raises(ValueError):
                 theta(setting, k, bad)
-        # the rejections leave the cached D_k and root poset as they were
+        # the rejections leave the cached D_k as it was
         assert diagrams.diagram_D(setting, k) == diagram
         assert theta(setting, k, good).points == image.points
         assert theta_inverse(setting, k, image) == good
@@ -376,7 +374,7 @@ def test_theta_reads_the_diagram_by_value():
 def test_theta_inverse_rejects_non_facets():
     for setting, k in [(upq(3, 3, 0), 1), (mp(4, 0), 2), (ostar(6, 0), 1)]:
         facets = enumerate_facets(setting, k)
-        points = build_poset(setting).points
+        points = diagrams.diagram_D(setting, 0)
         for f in facets:
             for p in f.points:
                 with pytest.raises(ValueError):
@@ -392,9 +390,8 @@ def _theta_oracle(setting, k, pp):
     exceeding k - t is built and the walk tests membership in it."""
     posets._require_dual_pair(setting)
     posets._validate_plane_partition(setting, k, pp)
-    poset = build_poset(setting)
     if k >= real_rank(setting):
-        return PathFamily(poset.points)
+        return PathFamily(diagrams.diagram_D(setting, 0))
     a, b, prefixes, suffixes = posets._forced_paths(setting, k)
     n = setting.n
     paths = []
@@ -426,10 +423,9 @@ def _theta_inverse_oracle(setting, k, family):
     """theta_inverse by the |D_k| x |path| fill: box (x, y) counts the free
     segments holding a point (dr, dc) with dr >= x and dc <= y - 1."""
     posets._require_dual_pair(setting)
-    poset = build_poset(setting)
     diagram = diagrams.diagram_D(setting, k)
     if k >= real_rank(setting):
-        if family.points != poset.points:
+        if family.points != diagrams.diagram_D(setting, 0):
             raise ValueError("for k >= r the only facet is the whole poset")
         return PlanePartition(frozenset(), {})
     a, b = posets._anchor_points(setting, k)
