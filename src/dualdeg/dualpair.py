@@ -347,11 +347,10 @@ def count_Q_enumeration(setting, sigma):
     return sum(count for key, count in column_classes(sigma, setting.n, width) if test(key))
 
 
-# The (state, row-mask) pairs that _count_Q_mp's scan may hold, summed over
-# its steps, above which it refuses.  Each pair costs about 5-7.5 us: random
-# 18-20 row labels at a bound of 4.7e5-4.9e5 took 2.4-3.5 s on one core of an
-# x86 VM under Python 3.11; the staircase (c+1, ..., 2) at c = 20 (6.6e5) is
-# refused and at c = 18 (2.3e5) takes 0.37 s.
+# The (state, row-mask) pairs _count_Q_mp's scan may hold, summed over its
+# steps, above which it refuses.  A pair costs 5-7.5 us: random 18-20 row
+# labels at a bound of 4.7e5-4.9e5 took 2.4-3.5 s on one core of an x86 VM
+# under Python 3.11, and the staircase (c+1, ..., 2) at c = 18 (2.3e5) 0.37 s.
 _MP_SCAN_PAIRS = 5 * 10**5
 
 
@@ -377,8 +376,10 @@ def _count_Q_mp(n, k, sigma):
     conj = conjugate(sigma)
     c1 = conj[0] if len(conj) >= 1 else 0
     c2 = conj[1] if len(conj) >= 2 else 0
-    masks = [binomial(sum(sigma[i] - i + m - 2 >= 0 for i in range(c2)), m) for m in range(c2 + 1)]
-    bound = sum(masks[min(x, t - x, c2)] for t in range(1, k + 1) for x in range(max(0, t - k + c1), min(c1, t) + 1))
+    bound = -1  # the start state (0, 0) is not counted
+    for m in range(min(c1, k - c1) + 1):  # k - 2m + 1 states (x, y) have min(x, y) = m
+        j = min(m, c2)
+        bound += comb(sum(sigma[i] - i + j - 2 >= 0 for i in range(c2)), j) * (k - 2 * m + 1)
     if bound > _MP_SCAN_PAIRS:
         raise ValueError(f"mp path-scan bound={bound} > limit {_MP_SCAN_PAIRS}")
     states = {(0, 0): {0: 1}}

@@ -33,8 +33,7 @@ def _check_k(setting, k):
 @cache
 def _points(setting):
     """The root labels (i, j) of the positive noncompact roots: the box
-    (r, c) of D_0 is the root (r, c) for upq and (r, c + 1) for ostar, whose
-    D_0 is the shifted staircase of the roots i < j <= n."""
+    (r, c) of D_0 is the root (r, c) for upq and (r, c + 1) for ostar."""
     shift = setting.family == OSTAR
     return frozenset((r, c + shift) for r, c in diagrams.diagram_D(setting, 0))
 
