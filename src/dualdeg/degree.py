@@ -110,8 +110,9 @@ def bernstein_degree(setting, sigma, limit=DEFAULT_LIMIT):
     #Q_k(sigma) is read from its collapse where there is one, _collapse.
     Only r < k < s runs the path count, count_Q_determinant;
     path_count_check compares it with the collapses.  The q-enumeration
-    oracle, count_Q_enumeration, walks T(sigma) by column class and lists
-    no tableau.
+    oracle, count_Q_enumeration, applies the definition to each column
+    class of T(sigma), sized by one flagged determinant, and lists no
+    tableau.
 
     sigma is validated once, here; the closed forms take the normalized
     label.  The path count and the oracles are called through their public
@@ -185,23 +186,27 @@ def path_count_check(setting, sigma, limit=DEFAULT_LIMIT):
 
 
 def q_collapse_check(setting, sigma, limit=DEFAULT_LIMIT):
-    """The listed Q_k(sigma) against its collapse, _collapse: at k >= s it
-    must be the whole of T(sigma).  For r < k < s no collapse is asserted.
-    The check lists the dim F_lambda tableaux of T(sigma); above limit it
-    raises ValueError instead, naming that size."""
+    """Q_k(sigma) against its collapse, _collapse: at k >= s the listed
+    Q_k(sigma) must be the whole of T(sigma); below s its class count,
+    count_Q_enumeration, is compared.  For r < k < s no collapse is
+    asserted.  Above limit = dim F_lambda it raises ValueError instead,
+    naming that size."""
     label = dualpair.nonzero_label(setting, sigma)
     t_size = repdims._dim_F(setting, label)
     if t_size > limit:
         raise ValueError(f"dim F_lambda={t_size} > limit {limit}")
-    q_list = dualpair.enumerate_Q(setting, label)
-    k, r, s = setting.k, dualpair.real_rank(setting), dualpair.free_threshold(setting)
-    report = {"k": k, "r": r, "s": s, "q_count": len(q_list)}
     regime, expected = _collapse(setting, label, t_size)
+    if regime == "k>=s":
+        q_list = dualpair.enumerate_Q(setting, label)
+        q_count, whole = len(q_list), q_list == dualpair._enumerate_T(setting, label)
+    else:
+        q_count, whole = dualpair.count_Q_enumeration(setting, label), True
+    k, r, s = setting.k, dualpair.real_rank(setting), dualpair.free_threshold(setting)
+    report = {"k": k, "r": r, "s": s, "q_count": q_count}
     if expected is None:
         report.update(regime="interpolation range, no collapse asserted", ok=True)
     else:
-        ok = len(q_list) == expected and (regime == "k<=r" or q_list == dualpair._enumerate_T(setting, label))
-        report.update(regime=regime, expected=expected, ok=ok)
+        report.update(regime=regime, expected=expected, ok=q_count == expected and whole)
     return report
 
 

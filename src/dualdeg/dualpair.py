@@ -6,7 +6,7 @@ from collections import namedtuple
 from functools import cache
 from math import comb
 
-from .tableaux import binomial, check_partition, column_classes, conjugate, determinant, enumerate_ssyt
+from .tableaux import _flagged_determinant, binomial, check_partition, column_classes, conjugate, enumerate_ssyt
 
 # Family tags. The first three are the dual-pair settings; the rest are the
 # additional Hermitian types that only carry diagram/Hilbert-series data.
@@ -330,10 +330,11 @@ def enumerate_Q(setting, sigma):
 
 def count_Q_enumeration(setting, sigma):
     """len(enumerate_Q(setting, sigma)), listing nothing: the definition,
-    _q_test(setting), decides each column class of T(sigma) once, and its
-    tableaux are counted by tableaux.column_classes.  A key is a valid
-    argument of the test, which reads only row[0] (row[:2] for mp) of each
-    row; for upq a pair of T+ and T- classes of sizes a and b adds a * b."""
+    _q_test(setting), decides each column class of T(sigma) once, and
+    tableaux.column_classes sizes the class by one flagged determinant of
+    the rest of its tableaux.  A key is a valid argument of the test, which
+    reads only row[0] (row[:2] for mp) of each row; for upq a pair of T+
+    and T- classes of sizes a and b adds a * b."""
     sigma = normalize_sigma(setting, sigma)
     if _classify(setting, sigma) != IN_SIGMA:
         return 0
@@ -433,18 +434,6 @@ def _evaluation_k(setting, sigma):
     if k <= s:
         return k
     return max(s, _least_k(setting, sigma))
-
-
-def _flagged_determinant(parts, widths, shifts):
-    """det[C(e + w_j - 1, e)], i, j from 0, e = parts[i] - i + j + shifts[j], w_j = widths[j]:
-    a flagged Jacobi-Trudi determinant of h_e in w_j variables, 0 for e < 0 or w_j < 1.  With
-    no shifts and widths N + 1 - a_j, a weakly increasing, it counts the SSYT of shape parts with
-    entries <= N whose row i holds only entries >= a_i, as nonintersecting paths (Wachs 1985)."""
-    cols = [(j + shift, width - 1) for j, (width, shift) in enumerate(zip(widths, shifts))]
-    return determinant([
-        [comb(e + w, e) if (e := part - i + o) >= 0 and w >= 0 else 0 for o, w in cols]
-        for i, part in enumerate(parts)
-    ])
 
 
 def count_Q_determinant(setting, sigma):

@@ -1,10 +1,9 @@
 """Partitions, semistandard Young tableaux, and exact integer kernels."""
 
 import bisect
+import itertools
 import math
-from collections import Counter
 from functools import cache
-from operator import itemgetter
 
 
 def is_partition(parts):
@@ -88,21 +87,35 @@ def enumerate_ssyt(shape, max_entry):
 @cache
 def column_classes(shape, max_entry, width):
     """The tableaux of enumerate_ssyt(shape, max_entry) by class, as a tuple
-    of (key, count): key is the tuple of each row's first width entries.
-    Each list of last rows is tallied once, and each class of the rows
-    above it adds that tally once per block, so no tableau is built."""
-    first = itemgetter(slice(width))
-    lasts = {}  # the lists of last rows by identity; the walk hands one list to many blocks
-    blocks = []
-    for above, rows in _ssyt_blocks(shape, max_entry):
-        lasts[id(rows)] = rows
-        blocks.append((tuple(map(first, above)), id(rows)))
-    tallies = {i: Counter(map(first, rows)).items() for i, rows in lasts.items()}
-    counts = Counter()
-    for (prefix, i), times in Counter(blocks).items():
-        for key, count in tallies[i]:
-            counts[(*prefix, key)] += times * count
-    return tuple(counts.items()) if shape else (((), 1),)
+    of (key, count) in the order of enumerate_ssyt: key is the tuple of each
+    row's first width entries, its head.  The keys are the strictly
+    increasing columns for width 1, else the SSYT of the shape cut to width
+    columns.  The rest of a class is an SSYT of the tail, shape[i] - width
+    over the rows longer than width, whose row i holds entries in
+    [key[i][-1], max_entry]: one flagged determinant, taken once per tuple
+    of flags.  Repeating each flag along its row fills the tail, so no class
+    is empty; no tableau is built."""
+    shape = check_partition(shape) if shape else ()
+    if max_entry < 0:
+        raise ValueError("max_entry must be >= 0")
+    if not shape:
+        return (((), 1),)
+    if width == 1:
+        keys = (tuple(zip(column)) for column in itertools.combinations(range(1, max_entry + 1), len(shape)))
+    else:
+        keys = ((*above, row) for above, rows in _ssyt_blocks(tuple(min(x, width) for x in shape), max_entry)
+                for row in rows)
+    tail = [x - width for x in shape if x > width]
+    m = len(tail)
+    sizes = {}
+    out = []
+    for key in keys:
+        flags = tuple([row[-1] for row in key[:m]])
+        size = sizes.get(flags)
+        if size is None:
+            size = sizes[flags] = _flagged_determinant(tail, [max_entry + 1 - a for a in flags], [0] * m)
+        out.append((key, size))
+    return tuple(out)
 
 
 def _ssyt_blocks(shape, max_entry):
@@ -231,6 +244,18 @@ def determinant(matrix):
             m[row][col] = 0
         prev = m[col][col]
     return sign * m[n - 1][n - 1]
+
+
+def _flagged_determinant(parts, widths, shifts):
+    """det[C(e + w_j - 1, e)], i, j from 0, e = parts[i] - i + j + shifts[j], w_j = widths[j]:
+    a flagged Jacobi-Trudi determinant of h_e in w_j variables, 0 for e < 0 or w_j < 1.  With
+    no shifts and widths N + 1 - a_j, a weakly increasing, it counts the SSYT of shape parts with
+    entries <= N whose row i holds only entries >= a_i, as nonintersecting paths (Wachs 1985)."""
+    cols = [(j + shift, width - 1) for j, (width, shift) in enumerate(zip(widths, shifts))]
+    return determinant([
+        [math.comb(e + w, e) if (e := part - i + o) >= 0 and w >= 0 else 0 for o, w in cols]
+        for i, part in enumerate(parts)
+    ])
 
 
 class IntPolynomial(tuple):

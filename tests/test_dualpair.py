@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dualdeg import dualpair
+from dualdeg import degree, dualpair, repdims
 from dualdeg.degree import iter_sigmas, partitions_up_to
 from dualdeg.diagrams import dim_p_plus
 from dualdeg.dualpair import (
@@ -17,6 +17,7 @@ from dualdeg.dualpair import (
     IN_SIGMA,
     MP,
     NOT_IN_HHAT,
+    OSTAR,
     UPQ,
     Setting,
     _count_Q_mp,
@@ -38,7 +39,7 @@ from dualdeg.dualpair import (
     upq,
 )
 from dualdeg.repdims import dim_F_lambda
-from dualdeg.tableaux import Tableau, binomial, conjugate, determinant, enumerate_ssyt, pad
+from dualdeg.tableaux import Tableau, binomial, column_classes, conjugate, determinant, enumerate_ssyt, pad
 
 
 def test_parameters():
@@ -347,6 +348,55 @@ def test_class_count_of_every_small_label():
             assert count_Q_enumeration(setting, sigma) == len(enumerate_Q(setting, sigma)), (setting, sigma)
     assert count_Q_enumeration(upq(2, 3, 1), ((1, 1, 1, 1), ())) == 0
     assert count_Q_enumeration(mp(3, 1), (1, 1)) == 0
+
+
+@st.composite
+def three_count_cases(draw):
+    """upq(p, q <= 4), mp(n <= 5) or ostar(n <= 8) at 1 <= k <= s + 1, and a
+    label of size <= 4, admissible or not."""
+    family = draw(st.sampled_from((UPQ, MP, OSTAR)))
+    if family == UPQ:
+        base = upq(draw(st.integers(1, 4)), draw(st.integers(1, 4)), 0)
+        labels = [(plus, minus) for plus in partitions_up_to(4) for minus in partitions_up_to(4 - sum(plus))]
+    else:
+        base = mp(draw(st.integers(1, 5)), 0) if family == MP else ostar(draw(st.integers(1, 8)), 0)
+        labels = partitions_up_to(4)
+    setting = base._replace(k=draw(st.integers(1, free_threshold(base) + 1)))
+    return setting, draw(st.sampled_from(labels))
+
+
+@settings(max_examples=200, deadline=None)
+@given(three_count_cases())
+def test_class_count_listing_and_path_count_agree(case):
+    # and the collapse where there is one; a label _classify rejects counts 0
+    setting, sigma = case
+    count = count_Q_enumeration(setting, sigma)
+    assert count == len(enumerate_Q(setting, sigma))
+    if sigma not in iter_sigmas(setting, 4):
+        assert sigma_admissible(setting, sigma) != IN_SIGMA and count == 0
+        return
+    assert count == count_Q_determinant(setting, sigma)
+    label = normalize_sigma(setting, sigma)
+    _, collapsed = degree._collapse(setting, label, repdims._dim_F(setting, label))
+    assert collapsed in (None, count)
+
+
+@pytest.mark.parametrize(
+    "setting, sigma", [(upq(2, 3, 3), ((2, 1), (1,))), (mp(3, 4), (2, 1)), (ostar(7, 4), (2, 1))]
+)
+def test_class_count_reads_no_closed_form(monkeypatch, setting, sigma):
+    # the oracle stays independent of the path counts and the Weyl products
+    want = len(enumerate_Q(setting, sigma))
+    assert want == count_Q_determinant(setting, sigma) > 0
+
+    def refuse(*args):
+        raise RuntimeError("read a closed form")
+
+    for module, name in ((dualpair, "count_Q_determinant"), (dualpair, "_count_Q_mp"),
+                         (repdims, "_dim_U"), (repdims, "_dim_F")):
+        monkeypatch.setattr(module, name, refuse)
+    column_classes.cache_clear()
+    assert count_Q_enumeration(setting, sigma) == want
 
 
 @st.composite

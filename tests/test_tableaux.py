@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from operator import itemgetter
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,7 @@ from dualdeg.repdims import dim_gl
 from dualdeg.tableaux import (
     IntPolynomial,
     Tableau,
+    _ssyt_blocks,
     binomial,
     check_partition,
     column_classes,
@@ -279,6 +281,33 @@ def test_column_classes_edges():
     assert column_classes((1200,), 2, 1) == ((((1,),), 1200), (((2,),), 1))
     assert column_classes((1200,), 2, 2) == ((((1, 1),), 1199), (((1, 2),), 1), (((2, 2),), 1))
     assert sys.getrecursionlimit() == limit
+
+
+def walk_column_classes(shape, max_entry, width):
+    """column_classes by walking every tableau: each list of last rows of
+    the _ssyt_blocks walk is tallied once, and each class of the rows above
+    it adds that tally once per block.  The test oracle of the class sizes."""
+    first = itemgetter(slice(width))
+    lasts = {}  # the lists of last rows by identity; the walk hands one list to many blocks
+    blocks = []
+    for above, rows in _ssyt_blocks(shape, max_entry):
+        lasts[id(rows)] = rows
+        blocks.append((tuple(map(first, above)), id(rows)))
+    tallies = {i: Counter(map(first, rows)).items() for i, rows in lasts.items()}
+    counts = Counter()
+    for (prefix, i), times in Counter(blocks).items():
+        for key, count in tallies[i]:
+            counts[(*prefix, key)] += times * count
+    return tuple(counts.items()) if shape else (((), 1),)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(partitions_up_to(9)), st.integers(0, 8), st.sampled_from((1, 2)))
+def test_column_class_determinants_match_the_walk(shape, max_entry, width):
+    # the uncached listing, so that no large listing stays cached
+    listing = enumerate_ssyt.__wrapped__(shape, max_entry)
+    counted = tuple(Counter(tuple(row[:width] for row in t) for t in listing).items())
+    assert column_classes(shape, max_entry, width) == walk_column_classes(shape, max_entry, width) == counted
 
 
 def test_exact_quotient():
