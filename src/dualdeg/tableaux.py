@@ -1,7 +1,6 @@
 """Partitions, semistandard Young tableaux, and exact integer kernels."""
 
 import bisect
-import itertools
 import math
 from functools import cache
 
@@ -88,23 +87,19 @@ def enumerate_ssyt(shape, max_entry):
 def column_classes(shape, max_entry, width):
     """The tableaux of enumerate_ssyt(shape, max_entry) by class, as a tuple
     of (key, count) in the order of enumerate_ssyt: key is the tuple of each
-    row's first width entries, its head.  The keys are the strictly
-    increasing columns for width 1, else the SSYT of the shape cut to width
-    columns.  The rest of a class is an SSYT of the tail, shape[i] - width
-    over the rows longer than width, whose row i holds entries in
-    [key[i][-1], max_entry]: one flagged determinant, taken once per tuple
-    of flags.  Repeating each flag along its row fills the tail, so no class
-    is empty; no tableau is built."""
+    row's first width entries, its head.  The keys are the SSYT of the
+    shape cut to width columns.  The rest of a class is an SSYT of the
+    tail, shape[i] - width over the rows longer than width, whose row i
+    holds entries in [key[i][-1], max_entry]: one flagged determinant,
+    taken once per tuple of flags.  Repeating each flag along its row fills
+    the tail, so no class is empty; no tableau is built."""
     shape = check_partition(shape) if shape else ()
     if max_entry < 0:
         raise ValueError("max_entry must be >= 0")
     if not shape:
         return (((), 1),)
-    if width == 1:
-        keys = (tuple(zip(column)) for column in itertools.combinations(range(1, max_entry + 1), len(shape)))
-    else:
-        keys = ((*above, row) for above, rows in _ssyt_blocks(tuple(min(x, width) for x in shape), max_entry)
-                for row in rows)
+    keys = ((*above, row) for above, rows in _ssyt_blocks(tuple(min(x, width) for x in shape), max_entry)
+            for row in rows)
     tail = [x - width for x in shape if x > width]
     m = len(tail)
     sizes = {}
@@ -214,7 +209,8 @@ def exact_quotient(num, den):
 def determinant(matrix):
     """Exact determinant of an integer matrix via fraction-free (Bareiss)
     elimination: each quotient is a minor of the matrix, so each division
-    is exact.
+    is exact.  A step skips the rows with 0 in its column, so a matrix that
+    is 0 more than b places below the diagonal costs O(n^2 (b + 1)).
 
     The Hilbert numerators run it on packed polynomials, each entry a
     polynomial in Z[t] taken at t = 2^B.  Evaluation at 2^B is a ring map
@@ -228,34 +224,55 @@ def determinant(matrix):
         return 1
     m = [list(row) for row in matrix]
     sign = 1
-    prev = 1
+    # step t divides by divisors[t], the pivot of step t - 1.  On a row with
+    # 0 in the pivot column a step only rescales by pivot / divisor, and
+    # these rescalings telescope: the row is skipped, stage keeps the step
+    # it was last brought to, and its next elimination divides by the
+    # divisor of that step instead
+    divisors = [1]
+    stage = [0] * n
     for col in range(n - 1):
         if m[col][col] == 0:
             for row in range(col + 1, n):
                 if m[row][col] != 0:
                     m[col], m[row] = m[row], m[col]
+                    stage[col], stage[row] = stage[row], stage[col]
                     sign = -sign
                     break
             else:
                 return 0
+        top = m[col]
+        if stage[col] != col:
+            top[col:] = [x * divisors[col] // divisors[stage[col]] for x in top[col:]]
+        pivot = top[col]
         for row in range(col + 1, n):
-            for j in range(col + 1, n):
-                m[row][j] = (m[col][col] * m[row][j] - m[row][col] * m[col][j]) // prev
-            m[row][col] = 0
-        prev = m[col][col]
-    return sign * m[n - 1][n - 1]
+            lead = m[row][col]
+            if lead != 0:
+                r, prev = m[row], divisors[stage[row]]
+                for j in range(col + 1, n):
+                    r[j] = (pivot * r[j] - lead * top[j]) // prev
+                r[col] = 0
+                stage[row] = col + 1
+        divisors.append(pivot)
+    last = n - 1
+    return sign * m[last][last] * divisors[last] // divisors[stage[last]]
 
 
 def _flagged_determinant(parts, widths, shifts):
     """det[C(e + w_j - 1, e)], i, j from 0, e = parts[i] - i + j + shifts[j], w_j = widths[j]:
-    a flagged Jacobi-Trudi determinant of h_e in w_j variables, 0 for e < 0 or w_j < 1.  With
-    no shifts and widths N + 1 - a_j, a weakly increasing, it counts the SSYT of shape parts with
-    entries <= N whose row i holds only entries >= a_i, as nonintersecting paths (Wachs 1985)."""
+    a flagged Jacobi-Trudi determinant of h_e in w_j variables, 0 for e < 0 or w_j < 1, for
+    weakly increasing shifts.  With no shifts and widths N + 1 - a_j, a weakly increasing, it
+    counts the SSYT of shape parts with entries <= N whose row i holds only entries >= a_i, as
+    nonintersecting paths (Wachs 1985)."""
     cols = [(j + shift, width - 1) for j, (width, shift) in enumerate(zip(widths, shifts))]
-    return determinant([
-        [math.comb(e + w, e) if (e := part - i + o) >= 0 and w >= 0 else 0 for o, w in cols]
-        for i, part in enumerate(parts)
-    ])
+    offsets = [o for o, _ in cols]
+    matrix = []
+    for i, part in enumerate(parts):
+        # the offsets increase, so e < 0 exactly on the row's first `start` entries
+        start = bisect.bisect_left(offsets, i - part)
+        entries = [math.comb((e := part - i + o) + w, e) if w >= 0 else 0 for o, w in cols[start:]]
+        matrix.append([0] * start + entries)
+    return determinant(matrix)
 
 
 class IntPolynomial(tuple):

@@ -385,7 +385,10 @@ def test_class_count_listing_and_path_count_agree(case):
     "setting, sigma", [(upq(2, 3, 3), ((2, 1), (1,))), (mp(3, 4), (2, 1)), (ostar(7, 4), (2, 1))]
 )
 def test_class_count_reads_no_closed_form(monkeypatch, setting, sigma):
-    # the oracle stays independent of the path counts and the Weyl products
+    # the oracle stays independent of the path counts and the Weyl products.
+    # It shares _flagged_determinant with count_Q_determinant; the listings,
+    # which take no determinant, hold that kernel: here, in
+    # test_class_count_listing_and_path_count_agree and in test_tableaux.py
     want = len(enumerate_Q(setting, sigma))
     assert want == count_Q_determinant(setting, sigma) > 0
 

@@ -2,6 +2,7 @@
 
 import ast
 import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -310,6 +311,15 @@ def test_column_class_determinants_match_the_walk(shape, max_entry, width):
     assert column_classes(shape, max_entry, width) == walk_column_classes(shape, max_entry, width) == counted
 
 
+def test_column_classes_of_tall_labels():
+    # 98 and 28 tail rows: one determinant per tuple of flags, 0 more than one
+    # place below its diagonal
+    for shape, max_entry, width in (((2,) * 98, 99, 1), ((3,) * 28, 29, 2)):
+        classes = column_classes(shape, max_entry, width)
+        assert classes == walk_column_classes(shape, max_entry, width)
+        assert sum(count for _, count in classes) == dim_gl(max_entry, pad(shape, max_entry))
+
+
 def test_exact_quotient():
     assert exact_quotient(12, 4) == 3
     assert exact_quotient(-12, 4) == -3
@@ -385,6 +395,26 @@ def test_determinant_against_cofactors():
     ]
     for m in mats:
         assert determinant(m) == _cofactor_det(m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 6).flatmap(
+    lambda n: st.lists(st.lists(st.sampled_from((0, 0, 0, 1, -1, 2, -3)), min_size=n, max_size=n),
+                       min_size=n, max_size=n)))
+def test_determinant_of_sparse_matrices(m):
+    # the rows a step skips, and the pivot swaps, against the cofactor expansion
+    assert determinant(m) == _cofactor_det(m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 30), st.integers(0, 3), st.randoms(use_true_random=False))
+def test_determinant_of_banded_products(n, band, rnd):
+    # L unitriangular and 0 more than band places below its diagonal, U upper
+    # triangular: L U is as banded, and its determinant is U's diagonal product
+    lower = [[1 if i == j else rnd.randint(-2, 2) if 0 < i - j <= band else 0 for j in range(n)] for i in range(n)]
+    upper = [[rnd.randint(-3, 3) if j >= i else 0 for j in range(n)] for i in range(n)]
+    product = [[sum(lower[i][t] * upper[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
+    assert determinant(product) == math.prod(upper[i][i] for i in range(n))
 
 
 def test_determinant_row_swap_changes_sign():
