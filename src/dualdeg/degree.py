@@ -354,19 +354,23 @@ def _suite_product():
 
 def criterion_check(setting, sigma):
     """Q_k(sigma) by its definition, _q_test, against the case-by-case
-    criterion, _in_Q_criteria, on every T of T(sigma), and the number of T
-    the definition admits against the path count.  Returns the failures:
-    ("criterion", T) for each T the two decide differently, and
-    ("path-count", admitted, count) if the counts differ."""
+    criterion, _in_Q_criteria, on T(sigma), and the number of T the
+    definition admits against the path count.  Both read only the first
+    column of T (of T+ and T- for upq, the first two for mp), so each is
+    applied once per column class of T(sigma), dualpair._T_classes, to its
+    key, and the class adds its size to the count.  Returns the failures:
+    ("criterion", key) for each class the two decide differently, one entry
+    however many T it holds, and ("path-count", admitted, count) if the
+    counts differ."""
     label = dualpair.nonzero_label(setting, sigma)
     in_Q = dualpair._q_test(setting)
     failures = []
     admitted = 0
-    for T in dualpair._enumerate_T(setting, label):
-        verdict = in_Q(T)
-        if verdict != dualpair._in_Q_criteria(setting, label, T):
-            failures.append(("criterion", T))
-        admitted += verdict
+    for key, size in dualpair._T_classes(setting, label):
+        verdict = in_Q(key)
+        if verdict != dualpair._in_Q_criteria(setting, label, key):
+            failures.append(("criterion", key))
+        admitted += verdict * size
     count = dualpair.count_Q_determinant(setting, label)
     if admitted != count:
         failures.append(("path-count", admitted, count))

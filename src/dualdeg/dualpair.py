@@ -328,24 +328,34 @@ def enumerate_Q(setting, sigma):
     return out
 
 
+def _T_classes(setting, sigma):
+    """T(sigma) by column class, for a label nonzero_label has returned:
+    (key, size) in the order of _enumerate_T.  The key is the head its
+    tableaux share, their first column (first two for mp), or the pair of
+    heads of T+ and T- for upq, whose size is the product a * b of the two
+    class sizes.  A head is a Tableau, so every predicate that reads no
+    more of T than its head, as _q_test and _in_Q_criteria do, takes the
+    key for each T of its class."""
+    if setting.family == UPQ:
+        plus, minus = sigma
+        minus_classes = column_classes(minus, setting.p, 1)
+        for kp, a in column_classes(plus, setting.q, 1):
+            for km, b in minus_classes:
+                yield (kp, km), a * b
+    else:
+        yield from column_classes(sigma, setting.n, 2 if setting.family == MP else 1)
+
+
 def count_Q_enumeration(setting, sigma):
     """len(enumerate_Q(setting, sigma)), listing nothing: the definition,
-    _q_test(setting), decides each column class of T(sigma) once, and
-    tableaux.column_classes sizes the class by one flagged determinant of
-    the rest of its tableaux.  A key is a valid argument of the test, which
-    reads only row[0] (row[:2] for mp) of each row; for upq a pair of T+
-    and T- classes of sizes a and b adds a * b."""
+    _q_test(setting), decides each column class of T(sigma), _T_classes,
+    once, and tableaux.column_classes sizes the class by one flagged
+    determinant of the rest of its tableaux."""
     sigma = normalize_sigma(setting, sigma)
     if _classify(setting, sigma) != IN_SIGMA:
         return 0
     test = _q_test(setting)
-    if setting.family == UPQ:
-        plus, minus = sigma
-        minus_classes = column_classes(minus, setting.p, 1)
-        return sum(a * b for kp, a in column_classes(plus, setting.q, 1)
-                   for km, b in minus_classes if test((kp, km)))
-    width = 2 if setting.family == MP else 1
-    return sum(count for key, count in column_classes(sigma, setting.n, width) if test(key))
+    return sum(size for key, size in _T_classes(setting, sigma) if test(key))
 
 
 # The (state, row-mask) pairs _count_Q_mp's scan may hold, summed over its

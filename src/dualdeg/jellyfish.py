@@ -219,7 +219,7 @@ def enumerate_F(setting, k):
 @cache
 def max_family_size(setting, k):
     """The common cardinality d_k of the largest path families."""
-    return max(len(f) for f in enumerate_F(setting, k))
+    return max(len(f) for families in _families_by_endpoints(setting, k).values() for f in families)
 
 
 def enumerate_maximal_F(setting, k):
@@ -256,5 +256,24 @@ def enumerate_maximal_jellyfish(setting, sigma):
 
 
 def multiplicity_from_jellyfish(setting, sigma):
-    """#(maximal jellyfish), which equals the Bernstein degree."""
-    return len(enumerate_maximal_jellyfish(setting, sigma))
+    """#(maximal jellyfish), which equals the Bernstein degree, listing no
+    jellyfish and no tableau.  end(T) reads only the first column of T (of
+    T+ and T- for upq), so it is one value on each column class of T(sigma),
+    dualpair._T_classes, and a class of size a adds a times the number of
+    maximal families realizing end(key), which is taken once per endpoint
+    datum."""
+    _check_family(setting)
+    _check_k(setting, setting.k)
+    sigma = dualpair.nonzero_label(setting, sigma)
+    grouped = _families_by_endpoints(setting, setting.k)
+    d = max_family_size(setting, setting.k)
+    ends = _end_map(setting, sigma)
+    maximal = {}
+    total = 0
+    for key, size in dualpair._T_classes(setting, sigma):
+        end = ends(key)
+        weight = maximal.get(end)
+        if weight is None:
+            weight = maximal[end] = sum(len(f) == d for f in grouped.get(end, ()))
+        total += weight * size
+    return total

@@ -9,6 +9,8 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualdeg import cli, degree, diagrams, dualpair, jellyfish, posets, repdims, tableaux
 from dualdeg.degree import (
@@ -29,7 +31,7 @@ from dualdeg.degree import (
 )
 from dualdeg.dualpair import UPQ, Setting, mp, ostar, upq
 from dualdeg.repdims import dim_U_sigma
-from dualdeg.tableaux import IntPolynomial
+from dualdeg.tableaux import IntPolynomial, Tableau
 
 
 def test_partitions_up_to():
@@ -324,6 +326,87 @@ def test_criterion_check_sees_one_flipped_verdict(monkeypatch):
     criteria = dualpair._in_Q_criteria
     monkeypatch.setattr(dualpair, "_in_Q_criteria", lambda s, label, T: criteria(s, label, T) != (T == first))
     assert criterion_check(setting, sigma) == [("criterion", first)]
+
+
+def walk_criterion_check(setting, sigma):
+    """criterion_check on every T of T(sigma), one at a time: ("criterion",
+    T) for each T the definition and the criterion decide differently.  The
+    test oracle of the class version."""
+    label = dualpair.nonzero_label(setting, sigma)
+    in_Q = dualpair._q_test(setting)
+    failures = []
+    admitted = 0
+    for T in dualpair._enumerate_T(setting, label):
+        verdict = in_Q(T)
+        if verdict != dualpair._in_Q_criteria(setting, label, T):
+            failures.append(("criterion", T))
+        admitted += verdict
+    count = dualpair.count_Q_determinant(setting, label)
+    if admitted != count:
+        failures.append(("path-count", admitted, count))
+    return failures
+
+
+def _head(setting, T):
+    """The rows of T cut to the columns its class shares: the first column
+    of T+ and T- (upq), the first two (mp), the first (ostar)."""
+    if setting.family == UPQ:
+        return tuple(tuple(row[:1] for row in t) for t in T)
+    return tuple(row[: 2 if setting.family == dualpair.MP else 1] for row in T)
+
+
+CRITERION_CASES = [
+    (setting, sigma)
+    for base in degree._small_settings()
+    for k in range(1, dualpair.free_threshold(base) + 2)
+    for setting in [base._replace(k=k)]
+    for sigma in iter_sigmas(setting, 4)
+]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(CRITERION_CASES), st.integers(0, 10**6))
+def test_criterion_check_classes_match_the_walk(case, pick):
+    # one flipped class and a path count of -1, so that both report every
+    # class verdict and the number of T they admit
+    setting, sigma = case
+    listing = dualpair.enumerate_T(setting, sigma)
+    target = _head(setting, listing[pick % len(listing)])
+    criteria = dualpair._in_Q_criteria
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dualpair, "_in_Q_criteria",
+                      lambda s, label, T: criteria(s, label, T) != (_head(s, T) == target))
+        patch.setattr(dualpair, "count_Q_determinant", lambda s, label: -1)
+        walk = walk_criterion_check(setting, sigma)
+        classes = criterion_check(setting, sigma)
+    assert classes[-1] == walk[-1] and walk[-1][0] == "path-count"
+    assert classes[:-1] == [("criterion", target)]
+    assert [_head(setting, T) for _, T in walk[:-1]] == [target] * (len(walk) - 1)
+    assert len(walk) - 1 == sum(_head(setting, T) == target for T in listing)
+
+
+def test_criteria_read_only_the_head():
+    # the premise of criterion_check's class count: the criterion takes one
+    # value on each class, the value of its head
+    for setting, sigma in CRITERION_CASES:
+        label = dualpair.normalize_sigma(setting, sigma)
+        for T in dualpair.enumerate_T(setting, label):
+            head = _head(setting, T)
+            head = tuple(map(Tableau, head)) if setting.family == UPQ else Tableau(head)
+            assert dualpair._in_Q_criteria(setting, label, T) == dualpair._in_Q_criteria(setting, label, head), T
+
+
+def test_jellyfish_check_lists_no_tableau(monkeypatch):
+    def refuse(*args):
+        raise RuntimeError("listed a tableau")
+
+    tableaux.column_classes.cache_clear()
+    for module in (tableaux, dualpair):
+        monkeypatch.setattr(module, "enumerate_ssyt", refuse)
+    monkeypatch.setattr(dualpair, "_enumerate_T", refuse)
+    for setting, sigma in ((upq(2, 3, 2), ((1,), (1,))), (ostar(5, 1), (1,))):
+        checks = {c.name: c for c in bernstein_degree(setting, sigma).cross_checks}
+        assert checks["jellyfish"].status == "pass", (setting, checks["jellyfish"])
 
 
 def test_jellyfish_check_sees_a_dropped_jellyfish(monkeypatch):

@@ -1,10 +1,12 @@
 """Tests for the boundary-anchored path families and jellyfish counting."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualdeg import dualpair, jellyfish, posets
 from dualdeg.degree import bernstein_degree, iter_sigmas
-from dualdeg.dualpair import enumerate_Q, mp, ostar, upq
+from dualdeg.dualpair import enumerate_Q, free_threshold, mp, ostar, upq
 from dualdeg.jellyfish import (
     Endpoints,
     end_map,
@@ -184,3 +186,33 @@ def test_cached_helpers_hold_frozensets():
         assert jellyfish._region(setting, k) <= jellyfish._points(setting)
         d = max_family_size(setting, k)
         assert d == max(len(f) for f in enumerate_F(setting, k))
+
+
+# upq with pq <= 20 and ostar with n <= 6, at 1 <= k <= min(2, s - 1), with
+# their labels of size <= 3
+JELLYFISH_CASES = [
+    (setting, sigma)
+    for base in [upq(p, q, 0) for p in range(1, 21) for q in range(1, 20 // p + 1)] + [ostar(n, 0) for n in range(2, 7)]
+    for k in range(1, min(2, free_threshold(base) - 1) + 1)
+    for setting in [base._replace(k=k)]
+    for sigma in iter_sigmas(setting, 3)
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(JELLYFISH_CASES))
+def test_multiplicity_counts_the_listed_maximal_jellyfish(case):
+    # the class count against the listing it replaced
+    setting, sigma = case
+    assert multiplicity_from_jellyfish(setting, sigma) == len(enumerate_maximal_jellyfish(setting, sigma)), case
+
+
+def test_end_map_reads_only_the_first_column():
+    # the premise of the class count: end(T) is end of T's first column
+    for setting, sigma in JELLYFISH_CASES[::7]:
+        label = dualpair.normalize_sigma(setting, sigma)
+        ends = jellyfish._end_map(setting, label)
+        for T in dualpair.enumerate_T(setting, label):
+            pair = T if setting.family == dualpair.UPQ else (T,)
+            head = tuple(Tableau([row[:1] for row in t]) for t in pair)
+            assert ends(T) == ends(head if setting.family == dualpair.UPQ else head[0]), (setting, sigma, T)
