@@ -329,21 +329,18 @@ def enumerate_Q(setting, sigma):
 
 
 def _T_classes(setting, sigma):
-    """T(sigma) by column class, for a label nonzero_label has returned:
-    (key, size) in the order of _enumerate_T.  The key is the head its
-    tableaux share, their first column (first two for mp), or the pair of
-    heads of T+ and T- for upq, whose size is the product a * b of the two
-    class sizes.  A head is a Tableau, so every predicate that reads no
-    more of T than its head, as _q_test and _in_Q_criteria do, takes the
+    """T(sigma) by column class, for a label nonzero_label has returned: a
+    sequence of (key, size) in the order of _enumerate_T.  The key is the
+    head its tableaux share, their first column (first two for mp), or the
+    pair of heads of T+ and T- for upq, whose size is the product a * b of
+    the two class sizes.  A head is a Tableau, so every predicate that reads
+    no more of T than its head, as _q_test and _in_Q_criteria do, takes the
     key for each T of its class."""
     if setting.family == UPQ:
         plus, minus = sigma
         minus_classes = column_classes(minus, setting.p, 1)
-        for kp, a in column_classes(plus, setting.q, 1):
-            for km, b in minus_classes:
-                yield (kp, km), a * b
-    else:
-        yield from column_classes(sigma, setting.n, 2 if setting.family == MP else 1)
+        return [((kp, km), a * b) for kp, a in column_classes(plus, setting.q, 1) for km, b in minus_classes]
+    return column_classes(sigma, setting.n, 2 if setting.family == MP else 1)
 
 
 def count_Q_enumeration(setting, sigma):
