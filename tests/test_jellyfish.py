@@ -207,12 +207,15 @@ def test_multiplicity_counts_the_listed_maximal_jellyfish(case):
     assert multiplicity_from_jellyfish(setting, sigma) == len(enumerate_maximal_jellyfish(setting, sigma)), case
 
 
+def _first_column(t):
+    return Tableau([row[:1] for row in t])
+
+
 def test_end_map_reads_only_the_first_column():
     # the premise of the class count: end(T) is end of T's first column
     for setting, sigma in JELLYFISH_CASES[::7]:
         label = dualpair.normalize_sigma(setting, sigma)
         ends = jellyfish._end_map(setting, label)
         for T in dualpair.enumerate_T(setting, label):
-            pair = T if setting.family == dualpair.UPQ else (T,)
-            head = tuple(Tableau([row[:1] for row in t]) for t in pair)
-            assert ends(T) == ends(head if setting.family == dualpair.UPQ else head[0]), (setting, sigma, T)
+            head = tuple(map(_first_column, T)) if setting.family == dualpair.UPQ else _first_column(T)
+            assert ends(T) == ends(head), (setting, sigma, T)
