@@ -351,8 +351,8 @@ def _head(setting, T):
     """The rows of T cut to the columns its class shares: the first column
     of T+ and T- (upq), the first two (mp), the first (ostar)."""
     if setting.family == UPQ:
-        return tuple(tuple(row[:1] for row in t) for t in T)
-    return tuple(row[: 2 if setting.family == dualpair.MP else 1] for row in T)
+        return tuple(Tableau([row[:1] for row in t]) for t in T)
+    return Tableau([row[: 2 if setting.family == dualpair.MP else 1] for row in T])
 
 
 CRITERION_CASES = [
@@ -392,7 +392,6 @@ def test_criteria_read_only_the_head():
         label = dualpair.normalize_sigma(setting, sigma)
         for T in dualpair.enumerate_T(setting, label):
             head = _head(setting, T)
-            head = tuple(map(Tableau, head)) if setting.family == UPQ else Tableau(head)
             assert dualpair._in_Q_criteria(setting, label, T) == dualpair._in_Q_criteria(setting, label, head), T
 
 
