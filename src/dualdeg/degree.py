@@ -361,7 +361,9 @@ def criterion_check(setting, sigma):
     key, and the class adds its size to the count.  Returns the failures:
     ("criterion", key) for each class the two decide differently, one entry
     however many T it holds, and ("path-count", admitted, count) if the
-    counts differ."""
+    counts differ.  The class sizes are flagged determinants, the kernel of
+    count_Q_determinant, so the path-count comparison does not check that
+    kernel; _suite_random's len(enumerate_Q) and the listing tests do."""
     label = dualpair.nonzero_label(setting, sigma)
     in_Q = dualpair._q_test(setting)
     failures = []

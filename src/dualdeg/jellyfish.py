@@ -261,7 +261,9 @@ def multiplicity_from_jellyfish(setting, sigma):
     T+ and T- for upq), so it is one value on each column class of T(sigma),
     dualpair._T_classes, and a class of size a adds a times the number of
     maximal families realizing end(key), which is taken once per endpoint
-    datum."""
+    datum.  The class sizes are flagged determinants, the kernel of
+    dualpair.count_Q_determinant; the listing enumerate_maximal_jellyfish
+    checks them in the tests."""
     _check_family(setting)
     _check_k(setting, setting.k)
     sigma = dualpair.nonzero_label(setting, sigma)

@@ -1,7 +1,6 @@
 """Partitions, semistandard Young tableaux, and exact integer kernels."""
 
 import bisect
-import itertools
 import math
 from functools import cache
 
@@ -89,11 +88,10 @@ def column_classes(shape, max_entry, width):
     """The tableaux of enumerate_ssyt(shape, max_entry) by class, as a tuple
     of (key, count) in the order of enumerate_ssyt: key is the Tableau of
     each row's first width entries, its head.  The keys are the SSYT of the
-    shape cut to width columns: at width 1 the strictly increasing columns,
-    itertools.combinations in its lexicographic order, and above it the
-    _ssyt_blocks walk of the cut shape.  The rest of a class is an SSYT of
-    the tail, shape[i] - width over the rows longer than width, whose row i
-    holds entries in [key[i][-1], max_entry]: one flagged determinant,
+    shape cut to width columns, listed by the _ssyt_blocks walk of the cut
+    shape.  The rest of a class is an SSYT of the tail, shape[i] - width
+    over the rows longer than width, whose row i holds entries in
+    [key[i][-1], max_entry]: one flagged determinant,
     taken once per tuple of flags.  Repeating each flag along its row fills
     the tail, so no class is empty; no tableau is built."""
     shape = check_partition(shape) if shape else ()
@@ -103,11 +101,8 @@ def column_classes(shape, max_entry, width):
         return ((Tableau(()), 1),)
     # a head is a valid tableau, so it is made as a bare tuple, as in enumerate_ssyt
     trusted = tuple.__new__
-    if width == 1:
-        keys = (trusted(Tableau, zip(c)) for c in itertools.combinations(range(1, max_entry + 1), len(shape)))
-    else:
-        keys = (trusted(Tableau, (*above, row))
-                for above, rows in _ssyt_blocks(tuple(min(x, width) for x in shape), max_entry) for row in rows)
+    keys = (trusted(Tableau, (*above, row))
+            for above, rows in _ssyt_blocks(tuple(min(x, width) for x in shape), max_entry) for row in rows)
     tail = [x - width for x in shape if x > width]
     m = len(tail)
     sizes = {}

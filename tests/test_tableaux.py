@@ -314,8 +314,8 @@ def test_column_class_determinants_match_the_walk(shape, max_entry, width):
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from(partitions_up_to(9)), st.integers(0, 8))
 def test_width_1_heads_are_the_walk_keys(shape, max_entry):
-    # the width-1 heads come from itertools.combinations: the same keys, in
-    # the same order, as the _ssyt_blocks walk of the one-column shape
+    # the width-1 heads are the keys of the _ssyt_blocks walk of the
+    # one-column shape, in its order, each a Tableau
     walk = [(*above, row) for above, rows in _ssyt_blocks((1,) * len(shape), max_entry) for row in rows]
     classes = column_classes(shape, max_entry, 1)
     assert [key for key, _ in classes] == (walk if shape else [()])
