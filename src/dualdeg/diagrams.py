@@ -8,7 +8,7 @@ from functools import cache, lru_cache
 from operator import itemgetter, le
 from types import MappingProxyType
 
-from .dualpair import DUAL_PAIR_FAMILIES, E6, FAMILIES, MP, OSTAR, SO_EVEN, SO_ODD, UPQ, real_rank
+from .dualpair import DUAL_PAIR_FAMILIES, FAMILIES, MP, OSTAR, SO_EVEN, SO_ODD, UPQ, real_rank
 from .tableaux import IntPolynomial, binomial, determinant, exact_quotient
 
 
@@ -50,31 +50,6 @@ def shifted_staircase(n):
     return frozenset((r, c) for r in range(1, n + 1) for c in range(r, n + 1))
 
 
-def diagram_D0(setting):
-    """The diagram D_0 of the Hermitian type.  Its boxes are the dim p+
-    positive noncompact roots for every type but so-odd, whose D_0 has
-    n + 1 boxes while dim p+ = 2n - 1 (the B_n roots form a chain); as
-    r = 2, only its D_1 and D_2 are read, which diagram_D writes down."""
-    f = setting.family
-    if f in DUAL_PAIR_FAMILIES:
-        return diagram_D(setting, 0)
-    if f == SO_EVEN:
-        n = setting.n
-        boxes = {(1, c) for c in range(1, n)}
-        boxes |= {(2, n - 2), (2, n - 1)}
-        boxes |= {(r, n - 1) for r in range(3, n)}
-        return frozenset(boxes)
-    if f == SO_ODD:
-        n = setting.n
-        return frozenset({(1, c) for c in range(1, n + 1)} | {(2, n - 1)})
-    # e6 and e7, one (row, first column, last column) run per row
-    if f == E6:
-        runs = [(1, 1, 5), (2, 3, 5), (3, 4, 6), (4, 4, 8)]
-    else:
-        runs = [(1, 1, 6), (2, 4, 6), (3, 5, 7), (4, 5, 9), (5, 5, 9), (6, 8, 9), (7, 9, 9), (8, 9, 9), (9, 9, 9)]
-    return frozenset((r, c) for r, first, last in runs for c in range(first, last + 1))
-
-
 def _dual_pair_shape(setting, k):
     """The shape of D_k for the three dual-pair types, (family, a, b): the
     edges of D_0 less step * k, clipped at 0.  D_k is the a x b rectangle
@@ -102,8 +77,9 @@ def _level_work(setting, k):
 def diagram_D(setting, k):
     """D_k, the k-fold interior of D_0, a frozenset of boxes: the closed form
     for the dual pairs, built in O(|D_k|) from the shape _dual_pair_shape
-    reads, and for so at k >= 1, else k interior passes over D_0; cached,
-    and immutable so that no caller can change the cached copy."""
+    reads, and for so at k >= 1, else k interior passes over the D_0 that
+    the family record's runs lay out; cached, and immutable so that no
+    caller can change the cached copy."""
     if k < 0:
         raise ValueError("k must be >= 0")
     if setting.family in DUAL_PAIR_FAMILIES:
@@ -114,7 +90,8 @@ def diagram_D(setting, k):
     if setting.family in (SO_EVEN, SO_ODD) and k:
         # r = 2: D_1 is the box (1, n - 1) of D_0, (1, n) for so-odd, and D_2 is empty
         return frozenset({(1, 1)} if k == 1 else ())
-    boxes = diagram_D0(setting)
+    runs = FAMILIES[setting.family].runs(setting)
+    boxes = frozenset((r, c) for r, first, last in runs for c in range(first, last + 1))
     for _ in range(k):
         boxes = _southwest_interior(boxes)
     return normalize(boxes)

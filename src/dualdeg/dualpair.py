@@ -24,12 +24,14 @@ IN_HHAT_NOT_SIGMA = "in-hhat-not-sigma"
 IN_SIGMA = "in-sigma"
 
 
-class Family(namedtuple("Family", "flags least rank dim_p_plus threshold edges step", defaults=(None, None, 0))):
+class Family(namedtuple("Family", "flags least rank dim_p_plus threshold edges step runs",
+                        defaults=(None, None, 0, None))):
     """The fixed data of one Hermitian family: flags, the shape fields of
     Setting it reads, each at least least; rank and dim_p_plus, r and the
     number of positive noncompact roots as functions of a setting.  The dual
     pairs also carry threshold, the free threshold s; edges, the edges (a, b)
-    of D_0; and step, by which both edges of D_k fall per unit of k."""
+    of D_0; and step, by which both edges of D_k fall per unit of k.  The
+    others carry runs, D_0 as (row, first column, last column) runs, one per row."""
 
     __slots__ = ()
 
@@ -44,11 +46,18 @@ FAMILIES = {
                threshold=lambda s: 2 * s.n - 1, edges=lambda s: (s.n, s.n), step=1),
     OSTAR: Family(flags=("n",), least=1, rank=lambda s: s.n // 2, dim_p_plus=lambda s: s.n * (s.n - 1) // 2,
                   threshold=lambda s: s.n - 1, edges=lambda s: (s.n - 1, s.n - 1), step=2),
-    SO_EVEN: Family(flags=("n",), least=3, rank=lambda s: 2, dim_p_plus=lambda s: 2 * s.n - 2),
-    # dim p+ = 2n - 1, though D_0 has n + 1 boxes
-    SO_ODD: Family(flags=("n",), least=2, rank=lambda s: 2, dim_p_plus=lambda s: 2 * s.n - 1),
-    E6: Family(flags=(), least=0, rank=lambda s: 2, dim_p_plus=lambda s: 16),
-    E7: Family(flags=(), least=0, rank=lambda s: 3, dim_p_plus=lambda s: 27),
+    SO_EVEN: Family(flags=("n",), least=3, rank=lambda s: 2, dim_p_plus=lambda s: 2 * s.n - 2,
+                    runs=lambda s: [(1, 1, s.n - 1), (2, s.n - 2, s.n - 1)]
+                    + [(r, s.n - 1, s.n - 1) for r in range(3, s.n)]),
+    # D_0 has n + 1 boxes while dim p+ = 2n - 1 (the B_n roots form a chain);
+    # as r = 2, only its D_1 and D_2 are read, which diagrams.diagram_D writes down
+    SO_ODD: Family(flags=("n",), least=2, rank=lambda s: 2, dim_p_plus=lambda s: 2 * s.n - 1,
+                   runs=lambda s: [(1, 1, s.n), (2, s.n - 1, s.n - 1)]),
+    E6: Family(flags=(), least=0, rank=lambda s: 2, dim_p_plus=lambda s: 16,
+               runs=lambda s: [(1, 1, 5), (2, 3, 5), (3, 4, 6), (4, 4, 8)]),
+    E7: Family(flags=(), least=0, rank=lambda s: 3, dim_p_plus=lambda s: 27,
+               runs=lambda s: [(1, 1, 6), (2, 4, 6), (3, 5, 7), (4, 5, 9), (5, 5, 9), (6, 8, 9),
+                               (7, 9, 9), (8, 9, 9), (9, 9, 9)]),
 }
 ALL_FAMILIES = tuple(FAMILIES)
 DUAL_PAIR_FAMILIES = tuple(f for f in ALL_FAMILIES if FAMILIES[f].step)

@@ -185,7 +185,10 @@ def _endpoint_keys(setting, endpoints):
 @cache
 def _families_by_endpoints(setting, k):
     """Read-only map from endpoint data to the tuple of path families
-    realizing it; the result is cached, so callers must not change it."""
+    realizing it; the result is cached, so callers must not change it.  No
+    key lists a family twice: disjoint east/south paths from fixed starts
+    never cross, so their union fixes the paths (see posets.iter_facets);
+    a family ending at the corner (p, q) is listed under both its keys."""
     _check_family(setting)
     _check_k(setting, k)
     starts = _starts(setting, k)
@@ -193,17 +196,12 @@ def _families_by_endpoints(setting, k):
     points, outer = _points(setting), _outer(setting)
     candidates = [lattice_paths(start, points, outer) for start in starts]
     grouped = {}
-    seen = {}
     for combo, pts in disjoint_products(candidates):
         if not pts.isdisjoint(fixed):  # raised, not asserted, as above
             raise AssertionError(f"a path family of {setting} k={k} meets the fixed region")
         family = PathFamily(pts | fixed, combo)
-        ends = [path[-1] for path in combo]
-        for key in _endpoint_keys(setting, ends):
-            bucket = seen.setdefault(key, set())
-            if family.points not in bucket:
-                bucket.add(family.points)
-                grouped.setdefault(key, []).append(family)
+        for key in _endpoint_keys(setting, [path[-1] for path in combo]):
+            grouped.setdefault(key, []).append(family)
     return MappingProxyType({key: tuple(families) for key, families in grouped.items()})
 
 

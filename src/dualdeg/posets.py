@@ -258,7 +258,7 @@ def theta_inverse(setting, k, family):
         return PlanePartition(frozenset(), {})
     a, b, _, _ = _forced_paths(setting, k)
     paths = family.paths or decompose(setting, k, family.points)
-    columns = _column_count(diagram)
+    columns = diagrams._dual_pair_shape(setting, k)[2]  # the last column of D_k
     profiles = []
     for i, (ar, ac) in enumerate(a):
         path = paths[i]
@@ -298,12 +298,6 @@ def theta_inverse(setting, k, family):
     if _theta(setting, k, pp).points != family.points:
         raise ValueError("point set is not a facet")
     return pp
-
-
-@cache
-def _column_count(diagram):
-    """The last column of the diagram, 0 if it is empty."""
-    return max((y for _, y in diagram), default=0)
 
 
 def corners(setting, k, family):

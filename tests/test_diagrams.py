@@ -13,7 +13,6 @@ from dualdeg.diagrams import (
     c_statistic,
     count_P_product,
     diagram_D,
-    diagram_D0,
     dim_p_plus,
     enumerate_P,
     hilbert_series_orbit,
@@ -38,7 +37,7 @@ D0_PINNED = {
 
 def test_exceptional_D0_pinned():
     for family, (size, digest) in D0_PINNED.items():
-        boxes = sorted(diagram_D0(Setting(family)))
+        boxes = sorted(diagram_D(Setting(family), 0))
         assert len(boxes) == size, family
         assert hashlib.sha256(repr(boxes).encode()).hexdigest() == digest, family
 
@@ -73,7 +72,6 @@ def test_closed_forms_match_recursion():
         n = setting.n
         boxes = {"upq": rectangle(setting.p, setting.q), "mp": staircase(n), "ostar": shifted_staircase(n - 1)}
         boxes = boxes[setting.family]
-        assert diagram_D0(setting) is diagram_D(setting, 0), setting
         for k in range(0, free_threshold(setting) + 2):
             assert diagram_D(setting, k) == boxes, (setting, k)
             boxes = interior(boxes)
@@ -86,10 +84,30 @@ def test_so_closed_form_matches_recursion():
     # the k-fold interior of D_0 for so-even n = 3..40 and so-odd n = 2..40
     settings_ = [Setting("so-even", n=n) for n in range(3, 41)] + [Setting("so-odd", n=n) for n in range(2, 41)]
     for setting in settings_:
-        boxes = diagram_D0(setting)
+        boxes = diagram_D(setting, 0)
         for k in range(0, real_rank(setting) + 2):
             assert diagram_D(setting, k) == normalize(boxes), (setting, k)
             boxes = diagrams._southwest_interior(boxes)
+
+
+def _so_D0(setting):
+    # the so-even and so-odd D_0 as box sets, written out apart from the runs
+    # of the family record
+    n = setting.n
+    if setting.family == "so-odd":
+        return frozenset({(1, c) for c in range(1, n + 1)} | {(2, n - 1)})
+    boxes = {(1, c) for c in range(1, n)}
+    boxes |= {(2, n - 2), (2, n - 1)}
+    boxes |= {(r, n - 1) for r in range(3, n)}
+    return frozenset(boxes)
+
+
+def test_so_D0_pinned():
+    # diagram_D lays D_0 out from the runs of the family record; every box
+    # set is pinned for so-even n = 3..40 and so-odd n = 2..40
+    settings_ = [Setting("so-even", n=n) for n in range(3, 41)] + [Setting("so-odd", n=n) for n in range(2, 41)]
+    for setting in settings_:
+        assert diagram_D(setting, 0) == _so_D0(setting), setting
 
 
 def test_level_transfer_needs_no_work_gate_off_the_dual_pairs():
@@ -97,7 +115,7 @@ def test_level_transfer_needs_no_work_gate_off_the_dual_pairs():
     # the k-fold interior of D_0, has at most 10 boxes at every 1 <= k <= r
     settings_ = [Setting("so-even", n=n) for n in range(3, 61)] + [Setting("so-odd", n=n) for n in range(2, 61)]
     for setting in settings_ + [Setting("e6"), Setting("e7")]:
-        boxes = diagram_D0(setting)
+        boxes = diagram_D(setting, 0)
         for k in range(1, real_rank(setting) + 1):
             boxes = interior(boxes)
             assert len(boxes) == len(diagram_D(setting, k)) <= 10, (setting, k)
@@ -140,10 +158,10 @@ def test_d0_sizes_match_dim_p_plus():
         Setting("e6"),
         Setting("e7"),
     ]:
-        assert len(diagram_D0(setting)) == dim_p_plus(setting)
+        assert len(diagram_D(setting, 0)) == dim_p_plus(setting)
     # the odd orthogonal diagram is smaller than dim p+: its single interior
     # box carries weight 2, which the Hilbert exponent accounts for
-    assert len(diagram_D0(Setting("so-odd", n=4))) == 5
+    assert len(diagram_D(Setting("so-odd", n=4), 0)) == 5
     assert dim_p_plus(Setting("so-odd", n=4)) == 7
 
 
@@ -156,7 +174,7 @@ def test_low_rank_so_isomorphisms():
         (Setting("so-even", n=4), ostar(4, 0)),
     ]
     for so, twin in pairs:
-        assert diagram_D0(so) == diagram_D0(twin), so
+        assert diagram_D(so, 0) == diagram_D(twin, 0), so
         assert dim_p_plus(so) == dim_p_plus(twin) and real_rank(so) == real_rank(twin) == 2
         for k in (1, 2):
             assert hilbert_series_orbit(so, k) == hilbert_series_orbit(twin, k), (so, k)

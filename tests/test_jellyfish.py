@@ -88,6 +88,21 @@ def test_families_partition_by_endpoints():
     assert Endpoints(east=(99,)) not in grouped
 
 
+def test_no_endpoint_key_lists_a_family_twice():
+    # _families_by_endpoints keeps no seen set: disjoint east/south paths
+    # from fixed starts never cross, so a key's families have distinct point
+    # sets; upq p, q <= 5 and ostar n <= 9 at every 1 <= k < s
+    settings_ = [upq(p, q, 0) for p in range(1, 6) for q in range(1, 6)] + [ostar(n, 0) for n in range(1, 10)]
+    families = keys = 0
+    for setting in settings_:
+        for k in range(1, free_threshold(setting)):
+            for ends, fams in jellyfish._families_by_endpoints(setting, k).items():
+                assert len({f.points for f in fams}) == len(fams), (setting, k, ends)
+                families += len(fams)
+                keys += 1
+    assert (families, keys) == (39_400, 2_260)
+
+
 def test_equal_cardinality_within_endpoint_class():
     for setting, k in [(upq(3, 3, 2), 2), (ostar(6, 2), 2), (upq(2, 4, 2), 2)]:
         grouped = jellyfish._families_by_endpoints(setting, k)

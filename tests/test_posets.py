@@ -61,7 +61,6 @@ def test_lattice_path_entries_read_the_one_cached_D0(monkeypatch):
     for setting in [upq(3, 4, 0), mp(4, 0), ostar(6, 0)]:
         r = real_rank(setting)
         d0, _, _ = (diagrams.diagram_D(setting, k) for k in (0, 1, r))
-        monkeypatch.setattr(diagrams, "diagram_D0", None)
         for name in ("rectangle", "staircase", "shifted_staircase"):
             monkeypatch.setattr(diagrams, name, None)
         posets._forced_paths.cache_clear()

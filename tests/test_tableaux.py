@@ -375,6 +375,29 @@ def test_no_assert_statements_in_the_package():
     assert found == []
 
 
+def test_no_dead_private_helper():
+    # every module-level _name function of the package is read, by name or
+    # as an attribute, somewhere in the package outside its own body
+    modules = sorted(Path(dualdeg.__file__).parent.glob("*.py"))
+    helpers, reads = set(), set()
+    for path in modules:
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(top, ast.FunctionDef) and top.name.startswith("_"):
+                helpers.add(top.name)
+            owner = getattr(top, "name", None)
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                else:
+                    continue
+                if name != owner and isinstance(node.ctx, ast.Load):
+                    reads.add(name)
+    assert len(helpers) >= 60
+    assert sorted(helpers - reads) == []
+
+
 def test_binomial():
     assert binomial(5, 2) == 10
     assert binomial(5, 0) == 1
