@@ -112,9 +112,9 @@ def bernstein_degree(setting, sigma, limit=DEFAULT_LIMIT):
     path_count_check compares it with the collapses.  The q-enumeration
     oracle, count_Q_enumeration, applies the definition to each column
     class of T(sigma), sized by one flagged determinant, and lists no
-    tableau.  It shares that kernel, tableaux._flagged_determinant, with
-    the path count; the tests hold the kernel to listings that take no
-    determinant.
+    tableau but the class heads.  It shares that kernel, the entry formula
+    tableaux._flag_column and tableaux.determinant, with the path count;
+    the tests hold the kernel to listings that take no determinant.
 
     sigma is validated once, here; the closed forms take the normalized
     label.  The path count and the oracles are called through their public

@@ -2,11 +2,12 @@
 
 import bisect
 import itertools
+import operator
 from collections import namedtuple
 from functools import cache
 from math import comb
 
-from .tableaux import _flagged_determinant, binomial, check_partition, column_classes, conjugate, enumerate_ssyt
+from .tableaux import _flag_column, _flagged_determinant, check_partition, column_classes, conjugate, enumerate_ssyt
 
 # Family tags. The first three are the dual-pair settings; the rest are the
 # additional Hermitian types that only carry diagram/Hilbert-series data.
@@ -180,32 +181,27 @@ def _enumerate_T(setting, sigma):
 
 @cache
 def _alpha_keys(setting):
-    """The function of T that lists the entries alpha counts, each moved by
-    its i-independent offset so that it counts toward alpha_i exactly when
-    its key is below i; sorted."""
+    """(keys, step, base): keys is the function of T that lists the entries
+    alpha counts, sorted, and an entry counts toward alpha_i exactly when it
+    is below step * i + base.  For upq each entry y of T- is moved by q - p,
+    since y < p - k + i exactly when y + q - p < q - k + i."""
     k = setting.k
     if setting.family == UPQ:
-        dq, dp = k - setting.q, k - setting.p
+        shift = setting.q - setting.p
 
         def keys(T):
             t_plus, t_minus = T
-            return sorted(
-                [row[0] + dq for row in t_plus] + [row[0] + dp for row in t_minus]
-            )
+            return sorted([row[0] for row in t_plus] + [row[0] + shift for row in t_minus])
 
-    elif setting.family == MP:
-        d = k - setting.n
+        return keys, 1, setting.q - k
+    if setting.family == MP:
 
         def keys(T):
-            return sorted([x + d for row in T for x in row[:2]])
+            return sorted([x for row in T for x in row[:2]])
 
-    else:  # x < n - 1 - 2k + 2i exactly when (x - n + 1 + 2k) // 2 < i
-        d = 1 + 2 * k - setting.n
-
-        def keys(T):
-            return sorted([(row[0] + d) // 2 for row in T])
-
-    return keys
+        return keys, 1, setting.n - k
+    # ostar: the first column strictly increases, so it is its own sorted keys
+    return _first_column, 2, setting.n - 1 - 2 * k
 
 
 def alpha(setting, T, i):
@@ -214,25 +210,24 @@ def alpha(setting, T, i):
     the entries y of the first column of T- with y < p - k + i; for mp, the
     entries x of the first two columns of T with x < n - k + i; for ostar,
     the entries x of the first column of T with x < n - 1 - 2k + 2i."""
-    return bisect.bisect_left(_alpha_keys(setting)(T), i)
+    keys, step, base = _alpha_keys(setting)
+    return bisect.bisect_left(keys(T), step * i + base)
 
 
 @cache
 def _q_test(setting):
     """Membership in Q_k(sigma) as a predicate on T, for every label of the
     setting: the constraints alpha_i(T) < i for k - r < i <= k.  On the
-    sorted keys, alpha_i(T) >= i exactly when keys[i-1] < i, so each
-    constraint is one comparison; one with i above the number of keys holds."""
+    sorted keys, alpha_i(T) >= i exactly when keys[i-1] is below the bound
+    of constraint i, so each constraint is one comparison; one with i above
+    the number of keys holds, as the slice of keys stops there."""
     k = setting.k
     low = max(1, k - real_rank(setting) + 1)
-    keys_of = _alpha_keys(setting)
+    keys_of, step, base = _alpha_keys(setting)
+    bounds = range(step * low + base, step * k + base + 1, step)
 
     def test(T):
-        keys = keys_of(T)
-        for i in range(low, min(k, len(keys)) + 1):
-            if keys[i - 1] < i:
-                return False
-        return True
+        return all(map(operator.ge, keys_of(T)[low - 1 : k], bounds))
 
     return test
 
@@ -240,7 +235,8 @@ def _q_test(setting):
 def in_Q_definition(setting, sigma, T):
     """Membership in Q_k(sigma) straight from the defining constraints
     alpha_i(T) < i for k - r < i <= k.  The columns of T are read once and
-    every constraint is evaluated; the test depends on the setting alone.
+    the constraints are compared in turn up to the first that fails; the
+    test depends on the setting alone.
     It reads only the first columns of T+ and T- (upq), the first two
     columns of T (mp) or the first column of T (ostar), so enumerate_Q
     applies it once per class of tableaux that agree on those columns."""
@@ -353,15 +349,22 @@ def _T_classes(setting, sigma):
 
 
 def count_Q_enumeration(setting, sigma):
-    """len(enumerate_Q(setting, sigma)), listing nothing: the definition,
-    _q_test(setting), decides each column class of T(sigma), _T_classes,
-    once, and tableaux.column_classes sizes the class by one flagged
-    determinant of the rest of its tableaux."""
+    """len(enumerate_Q(setting, sigma)), listing only the class heads: the
+    definition, _q_test(setting), decides each column class of T(sigma),
+    _T_classes, once, and tableaux.column_classes sizes the class by one
+    flagged determinant of the rest of its tableaux.  Each T has _least_k
+    keys, and a constraint with i above that number holds, so where the
+    window (max(0, k - r), min(k, _least_k)] is empty every class is
+    admitted untested."""
     sigma = normalize_sigma(setting, sigma)
     if _classify(setting, sigma) != IN_SIGMA:
         return 0
+    classes = _T_classes(setting, sigma)
+    k = setting.k
+    if max(0, k - real_rank(setting)) >= min(k, _least_k(setting, sigma)):
+        return sum(size for _, size in classes)
     test = _q_test(setting)
-    return sum(size for key, size in _T_classes(setting, sigma) if test(key))
+    return sum(size for key, size in classes if test(key))
 
 
 # The (state, row-mask) pairs _count_Q_mp's scan may hold, summed over its
@@ -399,6 +402,7 @@ def _count_Q_mp(n, k, sigma):
         bound += comb(sum(sigma[i] - i + j - 2 >= 0 for i in range(c2)), j) * (k - 2 * m + 1)
     if bound > _MP_SCAN_PAIRS:
         raise ValueError(f"mp path-scan bound={bound} > limit {_MP_SCAN_PAIRS}")
+    diffs = [sigma[i] - 1 - i for i in range(c2)]  # rows 1..c2 of sigma less its first column
     states = {(0, 0): {0: 1}}
     for v in range(n - k + 1, n + 1):
         nxt = {}
@@ -408,8 +412,7 @@ def _count_Q_mp(n, k, sigma):
                     continue
                 j = min(x2, y2)
                 if min(x, y) < j <= c2:
-                    # column j with flag a_j = v; rows i = 1..c2
-                    col = [binomial(sigma[i] - i + j - 2 + n - v, sigma[i] - i + j - 2) for i in range(c2)]
+                    col = _flag_column(diffs, j - 1, n + 1 - v)  # flag a_j = v
                     out = {}
                     for mask, coeff in vec.items():
                         for i, w in enumerate(col):

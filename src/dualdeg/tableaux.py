@@ -87,31 +87,35 @@ def enumerate_ssyt(shape, max_entry):
 def column_classes(shape, max_entry, width):
     """The tableaux of enumerate_ssyt(shape, max_entry) by class, as a tuple
     of (key, count) in the order of enumerate_ssyt: key is the Tableau of
-    each row's first width entries, its head.  The keys are the SSYT of the
-    shape cut to width columns, listed by the _ssyt_blocks walk of the cut
-    shape.  The rest of a class is an SSYT of the tail, shape[i] - width
-    over the rows longer than width, whose row i holds entries in
-    [key[i][-1], max_entry]: one flagged determinant,
-    taken once per tuple of flags.  Repeating each flag along its row fills
-    the tail, so no class is empty; no tableau is built."""
+    each row's first width entries, its head.  The keys are the tableaux of
+    enumerate_ssyt(cut, max_entry), cut the shape cut to width columns, so
+    every shape with that cut shares one cached listing.  The rest of a
+    class is an SSYT of the tail, shape[i] - width over the rows longer than
+    width, whose row i holds entries in [key[i][-1], max_entry]: one flagged
+    determinant, taken once per tuple of flags, whose column j reads only j
+    and the flag of row j and is built once per call.  Repeating each flag
+    along its row fills the tail, so no class is empty; no tableau of the
+    shape is built."""
+    if width < 1:
+        raise ValueError("width must be >= 1")
     shape = check_partition(shape) if shape else ()
-    if max_entry < 0:
-        raise ValueError("max_entry must be >= 0")
-    if not shape:
-        return ((Tableau(()), 1),)
-    # a head is a valid tableau, so it is made as a bare tuple, as in enumerate_ssyt
-    trusted = tuple.__new__
-    keys = (trusted(Tableau, (*above, row))
-            for above, rows in _ssyt_blocks(tuple(min(x, width) for x in shape), max_entry) for row in rows)
     tail = [x - width for x in shape if x > width]
+    diffs = [x - i for i, x in enumerate(tail)]
     m = len(tail)
+    columns = {}  # (j, flag) -> column j of the class matrix
     sizes = {}
     out = []
-    for key in keys:
+    for key in enumerate_ssyt(tuple([min(x, width) for x in shape]), max_entry):
         flags = tuple([row[-1] for row in key[:m]])
         size = sizes.get(flags)
         if size is None:
-            size = sizes[flags] = _flagged_determinant(tail, [max_entry + 1 - a for a in flags], [0] * m)
+            cols = []
+            for j, a in enumerate(flags):
+                col = columns.get((j, a))
+                if col is None:
+                    col = columns[j, a] = _flag_column(diffs, j, max_entry + 1 - a)
+                cols.append(col)
+            size = sizes[flags] = determinant(list(zip(*cols)))
         out.append((key, size))
     return tuple(out)
 
@@ -261,21 +265,27 @@ def determinant(matrix):
     return sign * m[last][last] * divisors[last] // divisors[stage[last]]
 
 
+def _flag_column(diffs, offset, width):
+    """A column of a flagged Jacobi-Trudi matrix, the one entry formula of
+    _flagged_determinant, column_classes and the mp scan: C(e + width - 1, e)
+    for e = diffs[i] + offset, diffs[i] = parts[i] - i, 0 for e < 0 or
+    width < 1; h_e in width variables.  Column j of _flagged_determinant
+    has offset j + shifts[j]."""
+    if width < 1:
+        return [0] * len(diffs)
+    w = width - 1
+    return [math.comb(e + w, e) if (e := d + offset) >= 0 else 0 for d in diffs]
+
+
 def _flagged_determinant(parts, widths, shifts):
     """det[C(e + w_j - 1, e)], i, j from 0, e = parts[i] - i + j + shifts[j], w_j = widths[j]:
-    a flagged Jacobi-Trudi determinant of h_e in w_j variables, 0 for e < 0 or w_j < 1, for
-    weakly increasing shifts.  With no shifts and widths N + 1 - a_j, a weakly increasing, it
-    counts the SSYT of shape parts with entries <= N whose row i holds only entries >= a_i, as
-    nonintersecting paths (Wachs 1985)."""
-    cols = [(j + shift, width - 1) for j, (width, shift) in enumerate(zip(widths, shifts))]
-    offsets = [o for o, _ in cols]
-    matrix = []
-    for i, part in enumerate(parts):
-        # the offsets increase, so e < 0 exactly on the row's first `start` entries
-        start = bisect.bisect_left(offsets, i - part)
-        entries = [math.comb((e := part - i + o) + w, e) if w >= 0 else 0 for o, w in cols[start:]]
-        matrix.append([0] * start + entries)
-    return determinant(matrix)
+    a flagged Jacobi-Trudi determinant of h_e in w_j variables, 0 for e < 0 or w_j < 1, built
+    column by column with _flag_column.  With no shifts and widths N + 1 - a_j, a weakly
+    increasing, it counts the SSYT of shape parts with entries <= N whose row i holds only
+    entries >= a_i, as nonintersecting paths (Wachs 1985)."""
+    diffs = [part - i for i, part in enumerate(parts)]
+    cols = [_flag_column(diffs, j + shift, width) for j, (width, shift) in enumerate(zip(widths, shifts))]
+    return determinant(list(zip(*cols)))
 
 
 class IntPolynomial(tuple):

@@ -285,16 +285,27 @@ def test_q_collapse_check_sees_a_dropped_tableau(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "setting, sigma", [(upq(2, 3, 3), ((2, 1), (1,))), (mp(3, 4), (2, 1)), (ostar(7, 3), (2, 1))]
+    "setting, sigma",
+    [(upq(2, 3, 3), ((2, 1), (1,))), (mp(3, 4), (2, 1)), (ostar(7, 3), (2, 1)), (mp(3, 4), (3, 1))],
 )
 def test_q_enumeration_lists_no_tableau(monkeypatch, setting, sigma):
-    # k = 3 shuts the jellyfish gate; the q-enumeration check counts classes
+    # k >= 3 shuts the jellyfish gate; the q-enumeration check counts classes.
+    # It lists the heads, the tableaux of the shape cut to the class width
+    # (2 for mp, else 1), and no shape with a longer part
+    width = 2 if setting.family == dualpair.MP else 1
+    listing = tableaux.enumerate_ssyt
+
     def refuse(*args):
         raise RuntimeError("listed a tableau")
 
+    def refuse_wide(shape, max_entry):
+        if shape and shape[0] > width:
+            refuse()
+        return listing(shape, max_entry)
+
     tableaux.column_classes.cache_clear()
     for module in (tableaux, dualpair):
-        monkeypatch.setattr(module, "enumerate_ssyt", refuse)
+        monkeypatch.setattr(module, "enumerate_ssyt", refuse_wide)
     monkeypatch.setattr(dualpair, "enumerate_Q", refuse)
     checks = {c.name: c for c in bernstein_degree(setting, sigma).cross_checks}
     assert checks["jellyfish"].status == "skipped"
@@ -396,14 +407,23 @@ def test_criteria_read_only_the_head():
 
 
 def test_jellyfish_check_lists_no_tableau(monkeypatch):
+    # the upq and ostar heads are first columns: no listed shape has a part above 1
+    listing = tableaux.enumerate_ssyt
+
     def refuse(*args):
         raise RuntimeError("listed a tableau")
 
+    def refuse_wide(shape, max_entry):
+        if shape and shape[0] > 1:
+            refuse()
+        return listing(shape, max_entry)
+
     tableaux.column_classes.cache_clear()
     for module in (tableaux, dualpair):
-        monkeypatch.setattr(module, "enumerate_ssyt", refuse)
+        monkeypatch.setattr(module, "enumerate_ssyt", refuse_wide)
     monkeypatch.setattr(dualpair, "_enumerate_T", refuse)
-    for setting, sigma in ((upq(2, 3, 2), ((1,), (1,))), (ostar(5, 1), (1,))):
+    for setting, sigma in ((upq(2, 3, 2), ((1,), (1,))), (upq(2, 3, 2), ((2,), (1,))),
+                           (ostar(5, 1), (1,)), (ostar(5, 1), (2,))):
         checks = {c.name: c for c in bernstein_degree(setting, sigma).cross_checks}
         assert checks["jellyfish"].status == "pass", (setting, checks["jellyfish"])
 

@@ -1,5 +1,6 @@
 """Tests for the dual-pair settings, Q_k(sigma), and its counting formulas."""
 
+import bisect
 import importlib.util
 import itertools
 from fractions import Fraction
@@ -386,7 +387,8 @@ def test_class_count_listing_and_path_count_agree(case):
 )
 def test_class_count_reads_no_closed_form(monkeypatch, setting, sigma):
     # the oracle stays independent of the path counts and the Weyl products.
-    # It shares _flagged_determinant with count_Q_determinant; the listings,
+    # It shares the kernel of _flagged_determinant, the entry formula
+    # _flag_column and determinant, with count_Q_determinant; the listings,
     # which take no determinant, hold that kernel: here, in
     # test_class_count_listing_and_path_count_agree and in test_tableaux.py
     want = len(enumerate_Q(setting, sigma))
@@ -400,6 +402,70 @@ def test_class_count_reads_no_closed_form(monkeypatch, setting, sigma):
         monkeypatch.setattr(module, name, refuse)
     column_classes.cache_clear()
     assert count_Q_enumeration(setting, sigma) == want
+
+
+def _sorted_alpha_keys(setting, T):
+    """alpha's keys as they were before the bounds moved into _alpha_keys:
+    each entry moved by its i-independent offset, so that it counts toward
+    alpha_i exactly when its key is below i, and sorted for every family."""
+    k = setting.k
+    if setting.family == UPQ:
+        t_plus, t_minus = T
+        return sorted([row[0] + k - setting.q for row in t_plus] + [row[0] + k - setting.p for row in t_minus])
+    if setting.family == MP:
+        return sorted([x + k - setting.n for row in T for x in row[:2]])
+    return sorted([(row[0] + 1 + 2 * k - setting.n) // 2 for row in T])
+
+
+def _sorted_keys_q_test(setting, T):
+    """_q_test as it was on the sorted keys: constraint i, k - r < i <= k,
+    fails when keys[i-1] < i, and holds when i is above the number of keys.
+    The oracle of the reworked predicate and of the empty-window count."""
+    k = setting.k
+    keys = _sorted_alpha_keys(setting, T)
+    return all(keys[i - 1] >= i for i in range(max(1, k - real_rank(setting) + 1), min(k, len(keys)) + 1))
+
+
+@st.composite
+def window_edges(draw):
+    """A dual-pair setting, one of its labels of size at most 5, and a k at
+    which the constraint window (max(0, k - r), min(k, l)] holds one value
+    (k - r + 1 = l) or none (k - r + 1 = l + 1), or any admissible k; l is
+    _least_k of the label."""
+    family = draw(st.sampled_from([UPQ, MP, OSTAR]))
+    if family == UPQ:
+        base = upq(draw(st.integers(1, 4)), draw(st.integers(1, 4)), 0)
+    elif family == MP:
+        base = mp(draw(st.integers(1, 4)), 0)
+    else:
+        base = ostar(draw(st.integers(2, 8)), 0)
+    high = free_threshold(base) + 2
+    sigma = draw(st.sampled_from(list(iter_sigmas(base._replace(k=high), 5))))
+    least, r = dualpair._least_k(base, normalize_sigma(base, sigma)), real_rank(base)
+    k = draw(st.sampled_from([least + r - 1, least + r, draw(st.integers(max(least, 1), high))]))
+    return base._replace(k=k), sigma
+
+
+@settings(max_examples=150, deadline=None)
+@given(window_edges())
+def test_q_test_and_count_match_the_sorted_keys(case):
+    setting, sigma = case
+    label = normalize_sigma(setting, sigma)
+    test = _q_test(setting)
+    k = setting.k
+    heads = dualpair._T_classes(setting, label)
+    for key, _ in heads:
+        assert test(key) == _sorted_keys_q_test(setting, key), (setting, sigma, key)
+    listing = dualpair._enumerate_T(setting, label)
+    for T in listing:
+        assert test(T) == _sorted_keys_q_test(setting, T) == in_Q_definition(setting, sigma, T), (setting, sigma, T)
+        keys = _sorted_alpha_keys(setting, T)
+        assert [alpha(setting, T, i) for i in range(-1, k + 3)] == [
+            bisect.bisect_left(keys, i) for i in range(-1, k + 3)
+        ], (setting, sigma, T)
+    count = count_Q_enumeration(setting, sigma)
+    assert count == sum(size for key, size in heads if _sorted_keys_q_test(setting, key))
+    assert count == sum(_sorted_keys_q_test(setting, T) for T in listing)
 
 
 @st.composite

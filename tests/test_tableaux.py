@@ -21,6 +21,7 @@ from dualdeg.repdims import dim_gl
 from dualdeg.tableaux import (
     IntPolynomial,
     Tableau,
+    _flagged_determinant,
     _ssyt_blocks,
     binomial,
     check_partition,
@@ -277,6 +278,9 @@ def test_column_classes_edges():
     with pytest.raises(TypeError):
         classes[0] = ((), 1)
     assert sum(count for _, count in column_classes((2, 1), 3, 1)) == 8
+    for shape, width in (((), 0), ((2, 1), 0), ((2, 1), -1)):
+        with pytest.raises(ValueError, match="width must be >= 1"):
+            column_classes(shape, 3, width)
     # one block of 1201 rows, under the default recursion limit
     limit = sys.getrecursionlimit()
     assert column_classes((1200,), 2, 1) == ((((1,),), 1200), (((2,),), 1))
@@ -330,6 +334,74 @@ def test_column_classes_of_tall_labels():
         classes = column_classes(shape, max_entry, width)
         assert classes == walk_column_classes(shape, max_entry, width)
         assert sum(count for _, count in classes) == dim_gl(max_entry, pad(shape, max_entry))
+
+
+def flagged_determinant_by_rows(parts, widths, shifts):
+    """_flagged_determinant as it built its matrix row by row, each entry
+    from the formula: the oracle of the shared column build."""
+    return determinant([
+        [math.comb(e + w - 1, e) if e >= 0 and w >= 1 else 0
+         for j, (w, shift) in enumerate(zip(widths, shifts)) for e in [part - i + j + shift]]
+        for i, part in enumerate(parts)
+    ])
+
+
+def classes_by_flag_determinants(shape, max_entry, width):
+    """column_classes by its old route: the heads from the _ssyt_blocks walk
+    of the cut shape, each class sized by its own call of
+    _flagged_determinant(tail, [N + 1 - a], [0] * m), once per tuple of flags."""
+    cut = tuple(min(x, width) for x in shape)
+    tail = [x - width for x in shape if x > width]
+    m = len(tail)
+    heads = [(*above, row) for above, rows in _ssyt_blocks(cut, max_entry) for row in rows] if shape else [()]
+    sizes = {}
+    out = []
+    for head in heads:
+        flags = tuple(row[-1] for row in head[:m])
+        if flags not in sizes:
+            sizes[flags] = _flagged_determinant(tail, [max_entry + 1 - a for a in flags], [0] * m)
+        out.append((Tableau(head), sizes[flags]))
+    return tuple(out)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(partitions_up_to(9)), st.integers(0, 8), st.sampled_from((1, 2)))
+def test_column_classes_match_the_flag_determinants(shape, max_entry, width):
+    assert column_classes(shape, max_entry, width) == classes_by_flag_determinants(shape, max_entry, width)
+
+
+def test_column_classes_of_tall_labels_match_the_flag_determinants():
+    for shape, max_entry, width in (((2,) * 98, 99, 1), ((3,) * 28, 29, 2)):
+        assert column_classes(shape, max_entry, width) == classes_by_flag_determinants(shape, max_entry, width)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(partitions_up_to(9)), st.integers(0, 8), st.sampled_from((1, 2)))
+def test_column_class_keys_are_the_cut_listing(shape, max_entry, width):
+    # the keys are the cached tableaux of the cut shape themselves, in order;
+    # cleared first, since a test may have cleared the listing's cache
+    column_classes.cache_clear()
+    keys = [key for key, _ in column_classes(shape, max_entry, width)]
+    listing = enumerate_ssyt(tuple(min(x, width) for x in shape), max_entry)
+    assert len(keys) == len(listing) and all(key is t for key, t in zip(keys, listing))
+
+
+@st.composite
+def flagged_matrices(draw):
+    """n parts in [-4, 6] (the upq path count passes negative ones), and n
+    widths in [-1, 6] and shifts in [0, 4], one of each per column."""
+    n = draw(st.integers(0, 6))
+    parts = draw(st.lists(st.integers(-4, 6), min_size=n, max_size=n))
+    widths = draw(st.lists(st.integers(-1, 6), min_size=n, max_size=n))
+    shifts = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+    return parts, widths, shifts
+
+
+@settings(max_examples=300, deadline=None)
+@given(flagged_matrices())
+def test_flagged_determinant_matches_the_row_build(case):
+    parts, widths, shifts = case
+    assert _flagged_determinant(parts, widths, shifts) == flagged_determinant_by_rows(parts, widths, shifts)
 
 
 def test_exact_quotient():
