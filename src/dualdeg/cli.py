@@ -12,7 +12,8 @@ from json.encoder import encode_basestring_ascii
 from . import degree, diagrams, dualpair, jellyfish, posets, repdims
 
 # the most objects enumerate lists: the dim F_lambda tableaux of T(sigma) for
-# q and jellyfish, the #P_k plane partitions or facets of a dual pair for p and facets
+# q and jellyfish, then the jellyfish themselves, the #P_k plane partitions or
+# facets of a dual pair for p and facets
 LISTING_BUDGET = 10**6
 
 
@@ -203,6 +204,10 @@ def _check_listing_size(setting, sigma=None):
         if dualpair._classify(setting, label) != dualpair.IN_SIGMA:
             return
         name, size = "dim F_lambda", repdims._dim_F(setting, label)
+    _check_budget(name, size)
+
+
+def _check_budget(name, size):
     if size > LISTING_BUDGET:
         raise ValueError(f"{name}={size} > listing budget {LISTING_BUDGET}")
 
@@ -225,17 +230,23 @@ def cmd_enumerate(args):
         serialize = lambda f: {"points": serialize_points(f.points)}
     else:  # jellyfish
         sigma = sigma_from_args(setting, args)
-        if setting.family in jellyfish.FAMILIES:  # else enumerate_jellyfish names the family
+        if setting.family in jellyfish.FAMILIES:  # else count_jellyfish names the family
             _check_listing_size(setting, sigma)
-        objects = jellyfish.enumerate_jellyfish(setting, sigma)
+        # the exact count, one path-count determinant per endpoint datum, so
+        # only the printed jellyfish are listed
+        count = jellyfish.count_jellyfish(setting, sigma)
+        _check_budget("#jellyfish", count)
+        objects = jellyfish.iter_jellyfish(setting, sigma)
         serialize = lambda j: {
             "tableau": serialize_tableau(setting, j.tableau),
             "facet": serialize_points(j.family.points),
         }
-    # count the whole listing, but serialize and keep only what is printed
+    # serialize and keep only what is printed; count the whole listing unless
+    # the count was read above
     objects = iter(objects)
     items = [serialize(x) for x in itertools.islice(objects, args.limit)]
-    count = len(items) + sum(1 for _ in objects)
+    if kind != "jellyfish":
+        count = len(items) + sum(1 for _ in objects)
     emit({"count": count, "truncated": len(items) < count, "items": items}, args.format)
     return 0
 

@@ -2,9 +2,9 @@
 path families, whose maximal members count the Bernstein degree directly.
 
 Everything here works in root-label coordinates (i, j), with lattice paths
-stepping southeast: (i, j) -> (i+1, j) or (i, j+1), drawn by the path engine
-of posets.  Only the unitary and star-orthogonal families carry this
-structure.
+stepping southeast: (i, j) -> (i+1, j) or (i, j+1), listed by the path engine
+of posets and counted by the path tables below.  Only the unitary and
+star-orthogonal families carry this structure.
 """
 
 from collections import namedtuple
@@ -14,6 +14,7 @@ from types import MappingProxyType
 from . import diagrams, dualpair
 from .dualpair import OSTAR, UPQ, free_threshold
 from .posets import PathFamily, disjoint_products, lattice_paths
+from .tableaux import determinant
 
 
 # the families that carry jellyfish
@@ -61,6 +62,7 @@ def _ostar_b_list(n, k):
     return tuple(n if t < 2 * (k + 1) - n else 2 * (k + 1) - t for t in range(1, k + 1))
 
 
+@cache
 def _starts(setting, k):
     """The k path starting points on the inner boundary of the region."""
     if setting.family == UPQ:
@@ -192,7 +194,7 @@ def _families_by_endpoints(setting, k):
     _check_family(setting)
     _check_k(setting, k)
     starts = _starts(setting, k)
-    fixed = _region(setting, k) - set(starts)
+    fixed = _fixed(setting, k)
     points, outer = _points(setting), _outer(setting)
     candidates = [lattice_paths(start, points, outer) for start in starts]
     grouped = {}
@@ -205,6 +207,88 @@ def _families_by_endpoints(setting, k):
     return MappingProxyType({key: tuple(families) for key, families in grouped.items()})
 
 
+def _diagonal(point):
+    """r - c: the order of starts and ends along the boundaries, northeast first."""
+    return point[0] - point[1]
+
+
+@cache
+def _path_counts(setting, k):
+    """Read-only map from each point of _points(setting) to the tuple of the
+    numbers of east/south paths inside the points from each start of
+    _starts(setting, k) to it, the starts taken by r - c: one pass over the
+    points in row order, each adding its west and north neighbours' counts.
+
+    These are the entries of the Lindstrom-Gessel-Viennot determinant
+    det[paths(start_s -> end_t)] with the ends of a key also taken by r - c,
+    which counts the path families of the key.  The points past the
+    boundary diagonal form a simply connected region, with the starts along
+    its inner edge and the ends along its outer edges, each in r - c order
+    from northeast to southwest; a start pinned to an outer edge is its own
+    end, first in both orders on the east edge and last on the south edge.
+    A path from start s to end e cuts the region in two, so a later start
+    reaches an earlier end only by crossing it: disjoint east/south paths
+    join the t-th start to the t-th end, the identity is the one
+    permutation with a disjoint family, and the determinant counts the
+    families (Lindstrom 1973; Gessel-Viennot 1985).  Taken in the row order
+    of _starts the starts give the wrong sign on some keys."""
+    index = {start: t for t, start in enumerate(sorted(_starts(setting, k), key=_diagonal))}
+    zero = (0,) * k
+    counts = {}
+    for r, c in sorted(_points(setting)):
+        row = [a + b for a, b in zip(counts.get((r, c - 1), zero), counts.get((r - 1, c), zero))]
+        t = index.get((r, c))
+        if t is not None:
+            row[t] += 1
+        counts[r, c] = tuple(row)
+    return MappingProxyType(counts)
+
+
+def _end_points(setting, end):
+    """The end points of endpoint data: south columns j at (p, j) and east
+    rows i at (i, q) for upq, east rows i at (i, n) for ostar."""
+    if setting.family == OSTAR:
+        return [(i, setting.n) for i in end.east]
+    return [(setting.p, j) for j in end.south] + [(i, setting.q) for i in end.east]
+
+
+@cache
+def _fixed(setting, k):
+    """The points of the region that every family holds besides its paths."""
+    return _region(setting, k) - set(_starts(setting, k))
+
+
+def _family_size(setting, k, end):
+    """The size of every path family with endpoint data end (that has one):
+    sum_t (|e_t - s_t|_1 + 1) + |fixed|, where each e_t >= s_t."""
+    ends, starts = _end_points(setting, end), _starts(setting, k)
+    return sum(map(sum, ends)) - sum(map(sum, starts)) + k + len(_fixed(setting, k))
+
+
+def _family_number(setting, k, end):
+    """The number of path families with endpoint data end, without listing
+    them: the determinant of _path_counts over its ends."""
+    counts, zero = _path_counts(setting, k), (0,) * k
+    return determinant([counts.get(e, zero) for e in sorted(_end_points(setting, end), key=_diagonal)])
+
+
+def _families_ending_at(setting, k, end):
+    """The path families with endpoint data end, in the order of
+    _families_by_endpoints(setting, k)[end], built from the paths start_t ->
+    end_t alone: the t-th start by r - c reaches the t-th end
+    (_path_counts), and each path stays in the box of points between them."""
+    starts = _starts(setting, k)
+    pairs = dict(zip(sorted(starts, key=_diagonal), sorted(_end_points(setting, end), key=_diagonal)))
+    points = _points(setting)
+    candidates = []
+    for start in starts:
+        last_r, last_c = pairs[start]
+        box = {(r, c) for r, c in points if r <= last_r and c <= last_c}
+        candidates.append(lattice_paths(start, box, {(last_r, last_c)}))
+    fixed = _fixed(setting, k)
+    return tuple(PathFamily(pts | fixed, combo) for combo, pts in disjoint_products(candidates))
+
+
 def enumerate_F(setting, k):
     """All path families at level k, deduplicated by point set."""
     by_pts = {}
@@ -214,10 +298,11 @@ def enumerate_F(setting, k):
     return sorted(by_pts.values(), key=lambda f: sorted(f.points))
 
 
-@cache
 def max_family_size(setting, k):
-    """The common cardinality d_k of the largest path families."""
-    return max(len(f) for families in _families_by_endpoints(setting, k).values() for f in families)
+    """The common cardinality d_k of the largest path families, dim p+ - |D_k|."""
+    _check_family(setting)
+    _check_k(setting, k)
+    return diagrams.dim_p_plus(setting) - len(diagrams.diagram_D(setting, k))
 
 
 def enumerate_maximal_F(setting, k):
@@ -233,18 +318,29 @@ class Jellyfish(namedtuple("Jellyfish", "tableau family")):
     __slots__ = ()
 
 
-def enumerate_jellyfish(setting, sigma):
-    """All jellyfish of shape sigma: pairs (T, F) with F realizing end(T)."""
+def iter_jellyfish(setting, sigma):
+    """The jellyfish of shape sigma, pairs (T, F) with F realizing end(T),
+    one at a time, checked and set up at the call.  The families are built
+    only for the endpoint data that the tableaux reach, once per datum,
+    _families_ending_at."""
     _check_family(setting)
     _check_k(setting, setting.k)
     sigma = dualpair.nonzero_label(setting, sigma)
-    grouped = _families_by_endpoints(setting, setting.k)
     ends = _end_map(setting, sigma)
-    out = []
-    for T in dualpair._enumerate_T(setting, sigma):
-        for f in grouped.get(ends(T), []):
-            out.append(Jellyfish(T, f))
-    return out
+    built = {}
+
+    def families(T):
+        end = ends(T)
+        if end not in built:
+            built[end] = _families_ending_at(setting, setting.k, end)
+        return built[end]
+
+    return (Jellyfish(T, f) for T in dualpair._enumerate_T(setting, sigma) for f in families(T))
+
+
+def enumerate_jellyfish(setting, sigma):
+    """All jellyfish of shape sigma, as a list."""
+    return list(iter_jellyfish(setting, sigma))
 
 
 def enumerate_maximal_jellyfish(setting, sigma):
@@ -253,27 +349,41 @@ def enumerate_maximal_jellyfish(setting, sigma):
     return [j for j in enumerate_jellyfish(setting, sigma) if len(j.family) == d]
 
 
-def multiplicity_from_jellyfish(setting, sigma):
-    """#(maximal jellyfish), which equals the Bernstein degree, listing no
-    jellyfish and no tableau.  end(T) reads only the first column of T (of
-    T+ and T- for upq), so it is one value on each column class of T(sigma),
-    dualpair._T_classes, and a class of size a adds a times the number of
-    maximal families realizing end(key), which is taken once per endpoint
-    datum.  The class sizes are flagged determinants, the kernel of
-    dualpair.count_Q_determinant; the listing enumerate_maximal_jellyfish
-    checks them in the tests."""
+def _count_jellyfish(setting, sigma, maximal):
+    """The jellyfish of sigma, or only the maximal ones, counted without
+    listing a jellyfish or a tableau.  end(T) reads only the first column of
+    T (of T+ and T- for upq), so it is one value on each column class of
+    T(sigma), dualpair._T_classes, and a class of size a adds a times the
+    number of families realizing end(key), _family_number, taken once per
+    endpoint datum; for the maximal count, only where their size,
+    _family_size, is d_k."""
     _check_family(setting)
-    _check_k(setting, setting.k)
+    k = setting.k
+    _check_k(setting, k)
     sigma = dualpair.nonzero_label(setting, sigma)
-    grouped = _families_by_endpoints(setting, setting.k)
-    d = max_family_size(setting, setting.k)
+    d = max_family_size(setting, k) if maximal else None
     ends = _end_map(setting, sigma)
-    maximal = {}
+    weights = {}
     total = 0
     for key, size in dualpair._T_classes(setting, sigma):
         end = ends(key)
-        weight = maximal.get(end)
+        weight = weights.get(end)
         if weight is None:
-            weight = maximal[end] = sum(len(f) == d for f in grouped.get(end, ()))
+            sized = d is None or _family_size(setting, k, end) == d
+            weight = weights[end] = _family_number(setting, k, end) if sized else 0
         total += weight * size
     return total
+
+
+def count_jellyfish(setting, sigma):
+    """len(enumerate_jellyfish(setting, sigma)), listing no jellyfish."""
+    return _count_jellyfish(setting, sigma, maximal=False)
+
+
+def multiplicity_from_jellyfish(setting, sigma):
+    """#(maximal jellyfish), which equals the Bernstein degree, listing no
+    jellyfish, tableau or path family.  Its #P side is the D_0 path count of
+    _family_number, independent of the hook product; the class sizes are
+    flagged determinants, the kernel of dualpair.count_Q_determinant.  The
+    listing enumerate_maximal_jellyfish checks both in the tests."""
+    return _count_jellyfish(setting, sigma, maximal=True)

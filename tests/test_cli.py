@@ -641,19 +641,40 @@ def test_enumerate_refuses_a_tableau_set_above_the_listing_budget(monkeypatch, k
 
 
 @pytest.mark.parametrize(
-    "argv, t_size, count",
+    "argv, name, size, count",
     [
-        ("enumerate q --family ostar --n 3 --k 1 --sigma 1", 3, 2),
-        ("enumerate jellyfish --family upq --p 2 --q 2 --k 1 --sigma-plus 1", 2, 3),
+        ("enumerate q --family ostar --n 3 --k 1 --sigma 1", "dim F_lambda", 3, 2),
+        # 2 tableaux, 3 jellyfish: the jellyfish count is the larger size
+        ("enumerate jellyfish --family upq --p 2 --q 2 --k 1 --sigma-plus 1", "#jellyfish", 3, 3),
     ],
     ids=["q", "jellyfish"],
 )
-def test_enumerate_lists_at_the_listing_budget(monkeypatch, argv, t_size, count):
-    monkeypatch.setattr(cli, "LISTING_BUDGET", t_size)
+def test_enumerate_lists_at_the_listing_budget(monkeypatch, argv, name, size, count):
+    monkeypatch.setattr(cli, "LISTING_BUDGET", size)
     code, out = run_cli(argv.split())
     assert code == 0 and json.loads(out)["count"] == count
-    monkeypatch.setattr(cli, "LISTING_BUDGET", t_size - 1)
-    assert run_cli_err(argv.split()) == (2, "", f"error: dim F_lambda={t_size} > listing budget {t_size - 1}\n")
+    monkeypatch.setattr(cli, "LISTING_BUDGET", size - 1)
+    assert run_cli_err(argv.split()) == (2, "", f"error: {name}={size} > listing budget {size - 1}\n")
+
+
+def test_enumerate_jellyfish_reads_the_jellyfish_count_before_listing(monkeypatch):
+    # dim F_lambda is small, the number of jellyfish is not: the call counts
+    # them by path-count determinants and lists only what it prints
+    code, out = run_cli("enumerate jellyfish --family upq --p 7 --q 7 --k 3 --sigma-plus 1 --limit 1".split())
+    payload = json.loads(out)
+    assert (code, payload["count"], payload["truncated"], len(payload["items"])) == (0, 165_816, True, 1)
+
+    def refuse(*args):
+        raise RuntimeError("listed a path family")
+
+    for name in ("_families_by_endpoints", "lattice_paths", "disjoint_products"):
+        monkeypatch.setattr(jellyfish, name, refuse)
+    argv = "enumerate jellyfish --family upq --p 8 --q 8 --k 4 --sigma-plus 1 --limit 1".split()
+    assert run_cli_err(argv) == (2, "", "error: #jellyfish=2345112 > listing budget 1000000\n")
+    # the dim F_lambda gate comes first: 2 tableaux, 3 jellyfish
+    monkeypatch.setattr(cli, "LISTING_BUDGET", 1)
+    argv = "enumerate jellyfish --family upq --p 2 --q 2 --k 1 --sigma-plus 1".split()
+    assert run_cli_err(argv) == (2, "", "error: dim F_lambda=2 > listing budget 1\n")
 
 
 @pytest.mark.parametrize("kind", ["p", "facets"])

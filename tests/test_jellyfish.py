@@ -18,7 +18,7 @@ from dualdeg.jellyfish import (
     multiplicity_from_jellyfish,
     split_k,
 )
-from dualdeg.tableaux import Tableau
+from dualdeg.tableaux import Tableau, determinant
 
 
 def test_family_restrictions():
@@ -234,3 +234,139 @@ def test_end_map_reads_only_the_first_column():
         for T in dualpair.enumerate_T(setting, label):
             head = tuple(map(_first_column, T)) if setting.family == dualpair.UPQ else _first_column(T)
             assert ends(T) == ends(head), (setting, sigma, T)
+
+
+# the listing oracles that the path-count determinants replaced: d_k as the
+# largest listed family, and a key's maximal families by tally
+def max_family_size_by_listing(setting, k):
+    return max(len(f) for families in jellyfish._families_by_endpoints(setting, k).values() for f in families)
+
+
+def maximal_families_by_listing(setting, k, end, d):
+    return sum(len(f) == d for f in jellyfish._families_by_endpoints(setting, k).get(end, ()))
+
+
+# upq p <= 5, q <= 6 and ostar n <= 9, at every 1 <= k < s
+LGV_LEVELS = [
+    (base._replace(k=k), k)
+    for base in [upq(p, q, 0) for p in range(1, 6) for q in range(1, 7)] + [ostar(n, 0) for n in range(2, 10)]
+    for k in range(1, free_threshold(base))
+]
+
+
+def test_path_count_determinants_match_the_listing():
+    # every endpoint key: the LGV count of all its families and of its
+    # maximal ones, and the families built from its own paths, in order
+    keys = 0
+    for setting, k in LGV_LEVELS:
+        d = max_family_size_by_listing(setting, k)
+        assert max_family_size(setting, k) == d, (setting, k)
+        for end, families in jellyfish._families_by_endpoints(setting, k).items():
+            number = jellyfish._family_number(setting, k, end)
+            assert number == len(families), (setting, k, end)
+            assert {len(f) for f in families} == {jellyfish._family_size(setting, k, end)}, (setting, k, end)
+            maximal = number if jellyfish._family_size(setting, k, end) == d else 0
+            assert maximal == maximal_families_by_listing(setting, k, end, d), (setting, k, end)
+            assert jellyfish._families_ending_at(setting, k, end) == families, (setting, k, end)
+            keys += 1
+    assert keys == 4_046
+
+
+def test_path_counts_in_the_row_order_of_starts_miss_the_sign():
+    # the pairing by r - c is what makes the determinant a count: upq(3, 4)
+    # at k = 2 has its starts (1, 2), (2, 1) in row order, and (1, 2) first
+    # by r - c; its one family joins (1, 2) to (1, 4) and (2, 1) to (3, 1)
+    setting, k = upq(3, 4, 2), 2
+    assert jellyfish._starts(setting, k) == ((1, 2), (2, 1))
+    counts = jellyfish._path_counts(setting, k)
+    end = Endpoints(south=(1,), east=(1,))
+    rows = [counts[1, 4], counts[3, 1]]  # the ends by r - c
+    assert rows == [(1, 0), (0, 1)]
+    assert jellyfish._family_number(setting, k, end) == len(jellyfish._families_by_endpoints(setting, k)[end]) == 1
+    assert determinant([row[::-1] for row in rows]) == -1  # starts in row order
+
+
+def test_count_jellyfish_matches_the_listing_on_small_labels():
+    # every label of size <= 4 of upq p <= 4, q <= 5 and ostar n <= 8 at every k < s
+    labels = 0
+    for base in [upq(p, q, 0) for p in range(1, 5) for q in range(1, 6)] + [ostar(n, 0) for n in range(2, 9)]:
+        for k in range(1, free_threshold(base)):
+            setting = base._replace(k=k)
+            d = max_family_size(setting, k)
+            for sigma in iter_sigmas(setting, 4):
+                listed = enumerate_jellyfish(setting, sigma)
+                assert jellyfish.count_jellyfish(setting, sigma) == len(listed), (setting, sigma)
+                maximal = sum(len(j.family) == d for j in listed)
+                assert multiplicity_from_jellyfish(setting, sigma) == maximal, (setting, sigma)
+                labels += 1
+    assert labels == 1_881
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(JELLYFISH_CASES))
+def test_jellyfish_listing_keeps_the_order_of_the_endpoint_map(case):
+    # built per endpoint key, the listing is the one the cached endpoint map gave
+    setting, sigma = case
+    label = dualpair.nonzero_label(setting, sigma)
+    grouped = jellyfish._families_by_endpoints(setting, setting.k)
+    ends = jellyfish._end_map(setting, label)
+    want = [(T, f) for T in dualpair._enumerate_T(setting, label) for f in grouped.get(ends(T), ())]
+    assert enumerate_jellyfish(setting, sigma) == want, case
+
+
+def _refuse_listing(monkeypatch):
+    def refuse(*args):
+        raise RuntimeError("listed a path family")
+
+    for name in ("_families_by_endpoints", "lattice_paths", "disjoint_products"):
+        monkeypatch.setattr(jellyfish, name, refuse)
+    monkeypatch.setattr(posets, "lattice_paths", refuse)
+
+
+def test_jellyfish_check_lists_no_path_family(monkeypatch):
+    _refuse_listing(monkeypatch)
+    with pytest.raises(RuntimeError):
+        enumerate_jellyfish(ostar(5, 1), (1,))
+    for setting, sigma in ((upq(2, 3, 2), ((1,), (1,))), (upq(4, 2, 2), ((1,), ())), (ostar(6, 2), (2, 1))):
+        checks = {c.name: c for c in bernstein_degree(setting, sigma).cross_checks}
+        assert checks["jellyfish"].status == "pass", (setting, checks["jellyfish"])
+    # the count that the enumerate jellyfish gate reads
+    assert jellyfish.count_jellyfish(upq(7, 7, 3), ((1,), ())) == 165_816
+    assert jellyfish.count_jellyfish(upq(8, 8, 4), ((1,), ())) == 2_345_112
+
+
+@pytest.mark.parametrize(
+    "setting, sigma",
+    [(upq(12, 12, 6), ((2, 1), (1,))), (upq(20, 20, 10), ((3, 1), (2,))), (ostar(30, 10), (3, 2, 1))],
+    ids=["upq-12-12-k6", "upq-20-20-k10", "ostar-30-k10"],
+)
+def test_jellyfish_count_reaches_past_the_gate(monkeypatch, setting, sigma):
+    # k > 2 and |poset| > 20 shut the jellyfish gate of bernstein_degree; the
+    # path-count determinants still give the degree, listing no path family
+    _refuse_listing(monkeypatch)
+    report = bernstein_degree(setting, sigma)
+    assert {c.name: c.status for c in report.cross_checks}["jellyfish"] == "skipped"
+    assert multiplicity_from_jellyfish(setting, sigma) == report.degree
+
+
+def test_path_count_cache_cannot_be_corrupted():
+    setting, k = upq(3, 3, 2), 2
+    counts = jellyfish._path_counts(setting, k)
+    before = dict(counts)
+    with pytest.raises(TypeError):
+        counts[3, 3] = (0, 0)
+    with pytest.raises(AttributeError):
+        counts.clear()
+    with pytest.raises(TypeError):
+        counts[3, 3][0] = 0
+    assert isinstance(jellyfish._starts(setting, k), tuple)
+    assert isinstance(jellyfish._fixed(setting, k), frozenset)
+    assert jellyfish._path_counts(setting, k) is counts and dict(counts) == before
+
+
+def test_iter_jellyfish_checks_at_the_call():
+    with pytest.raises(ValueError):
+        jellyfish.iter_jellyfish(mp(5, 2), ())
+    with pytest.raises(ValueError):
+        jellyfish.iter_jellyfish(ostar(4, 1), (1, 1))
+    assert list(jellyfish.iter_jellyfish(ostar(5, 1), (1,))) == enumerate_jellyfish(ostar(5, 1), (1,))
