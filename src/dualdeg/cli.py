@@ -193,18 +193,20 @@ def cmd_degree(args):
 
 def _check_listing_size(setting, sigma=None):
     """ValueError naming the size, before anything is listed, above LISTING_BUDGET:
-    dim F_lambda for T(sigma), else #P_k for a dual pair.  A label that is no
-    nonzero label passes, and so does any other family: the listing reports them."""
+    dim F_lambda for T(sigma), else #P_k for a dual pair.  Returns the size
+    it read.  A label that is no nonzero label passes, and so does any other
+    family, with None: the listing reports them."""
     if sigma is None:
         if setting.family not in dualpair.DUAL_PAIR_FAMILIES:
-            return
+            return None
         name, size = "#P_k", diagrams.count_P_product(setting, setting.k)
     else:
         label = dualpair.normalize_sigma(setting, sigma)
         if dualpair._classify(setting, label) != dualpair.IN_SIGMA:
-            return
+            return None
         name, size = "dim F_lambda", repdims._dim_F(setting, label)
     _check_budget(name, size)
+    return size
 
 
 def _check_budget(name, size):
@@ -215,17 +217,20 @@ def _check_budget(name, size):
 def cmd_enumerate(args):
     setting = setting_from_args(args)
     kind = args.object
+    count = None  # the whole listing is counted unless a count is read first
     if kind == "q":
         sigma = sigma_from_args(setting, args)
         _check_listing_size(setting, sigma)
         objects = dualpair.enumerate_Q(setting, sigma)
         serialize = lambda T: serialize_tableau(setting, T)
     elif kind == "p":
-        _check_listing_size(setting)
+        # #P_k from the product formula for a dual pair, which the listing
+        # would count; None for the other families
+        count = _check_listing_size(setting)
         objects = diagrams.iter_P(setting, setting.k)
         serialize = serialize_pp
     elif kind == "facets":
-        _check_listing_size(setting)
+        count = _check_listing_size(setting)  # theta makes the facets as many as P_k
         objects = posets.iter_facets(setting, setting.k)
         serialize = lambda f: {"points": serialize_points(f.points)}
     else:  # jellyfish
@@ -241,11 +246,10 @@ def cmd_enumerate(args):
             "tableau": serialize_tableau(setting, j.tableau),
             "facet": serialize_points(j.family.points),
         }
-    # serialize and keep only what is printed; count the whole listing unless
-    # the count was read above
+    # serialize and keep only what is printed
     objects = iter(objects)
     items = [serialize(x) for x in itertools.islice(objects, args.limit)]
-    if kind != "jellyfish":
+    if count is None:
         count = len(items) + sum(1 for _ in objects)
     emit({"count": count, "truncated": len(items) < count, "items": items}, args.format)
     return 0

@@ -70,11 +70,46 @@ def _forced_paths(setting, k):
     return a, b, prefixes, tuple(tuple(x for x in points if x[1] == bc and x[0] > br) for br, bc in b)
 
 
+# One free segment of the theta frame: its anchor a_t, the antidiagonal
+# r + c = end it stops on, the last column it may step east into, the level
+# k - t whose excess turns it south, and the forced prefix and suffix.
+_Segment = namedtuple("_Segment", "anchor end last level prefix suffix")
+
+# What theta and theta_inverse read of one (setting, k): full when k >= r,
+# the root poset D_0, the diagram D_k and its column count, the forced
+# points every facet holds, the b anchors (None for mp) and the k segments.
+_Frame = namedtuple("_Frame", "full poset diagram columns forced b segments")
+
+
 @cache
-def _forced_points(setting, k):
-    """The points of the K_t prefixes and M_t suffixes, which every facet holds."""
-    _, _, prefixes, suffixes = _forced_paths(setting, k)
-    return frozenset().union(*prefixes, *suffixes)
+def _frame(setting, k):
+    """The theta frame of the setting at k, built once; cached, so all of it
+    is tuples and frozensets.  An mp segment ends on the main antidiagonal
+    before it reaches column n + 1; any other ends at b_t, stepping only
+    south once in its column."""
+    poset, diagram = diagrams.diagram_D(setting, 0), diagrams.diagram_D(setting, k)
+    columns = diagrams._dual_pair_shape(setting, k)[2]
+    if k >= real_rank(setting):
+        return _Frame(True, poset, diagram, columns, poset, None, ())
+    a, b, prefixes, suffixes = _forced_paths(setting, k)
+    segments = tuple(
+        _Segment(
+            anchor,
+            setting.n + 1 if b is None else sum(b[i]),
+            setting.n + 1 if b is None else b[i][1],
+            k - 1 - i,  # path t = i + 1 steps south past entries above k - t
+            prefixes[i],
+            suffixes[i],
+        )
+        for i, anchor in enumerate(a)
+    )
+    return _Frame(False, poset, diagram, columns, frozenset().union(*prefixes, *suffixes), b, segments)
+
+
+# ((setting, k, image points), the entries dict walked) of the last theta
+# walk, which theta_inverse reads to skip its closing walk; replaced whole,
+# so a reader never pairs one walk's key with another walk's entries
+_theta_slot = (None, None)
 
 
 def lattice_paths(start, points, ends):
@@ -133,8 +168,9 @@ def iter_facets(setting, k):
     _require_dual_pair(setting)
     if k < 1:
         raise ValueError("k must be >= 1")
-    points = diagrams.diagram_D(setting, 0)
-    if k >= real_rank(setting):
+    frame = _frame(setting, k)
+    points = frame.poset
+    if frame.full:
         return iter([PathFamily(points)])
     a, b, prefixes, suffixes = _forced_paths(setting, k)
     if b is None:
@@ -145,7 +181,7 @@ def iter_facets(setting, k):
             lattice_paths(start, {(r, c) for r, c in points if r <= end[0] and c <= end[1]}, {end})
             for start, end in zip(a, b)
         ]
-    forced = _forced_points(setting, k)
+    forced = frame.forced
     return (
         PathFamily(pts.union(forced), tuple(pre + seg + suf for pre, seg, suf in zip(prefixes, combo, suffixes)))
         for combo, pts in disjoint_products(candidates)
@@ -177,18 +213,16 @@ def _theta(setting, k, pp):
     """theta on a plane partition already validated for the setting and k.
     The free segment of path t walks from a_t; at (r, c) it reads the box
     (x, y) = (r - ar + 1, c - ac + 1) of D_k and steps south when that entry
-    exceeds k - t, east otherwise.  It ends on the main antidiagonal for mp,
-    and at b_t otherwise, stepping only south once in the column of b_t."""
-    if k >= real_rank(setting):
-        return PathFamily(diagrams.diagram_D(setting, 0))
-    a, b, prefixes, suffixes = _forced_paths(setting, k)
-    entry = pp.entries.copy().get  # a dict's get is quicker than the read-only view's
+    exceeds k - t, east otherwise, until it reaches its end antidiagonal.
+    The walk leaves its key and the entries it read in _theta_slot."""
+    global _theta_slot
+    frame = _frame(setting, k)
+    if frame.full:
+        return PathFamily(frame.poset)
+    walked = pp.entries.copy()  # a dict's get is quicker than the read-only view's
+    entry = walked.get
     paths, segments = [], []
-    for i, (r, c) in enumerate(a):
-        level = k - 1 - i  # path t = i + 1 steps south past entries above k - t
-        # the antidiagonal r + c = end and the last column of the segment;
-        # an mp segment ends before it reaches column n + 1
-        end, last = (setting.n + 1, setting.n + 1) if b is None else (sum(b[i]), b[i][1])
+    for (r, c), end, last, level, prefix, suffix in frame.segments:
         x = y = 1
         segment = [(r, c)]
         while r + c < end:
@@ -201,8 +235,10 @@ def _theta(setting, k, pp):
                 x += 1
             segment.append((r, c))
         segments.append(segment)
-        paths.append(prefixes[i] + tuple(segment) + suffixes[i])
-    return PathFamily(_forced_points(setting, k).union(*segments), tuple(paths))
+        paths.append(prefix + tuple(segment) + suffix)
+    image = PathFamily(frame.forced.union(*segments), tuple(paths))
+    _theta_slot = ((setting, k, image.points), walked)
+    return image
 
 
 def decompose(setting, k, points):
@@ -249,26 +285,29 @@ def theta_inverse(setting, k, family):
     prefix maximum, so it does not fall from column y to y + 1 and no entry
     exceeds its east neighbour; and no more depths reach x + 1 than reach
     x, so no entry exceeds the one above it.  Whether the facet is the image
-    of that filling is checked by mapping it back through theta."""
+    of that filling is checked by mapping it back through theta, unless the
+    last theta walk was on this setting and k, returned these points, and
+    read this very filling: theta is deterministic, so the walk would
+    return them again."""
     _require_dual_pair(setting)
-    diagram = diagrams.diagram_D(setting, k)
-    if k >= real_rank(setting):
-        if family.points != diagrams.diagram_D(setting, 0):
+    frame = _frame(setting, k)
+    if frame.full:
+        if family.points != frame.poset:
             raise ValueError("for k >= r the only facet is the whole poset")
         return PlanePartition(frozenset(), {})
-    a, b, _, _ = _forced_paths(setting, k)
     paths = family.paths or decompose(setting, k, family.points)
-    columns = diagrams._dual_pair_shape(setting, k)[2]  # the last column of D_k
+    if len(paths) < k:
+        raise ValueError(f"fewer than k = {k} paths: {len(paths)}")
+    columns, b = frame.columns, frame.b
     profiles = []
-    for i, (ar, ac) in enumerate(a):
-        path = paths[i]
+    for i, (path, segment) in enumerate(zip(paths, frame.segments)):
+        ar, ac = segment.anchor
         try:
             i0 = path.index((ar, ac))
         except ValueError:
             raise ValueError("path misses its anchor") from None
         if b is None:
-            end = setting.n + 1
-            i1 = next((j for j, (r, c) in enumerate(path) if r + c == end), None)
+            i1 = next((j for j, (r, c) in enumerate(path) if r + c == segment.end), None)
             if i1 is None:
                 raise ValueError("path misses its terminal anchor")
         else:
@@ -292,11 +331,14 @@ def theta_inverse(setting, k, family):
                 deepest[y] = depth
         profiles.append(deepest)
     depths = [sorted(column) for column in zip(*profiles)]
-    entries = {(x, y): k - bisect_left(depths[y], x) for x, y in diagram}
+    entries = {(x, y): k - bisect_left(depths[y], x) for x, y in frame.diagram}
     # built without the copies of __new__: the boxes are those of D_k
-    pp = tuple.__new__(PlanePartition, (diagram, MappingProxyType(entries)))
-    if _theta(setting, k, pp).points != family.points:
-        raise ValueError("point set is not a facet")
+    pp = tuple.__new__(PlanePartition, (frame.diagram, MappingProxyType(entries)))
+    # a tuple compares item by item, so the points are matched by identity first
+    key, walked = _theta_slot
+    if (setting, k, family.points) != key or entries != walked:
+        if _theta(setting, k, pp).points != family.points:
+            raise ValueError("point set is not a facet")
     return pp
 
 

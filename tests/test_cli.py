@@ -122,6 +122,36 @@ def test_enumerate_facets_holds_only_what_it_prints():
     assert peak < 2 * 2**20, peak
 
 
+@pytest.mark.parametrize("kind", ["p", "facets"])
+@pytest.mark.parametrize(
+    "flags, setting",
+    [("--family upq --p 8 --q 8 --k 2", upq(8, 8, 2)), ("--family mp --n 7 --k 2", mp(7, 2)),
+     ("--family ostar --n 10 --k 2", ostar(10, 2))],
+    ids=["upq", "mp", "ostar"],
+)
+@pytest.mark.parametrize("limit", [0, 3])
+def test_enumerate_builds_only_the_printed_objects(monkeypatch, kind, flags, setting, limit):
+    # the count is #P_k from the product formula, which the listing gate
+    # read; the listing is cut at --limit and asked for nothing past it
+    def bounded(build):
+        def listing(*args):
+            objects = iter(build(*args))
+            for _ in range(limit):
+                yield next(objects)
+            raise AssertionError(f"built an object past --limit {limit}")
+
+        return listing
+
+    want = run_cli(f"enumerate {kind} {flags} --limit {limit}".split())
+    monkeypatch.setattr(diagrams, "iter_P", bounded(diagrams.iter_P))
+    monkeypatch.setattr(posets, "iter_facets", bounded(posets.iter_facets))
+    code, out = run_cli(f"enumerate {kind} {flags} --limit {limit}".split())
+    assert (code, out) == want
+    payload = json.loads(out)
+    assert payload["count"] == diagrams.count_P_product(setting, setting.k) > limit
+    assert payload["truncated"] is True and len(payload["items"]) == limit
+
+
 def test_enumerate_p_counts_the_whole_listing_at_the_default_limit():
     code, out = run_cli(UPQ_7_7_P)
     assert code == 0

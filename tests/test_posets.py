@@ -64,6 +64,7 @@ def test_lattice_path_entries_read_the_one_cached_D0(monkeypatch):
         for name in ("rectangle", "staircase", "shifted_staircase"):
             monkeypatch.setattr(diagrams, name, None)
         posets._forced_paths.cache_clear()
+        posets._frame.cache_clear()
         for k in (1, r):
             facets = list(posets.iter_facets(setting, k))
             for f in facets:
@@ -383,6 +384,117 @@ def test_theta_inverse_rejects_non_facets():
                     theta_inverse(setting, k, PathFamily(f.points | {p}))
             assert theta(setting, k, theta_inverse(setting, k, f)).points == f.points
 
+
+
+def test_theta_inverse_rejects_too_few_paths():
+    # a family carrying fewer than k paths is no facet decomposition; an
+    # empty paths field is decomposed instead
+    for setting, k in [(upq(3, 4, 0), 2), (upq(4, 5, 0), 3), (mp(5, 0), 2), (ostar(7, 0), 2)]:
+        for f in enumerate_facets(setting, k)[::5]:
+            for cut in range(1, k):
+                with pytest.raises(ValueError, match=f"fewer than k = {k} paths: {cut}"):
+                    theta_inverse(setting, k, PathFamily(f.points, f.paths[:cut]))
+            assert theta_inverse(setting, k, PathFamily(f.points, ())) == theta_inverse(setting, k, f)
+
+
+@st.composite
+def theta_slot_cases(draw):
+    """A upq, mp or ostar setting, a k below its rank and two plane
+    partitions bounded by k on D_k: the entry of a box is the largest of
+    random values in [0, k] over the boxes weakly south and west of it, so
+    each filling is monotone."""
+    family = draw(st.sampled_from(["upq", "mp", "ostar"]))
+    if family == "upq":
+        setting = upq(draw(st.integers(2, 6)), draw(st.integers(2, 6)), 0)
+    elif family == "mp":
+        setting = mp(draw(st.integers(2, 8)), 0)
+    else:
+        setting = ostar(draw(st.integers(4, 11)), 0)
+    k = draw(st.integers(1, real_rank(setting) - 1))
+    diagram = diagrams.diagram_D(setting, k)
+    fillings = []
+    for _ in range(2):
+        values = dict(zip(sorted(diagram), draw(st.lists(st.integers(0, k), min_size=len(diagram), max_size=len(diagram)))))
+        entries = {(x, y): max(v for (r, c), v in values.items() if r >= x and c <= y) for x, y in diagram}
+        fillings.append(PlanePartition(diagram, entries))
+    return setting, k, *fillings
+
+
+def _inverse_outcome(setting, k, family, empty_slot=False):
+    """theta_inverse's plane partition, or the message of its ValueError."""
+    if empty_slot:
+        posets._theta_slot = (None, None)
+    try:
+        return theta_inverse(setting, k, family)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(theta_slot_cases(), theta_slot_cases())
+def test_theta_slot_answers_as_the_closing_walk(case, elsewhere):
+    # theta_inverse skips its closing walk when the last theta walk matches;
+    # whatever theta ran last, it answers as it does with an empty slot
+    setting, k, pp, other = case
+    image, other_image = theta(setting, k, pp), theta(setting, k, other)
+    foreign = theta(*elsewhere[:3])
+    point = min(image.points)
+    cases = [
+        (image, []),  # theta's image
+        (other_image, []),  # a facet theta did not just return
+        (PathFamily(other_image.points), []),
+        (PathFamily(image.points - {point}, image.paths), []),  # not a facet, the walked paths
+        (PathFamily(image.points, other_image.paths), []),  # the same points under other paths
+        (PathFamily(image.points, image.paths[::-1]), []),
+        (PathFamily(image.points, image.paths[: k - 1]), []),
+        (PathFamily(image.points), []),
+        (image, [elsewhere[:3]]),  # after theta ran on another setting
+        (foreign, [elsewhere[:3]]),  # the image theta just returned on another setting
+        (image, [(setting, k, other)]),  # after theta ran on another filling
+    ]
+    for family, between in cases:
+        theta(setting, k, pp)
+        for s, j, filling in between:
+            theta(s, j, filling)
+        slotted = _inverse_outcome(setting, k, family)
+        assert slotted == _inverse_outcome(setting, k, family, empty_slot=True), (setting, k, pp, family)
+    assert _inverse_outcome(setting, k, image) == pp
+
+
+def test_theta_round_trip_walks_each_filling_once(monkeypatch):
+    # theta_inverse on the image theta just returned reads the slot, not a
+    # second walk; on another facet it walks once more
+    walks = []
+    walk = posets._theta
+    monkeypatch.setattr(posets, "_theta", lambda *args: walks.append(args[2]) or walk(*args))
+    for setting, k in [(upq(3, 4, 0), 2), (mp(5, 0), 2), (ostar(7, 0), 1)]:
+        pps = enumerate_P(setting, k)
+        walks.clear()
+        for pp in pps:
+            assert theta_inverse(setting, k, theta(setting, k, pp)) == pp
+        assert walks == pps, setting
+        image = theta(setting, k, pps[-1])
+        theta(setting, k, pps[0])
+        walks.clear()
+        assert theta_inverse(setting, k, image) == pps[-1]
+        assert walks == pps[-1:], setting
+
+
+@pytest.mark.parametrize(
+    "walked, read",
+    [((upq(2, 2, 0), 1), (mp(2, 0), 1)), ((ostar(4, 0), 1), (mp(2, 0), 1)), ((upq(3, 3, 0), 2), (mp(3, 0), 2))],
+)
+def test_theta_slot_keys_the_setting(walked, read):
+    # two settings with one D_k: the image theta walked on one, read by
+    # theta_inverse on the other, gets the same answer as with an empty slot
+    for (s, k), (other, j) in [(walked, read), (read, walked)]:
+        assert diagrams.diagram_D(s, k) == diagrams.diagram_D(other, j)
+        for pp in enumerate_P(s, k):
+            image = theta(s, k, pp)
+            for family in (image, PathFamily(image.points)):
+                theta(s, k, pp)
+                slotted = _inverse_outcome(other, j, family)
+                assert slotted == _inverse_outcome(other, j, family, empty_slot=True), (s, other, pp)
 
 def _theta_oracle(setting, k, pp):
     """theta by the set-based walk: for each t, the set of boxes with entry
