@@ -40,7 +40,7 @@ def setting_from_args(args):
     family = args.family
     k = getattr(args, "k", 0) or 0
     read = dualpair.FAMILIES[family].flags
-    if not all(getattr(args, dest) for dest in read):
+    if any(getattr(args, dest) is None for dest in read):
         raise ValueError(f"family {family} needs " + " and ".join(f"--{dest}" for dest in read))
     return dualpair.Setting(family, k=k, **{dest: getattr(args, dest) for dest in read})
 

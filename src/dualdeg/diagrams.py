@@ -92,7 +92,7 @@ def diagram_D(setting, k):
         return frozenset({(1, 1)} if k == 1 else ())
     runs = FAMILIES[setting.family].runs(setting)
     boxes = frozenset((r, c) for r, first, last in runs for c in range(first, last + 1))
-    for _ in range(k):
+    for _ in range(min(k, len(boxes))):  # each pass drops the last row: D_k is empty from k = |D_0|
         boxes = _southwest_interior(boxes)
     return normalize(boxes)
 

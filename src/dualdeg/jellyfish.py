@@ -13,7 +13,7 @@ from types import MappingProxyType
 
 from . import diagrams, dualpair
 from .dualpair import OSTAR, UPQ, free_threshold
-from .posets import PathFamily, disjoint_products, lattice_paths
+from .posets import PathFamily, boxed_paths, disjoint_products, lattice_paths
 from .tableaux import determinant
 
 
@@ -279,14 +279,9 @@ def _families_ending_at(setting, k, end):
     (_path_counts), and each path stays in the box of points between them."""
     starts = _starts(setting, k)
     pairs = dict(zip(sorted(starts, key=_diagonal), sorted(_end_points(setting, end), key=_diagonal)))
-    points = _points(setting)
-    candidates = []
-    for start in starts:
-        last_r, last_c = pairs[start]
-        box = {(r, c) for r, c in points if r <= last_r and c <= last_c}
-        candidates.append(lattice_paths(start, box, {(last_r, last_c)}))
+    combos = boxed_paths(((start, pairs[start]) for start in starts), _points(setting))
     fixed = _fixed(setting, k)
-    return tuple(PathFamily(pts | fixed, combo) for combo, pts in disjoint_products(candidates))
+    return tuple(PathFamily(pts | fixed, combo) for combo, pts in combos)
 
 
 def enumerate_F(setting, k):

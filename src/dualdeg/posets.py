@@ -49,61 +49,43 @@ class PathFamily(namedtuple("PathFamily", "points paths", defaults=(None,))):
         return len(self.points)
 
 
-def _anchor_points(setting, k):
-    """The forced path anchors: start a_t on the (step k)-th antidiagonal
-    and, except for mp, its translate b_t by the edges of D_k."""
-    f, da, db = diagrams._dual_pair_shape(setting, k)
-    a = tuple((t, FAMILIES[f].step * k + 1 - t) for t in range(1, k + 1))
-    return a, None if f == MP else tuple((r + da, c + db) for r, c in a)
-
-
-@cache
-def _forced_paths(setting, k):
-    """The anchors a and b (None for mp), the K_t prefixes (the points of
-    the row of a_t west of it) and the M_t suffixes (the points of the
-    column of b_t south of it); cached, so all of it is tuples."""
-    a, b = _anchor_points(setting, k)
-    points = sorted(diagrams.diagram_D(setting, 0))
-    prefixes = tuple(tuple(x for x in points if x[0] == ar and x[1] < ac) for ar, ac in a)
-    if b is None:
-        return a, b, prefixes, ((),) * k
-    return a, b, prefixes, tuple(tuple(x for x in points if x[1] == bc and x[0] > br) for br, bc in b)
-
-
 # One free segment of the theta frame: its anchor a_t, the antidiagonal
 # r + c = end it stops on, the last column it may step east into, the level
 # k - t whose excess turns it south, and the forced prefix and suffix.
 _Segment = namedtuple("_Segment", "anchor end last level prefix suffix")
 
-# What theta and theta_inverse read of one (setting, k): full when k >= r,
-# the root poset D_0, the diagram D_k and its column count, the forced
-# points every facet holds, the b anchors (None for mp) and the k segments.
+# The facet geometry of one (setting, k), which iter_facets, theta,
+# theta_inverse and corners read: full when k >= r, the root poset D_0, the
+# diagram D_k and its column count, the forced points every facet holds,
+# the b anchors (None for mp) and the k segments.
 _Frame = namedtuple("_Frame", "full poset diagram columns forced b segments")
 
 
 @cache
 def _frame(setting, k):
-    """The theta frame of the setting at k, built once; cached, so all of it
-    is tuples and frozensets.  An mp segment ends on the main antidiagonal
-    before it reaches column n + 1; any other ends at b_t, stepping only
-    south once in its column."""
+    """The facet geometry of the setting at k, built once; cached, so all of
+    it is tuples and frozensets.  Path t starts at a_t, on the (step k)-th
+    antidiagonal, after K_t, the points of its row west of a_t.  It ends at
+    b_t, a_t moved by the edges of D_k, and goes on south through M_t, the
+    points of its column south of b_t; an mp path ends instead on the main
+    antidiagonal, and may step east up to it."""
     poset, diagram = diagrams.diagram_D(setting, 0), diagrams.diagram_D(setting, k)
-    columns = diagrams._dual_pair_shape(setting, k)[2]
+    f, rows, columns = diagrams._dual_pair_shape(setting, k)
     if k >= real_rank(setting):
         return _Frame(True, poset, diagram, columns, poset, None, ())
-    a, b, prefixes, suffixes = _forced_paths(setting, k)
-    segments = tuple(
-        _Segment(
-            anchor,
-            setting.n + 1 if b is None else sum(b[i]),
-            setting.n + 1 if b is None else b[i][1],
-            k - 1 - i,  # path t = i + 1 steps south past entries above k - t
-            prefixes[i],
-            suffixes[i],
-        )
-        for i, anchor in enumerate(a)
-    )
-    return _Frame(False, poset, diagram, columns, frozenset().union(*prefixes, *suffixes), b, segments)
+    a = tuple((t, FAMILIES[f].step * k + 1 - t) for t in range(1, k + 1))
+    b = None if f == MP else tuple((r + rows, c + columns) for r, c in a)
+    points = sorted(poset)
+    segments = []
+    for i, (ar, ac) in enumerate(a):
+        # for mp, (0, n + 1) puts the end on r + c = n + 1, in a column D_0 lacks
+        br, bc = (0, setting.n + 1) if b is None else b[i]
+        prefix = tuple(x for x in points if x[0] == ar and x[1] < ac)
+        suffix = tuple(x for x in points if x[1] == bc and x[0] > br)
+        # path t = i + 1 steps south past entries above k - t
+        segments.append(_Segment((ar, ac), br + bc, bc, k - 1 - i, prefix, suffix))
+    forced = frozenset().union(*(s.prefix + s.suffix for s in segments))
+    return _Frame(False, poset, diagram, columns, forced, b, tuple(segments))
 
 
 # ((setting, k, image points), the entries dict walked) of the last theta
@@ -153,6 +135,16 @@ def disjoint_products(candidates):
     return extend(0)
 
 
+def boxed_paths(pairs, points):
+    """disjoint_products of one lattice_paths list per (start, end) pair,
+    each kept to the box between its start and end: the points northwest
+    of the end, since a path steps only east and south from its start."""
+    return disjoint_products([
+        lattice_paths(start, {(r, c) for r, c in points if r <= end[0] and c <= end[1]}, {end})
+        for start, end in pairs
+    ])
+
+
 def enumerate_facets(setting, k):
     """All facets of the width-k order complex of the root poset, as a list."""
     return list(iter_facets(setting, k))
@@ -169,27 +161,22 @@ def iter_facets(setting, k):
     if k < 1:
         raise ValueError("k must be >= 1")
     frame = _frame(setting, k)
-    points = frame.poset
+    points, segments, forced = frame.poset, frame.segments, frame.forced
     if frame.full:
         return iter([PathFamily(points)])
-    a, b, prefixes, suffixes = _forced_paths(setting, k)
-    if b is None:
+    if frame.b is None:
         antidiagonal = {x for x in points if sum(x) == setting.n + 1}
-        candidates = [lattice_paths(start, points, antidiagonal) for start in a]
+        combos = disjoint_products([lattice_paths(s.anchor, points, antidiagonal) for s in segments])
     else:
-        candidates = [
-            lattice_paths(start, {(r, c) for r, c in points if r <= end[0] and c <= end[1]}, {end})
-            for start, end in zip(a, b)
-        ]
-    forced = frame.forced
+        combos = boxed_paths(zip((s.anchor for s in segments), frame.b), points)
     return (
-        PathFamily(pts.union(forced), tuple(pre + seg + suf for pre, seg, suf in zip(prefixes, combo, suffixes)))
-        for combo, pts in disjoint_products(candidates)
+        PathFamily(pts.union(forced), tuple(s.prefix + seg + s.suffix for s, seg in zip(segments, combo)))
+        for combo, pts in combos
     )
 
 
 def _validate_plane_partition(setting, k, pp):
-    diagram = diagrams.diagram_D(setting, k)
+    diagram = _frame(setting, k).diagram
     # D_k is cached, so a plane partition built on it holds the same frozenset
     if pp.diagram is not diagram and pp.diagram != diagram:
         raise ValueError("plane partition lives on the wrong diagram")
@@ -348,7 +335,8 @@ def corners(setting, k, family):
     one, else decompose builds it.  A metaplectic path arriving at the main
     antidiagonal by a south step contributes its terminal point as well."""
     _require_dual_pair(setting)
-    if k >= real_rank(setting) and family.points == diagrams.diagram_D(setting, 0):
+    frame = _frame(setting, k)
+    if frame.full and family.points == frame.poset:
         return set()
     paths = family.paths or decompose(setting, k, family.points)
     found = set()

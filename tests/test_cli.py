@@ -500,6 +500,9 @@ def test_missing_shape_flags_exit_2():
     for argv, message in [
         ("hilbert --family upq --p 3 --k 1", "family upq needs --p and --q"),
         ("hilbert --family so-even --k 1", "family so-even needs --n"),
+        # a flag given as 0 is present: Setting names its value
+        ("hilbert --family upq --p 0 --q 3 --k 1", "upq needs p, q >= 1"),
+        ("hilbert --family mp --n 0 --k 1", "mp needs n >= 1"),
     ]:
         err = io.StringIO()
         with redirect_stderr(err):

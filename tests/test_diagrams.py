@@ -191,6 +191,24 @@ def test_exceptional_interiors():
     assert diagram_D(e7, 2) == frozenset({(1, 1)})
 
 
+def test_exceptional_peel_stops_once_empty(monkeypatch):
+    # each interior pass drops the last row, so D_k is empty from k = |D_0| on
+    # and a huge k runs no more passes; __wrapped__ skips the cache
+    peel = diagrams._southwest_interior
+    for setting in (Setting("e6"), Setting("e7")):
+        passes, most = [], len(diagram_D(setting, 0))
+
+        def counted(boxes):
+            passes.append(boxes)
+            if len(passes) > most:
+                raise AssertionError(f"{setting}: more than |D_0| = {most} interior passes")
+            return peel(boxes)
+
+        monkeypatch.setattr(diagrams, "_southwest_interior", counted)
+        assert diagram_D.__wrapped__(setting, 10**9) == frozenset()
+        assert passes, setting
+
+
 def test_plane_partition_type():
     diagram = rectangle(2, 2)
     pp = PlanePartition(diagram, {(1, 1): 2, (1, 2): 2, (2, 1): 0, (2, 2): 1})

@@ -63,7 +63,6 @@ def test_lattice_path_entries_read_the_one_cached_D0(monkeypatch):
         d0, _, _ = (diagrams.diagram_D(setting, k) for k in (0, 1, r))
         for name in ("rectangle", "staircase", "shifted_staircase"):
             monkeypatch.setattr(diagrams, name, None)
-        posets._forced_paths.cache_clear()
         posets._frame.cache_clear()
         for k in (1, r):
             facets = list(posets.iter_facets(setting, k))
@@ -75,6 +74,34 @@ def test_lattice_path_entries_read_the_one_cached_D0(monkeypatch):
         assert theta(setting, r, PlanePartition(frozenset(), {})).points is d0
         assert corners(setting, r, PathFamily(d0)) == set()
         monkeypatch.undo()
+
+
+def test_facet_geometry_reads_the_one_cached_frame(monkeypatch):
+    # once _frame(setting, k) is built, iter_facets, theta, theta_inverse and
+    # corners read nothing else of the shape: with real_rank, diagram_D and
+    # _dual_pair_shape broken they still round-trip every filling
+    cases = []
+    for setting in [upq(3, 4, 0), mp(4, 0), ostar(7, 0)]:
+        for k in range(1, real_rank(setting) + 1):
+            posets._frame(setting, k)
+            cases.append((setting, k, enumerate_P(setting, k)))
+
+    def broken(*args):
+        raise AssertionError(f"read outside the frame: {args}")
+
+    monkeypatch.setattr(posets, "real_rank", broken)
+    monkeypatch.setattr(diagrams, "diagram_D", broken)
+    monkeypatch.setattr(diagrams, "_dual_pair_shape", broken)
+    for setting, k, fillings in cases:
+        images = set()
+        for pp in fillings:
+            image = theta(setting, k, pp)
+            images.add(image.points)
+            for family in (image, PathFamily(image.points)):
+                assert theta_inverse(setting, k, family) == pp, (setting, k, pp)
+                assert len(corners(setting, k, family)) == c_statistic(pp), (setting, k, pp)
+        assert images == {f.points for f in enumerate_facets(setting, k)}, (setting, k)
+        assert len(images) == len(fillings), (setting, k)
 
 
 def test_poset_shapes_and_labels():
@@ -184,8 +211,8 @@ def test_facet_sizes_match_d_k():
 def test_forced_segments_in_every_facet():
     for setting in [upq(3, 4, 0), mp(4, 0), ostar(7, 0)]:
         for k in range(1, real_rank(setting)):
-            _, _, prefixes, suffixes = posets._forced_paths(setting, k)
-            forced = {p for seg in prefixes + suffixes for p in seg}
+            segments = posets._frame(setting, k).segments
+            forced = {p for s in segments for p in s.prefix + s.suffix}
             for f in enumerate_facets(setting, k):
                 assert forced <= f.points, (setting, k)
 
@@ -233,7 +260,8 @@ def path_families(draw):
     else:
         setting = ostar(draw(st.integers(4, 12)), 0)
     k = draw(st.integers(1, real_rank(setting) - 1))
-    _, _, prefixes, suffixes = posets._forced_paths(setting, k)
+    segments = posets._frame(setting, k).segments
+    prefixes, suffixes = [s.prefix for s in segments], [s.suffix for s in segments]
     points = sorted(diagrams.diagram_D(setting, 0))
     paths = []
     for t in range(draw(st.integers(1, k + 1))):
@@ -503,7 +531,9 @@ def _theta_oracle(setting, k, pp):
     posets._validate_plane_partition(setting, k, pp)
     if k >= real_rank(setting):
         return PathFamily(diagrams.diagram_D(setting, 0))
-    a, b, prefixes, suffixes = posets._forced_paths(setting, k)
+    frame = posets._frame(setting, k)
+    a, b = [s.anchor for s in frame.segments], frame.b
+    prefixes, suffixes = [s.prefix for s in frame.segments], [s.suffix for s in frame.segments]
     n = setting.n
     paths = []
     for t in range(1, k + 1):
@@ -539,7 +569,8 @@ def _theta_inverse_oracle(setting, k, family):
         if family.points != diagrams.diagram_D(setting, 0):
             raise ValueError("for k >= r the only facet is the whole poset")
         return PlanePartition(frozenset(), {})
-    a, b = posets._anchor_points(setting, k)
+    frame = posets._frame(setting, k)
+    a, b = [s.anchor for s in frame.segments], frame.b
     paths = family.paths or decompose(setting, k, family.points)
     entries = {}
     rel_segments = []
@@ -606,14 +637,17 @@ def test_theta_and_inverse_match_the_oracles():
 def test_forced_paths_cache_holds_tuples():
     for setting in [upq(3, 4, 0), upq(4, 3, 0), mp(4, 0), ostar(7, 0)]:
         for k in range(1, real_rank(setting)):
-            a, b, prefixes, suffixes = posets._forced_paths(setting, k)
-            assert posets._forced_paths(setting, k)[0] is a  # one cached value
-            assert isinstance(a, tuple) and all(isinstance(x, tuple) for x in a)
+            frame = posets._frame(setting, k)
+            assert posets._frame(setting, k) is frame  # one cached value
+            a, b = [s.anchor for s in frame.segments], frame.b
+            assert isinstance(frame.segments, tuple) and len(frame.segments) == k
+            assert all(isinstance(x, tuple) for x in a)
             if setting.family == "mp":
                 assert b is None
             else:
                 assert isinstance(b, tuple) and all(isinstance(x, tuple) for x in b)
-            for segments in (prefixes, suffixes):
-                assert isinstance(segments, tuple) and len(segments) == k
+            for segments in ([s.prefix for s in frame.segments], [s.suffix for s in frame.segments]):
                 assert all(isinstance(seg, tuple) for seg in segments)
                 assert all(isinstance(x, tuple) for seg in segments for x in seg)
+            for field in (frame.poset, frame.diagram, frame.forced):
+                assert isinstance(field, frozenset)
