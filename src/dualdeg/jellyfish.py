@@ -39,45 +39,36 @@ def _points(setting):
     return frozenset((r, c + shift) for r, c in diagrams.diagram_D(setting, 0))
 
 
-@cache
-def _region(setting, k):
-    """The fixed region A on the small side of the boundary diagonal."""
-    cutoff = dualpair.FAMILIES[setting.family].step * (k + 1)
-    return frozenset(p for p in _points(setting) if p[0] + p[1] <= cutoff)
+_Geometry = namedtuple("_Geometry", "points starts fixed outer")
 
 
 @cache
-def _outer(setting):
-    """The outer boundary: the far edges where every path must end."""
-    if setting.family == UPQ:
-        return frozenset(
-            p for p in _points(setting) if p[0] == setting.p or p[1] == setting.q
-        )
-    return frozenset(p for p in _points(setting) if p[1] == setting.n)
-
-
-def _ostar_b_list(n, k):
-    """The ostar eastern anchors b_1, ..., b_k: column n until the boundary
-    diagonal i + j = 2(k + 1) passes it."""
-    return tuple(n if t < 2 * (k + 1) - n else 2 * (k + 1) - t for t in range(1, k + 1))
-
-
-@cache
-def _starts(setting, k):
-    """The k path starting points on the inner boundary of the region."""
+def _geometry(setting, k):
+    """The path geometry that every family and count reads, checked and
+    built once; cached, so all of it is tuples and frozensets: the root
+    labels, the k starts in row order on the inner boundary of the fixed
+    region A (the points with i + j <= step (k + 1); for ostar rows 1..k,
+    at column n until that diagonal passes it), the points of A off the
+    starts, and the outer edge where paths end, row p or column q for upq
+    and column n for ostar."""
+    _check_family(setting)
+    _check_k(setting, k)
+    points = _points(setting)
     if setting.family == UPQ:
         p, q = setting.p, setting.q
-        pts = [(p, u) for u in range(1, k - p + 1)]
-        pts += [(t, q) for t in range(1, k - q + 1)]
-        pts += [
-            (i, k + 1 - i)
-            for i in range(max(1, k + 1 - q), min(p, k) + 1)
-        ]
+        starts = [(p, u) for u in range(1, k - p + 1)]
+        starts += [(t, q) for t in range(1, k - q + 1)]
+        starts += [(i, k + 1 - i) for i in range(max(1, k + 1 - q), min(p, k) + 1)]
+        outer = frozenset(x for x in points if x[0] == p or x[1] == q)
     else:
-        pts = list(enumerate(_ostar_b_list(setting.n, k), 1))
-    if len(set(pts)) != k:  # raised, not asserted, so that python -O keeps the check
-        raise AssertionError(f"{setting} k={k} has start points {pts}, not {k} distinct ones")
-    return tuple(sorted(pts))
+        n = setting.n
+        starts = [(t, n if t < 2 * (k + 1) - n else 2 * (k + 1) - t) for t in range(1, k + 1)]
+        outer = frozenset(x for x in points if x[1] == n)
+    if len(set(starts)) != k:  # raised, not asserted, so that python -O keeps the check
+        raise AssertionError(f"{setting} k={k} has start points {starts}, not {k} distinct ones")
+    cutoff = dualpair.FAMILIES[setting.family].step * (k + 1)
+    fixed = frozenset(x for x in points if x[0] + x[1] <= cutoff).difference(starts)
+    return _Geometry(points, tuple(sorted(starts)), fixed, outer)
 
 
 class Endpoints(namedtuple("Endpoints", "south east", defaults=((), ()))):
@@ -168,45 +159,6 @@ def _end_map(setting, sigma):
     return ends
 
 
-def _endpoint_keys(setting, endpoints):
-    """Endpoint classifications of a path tuple; two when a corner endpoint
-    could lie on either edge."""
-    if setting.family == OSTAR:
-        return [Endpoints(east=tuple(sorted(i for i, _ in endpoints)))]
-    p, q = setting.p, setting.q
-    south = sorted(j for i, j in endpoints if i == p and j < q)
-    east = sorted(i for i, j in endpoints if j == q and i < p)
-    if (p, q) not in endpoints:
-        return [Endpoints(south=tuple(south), east=tuple(east))]
-    return [
-        Endpoints(south=tuple(sorted(south + [q])), east=tuple(east)),
-        Endpoints(south=tuple(south), east=tuple(sorted(east + [p]))),
-    ]
-
-
-@cache
-def _families_by_endpoints(setting, k):
-    """Read-only map from endpoint data to the tuple of path families
-    realizing it; the result is cached, so callers must not change it.  No
-    key lists a family twice: disjoint east/south paths from fixed starts
-    never cross, so their union fixes the paths (see posets.iter_facets);
-    a family ending at the corner (p, q) is listed under both its keys."""
-    _check_family(setting)
-    _check_k(setting, k)
-    starts = _starts(setting, k)
-    fixed = _fixed(setting, k)
-    points, outer = _points(setting), _outer(setting)
-    candidates = [lattice_paths(start, points, outer) for start in starts]
-    grouped = {}
-    for combo, pts in disjoint_products(candidates):
-        if not pts.isdisjoint(fixed):  # raised, not asserted, as above
-            raise AssertionError(f"a path family of {setting} k={k} meets the fixed region")
-        family = PathFamily(pts | fixed, combo)
-        for key in _endpoint_keys(setting, [path[-1] for path in combo]):
-            grouped.setdefault(key, []).append(family)
-    return MappingProxyType({key: tuple(families) for key, families in grouped.items()})
-
-
 def _diagonal(point):
     """r - c: the order of starts and ends along the boundaries, northeast first."""
     return point[0] - point[1]
@@ -214,10 +166,10 @@ def _diagonal(point):
 
 @cache
 def _path_counts(setting, k):
-    """Read-only map from each point of _points(setting) to the tuple of the
-    numbers of east/south paths inside the points from each start of
-    _starts(setting, k) to it, the starts taken by r - c: one pass over the
-    points in row order, each adding its west and north neighbours' counts.
+    """Read-only map from each point of the geometry to the tuple of the
+    numbers of east/south paths inside the points from each of its starts
+    to it, the starts taken by r - c: one pass over the points in row
+    order, each adding its west and north neighbours' counts.
 
     These are the entries of the Lindstrom-Gessel-Viennot determinant
     det[paths(start_s -> end_t)] with the ends of a key also taken by r - c,
@@ -231,11 +183,12 @@ def _path_counts(setting, k):
     join the t-th start to the t-th end, the identity is the one
     permutation with a disjoint family, and the determinant counts the
     families (Lindstrom 1973; Gessel-Viennot 1985).  Taken in the row order
-    of _starts the starts give the wrong sign on some keys."""
-    index = {start: t for t, start in enumerate(sorted(_starts(setting, k), key=_diagonal))}
+    of the geometry the starts give the wrong sign on some keys."""
+    geometry = _geometry(setting, k)
+    index = {start: t for t, start in enumerate(sorted(geometry.starts, key=_diagonal))}
     zero = (0,) * k
     counts = {}
-    for r, c in sorted(_points(setting)):
+    for r, c in sorted(geometry.points):
         row = [a + b for a, b in zip(counts.get((r, c - 1), zero), counts.get((r - 1, c), zero))]
         t = index.get((r, c))
         if t is not None:
@@ -252,17 +205,12 @@ def _end_points(setting, end):
     return [(setting.p, j) for j in end.south] + [(i, setting.q) for i in end.east]
 
 
-@cache
-def _fixed(setting, k):
-    """The points of the region that every family holds besides its paths."""
-    return _region(setting, k) - set(_starts(setting, k))
-
-
 def _family_size(setting, k, end):
     """The size of every path family with endpoint data end (that has one):
     sum_t (|e_t - s_t|_1 + 1) + |fixed|, where each e_t >= s_t."""
-    ends, starts = _end_points(setting, end), _starts(setting, k)
-    return sum(map(sum, ends)) - sum(map(sum, starts)) + k + len(_fixed(setting, k))
+    geometry = _geometry(setting, k)
+    ends = _end_points(setting, end)
+    return sum(map(sum, ends)) - sum(map(sum, geometry.starts)) + k + len(geometry.fixed)
 
 
 def _family_number(setting, k, end):
@@ -273,24 +221,32 @@ def _family_number(setting, k, end):
 
 
 def _families_ending_at(setting, k, end):
-    """The path families with endpoint data end, in the order of
-    _families_by_endpoints(setting, k)[end], built from the paths start_t ->
-    end_t alone: the t-th start by r - c reaches the t-th end
-    (_path_counts), and each path stays in the box of points between them."""
-    starts = _starts(setting, k)
-    pairs = dict(zip(sorted(starts, key=_diagonal), sorted(_end_points(setting, end), key=_diagonal)))
-    combos = boxed_paths(((start, pairs[start]) for start in starts), _points(setting))
-    fixed = _fixed(setting, k)
-    return tuple(PathFamily(pts | fixed, combo) for combo, pts in combos)
+    """The path families with endpoint data end, their paths taken with the
+    starts in row order, built from the paths start_t -> end_t alone: the
+    t-th start by r - c reaches the t-th end (_path_counts), and each path
+    stays in the box of points between them."""
+    geometry = _geometry(setting, k)
+    pairs = dict(zip(sorted(geometry.starts, key=_diagonal), sorted(_end_points(setting, end), key=_diagonal)))
+    combos = boxed_paths(((start, pairs[start]) for start in geometry.starts), geometry.points)
+    return tuple(PathFamily(pts | geometry.fixed, combo) for combo, pts in combos)
 
 
 def enumerate_F(setting, k):
-    """All path families at level k, deduplicated by point set."""
+    """All path families at level k, one per point set, sorted by point set:
+    one path from each start to the outer edge, pairwise disjoint.  Once
+    its ends are fixed, a union of disjoint east/south paths fixes the
+    paths, but with free ends a point set may split into paths in more
+    than one way: at upq(2, 2) k = 2 the corner (2, 2) joins either the
+    path from (1, 2) or the one from (2, 1).  The first split in
+    disjoint_products order is kept."""
+    geometry = _geometry(setting, k)
+    candidates = [lattice_paths(start, geometry.points, geometry.outer) for start in geometry.starts]
     by_pts = {}
-    for families in _families_by_endpoints(setting, k).values():
-        for f in families:
-            by_pts.setdefault(f.points, f)
-    return sorted(by_pts.values(), key=lambda f: sorted(f.points))
+    for combo, pts in disjoint_products(candidates):
+        if not pts.isdisjoint(geometry.fixed):  # raised, not asserted, as in _geometry
+            raise AssertionError(f"a path family of {setting} k={k} meets the fixed region")
+        by_pts.setdefault(pts | geometry.fixed, combo)
+    return sorted((PathFamily(pts, combo) for pts, combo in by_pts.items()), key=lambda f: sorted(f.points))
 
 
 def max_family_size(setting, k):

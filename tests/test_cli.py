@@ -668,7 +668,7 @@ def test_enumerate_refuses_a_tableau_set_above_the_listing_budget(monkeypatch, k
 
     for module in (tableaux, dualpair):
         monkeypatch.setattr(module, "enumerate_ssyt", refuse)
-    monkeypatch.setattr(jellyfish, "_families_by_endpoints", refuse)
+    monkeypatch.setattr(jellyfish, "enumerate_F", refuse)
     argv = f"enumerate {kind} --family ostar --n 14 --k 6 --sigma 4,3,2,1 --limit 1".split()
     assert run_cli_err(argv) == (2, "", "error: dim F_lambda=56632576 > listing budget 1000000\n")
 
@@ -700,7 +700,7 @@ def test_enumerate_jellyfish_reads_the_jellyfish_count_before_listing(monkeypatc
     def refuse(*args):
         raise RuntimeError("listed a path family")
 
-    for name in ("_families_by_endpoints", "lattice_paths", "disjoint_products"):
+    for name in ("enumerate_F", "lattice_paths", "disjoint_products"):
         monkeypatch.setattr(jellyfish, name, refuse)
     argv = "enumerate jellyfish --family upq --p 8 --q 8 --k 4 --sigma-plus 1 --limit 1".split()
     assert run_cli_err(argv) == (2, "", "error: #jellyfish=2345112 > listing budget 1000000\n")

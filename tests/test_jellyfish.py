@@ -1,12 +1,15 @@
 """Tests for the boundary-anchored path families and jellyfish counting."""
 
+from functools import cache
+from types import MappingProxyType
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualdeg import dualpair, jellyfish, posets
 from dualdeg.degree import bernstein_degree, iter_sigmas
-from dualdeg.dualpair import enumerate_Q, free_threshold, mp, ostar, upq
+from dualdeg.dualpair import OSTAR, enumerate_Q, free_threshold, mp, ostar, upq
 from dualdeg.jellyfish import (
     Endpoints,
     end_map,
@@ -18,7 +21,46 @@ from dualdeg.jellyfish import (
     multiplicity_from_jellyfish,
     split_k,
 )
+from dualdeg.posets import PathFamily, disjoint_products, lattice_paths
 from dualdeg.tableaux import Tableau, determinant
+
+
+# The reference listing of every path family, grouped by endpoint key, that
+# the LGV determinants and the paired builder _families_ending_at replace.
+def _endpoint_keys(setting, endpoints):
+    """Endpoint classifications of a path tuple; two when a corner endpoint
+    could lie on either edge."""
+    if setting.family == OSTAR:
+        return [Endpoints(east=tuple(sorted(i for i, _ in endpoints)))]
+    p, q = setting.p, setting.q
+    south = sorted(j for i, j in endpoints if i == p and j < q)
+    east = sorted(i for i, j in endpoints if j == q and i < p)
+    if (p, q) not in endpoints:
+        return [Endpoints(south=tuple(south), east=tuple(east))]
+    return [
+        Endpoints(south=tuple(sorted(south + [q])), east=tuple(east)),
+        Endpoints(south=tuple(south), east=tuple(sorted(east + [p]))),
+    ]
+
+
+@cache
+def _families_by_endpoints(setting, k):
+    """Read-only map from endpoint data to the tuple of path families
+    realizing it; the result is cached, so callers must not change it.  No
+    key lists a family twice: disjoint east/south paths from fixed starts
+    to a key's ends never cross, so their union fixes the paths (see
+    posets.iter_facets); a family ending at the corner (p, q) is listed
+    under both its keys."""
+    geometry = jellyfish._geometry(setting, k)
+    candidates = [lattice_paths(start, geometry.points, geometry.outer) for start in geometry.starts]
+    grouped = {}
+    for combo, pts in disjoint_products(candidates):
+        if not pts.isdisjoint(geometry.fixed):
+            raise AssertionError(f"a path family of {setting} k={k} meets the fixed region")
+        family = PathFamily(pts | geometry.fixed, combo)
+        for key in _endpoint_keys(setting, [path[-1] for path in combo]):
+            grouped.setdefault(key, []).append(family)
+    return MappingProxyType({key: tuple(families) for key, families in grouped.items()})
 
 
 def test_family_restrictions():
@@ -32,11 +74,12 @@ def test_family_restrictions():
 
 
 def test_boundary_golden_ostar():
-    assert jellyfish._ostar_b_list(11, 4) == (9, 8, 7, 6)
-    assert jellyfish._starts(ostar(11, 4), 4) == ((1, 9), (2, 8), (3, 7), (4, 6))
+    starts = jellyfish._geometry(ostar(11, 4), 4).starts
+    assert tuple(j for _, j in starts) == (9, 8, 7, 6)
+    assert starts == ((1, 9), (2, 8), (3, 7), (4, 6))
     # an empty first column reaches the maximal east endpoints i_hat
     assert end_map(ostar(11, 4), (), Tableau([])).east == (4, 6, 8, 10)
-    b_list = jellyfish._ostar_b_list(11, 7)
+    b_list = tuple(j for _, j in jellyfish._geometry(ostar(11, 7), 7).starts)
     assert b_list[:4] == (11, 11, 11, 11)
     assert b_list[4:] == (11, 10, 9)
 
@@ -79,7 +122,7 @@ def test_end_map_transposed_orientation():
 def test_families_partition_by_endpoints():
     setting = ostar(5, 1)
     all_families = {f.points for f in enumerate_F(setting, 1)}
-    grouped = jellyfish._families_by_endpoints(setting, 1)
+    grouped = _families_by_endpoints(setting, 1)
     by_ends = set()
     for i in range(1, 5):
         for f in grouped.get(Endpoints(east=(i,)), ()):
@@ -96,7 +139,7 @@ def test_no_endpoint_key_lists_a_family_twice():
     families = keys = 0
     for setting in settings_:
         for k in range(1, free_threshold(setting)):
-            for ends, fams in jellyfish._families_by_endpoints(setting, k).items():
+            for ends, fams in _families_by_endpoints(setting, k).items():
                 assert len({f.points for f in fams}) == len(fams), (setting, k, ends)
                 families += len(fams)
                 keys += 1
@@ -105,26 +148,10 @@ def test_no_endpoint_key_lists_a_family_twice():
 
 def test_equal_cardinality_within_endpoint_class():
     for setting, k in [(upq(3, 3, 2), 2), (ostar(6, 2), 2), (upq(2, 4, 2), 2)]:
-        grouped = jellyfish._families_by_endpoints(setting, k)
+        grouped = _families_by_endpoints(setting, k)
         for ends, fams in grouped.items():
             sizes = {len(f) for f in fams}
             assert len(sizes) == 1, (setting, ends, sizes)
-
-
-def test_families_by_endpoints_cache_cannot_be_corrupted():
-    setting = upq(3, 3, 2)
-    first = jellyfish._families_by_endpoints(setting, 2)
-    sizes = {ends: len(fams) for ends, fams in first.items()}
-    key = next(iter(first))
-    with pytest.raises(TypeError):
-        first[key] = ()
-    with pytest.raises(AttributeError):
-        first.clear()
-    with pytest.raises(AttributeError):
-        first[key].clear()
-    again = jellyfish._families_by_endpoints(setting, 2)
-    assert {ends: len(fams) for ends, fams in again.items()} == sizes
-    assert len(again[key]) == sizes[key]
 
 
 def test_maximal_families_match_poset_facets():
@@ -182,23 +209,20 @@ def test_jellyfish_components():
     setting = ostar(5, 1)
     for j in enumerate_jellyfish(setting, (1,)):
         assert end_map(setting, (1,), j.tableau) is not None
-        assert j.family.points >= jellyfish._region(setting, 1) - set(
-            jellyfish._starts(setting, 1)
-        )
+        assert j.family.points >= jellyfish._geometry(setting, 1).fixed
 
 
 def test_cached_helpers_hold_frozensets():
     for setting in [upq(3, 3, 2), upq(4, 2, 2), ostar(6, 2)]:
         k = setting.k
-        for helper, args in [
-            (jellyfish._points, (setting,)),
-            (jellyfish._region, (setting, k)),
-            (jellyfish._outer, (setting,)),
-        ]:
-            value = helper(*args)
-            assert isinstance(value, frozenset), helper.__name__
-            assert helper(*args) is value, helper.__name__  # one cached value
-        assert jellyfish._region(setting, k) <= jellyfish._points(setting)
+        points = jellyfish._points(setting)
+        assert isinstance(points, frozenset) and jellyfish._points(setting) is points  # one cached value
+        geometry = jellyfish._geometry(setting, k)
+        assert jellyfish._geometry(setting, k) is geometry and geometry.points is points
+        for name in ("fixed", "outer"):
+            assert isinstance(getattr(geometry, name), frozenset), name
+        assert isinstance(geometry.starts, tuple) and all(isinstance(x, tuple) for x in geometry.starts)
+        assert geometry.fixed.union(geometry.starts) <= points
         d = max_family_size(setting, k)
         assert d == max(len(f) for f in enumerate_F(setting, k))
 
@@ -239,11 +263,11 @@ def test_end_map_reads_only_the_first_column():
 # the listing oracles that the path-count determinants replaced: d_k as the
 # largest listed family, and a key's maximal families by tally
 def max_family_size_by_listing(setting, k):
-    return max(len(f) for families in jellyfish._families_by_endpoints(setting, k).values() for f in families)
+    return max(len(f) for families in _families_by_endpoints(setting, k).values() for f in families)
 
 
 def maximal_families_by_listing(setting, k, end, d):
-    return sum(len(f) == d for f in jellyfish._families_by_endpoints(setting, k).get(end, ()))
+    return sum(len(f) == d for f in _families_by_endpoints(setting, k).get(end, ()))
 
 
 # upq p <= 5, q <= 6 and ostar n <= 9, at every 1 <= k < s
@@ -261,7 +285,7 @@ def test_path_count_determinants_match_the_listing():
     for setting, k in LGV_LEVELS:
         d = max_family_size_by_listing(setting, k)
         assert max_family_size(setting, k) == d, (setting, k)
-        for end, families in jellyfish._families_by_endpoints(setting, k).items():
+        for end, families in _families_by_endpoints(setting, k).items():
             number = jellyfish._family_number(setting, k, end)
             assert number == len(families), (setting, k, end)
             assert {len(f) for f in families} == {jellyfish._family_size(setting, k, end)}, (setting, k, end)
@@ -272,17 +296,37 @@ def test_path_count_determinants_match_the_listing():
     assert keys == 4_046
 
 
+def test_enumerate_F_keeps_the_first_split_per_point_set():
+    # with free ends a point set may split into paths in more than one way;
+    # enumerate_F keeps the split that comes first in key order over the
+    # per-key listing, paths included
+    for setting, k in LGV_LEVELS:
+        first = {}
+        for families in _families_by_endpoints(setting, k).values():
+            for f in families:
+                first.setdefault(f.points, f)
+        assert enumerate_F(setting, k) == sorted(first.values(), key=lambda f: sorted(f.points)), (setting, k)
+    # upq(2, 2) at k = 2: the corner (2, 2) joins either path, and the
+    # point set is listed once, with the corner on the path from (2, 1)
+    setting, k = upq(2, 2, 2), 2
+    splits = [(((1, 2), (2, 2)), ((2, 1),)), (((1, 2),), ((2, 1), (2, 2)))]
+    listed = {f.paths for families in _families_by_endpoints(setting, k).values() for f in families}
+    assert set(splits) <= listed
+    square = frozenset({(1, 1), (1, 2), (2, 1), (2, 2)})
+    assert [f for f in enumerate_F(setting, k) if f.points == square] == [PathFamily(square, splits[1])]
+
+
 def test_path_counts_in_the_row_order_of_starts_miss_the_sign():
     # the pairing by r - c is what makes the determinant a count: upq(3, 4)
     # at k = 2 has its starts (1, 2), (2, 1) in row order, and (1, 2) first
     # by r - c; its one family joins (1, 2) to (1, 4) and (2, 1) to (3, 1)
     setting, k = upq(3, 4, 2), 2
-    assert jellyfish._starts(setting, k) == ((1, 2), (2, 1))
+    assert jellyfish._geometry(setting, k).starts == ((1, 2), (2, 1))
     counts = jellyfish._path_counts(setting, k)
     end = Endpoints(south=(1,), east=(1,))
     rows = [counts[1, 4], counts[3, 1]]  # the ends by r - c
     assert rows == [(1, 0), (0, 1)]
-    assert jellyfish._family_number(setting, k, end) == len(jellyfish._families_by_endpoints(setting, k)[end]) == 1
+    assert jellyfish._family_number(setting, k, end) == len(_families_by_endpoints(setting, k)[end]) == 1
     assert determinant([row[::-1] for row in rows]) == -1  # starts in row order
 
 
@@ -308,7 +352,7 @@ def test_jellyfish_listing_keeps_the_order_of_the_endpoint_map(case):
     # built per endpoint key, the listing is the one the cached endpoint map gave
     setting, sigma = case
     label = dualpair.nonzero_label(setting, sigma)
-    grouped = jellyfish._families_by_endpoints(setting, setting.k)
+    grouped = _families_by_endpoints(setting, setting.k)
     ends = jellyfish._end_map(setting, label)
     want = [(T, f) for T in dualpair._enumerate_T(setting, label) for f in grouped.get(ends(T), ())]
     assert enumerate_jellyfish(setting, sigma) == want, case
@@ -318,7 +362,7 @@ def _refuse_listing(monkeypatch):
     def refuse(*args):
         raise RuntimeError("listed a path family")
 
-    for name in ("_families_by_endpoints", "lattice_paths", "disjoint_products"):
+    for name in ("enumerate_F", "lattice_paths", "disjoint_products"):
         monkeypatch.setattr(jellyfish, name, refuse)
     monkeypatch.setattr(posets, "lattice_paths", refuse)
 
@@ -359,9 +403,38 @@ def test_path_count_cache_cannot_be_corrupted():
         counts.clear()
     with pytest.raises(TypeError):
         counts[3, 3][0] = 0
-    assert isinstance(jellyfish._starts(setting, k), tuple)
-    assert isinstance(jellyfish._fixed(setting, k), frozenset)
+    assert isinstance(jellyfish._geometry(setting, k).starts, tuple)
+    assert isinstance(jellyfish._geometry(setting, k).fixed, frozenset)
     assert jellyfish._path_counts(setting, k) is counts and dict(counts) == before
+
+
+def test_jellyfish_read_the_root_labels_only_through_the_geometry(monkeypatch):
+    # once _geometry is warm, the families and counts read no D_0 of their own
+    levels = [(upq(3, 4, 2), 2), (upq(4, 3, 3), 3), (ostar(7, 2), 2)]
+
+    def values():
+        return [
+            (
+                enumerate_F(setting, k),
+                [
+                    (jellyfish.count_jellyfish(setting, sigma), multiplicity_from_jellyfish(setting, sigma),
+                     list(jellyfish.iter_jellyfish(setting, sigma)))
+                    for sigma in iter_sigmas(setting, 2)
+                ],
+            )
+            for setting, k in levels
+        ]
+
+    want = values()
+    for setting, k in levels:
+        jellyfish._geometry(setting, k)
+    jellyfish._path_counts.cache_clear()
+
+    def refuse(*args):
+        raise RuntimeError("read the root labels outside _geometry")
+
+    monkeypatch.setattr(jellyfish, "_points", refuse)
+    assert values() == want
 
 
 def test_iter_jellyfish_checks_at_the_call():
