@@ -10,6 +10,7 @@ from functools import cache
 from json.encoder import encode_basestring_ascii
 
 from . import degree, diagrams, dualpair, jellyfish, posets, repdims
+from .tableaux import refuse
 
 # the most objects enumerate lists: the dim F_lambda tableaux of T(sigma) for
 # q and jellyfish, then the jellyfish themselves, the #P_k plane partitions or
@@ -205,13 +206,8 @@ def _check_listing_size(setting, sigma=None):
         if dualpair._classify(setting, label) != dualpair.IN_SIGMA:
             return None
         name, size = "dim F_lambda", repdims._dim_F(setting, label)
-    _check_budget(name, size)
+    refuse(name, size, LISTING_BUDGET, "listing budget")
     return size
-
-
-def _check_budget(name, size):
-    if size > LISTING_BUDGET:
-        raise ValueError(f"{name}={size} > listing budget {LISTING_BUDGET}")
 
 
 def cmd_enumerate(args):
@@ -240,7 +236,7 @@ def cmd_enumerate(args):
         # the exact count, one path-count determinant per endpoint datum, so
         # only the printed jellyfish are listed
         count = jellyfish.count_jellyfish(setting, sigma)
-        _check_budget("#jellyfish", count)
+        refuse("#jellyfish", count, LISTING_BUDGET, "listing budget")
         objects = jellyfish.iter_jellyfish(setting, sigma)
         serialize = lambda j: {
             "tableau": serialize_tableau(setting, j.tableau),

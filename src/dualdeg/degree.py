@@ -7,7 +7,7 @@ from functools import cache
 
 from . import diagrams, dualpair, jellyfish, posets, repdims
 from .dualpair import IN_SIGMA, MP, UPQ
-from .tableaux import IntPolynomial, exact_quotient
+from .tableaux import IntPolynomial, exact_quotient, gate, refuse
 
 # The default --limit: the largest set an oracle or a listing check enumerates.
 DEFAULT_LIMIT = 5000
@@ -77,21 +77,18 @@ def is_conjectural(setting):
 
 
 def _jellyfish_gate(setting, t_size, limit):
-    """The first gate of the jellyfish oracle that the instance fails, or None."""
+    """The first gate of the jellyfish oracle that the instance fails, or ""."""
     k = setting.k
     if setting.family not in jellyfish.FAMILIES:
         return f"no jellyfish for family {setting.family}"
     s = dualpair.free_threshold(setting)
     if k >= s:
         return f"k={k} >= s={s}"
-    if k > 2:
-        return f"k={k} > 2"
-    points = diagrams.dim_p_plus(setting)  # the boxes of D_0 for upq and ostar
-    if points > 20:
-        return f"|poset|={points} > 20"
-    if t_size > limit:
-        return f"dim F_lambda={t_size} > limit {limit}"
-    return None
+    return (
+        gate("k", k, 2, "")
+        or gate("|poset|", diagrams.dim_p_plus(setting), 20, "")  # the boxes of D_0 for upq and ostar
+        or gate("dim F_lambda", t_size, limit)
+    )
 
 
 def _collapse(setting, label, t_size):
@@ -136,7 +133,7 @@ def bernstein_degree(setting, sigma, limit=DEFAULT_LIMIT):
         status = "pass" if brute == q_count else "fail"
         checks.append(CrossCheck("q-enumeration", status, f"determinant {q_count}, enumeration {brute}"))
     else:
-        checks.append(CrossCheck("q-enumeration", "skipped", f"dim F_lambda={t_size} > limit {limit}"))
+        checks.append(CrossCheck("q-enumeration", "skipped", gate("dim F_lambda", t_size, limit)))
 
     d_size = len(diagrams.diagram_D(setting, setting.k))
     if p_count <= limit and d_size <= 12:
@@ -144,15 +141,11 @@ def bernstein_degree(setting, sigma, limit=DEFAULT_LIMIT):
         status = "pass" if brute == p_count else "fail"
         checks.append(CrossCheck("p-enumeration", status, f"product {p_count}, enumeration {brute}"))
     else:
-        gates = []
-        if p_count > limit:
-            gates.append(f"#P_k={p_count} > limit {limit}")
-        if d_size > 12:
-            gates.append(f"|D_k|={d_size} > 12")
+        gates = filter(None, (gate("#P_k", p_count, limit), gate("|D_k|", d_size, 12, "")))
         checks.append(CrossCheck("p-enumeration", "skipped", "; ".join(gates)))
 
     jellyfish_gate = _jellyfish_gate(setting, t_size, limit)
-    if jellyfish_gate is None:
+    if not jellyfish_gate:
         m = jellyfish.multiplicity_from_jellyfish(setting, label)
         status = "pass" if m == q_count * p_count else "fail"
         checks.append(CrossCheck("jellyfish", status, f"maximal jellyfish {m}"))
@@ -195,8 +188,7 @@ def q_collapse_check(setting, sigma, limit=DEFAULT_LIMIT):
     instead, naming that size."""
     label = dualpair.nonzero_label(setting, sigma)
     t_size = repdims._dim_F(setting, label)
-    if t_size > limit:
-        raise ValueError(f"dim F_lambda={t_size} > limit {limit}")
+    refuse("dim F_lambda", t_size, limit)
     q_count = dualpair.count_Q_enumeration(setting, label)
     k, r, s = setting.k, dualpair.real_rank(setting), dualpair.free_threshold(setting)
     report = {"k": k, "r": r, "s": s, "q_count": q_count}
@@ -394,11 +386,11 @@ def theta_check(setting, k, limit=DEFAULT_LIMIT):
     """Round-trip theta over every plane partition on D_k: theta_inverse undoes
     it, corners count the c statistic, and the images are distinct and are
     exactly the facets.  Returns #P_k, the facet count and the failed checks.
-    The check lists the #P_k plane partitions; above limit it raises
-    ValueError instead, naming #P_k."""
+    The check lists the #P_k plane partitions; it raises ValueError instead
+    for a family without facets, then above limit, naming #P_k."""
+    posets._require_dual_pair(setting)
     p_count = diagrams.count_P_product(setting, k)
-    if p_count > limit:
-        raise ValueError(f"#P_k={p_count} > limit {limit}")
+    refuse("#P_k", p_count, limit)
     pps = diagrams.enumerate_P(setting, k)
     facets = posets.enumerate_facets(setting, k)
     images = set()

@@ -9,7 +9,7 @@ from operator import itemgetter, le
 from types import MappingProxyType
 
 from .dualpair import DUAL_PAIR_FAMILIES, FAMILIES, MP, OSTAR, SO_EVEN, SO_ODD, UPQ, real_rank
-from .tableaux import IntPolynomial, binomial, determinant, exact_quotient
+from .tableaux import IntPolynomial, binomial, determinant, exact_quotient, refuse
 
 
 def normalize(boxes):
@@ -312,8 +312,7 @@ def _numerator_by_determinant(setting, k):
     width = (scale * count).bit_length() + 1
     blocks, divisor = _determinant_blocks(setting, k, width)
     cost = sum(len(m) ** 5 * max((e.bit_length() for row in m for e in row), default=0) ** 2 for _, m in blocks)
-    if cost > _PACKED_COST:
-        raise ValueError(f"packed bit-operation bound={cost} > limit {_PACKED_COST}")
+    refuse("packed bit-operation bound", cost, _PACKED_COST)
     quotient, rest = divmod(sum(factor * determinant(matrix) for factor, matrix in blocks), divisor)
     if rest or quotient <= 0:
         raise AssertionError(f"determinant sum for {setting} k={k} is not a positive multiple of its divisor")
@@ -438,8 +437,7 @@ def _numerator_by_levels(setting, k):
     exceeds _LEVEL_BITS.  A dual pair's N(t) passes _check_ends."""
     dual_pair = setting.family in DUAL_PAIR_FAMILIES
     work = _level_work(setting, k) if dual_pair else 0
-    if work > _LEVEL_WORK:
-        raise ValueError(f"level-transfer work bound={work} > limit {_LEVEL_WORK}")
+    refuse("level-transfer work bound", work, _LEVEL_WORK)
     order = sorted(diagram_D(setting, k), key=lambda box: (-box[0], box[1]))
     bit = {box: 1 << i for i, box in enumerate(order)}
     one, filters = 1 << len(order), [0]  # a filter is one int: its boxes' bits, plus c times one
@@ -449,8 +447,7 @@ def _numerator_by_levels(setting, k):
     width = len(order) * (k + 1).bit_length() + 2
     shifts = [(f >> len(order)) * width for f in filters]
     bits = len(filters) * len(order) * k * (k * max(shifts) + width)
-    if bits > _LEVEL_BITS:
-        raise ValueError(f"level-transfer bit bound={bits} > limit {_LEVEL_BITS}")
+    refuse("level-transfer bit bound", bits, _LEVEL_BITS)
     vec = [1 << s for s in shifts]
     if k > 1:
         index = {f % one: i for i, f in enumerate(filters)}

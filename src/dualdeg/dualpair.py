@@ -7,7 +7,7 @@ from collections import namedtuple
 from functools import cache
 from math import comb
 
-from .tableaux import _flag_column, _flagged_determinant, check_partition, column_classes, conjugate, enumerate_ssyt
+from .tableaux import _flag_column, _flagged_determinant, check_partition, column_classes, conjugate, enumerate_ssyt, refuse
 
 # Family tags. The first three are the dual-pair settings; the rest are the
 # additional Hermitian types that only carry diagram/Hilbert-series data.
@@ -400,8 +400,7 @@ def _count_Q_mp(n, k, sigma):
     for m in range(min(c1, k - c1) + 1):  # k - 2m + 1 states (x, y) have min(x, y) = m
         j = min(m, c2)
         bound += comb(sum(sigma[i] - i + j - 2 >= 0 for i in range(c2)), j) * (k - 2 * m + 1)
-    if bound > _MP_SCAN_PAIRS:
-        raise ValueError(f"mp path-scan bound={bound} > limit {_MP_SCAN_PAIRS}")
+    refuse("mp path-scan bound", bound, _MP_SCAN_PAIRS)
     diffs = [sigma[i] - 1 - i for i in range(c2)]  # rows 1..c2 of sigma less its first column
     states = {(0, 0): {0: 1}}
     for v in range(n - k + 1, n + 1):

@@ -21,16 +21,6 @@ from .tableaux import determinant
 FAMILIES = (UPQ, OSTAR)
 
 
-def _check_family(setting):
-    if setting.family not in FAMILIES:
-        raise ValueError("jellyfish exist only for the upq and ostar families")
-
-
-def _check_k(setting, k):
-    if not 1 <= k < free_threshold(setting):
-        raise ValueError(f"k must satisfy 1 <= k < {free_threshold(setting)}")
-
-
 @cache
 def _points(setting):
     """The root labels (i, j) of the positive noncompact roots: the box
@@ -45,14 +35,17 @@ _Geometry = namedtuple("_Geometry", "points starts fixed outer")
 @cache
 def _geometry(setting, k):
     """The path geometry that every family and count reads, checked and
-    built once; cached, so all of it is tuples and frozensets: the root
-    labels, the k starts in row order on the inner boundary of the fixed
+    built once; cached, so all of it is tuples and frozensets.  It is the
+    one check of a jellyfish setting, the family and then 1 <= k < s, which
+    every public entry calls first.  It holds the root labels, the k starts in row order on the inner boundary of the fixed
     region A (the points with i + j <= step (k + 1); for ostar rows 1..k,
     at column n until that diagonal passes it), the points of A off the
     starts, and the outer edge where paths end, row p or column q for upq
     and column n for ostar."""
-    _check_family(setting)
-    _check_k(setting, k)
+    if setting.family not in FAMILIES:
+        raise ValueError("jellyfish exist only for the upq and ostar families")
+    if not 1 <= k < free_threshold(setting):
+        raise ValueError(f"k must satisfy 1 <= k < {free_threshold(setting)}")
     points = _points(setting)
     if setting.family == UPQ:
         p, q = setting.p, setting.q
@@ -107,16 +100,16 @@ def i_hat_upq(setting, k, k_minus, south):
 def end_map(setting, sigma, T):
     """Endpoints attached to a tableau: first-column entries clipped to the
     maximal attainable positions."""
-    return _end_map(setting, dualpair.normalize_sigma(setting, sigma))(T)
+    sigma = dualpair.normalize_sigma(setting, sigma)
+    _geometry(setting, setting.k)
+    return _end_map(setting, sigma)(T)
 
 
 def _end_map(setting, sigma):
     """end_map as a function of T, for a sigma as normalize_sigma returns
     it: what depends on the setting and sigma alone is worked out once, not
-    once per tableau."""
-    _check_family(setting)
+    once per tableau.  The caller checks the setting, _geometry."""
     k = setting.k
-    _check_k(setting, k)
     if setting.family == OSTAR:
         n = setting.n
         i_hat = tuple(
@@ -251,8 +244,7 @@ def enumerate_F(setting, k):
 
 def max_family_size(setting, k):
     """The common cardinality d_k of the largest path families, dim p+ - |D_k|."""
-    _check_family(setting)
-    _check_k(setting, k)
+    _geometry(setting, k)
     return diagrams.dim_p_plus(setting) - len(diagrams.diagram_D(setting, k))
 
 
@@ -274,8 +266,7 @@ def iter_jellyfish(setting, sigma):
     one at a time, checked and set up at the call.  The families are built
     only for the endpoint data that the tableaux reach, once per datum,
     _families_ending_at."""
-    _check_family(setting)
-    _check_k(setting, setting.k)
+    _geometry(setting, setting.k)
     sigma = dualpair.nonzero_label(setting, sigma)
     ends = _end_map(setting, sigma)
     built = {}
@@ -308,9 +299,8 @@ def _count_jellyfish(setting, sigma, maximal):
     number of families realizing end(key), _family_number, taken once per
     endpoint datum; for the maximal count, only where their size,
     _family_size, is d_k."""
-    _check_family(setting)
     k = setting.k
-    _check_k(setting, k)
+    _geometry(setting, k)
     sigma = dualpair.nonzero_label(setting, sigma)
     d = max_family_size(setting, k) if maximal else None
     ends = _end_map(setting, sigma)

@@ -213,6 +213,20 @@ def exact_quotient(num, den):
     return quotient
 
 
+def gate(name, value, bound, unit="limit"):
+    """The wording of every size gate: "name=value > unit bound" (without
+    the unit when it is empty) where value exceeds bound, else ""."""
+    if value <= bound:
+        return ""
+    return f"{name}={value} > {unit} {bound}" if unit else f"{name}={value} > {bound}"
+
+
+def refuse(name, value, bound, unit="limit"):
+    """Raise ValueError with the text of gate when that text is not empty."""
+    if text := gate(name, value, bound, unit):
+        raise ValueError(text)
+
+
 def determinant(matrix):
     """Exact determinant of an integer matrix via fraction-free (Bareiss)
     elimination: each quotient is a minor of the matrix, so each division

@@ -807,6 +807,15 @@ def test_check_theta_gate():
     assert err.getvalue() == "error: #P_k=19404 > limit 5000\n"
 
 
+@pytest.mark.parametrize("flags", ["--family e6", "--family so-even --n 4"], ids=["e6", "so-even"])
+def test_check_theta_refuses_a_family_without_lattice_paths(flags):
+    # theta_check asks for a dual pair before it reads #P_k, so it refuses
+    # in the words of enumerate facets, not those of the product formula
+    message = "error: lattice-path machinery is only implemented for ('upq', 'mp', 'ostar')\n"
+    for command in ("check theta", "enumerate facets"):
+        assert run_cli_err(f"{command} {flags} --k 1".split()) == (2, "", message), command
+
+
 def test_hilbert_box_transfer_gate():
     # mp(40) k=25: the packed route refuses, and so does the level transfer
     # while it lists the filters; the call exits 2 naming both bounds, while

@@ -73,6 +73,46 @@ def test_family_restrictions():
         end_map(upq(2, 3, 0), ((), ()), (Tableau([]), Tableau([])))
 
 
+_FAMILY_ONLY = "jellyfish exist only for the upq and ostar families"
+
+
+def _public_entries(setting, sigma):
+    """Each public jellyfish entry, called on setting at its own k."""
+    T = (Tableau([]), Tableau([])) if setting.family == "upq" else Tableau([])
+    k = setting.k
+    return {
+        "end_map": lambda: end_map(setting, sigma, T),
+        "max_family_size": lambda: max_family_size(setting, k),
+        "enumerate_F": lambda: enumerate_F(setting, k),
+        "enumerate_maximal_F": lambda: enumerate_maximal_F(setting, k),
+        "iter_jellyfish": lambda: jellyfish.iter_jellyfish(setting, sigma),
+        "enumerate_jellyfish": lambda: enumerate_jellyfish(setting, sigma),
+        "count_jellyfish": lambda: jellyfish.count_jellyfish(setting, sigma),
+        "multiplicity_from_jellyfish": lambda: multiplicity_from_jellyfish(setting, sigma),
+    }
+
+
+@pytest.mark.parametrize("setting, sigma, message", [
+    (mp(5, 2), (), _FAMILY_ONLY),
+    (ostar(5, 0), (), "k must satisfy 1 <= k < 4"),
+    (ostar(5, 4), (), "k must satisfy 1 <= k < 4"),
+    (upq(2, 3, 0), ((), ()), "k must satisfy 1 <= k < 4"),
+    (upq(2, 3, 4), ((), ()), "k must satisfy 1 <= k < 4"),
+])
+def test_every_public_entry_refuses_a_setting_without_jellyfish(setting, sigma, message):
+    for name, call in _public_entries(setting, sigma).items():
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message, name
+
+
+def test_the_family_is_refused_before_the_label_is_read():
+    # (9,)*7 is no admissible label of mp(5) at k = 2, yet the family is named
+    for call in (jellyfish.iter_jellyfish, jellyfish.count_jellyfish):
+        with pytest.raises(ValueError, match="^jellyfish exist only for the upq and ostar families$"):
+            call(mp(5, 2), (9,) * 7)
+
+
 def test_boundary_golden_ostar():
     starts = jellyfish._geometry(ostar(11, 4), 4).starts
     assert tuple(j for _, j in starts) == (9, 8, 7, 6)

@@ -30,8 +30,10 @@ from dualdeg.tableaux import (
     determinant,
     enumerate_ssyt,
     exact_quotient,
+    gate,
     is_partition,
     pad,
+    refuse,
 )
 
 
@@ -409,6 +411,31 @@ def test_exact_quotient():
     assert exact_quotient(-12, 4) == -3
     with pytest.raises(AssertionError):
         exact_quotient(7, 2)
+
+
+def test_gate_names_the_size_and_its_bound():
+    assert gate("#P_k", 6, 6) == ""
+    assert gate("#P_k", 7, 6) == "#P_k=7 > limit 6"
+    assert gate("#jellyfish", 11, 10, "listing budget") == "#jellyfish=11 > listing budget 10"
+    assert gate("|D_k|", 13, 12, "") == "|D_k|=13 > 12"
+    assert refuse("dim F_lambda", 5, 5) is None
+    with pytest.raises(ValueError, match=r"^dim F_lambda=6 > limit 5$"):
+        refuse("dim F_lambda", 6, 5)
+
+
+def test_gate_wording_lives_in_tableaux_alone():
+    # every size refusal and skipped check of the package is worded by
+    # tableaux.gate, so no other module types the wording out
+    modules = sorted(Path(dualdeg.__file__).parent.glob("*.py"))
+    assert len(modules) >= 9
+    found = [
+        f"{path.name}: {text!r}"
+        for path in modules
+        if path.name != "tableaux.py"
+        for text in ("> limit", "> listing budget")
+        if text in path.read_text()
+    ]
+    assert found == []
 
 
 @pytest.mark.parametrize(
