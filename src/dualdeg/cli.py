@@ -277,7 +277,8 @@ def cmd_check(args):
             raise ValueError("the conjecture probe applies to the mp family")
         if not degree.is_conjectural(setting):
             r, s = dualpair.real_rank(setting), dualpair.free_threshold(setting)
-            raise ValueError(f"k must lie in the window [{r + 1}, {s - 1}]")
+            empty = f"no k lies in the window r < k < s: r = {r}, s = {s}"
+            raise ValueError(f"k must lie in the window [{r + 1}, {s - 1}]" if r + 1 < s else empty)
         sigmas = degree.iter_sigmas(setting, 2) if args.sigma is None else [parse_partition(args.sigma)]
         entries = []
         for sigma in sigmas:

@@ -249,7 +249,7 @@ def numerator_polynomial(setting, k):
     tests and enumerate_P with c_statistic are the test oracles."""
     r = real_rank(setting)
     if not 1 <= k <= r:
-        raise ValueError(f"k must satisfy 1 <= k <= {r}")
+        raise ValueError(f"k must satisfy 1 <= k <= {r}" if r else "no k satisfies 1 <= k <= r: r = 0")
     if setting.family not in DUAL_PAIR_FAMILIES:
         return _numerator_by_levels(setting, k)
     work = _level_work(setting, k)

@@ -2,8 +2,9 @@
 path families, whose maximal members count the Bernstein degree directly.
 
 Everything here works in root-label coordinates (i, j), with lattice paths
-stepping southeast: (i, j) -> (i+1, j) or (i, j+1), listed by the path engine
-of posets and counted by the path tables below.  Only the unitary and
+stepping southeast: (i, j) -> (i+1, j) or (i, j+1), counted by the path
+tables below and listed by the path engine of posets; the maximal families
+alone are read from the facets of posets.  Only the unitary and
 star-orthogonal families carry this structure.
 """
 
@@ -13,7 +14,7 @@ from types import MappingProxyType
 
 from . import diagrams, dualpair
 from .dualpair import OSTAR, UPQ, free_threshold
-from .posets import PathFamily, boxed_paths, disjoint_products, lattice_paths
+from .posets import PathFamily, boxed_paths, iter_facets
 from .tableaux import determinant
 
 
@@ -21,15 +22,18 @@ from .tableaux import determinant
 FAMILIES = (UPQ, OSTAR)
 
 
+def _root_labels(setting, boxes):
+    """The root labels of boxes (r, c) of D_0: (r, c) for upq, (r, c + 1) for ostar."""
+    return frozenset((r, c + (setting.family == OSTAR)) for r, c in boxes)
+
+
 @cache
 def _points(setting):
-    """The root labels (i, j) of the positive noncompact roots: the box
-    (r, c) of D_0 is the root (r, c) for upq and (r, c + 1) for ostar."""
-    shift = setting.family == OSTAR
-    return frozenset((r, c + shift) for r, c in diagrams.diagram_D(setting, 0))
+    """The root labels of the positive noncompact roots, the boxes of D_0."""
+    return _root_labels(setting, diagrams.diagram_D(setting, 0))
 
 
-_Geometry = namedtuple("_Geometry", "points starts fixed outer")
+_Geometry = namedtuple("_Geometry", "points starts fixed")
 
 
 @cache
@@ -37,31 +41,29 @@ def _geometry(setting, k):
     """The path geometry that every family and count reads, checked and
     built once; cached, so all of it is tuples and frozensets.  It is the
     one check of a jellyfish setting, the family and then 1 <= k < s, which
-    every public entry calls first.  It holds the root labels, the k starts in row order on the inner boundary of the fixed
-    region A (the points with i + j <= step (k + 1); for ostar rows 1..k,
-    at column n until that diagonal passes it), the points of A off the
-    starts, and the outer edge where paths end, row p or column q for upq
-    and column n for ostar."""
+    every public entry calls first.  It holds the root labels, the k
+    starts in row order on the inner boundary of the fixed region A (the
+    points with i + j <= step (k + 1); for ostar rows 1..k, at column n
+    until that diagonal passes it) and the points of A off the starts."""
     if setting.family not in FAMILIES:
         raise ValueError("jellyfish exist only for the upq and ostar families")
-    if not 1 <= k < free_threshold(setting):
-        raise ValueError(f"k must satisfy 1 <= k < {free_threshold(setting)}")
+    s = free_threshold(setting)
+    if not 1 <= k < s:
+        raise ValueError(f"k must satisfy 1 <= k < {s}" if s > 1 else f"no k satisfies 1 <= k < s: s = {s}")
     points = _points(setting)
     if setting.family == UPQ:
         p, q = setting.p, setting.q
         starts = [(p, u) for u in range(1, k - p + 1)]
         starts += [(t, q) for t in range(1, k - q + 1)]
         starts += [(i, k + 1 - i) for i in range(max(1, k + 1 - q), min(p, k) + 1)]
-        outer = frozenset(x for x in points if x[0] == p or x[1] == q)
     else:
         n = setting.n
         starts = [(t, n if t < 2 * (k + 1) - n else 2 * (k + 1) - t) for t in range(1, k + 1)]
-        outer = frozenset(x for x in points if x[1] == n)
     if len(set(starts)) != k:  # raised, not asserted, so that python -O keeps the check
         raise AssertionError(f"{setting} k={k} has start points {starts}, not {k} distinct ones")
     cutoff = dualpair.FAMILIES[setting.family].step * (k + 1)
     fixed = frozenset(x for x in points if x[0] + x[1] <= cutoff).difference(starts)
-    return _Geometry(points, tuple(sorted(starts)), fixed, outer)
+    return _Geometry(points, tuple(sorted(starts)), fixed)
 
 
 class Endpoints(namedtuple("Endpoints", "south east", defaults=((), ()))):
@@ -224,24 +226,6 @@ def _families_ending_at(setting, k, end):
     return tuple(PathFamily(pts | geometry.fixed, combo) for combo, pts in combos)
 
 
-def enumerate_F(setting, k):
-    """All path families at level k, one per point set, sorted by point set:
-    one path from each start to the outer edge, pairwise disjoint.  Once
-    its ends are fixed, a union of disjoint east/south paths fixes the
-    paths, but with free ends a point set may split into paths in more
-    than one way: at upq(2, 2) k = 2 the corner (2, 2) joins either the
-    path from (1, 2) or the one from (2, 1).  The first split in
-    disjoint_products order is kept."""
-    geometry = _geometry(setting, k)
-    candidates = [lattice_paths(start, geometry.points, geometry.outer) for start in geometry.starts]
-    by_pts = {}
-    for combo, pts in disjoint_products(candidates):
-        if not pts.isdisjoint(geometry.fixed):  # raised, not asserted, as in _geometry
-            raise AssertionError(f"a path family of {setting} k={k} meets the fixed region")
-        by_pts.setdefault(pts | geometry.fixed, combo)
-    return sorted((PathFamily(pts, combo) for pts, combo in by_pts.items()), key=lambda f: sorted(f.points))
-
-
 def max_family_size(setting, k):
     """The common cardinality d_k of the largest path families, dim p+ - |D_k|."""
     _geometry(setting, k)
@@ -249,9 +233,9 @@ def max_family_size(setting, k):
 
 
 def enumerate_maximal_F(setting, k):
-    """The path families of maximum cardinality d_k."""
-    d = max_family_size(setting, k)
-    return [f for f in enumerate_F(setting, k) if len(f) == d]
+    """The path families of maximum cardinality d_k: the facets of posets.iter_facets in root labels."""
+    _geometry(setting, k)
+    return [PathFamily(_root_labels(setting, f.points)) for f in iter_facets(setting, k)]
 
 
 class Jellyfish(namedtuple("Jellyfish", "tableau family")):

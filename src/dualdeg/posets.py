@@ -1,9 +1,9 @@
 """The root poset of the dual-pair families, read as the boxes of D_0,
 diagrams.diagram_D(setting, 0), under the product order: its minimal
 element sits in the northwest corner and covers point east and south.
-Antichain widths, the lattice-path engine shared with the jellyfish, facets
-of the width-k order complex as unions of k nonintersecting lattice paths,
-and the bijection with bounded plane partitions."""
+Antichain widths, the lattice-path engine, facets of the width-k order
+complex as unions of k nonintersecting lattice paths (the maximal jellyfish
+families, in root labels) and the bijection with bounded plane partitions."""
 
 from bisect import bisect_left
 from collections import namedtuple

@@ -648,6 +648,25 @@ def test_identity_window_refusals():
     )
 
 
+@pytest.mark.parametrize("flags", ["--family ostar --n 2", "--family upq --p 1 --q 1"])
+def test_enumerate_jellyfish_names_an_empty_k_range(flags):
+    # s = 1, so the range 1 <= k < s of the jellyfish holds no k
+    argv = f"enumerate jellyfish {flags} --k 1".split()
+    assert run_cli_err(argv) == (2, "", "error: no k satisfies 1 <= k < s: s = 1\n")
+
+
+def test_hilbert_names_an_empty_k_range():
+    # ostar(1) has real rank r = 0, so no level 1 <= k <= r has a numerator
+    argv = "hilbert --family ostar --n 1 --k 1".split()
+    assert run_cli_err(argv) == (2, "", "error: no k satisfies 1 <= k <= r: r = 0\n")
+
+
+def test_check_conjecture_names_an_empty_window():
+    # the window [r + 1, s - 1] of mp(1) is [2, 0]; n = 2 is checked below
+    argv = "check conjecture --family mp --n 1 --k 1".split()
+    assert run_cli_err(argv) == (2, "", "error: no k lies in the window r < k < s: r = 1, s = 1\n")
+
+
 @pytest.mark.parametrize("n", range(2, 7))
 def test_check_conjecture_window_from_both_sides(n):
     for k in range(1, 2 * n + 1):
@@ -656,7 +675,9 @@ def test_check_conjecture_window_from_both_sides(n):
             assert (code, err) == (0, "") and json.loads(out)["conjectural"], (n, k)
         else:
             assert (code, out) == (2, ""), (n, k)
-            assert err == f"error: k must lie in the window [{n + 1}, {2 * n - 2}]\n"
+            empty = "no k lies in the window r < k < s: r = 2, s = 3"  # n = 2: [3, 2]
+            want = f"k must lie in the window [{n + 1}, {2 * n - 2}]" if n > 2 else empty
+            assert err == f"error: {want}\n"
 
 
 @pytest.mark.parametrize("kind", ["q", "jellyfish"])
@@ -668,7 +689,8 @@ def test_enumerate_refuses_a_tableau_set_above_the_listing_budget(monkeypatch, k
 
     for module in (tableaux, dualpair):
         monkeypatch.setattr(module, "enumerate_ssyt", refuse)
-    monkeypatch.setattr(jellyfish, "enumerate_F", refuse)
+    for name in ("boxed_paths", "iter_facets"):
+        monkeypatch.setattr(jellyfish, name, refuse)
     argv = f"enumerate {kind} --family ostar --n 14 --k 6 --sigma 4,3,2,1 --limit 1".split()
     assert run_cli_err(argv) == (2, "", "error: dim F_lambda=56632576 > listing budget 1000000\n")
 
@@ -700,7 +722,7 @@ def test_enumerate_jellyfish_reads_the_jellyfish_count_before_listing(monkeypatc
     def refuse(*args):
         raise RuntimeError("listed a path family")
 
-    for name in ("enumerate_F", "lattice_paths", "disjoint_products"):
+    for name in ("boxed_paths", "iter_facets"):
         monkeypatch.setattr(jellyfish, name, refuse)
     argv = "enumerate jellyfish --family upq --p 8 --q 8 --k 4 --sigma-plus 1 --limit 1".split()
     assert run_cli_err(argv) == (2, "", "error: #jellyfish=2345112 > listing budget 1000000\n")

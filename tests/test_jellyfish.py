@@ -7,13 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualdeg import dualpair, jellyfish, posets
+from dualdeg import degree, diagrams, dualpair, jellyfish, posets
 from dualdeg.degree import bernstein_degree, iter_sigmas
 from dualdeg.dualpair import OSTAR, enumerate_Q, free_threshold, mp, ostar, upq
 from dualdeg.jellyfish import (
     Endpoints,
     end_map,
-    enumerate_F,
     enumerate_jellyfish,
     enumerate_maximal_F,
     enumerate_maximal_jellyfish,
@@ -46,13 +45,18 @@ def _endpoint_keys(setting, endpoints):
 @cache
 def _families_by_endpoints(setting, k):
     """Read-only map from endpoint data to the tuple of path families
-    realizing it; the result is cached, so callers must not change it.  No
-    key lists a family twice: disjoint east/south paths from fixed starts
-    to a key's ends never cross, so their union fixes the paths (see
-    posets.iter_facets); a family ending at the corner (p, q) is listed
-    under both its keys."""
+    realizing it; the result is cached, so callers must not change it.
+    Each start takes one path to the outer edge, row p or column q for upq
+    and column n for ostar.  No key lists a family twice: disjoint
+    east/south paths from fixed starts to a key's ends never cross, so
+    their union fixes the paths (see posets.iter_facets); a family ending
+    at the corner (p, q) is listed under both its keys."""
     geometry = jellyfish._geometry(setting, k)
-    candidates = [lattice_paths(start, geometry.points, geometry.outer) for start in geometry.starts]
+    if setting.family == OSTAR:
+        outer = {x for x in geometry.points if x[1] == setting.n}
+    else:
+        outer = {x for x in geometry.points if x[0] == setting.p or x[1] == setting.q}
+    candidates = [lattice_paths(start, geometry.points, outer) for start in geometry.starts]
     grouped = {}
     for combo, pts in disjoint_products(candidates):
         if not pts.isdisjoint(geometry.fixed):
@@ -83,7 +87,6 @@ def _public_entries(setting, sigma):
     return {
         "end_map": lambda: end_map(setting, sigma, T),
         "max_family_size": lambda: max_family_size(setting, k),
-        "enumerate_F": lambda: enumerate_F(setting, k),
         "enumerate_maximal_F": lambda: enumerate_maximal_F(setting, k),
         "iter_jellyfish": lambda: jellyfish.iter_jellyfish(setting, sigma),
         "enumerate_jellyfish": lambda: enumerate_jellyfish(setting, sigma),
@@ -98,6 +101,9 @@ def _public_entries(setting, sigma):
     (ostar(5, 4), (), "k must satisfy 1 <= k < 4"),
     (upq(2, 3, 0), ((), ()), "k must satisfy 1 <= k < 4"),
     (upq(2, 3, 4), ((), ()), "k must satisfy 1 <= k < 4"),
+    # s = 1: the range 1 <= k < s holds no k
+    (ostar(2, 1), (), "no k satisfies 1 <= k < s: s = 1"),
+    (upq(1, 1, 1), ((), ()), "no k satisfies 1 <= k < s: s = 1"),
 ])
 def test_every_public_entry_refuses_a_setting_without_jellyfish(setting, sigma, message):
     for name, call in _public_entries(setting, sigma).items():
@@ -159,18 +165,6 @@ def test_end_map_transposed_orientation():
         assert flipped.south == ends.east and flipped.east == ends.south
 
 
-def test_families_partition_by_endpoints():
-    setting = ostar(5, 1)
-    all_families = {f.points for f in enumerate_F(setting, 1)}
-    grouped = _families_by_endpoints(setting, 1)
-    by_ends = set()
-    for i in range(1, 5):
-        for f in grouped.get(Endpoints(east=(i,)), ()):
-            by_ends.add(f.points)
-    assert by_ends == all_families
-    assert Endpoints(east=(99,)) not in grouped
-
-
 def test_no_endpoint_key_lists_a_family_twice():
     # _families_by_endpoints keeps no seen set: disjoint east/south paths
     # from fixed starts never cross, so a key's families have distinct point
@@ -192,16 +186,6 @@ def test_equal_cardinality_within_endpoint_class():
         for ends, fams in grouped.items():
             sizes = {len(f) for f in fams}
             assert len(sizes) == 1, (setting, ends, sizes)
-
-
-def test_maximal_families_match_poset_facets():
-    for setting, k in [(upq(3, 3, 1), 1), (upq(2, 4, 2), 2), (ostar(5, 1), 1), (ostar(6, 2), 2)]:
-        # the box (r, c) of D_0 is the root (r, c) for upq and (r, c + 1) for ostar
-        shift = 1 if setting.family == "ostar" else 0
-        facet_pts = {frozenset((r, c + shift) for r, c in f.points) for f in posets.enumerate_facets(setting, k)}
-        maximal_pts = {f.points for f in enumerate_maximal_F(setting, k)}
-        assert maximal_pts == facet_pts, (setting, k)
-        assert max_family_size(setting, k) == len(next(iter(facet_pts)))
 
 
 def test_jellyfish_count_sigma_zero():
@@ -259,12 +243,10 @@ def test_cached_helpers_hold_frozensets():
         assert isinstance(points, frozenset) and jellyfish._points(setting) is points  # one cached value
         geometry = jellyfish._geometry(setting, k)
         assert jellyfish._geometry(setting, k) is geometry and geometry.points is points
-        for name in ("fixed", "outer"):
-            assert isinstance(getattr(geometry, name), frozenset), name
+        assert isinstance(geometry.fixed, frozenset)
         assert isinstance(geometry.starts, tuple) and all(isinstance(x, tuple) for x in geometry.starts)
         assert geometry.fixed.union(geometry.starts) <= points
-        d = max_family_size(setting, k)
-        assert d == max(len(f) for f in enumerate_F(setting, k))
+        assert max_family_size(setting, k) == max_family_size_by_listing(setting, k)
 
 
 # upq with pq <= 20 and ostar with n <= 6, at 1 <= k <= min(2, s - 1), with
@@ -336,24 +318,37 @@ def test_path_count_determinants_match_the_listing():
     assert keys == 4_046
 
 
-def test_enumerate_F_keeps_the_first_split_per_point_set():
-    # with free ends a point set may split into paths in more than one way;
-    # enumerate_F keeps the split that comes first in key order over the
-    # per-key listing, paths included
+def test_maximal_families_match_poset_facets():
+    # at every level, the listing's largest families are enumerate_maximal_F
+    # and the facets of posets, whose box (r, c) of D_0 is the root (r, c)
+    # for upq and (r, c + 1) for ostar
+    total = 0
     for setting, k in LGV_LEVELS:
-        first = {}
-        for families in _families_by_endpoints(setting, k).values():
-            for f in families:
-                first.setdefault(f.points, f)
-        assert enumerate_F(setting, k) == sorted(first.values(), key=lambda f: sorted(f.points)), (setting, k)
-    # upq(2, 2) at k = 2: the corner (2, 2) joins either path, and the
-    # point set is listed once, with the corner on the path from (2, 1)
-    setting, k = upq(2, 2, 2), 2
-    splits = [(((1, 2), (2, 2)), ((2, 1),)), (((1, 2),), ((2, 1), (2, 2)))]
-    listed = {f.paths for families in _families_by_endpoints(setting, k).values() for f in families}
-    assert set(splits) <= listed
-    square = frozenset({(1, 1), (1, 2), (2, 1), (2, 2)})
-    assert [f for f in enumerate_F(setting, k) if f.points == square] == [PathFamily(square, splits[1])]
+        d = max_family_size_by_listing(setting, k)
+        listed = {f.points for fams in _families_by_endpoints(setting, k).values() for f in fams if len(f) == d}
+        maximal = [f.points for f in enumerate_maximal_F(setting, k)]
+        shift = setting.family == OSTAR
+        facets = {frozenset((r, c + shift) for r, c in f.points) for f in posets.iter_facets(setting, k)}
+        assert len(set(maximal)) == len(maximal) and set(maximal) == listed == facets, (setting, k)
+        total += len(listed)
+    assert (len(LGV_LEVELS), total) == (163, 3_144)
+
+
+def test_the_jellyfish_suite_sees_a_dropped_ostar_shift(monkeypatch):
+    # the maximal families come from the facets, not from _points, so root
+    # labels without the ostar shift move the jellyfish side alone
+    def unshifted(setting):
+        return frozenset(diagrams.diagram_D(setting, 0))
+
+    jellyfish._geometry.cache_clear()
+    jellyfish._path_counts.cache_clear()
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(jellyfish, "_points", unshifted)
+            assert degree.jellyfish_check(ostar(5, 1), ())
+    finally:
+        jellyfish._geometry.cache_clear()
+        jellyfish._path_counts.cache_clear()
 
 
 def test_path_counts_in_the_row_order_of_starts_miss_the_sign():
@@ -402,7 +397,7 @@ def _refuse_listing(monkeypatch):
     def refuse(*args):
         raise RuntimeError("listed a path family")
 
-    for name in ("enumerate_F", "lattice_paths", "disjoint_products"):
+    for name in ("boxed_paths", "iter_facets"):
         monkeypatch.setattr(jellyfish, name, refuse)
     monkeypatch.setattr(posets, "lattice_paths", refuse)
 
@@ -455,7 +450,7 @@ def test_jellyfish_read_the_root_labels_only_through_the_geometry(monkeypatch):
     def values():
         return [
             (
-                enumerate_F(setting, k),
+                enumerate_maximal_F(setting, k),
                 [
                     (jellyfish.count_jellyfish(setting, sigma), multiplicity_from_jellyfish(setting, sigma),
                      list(jellyfish.iter_jellyfish(setting, sigma)))
