@@ -135,7 +135,8 @@ def bernstein_degree(setting, sigma, limit=DEFAULT_LIMIT):
     else:
         checks.append(CrossCheck("q-enumeration", "skipped", gate("dim F_lambda", t_size, limit)))
 
-    d_size = len(diagrams.diagram_D(setting, setting.k))
+    _, a, b = diagrams._dual_pair_shape(setting, setting.k)  # |D_k| without its boxes
+    d_size = a * b if setting.family == UPQ else a * (a + 1) // 2
     if p_count <= limit and d_size <= 12:
         brute = len(diagrams.enumerate_P(setting, setting.k))
         status = "pass" if brute == p_count else "fail"

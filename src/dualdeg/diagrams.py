@@ -5,6 +5,7 @@ work would exceed a multiple of the determinants' size cubed."""
 
 from collections import namedtuple
 from functools import cache, lru_cache
+from math import comb
 from operator import itemgetter, le
 from types import MappingProxyType
 
@@ -203,23 +204,38 @@ def _fillings(diagram, k):
 
 
 def count_P_product(setting, k):
-    """#P_k for the three dual-pair types, by the exact product formulas:
-    one factor (h + step k) / h per box of D_k, h = i + j - 1 over the
-    a x b rectangle for upq, and over 1 <= i <= j <= a, plus step - 1, for
-    the staircases of mp and ostar."""
+    """#P_k for the three dual-pair types, by MacMahon's box formula: the
+    product over the boxes of D_k of (h + step k) / h, h = i + j - 1 over
+    the a x b rectangle for upq, and over 1 <= i <= j <= a, plus step - 1,
+    for the staircases of mp and ostar.  It reads the shape of D_k, never
+    its boxes, and _count_P takes the product once per shape."""
     if k < 1:
         raise ValueError("k must be >= 1")
     f, a, b = _dual_pair_shape(setting, k)
-    step = FAMILIES[f].step
-    if f == UPQ:
-        hooks = [i + j - 1 for i in range(1, a + 1) for j in range(1, b + 1)]
+    return _count_P(f, a, b, FAMILIES[f].step * k)
+
+
+@cache
+def _count_P(family, a, b, shift):
+    """The box product of count_P_product, one binomial ratio per row of D_k.
+    Row i holds the hooks x, ..., x + n - 1, x = i and n = b for upq and
+    x = 2i + step - 2 and n = a - i + 1 for the staircases, so its factor
+    rising(x + shift, n) / rising(x, n) is C(x + shift + n - 1, n) /
+    C(x + n - 1, n) = C(x + n + shift - 1, shift) / C(x + shift - 1, shift):
+    the pair with the lower index min(n, shift), then one exact division."""
+    if family == UPQ:
+        rows = [(i, b) for i in range(1, a + 1)]
     else:
-        hooks = [i + j + step - 2 for i in range(1, a + 1) for j in range(i, a + 1)]
-    shift = step * k
+        step = FAMILIES[family].step
+        rows = [(2 * i + step - 2, a - i + 1) for i in range(1, a + 1)]
     num = den = 1
-    for h in hooks:
-        num *= h + shift
-        den *= h
+    for x, n in rows:
+        if n <= shift:
+            num *= comb(x + shift + n - 1, n)
+            den *= comb(x + n - 1, n)
+        else:
+            num *= comb(x + n + shift - 1, shift)
+            den *= comb(x + shift - 1, shift)
     return exact_quotient(num, den)
 
 

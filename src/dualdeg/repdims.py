@@ -65,8 +65,9 @@ def dim_o(k, sigma):
     total length at most k), by Weyl's formula for SO_k.
 
     A label with first column c1 > k/2 has the dimension of its associate,
-    whose first column is k - c1.  For even k a label with k/2 rows
-    restricts to two SO_k irreps of equal dimension, so it counts twice."""
+    whose columns (k - c1,) + conj[1:] are weakly decreasing, as conjugate
+    needs, since c1 + c2 <= k.  For even k a label with k/2 rows restricts
+    to two SO_k irreps of equal dimension, so it counts twice."""
     sigma = check_partition(sigma)
     conj = conjugate(sigma)
     c1 = conj[0] if len(conj) >= 1 else 0

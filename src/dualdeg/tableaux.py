@@ -2,15 +2,15 @@
 
 import bisect
 import math
+import operator
 from functools import cache
 
 
 def is_partition(parts):
     """True if parts is a weakly decreasing sequence of positive integers."""
     parts = tuple(parts)
-    return all(isinstance(x, int) and x >= 1 for x in parts) and all(
-        parts[i] >= parts[i + 1] for i in range(len(parts) - 1)
-    )
+    ints = all(isinstance(x, int) for x in parts)
+    return ints and all(map(operator.ge, parts, parts[1:])) and (not parts or parts[-1] >= 1)
 
 
 def check_partition(parts):
@@ -22,11 +22,14 @@ def check_partition(parts):
 
 
 def conjugate(parts):
-    """Conjugate partition: column counts of the Young diagram."""
+    """Conjugate partition: column counts of the Young diagram of the weakly
+    decreasing parts, trailing zeros allowed.  One pass, from the longest
+    column down: the columns past len(conj) up to parts[i - 1] have length i."""
     parts = tuple(parts)
-    if not parts:
-        return ()
-    return tuple(sum(1 for p in parts if p >= j) for j in range(1, parts[0] + 1))
+    conj = []
+    for i in range(len(parts), 0, -1):
+        conj += [i] * (parts[i - 1] - len(conj))
+    return tuple(conj)
 
 
 def pad(parts, length):

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 import os
 import re
 import copy
@@ -730,6 +731,17 @@ def test_enumerate_jellyfish_reads_the_jellyfish_count_before_listing(monkeypatc
     monkeypatch.setattr(cli, "LISTING_BUDGET", 1)
     argv = "enumerate jellyfish --family upq --p 2 --q 2 --k 1 --sigma-plus 1".split()
     assert run_cli_err(argv) == (2, "", "error: dim F_lambda=2 > listing budget 1\n")
+
+
+def test_reach_goldens_hold_P_k_to_the_binomial():
+    # #P_1 of upq(1000,1000) is the number of 0/1 fillings of the 999 x 999
+    # square, C(1998, 999): the degree prints it, and enumerate p exits 2
+    # naming it, each from the row binomials of count_P_product
+    golden = Path(__file__).resolve().parent / "data" / "cli_golden"
+    p_count = math.comb(1998, 999)
+    assert json.loads((golden / "degree-upq-1000-1000-k1.out").read_text())["p_count"] == str(p_count)
+    argv = "enumerate p --family upq --p 1000 --q 1000 --k 1".split()
+    assert run_cli_err(argv) == (2, "", f"error: #P_k={p_count} > listing budget 1000000\n")
 
 
 @pytest.mark.parametrize("kind", ["p", "facets"])

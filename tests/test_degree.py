@@ -4,6 +4,7 @@ import importlib.util
 import io
 import itertools
 import json
+import math
 import re
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -58,6 +59,32 @@ def test_bernstein_degree_golden():
     # above the free threshold the degree of the trivial-label module is 1
     report = bernstein_degree(mp(3, 6), ())
     assert report.degree == 1
+
+
+def test_report_reads_the_size_of_D_k_from_its_shape(monkeypatch):
+    # D_k of upq(1000,1000) at k=1 holds 998,001 boxes; the p-enumeration
+    # gate reads their number from the shape, so no D_k at k >= 1 is built
+    true_diagram = diagrams.diagram_D
+
+    def no_D_k(setting, k):
+        if k >= 1:
+            raise AssertionError(f"D_{k} was built")
+        return true_diagram(setting, k)
+
+    monkeypatch.setattr(diagrams, "diagram_D", no_D_k)
+    report = bernstein_degree(upq(1000, 1000, 1), ((), ()))
+    assert report.p_count == math.comb(1998, 999)
+    skipped = dict((c.name, c.detail) for c in report.cross_checks)["p-enumeration"]
+    assert skipped.endswith("; |D_k|=998001 > 12")
+
+
+def test_hilbert_report_and_degree_read_P_k_once():
+    # both Hilbert routes and the degree read #P_k of one shape from one entry
+    diagrams._count_P.cache_clear()
+    hilbert = hilbert_report(upq(5, 6, 0), 2)
+    report = bernstein_degree(upq(5, 6, 2), ((1,), ()))
+    assert hilbert["p_count"] == report.p_count == 490
+    assert diagrams._count_P.cache_info().misses == 1
 
 
 def test_report_fields():

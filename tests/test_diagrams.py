@@ -956,6 +956,38 @@ def test_pack_unpack_round_trip(case):
     assert diagrams._unpack(diagrams._pack(coeffs, width), width) == IntPolynomial(coeffs)
 
 
+def _count_P_boxes(setting, k):
+    """#P_k by the box product, one factor (h + step k) / h per box of D_k,
+    the hooks h = i + j - 1 of the a x b rectangle for upq, and
+    h = i + j + step - 2 over 1 <= i <= j <= a for the staircases: the
+    reference for count_P_product's row binomials."""
+    f, a, b = diagrams._dual_pair_shape(setting, k)
+    step = diagrams.FAMILIES[f].step
+    if f == "upq":
+        hooks = [i + j - 1 for i in range(1, a + 1) for j in range(1, b + 1)]
+    else:
+        hooks = [i + j + step - 2 for i in range(1, a + 1) for j in range(i, a + 1)]
+    num = den = 1
+    for h in hooks:
+        num *= h + step * k
+        den *= h
+    assert num % den == 0
+    return num // den
+
+
+def test_count_P_product_matches_the_box_product():
+    # one binomial ratio per row of D_k against one factor per box
+    for p in range(1, 11):
+        for q in range(1, 11):
+            for k in range(1, 14):
+                assert count_P_product(upq(p, q, 0), k) == _count_P_boxes(upq(p, q, 0), k), (p, q, k)
+    for n in range(1, 18):
+        for k in range(1, 22):
+            assert count_P_product(mp(n, 0), k) == _count_P_boxes(mp(n, 0), k), (n, k)
+            if n >= 2:
+                assert count_P_product(ostar(n, 0), k) == _count_P_boxes(ostar(n, 0), k), (n, k)
+
+
 def _count_P_fraction(setting, k):
     """#P_k by the product formulas as one normalised Fraction per factor."""
     if k < 1:

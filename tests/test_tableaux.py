@@ -81,6 +81,37 @@ def test_partition_predicates():
         pass
 
 
+def _is_partition_by_parts(parts):
+    """is_partition as one test per part and one per adjacent pair."""
+    parts = tuple(parts)
+    return all(isinstance(x, int) and x >= 1 for x in parts) and all(
+        parts[i] >= parts[i + 1] for i in range(len(parts) - 1)
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.one_of(st.integers(-3, 6), st.booleans(), st.floats(allow_nan=True), st.sampled_from([0, 1, 2.0, True])),
+        max_size=7,
+    )
+)
+def test_is_partition_matches_the_per_part_test(parts):
+    # 0, negatives, bools, floats (nan included) and unsorted tuples, and
+    # the int parts sorted, which are a partition whenever none is below 1
+    ints = sorted((p for p in parts if type(p) is int), reverse=True)
+    for case in (parts, ints):
+        assert is_partition(case) == _is_partition_by_parts(case)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 9), max_size=8).map(lambda parts: sorted(parts, reverse=True)))
+def test_conjugate_counts_the_parts_at_least_each_column(parts):
+    # weakly decreasing parts, trailing zeros included
+    longest = parts[0] if parts else 0
+    assert conjugate(parts) == tuple(sum(p >= j for p in parts) for j in range(1, longest + 1))
+
+
 def test_conjugate_and_pad():
     assert conjugate((4, 2, 1)) == (3, 2, 1, 1)
     assert conjugate(conjugate((5, 3, 3, 1))) == (5, 3, 3, 1)
