@@ -215,6 +215,8 @@ def cmd_enumerate(args):
     kind = args.object
     count = None  # the whole listing is counted unless a count is read first
     if kind == "q":
+        if setting.k < 1:
+            raise ValueError("k must be >= 1")
         sigma = sigma_from_args(setting, args)
         _check_listing_size(setting, sigma)
         objects = dualpair.enumerate_Q(setting, sigma)

@@ -135,8 +135,7 @@ def bernstein_degree(setting, sigma, limit=DEFAULT_LIMIT):
     else:
         checks.append(CrossCheck("q-enumeration", "skipped", gate("dim F_lambda", t_size, limit)))
 
-    _, a, b = diagrams._dual_pair_shape(setting, setting.k)  # |D_k| without its boxes
-    d_size = a * b if setting.family == UPQ else a * (a + 1) // 2
+    d_size = diagrams._d_size(*diagrams._dual_pair_shape(setting, setting.k))
     if p_count <= limit and d_size <= 12:
         brute = len(diagrams.enumerate_P(setting, setting.k))
         status = "pass" if brute == p_count else "fail"
@@ -187,6 +186,8 @@ def q_collapse_check(setting, sigma, limit=DEFAULT_LIMIT):
     which is cut out of T(sigma), is the whole of it.  For r < k < s no
     collapse is asserted.  Above limit = dim F_lambda it raises ValueError
     instead, naming that size."""
+    if setting.k < 1:
+        raise ValueError("k must be >= 1")
     label = dualpair.nonzero_label(setting, sigma)
     t_size = repdims._dim_F(setting, label)
     refuse("dim F_lambda", t_size, limit)

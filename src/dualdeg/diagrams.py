@@ -62,16 +62,21 @@ def _dual_pair_shape(setting, k):
     return setting.family, max(a - fall, 0), max(b - fall, 0)
 
 
+def _d_size(family, a, b):
+    """|D_k| from the shape (family, a, b) that _dual_pair_shape reads,
+    without its boxes: a * b for the rectangle and a(a+1)/2 for the
+    staircases."""
+    return a * b if family == UPQ else a * (a + 1) // 2
+
+
 def _level_work(setting, k):
     """#filters * |D_k| * k, the work the level transfer reads, for the three
     dual-pair types from the shape of D_k, without its boxes: the a x b
     rectangle has C(a+b, a) filters, staircase(a) has 2^a and
     shifted_staircase(a) the Catalan number C(2a+2, a+1) / (a+2)."""
     f, a, b = _dual_pair_shape(setting, k)
-    if f == UPQ:
-        return binomial(a + b, a) * a * b * k
-    filters = 2**a if f == MP else binomial(2 * a + 2, a + 1) // (a + 2)
-    return filters * a * (a + 1) // 2 * k
+    filters = binomial(a + b, a) if f == UPQ else 2**a if f == MP else binomial(2 * a + 2, a + 1) // (a + 2)
+    return filters * _d_size(f, a, b) * k
 
 
 @cache

@@ -229,7 +229,7 @@ def _families_ending_at(setting, k, end):
 def max_family_size(setting, k):
     """The common cardinality d_k of the largest path families, dim p+ - |D_k|."""
     _geometry(setting, k)
-    return diagrams.dim_p_plus(setting) - len(diagrams.diagram_D(setting, k))
+    return diagrams.dim_p_plus(setting) - diagrams._d_size(*diagrams._dual_pair_shape(setting, k))
 
 
 def enumerate_maximal_F(setting, k):

@@ -1,104 +1,85 @@
-"""Dimensions in exact integers: the GL hook-content product, Weyl's
-product formulas for Sp_2k (type C) and O_k (types B and D), and a generic
+"""Dimensions in exact integers: one product over the cells of a label for
+GL, Sp_2k and O_k (El Samra and King, J. Phys. A 12, 1979), and a generic
 Weyl dimension formula over positive roots generated from Cartan matrices."""
 
 import math
 from functools import cache
+from operator import ge, lt
 
 from . import dualpair
-from .tableaux import check_partition, conjugate, exact_quotient, pad
+from .tableaux import check_partition, conjugate, exact_quotient
 
 
-def dim_gl(n, weight):
-    """Dimension of the GL_n irrep with the given weakly decreasing n-tuple."""
-    weight = tuple(weight)
-    if len(weight) != n or any(weight[i] < weight[i + 1] for i in range(n - 1)):
-        raise ValueError("weight must be a weakly decreasing n-tuple")
-    num = den = 1
-    for i in range(n):
-        for j in range(i + 1, n):
-            num *= weight[i] - weight[j] + j - i
-            den *= j - i
-    return exact_quotient(num, den)
-
-
-def _dim_gl_partition(n, lam):
-    """dim_gl(n, pad(lam, n)) for a partition lam of at most n parts, by the
-    hook-content formula: the product over the cells (i, j) of lam of
-    (n + j - i) / hook(i, j), |lam| factors in place of n(n-1)/2."""
+def _cell_product(n, lam, king=0):
+    """The product over the cells (i, j) of the partition lam, 0-indexed, of
+    (n + c(i, j)) / hook(i, j), divided once.  c is the content j - i for
+    GL_n (king=0), King's r-function for Sp_n (king=1) and his s-function for
+    O_n (king=-1): below the diagonal, and on it for O_n, the row lengths
+    lam[i] + lam[j] - i - j + king - 1, else the column lengths
+    i + j + king + 1 - conj[i] - conj[j].  The GL_n case is the hook-content
+    formula, |lam| factors in place of n(n-1)/2."""
     conj = conjugate(lam)
     num = den = 1
     for i, row in enumerate(lam):
         for j in range(row):
-            num *= n + j - i
+            if not king:
+                num *= n + j - i
+            elif i > j or i == j and king < 0:
+                num *= n + row + lam[j] - i - j + king - 1
+            else:
+                num *= n + i + j + king + 1 - conj[i] - conj[j]
             den *= row - j + conj[j] - i - 1
     return exact_quotient(num, den)
 
 
+def dim_gl(n, weight):
+    """Dimension of the GL_n irrep with the given weakly decreasing n-tuple:
+    dim_gl_rational of its positive parts and its negated negative ones."""
+    weight = tuple(weight)
+    if len(weight) != n or any(map(lt, weight, weight[1:])):
+        raise ValueError("weight must be a weakly decreasing n-tuple")
+    return dim_gl_rational(n, [x for x in weight if x > 0], [-x for x in reversed(weight) if x < 0])
+
+
 def dim_gl_rational(k, plus, minus):
     """Dimension of the GL_k irrep labeled by a pair of partitions: highest
-    weight (plus, 0, ..., 0, -reversed(minus))."""
+    weight (plus, 0, ..., 0, -reversed(minus)).  El Samra and King: the GL
+    cell products of plus at rank k - l(minus) and of minus at k - l(plus),
+    times (k + 1 - i - j + plus_i + minus_j) / (k + 1 - i - j) over
+    i <= l(plus) and j <= l(minus), counted from 1."""
     plus, minus = tuple(plus), tuple(minus)
     if len(plus) + len(minus) > k:
         raise ValueError("pair does not fit in rank k")
-    full = plus + (0,) * (k - len(plus) - len(minus)) + tuple(-x for x in reversed(minus))
-    return dim_gl(k, full)
-
-
-def _classical_dim(shifted, rho, axis_roots):
-    """Weyl's product for types B, C and D in epsilon coordinates, with
-    shifted = lambda + rho: the ratio <shifted, a> / <rho, a> over the roots
-    e_i - e_j and e_i + e_j (i < j), and over e_i or 2e_i when axis_roots."""
+    if not all(all(map(ge, part, part[1:] + (0,))) for part in (plus, minus)):
+        raise ValueError("weight must be a weakly decreasing n-tuple")
+    plus, minus = tuple(filter(None, plus)), tuple(filter(None, minus))
     num = den = 1
-    for i, (a, b) in enumerate(zip(shifted, rho)):
-        if axis_roots:
-            num *= a
-            den *= b
-        for c, d in zip(shifted[i + 1 :], rho[i + 1 :]):
-            num *= a * a - c * c
-            den *= b * b - d * d
+    for i, x in enumerate(plus):
+        for j, y in enumerate(minus):
+            num *= k - 1 - i - j + x + y
+            den *= k - 1 - i - j
+    num *= _cell_product(k - len(minus), plus) * _cell_product(k - len(plus), minus)
     return exact_quotient(num, den)
 
 
 def dim_o(k, sigma):
-    """Dimension of the O_k irrep labeled by sigma (first two columns of
-    total length at most k), by Weyl's formula for SO_k.
-
-    A label with first column c1 > k/2 has the dimension of its associate,
-    whose columns (k - c1,) + conj[1:] are weakly decreasing, as conjugate
-    needs, since c1 + c2 <= k.  For even k a label with k/2 rows restricts
-    to two SO_k irreps of equal dimension, so it counts twice."""
+    """Dimension of the O_k irrep labeled by sigma, a partition whose first
+    two columns have total length at most k: King's cell product."""
     sigma = check_partition(sigma)
-    conj = conjugate(sigma)
-    c1 = conj[0] if len(conj) >= 1 else 0
-    c2 = conj[1] if len(conj) >= 2 else 0
-    if c1 + c2 > k:
+    if sum(conjugate(sigma)[:2]) > k:
         raise ValueError("sigma is not an O_k label")
-    if 2 * c1 > k:
-        sigma = conjugate((k - c1,) + conj[1:])
-    m = k // 2
-    lam = pad(sigma, m)
-    if k % 2:  # type B_m, coordinates doubled so that rho is integral
-        rho = [2 * (m - i) - 1 for i in range(m)]
-        shifted = [2 * x + r for x, r in zip(lam, rho)]
-    else:  # type D_m
-        rho = [m - 1 - i for i in range(m)]
-        shifted = [x + r for x, r in zip(lam, rho)]
-    dim = _classical_dim(shifted, rho, k % 2 == 1)
-    return 2 * dim if k % 2 == 0 and m and len(sigma) == m else dim
+    return _cell_product(k, sigma, king=-1)
 
 
 def dim_sp(two_k, sigma):
-    """Dimension of the Sp_{2k} irrep with highest weight sigma, by Weyl's
-    formula for type C_k."""
+    """Dimension of the Sp_{2k} irrep with highest weight sigma, a partition
+    of at most k parts: King's cell product."""
     if two_k % 2 != 0:
         raise ValueError("rank must be even")
-    k = two_k // 2
     sigma = check_partition(sigma)
-    if len(sigma) > k:
+    if len(sigma) > two_k // 2:
         raise ValueError("sigma is not an Sp_2k highest weight")
-    rho = range(k, 0, -1)
-    return _classical_dim([x + r for x, r in zip(pad(sigma, k), rho)], rho, True)
+    return _cell_product(two_k, sigma, king=1)
 
 
 def dim_U_sigma(setting, sigma):
@@ -182,5 +163,5 @@ def _dim_F(setting, sigma):
     """dim_F_lambda of a label dualpair.nonzero_label has returned."""
     if setting.family == dualpair.UPQ:
         plus, minus = sigma
-        return _dim_gl_partition(setting.p, minus) * _dim_gl_partition(setting.q, plus)
-    return _dim_gl_partition(setting.n, sigma)
+        return _cell_product(setting.p, minus) * _cell_product(setting.q, plus)
+    return _cell_product(setting.n, sigma)

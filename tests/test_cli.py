@@ -649,6 +649,21 @@ def test_identity_window_refusals():
     )
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "check collapse --family ostar --n 5 --k 0",
+        "check collapse --family upq --p 2 --q 3",
+        "enumerate q --family upq --p 2 --q 3",
+        "enumerate q --family mp --n 3 --k 0",
+    ],
+)
+def test_q_calls_refuse_k_below_1(argv):
+    # the empty label lies in the label set at k = 0, so only the k check
+    # stops these calls; --k defaults to 0
+    assert run_cli_err(argv.split()) == (2, "", "error: k must be >= 1\n")
+
+
 @pytest.mark.parametrize("flags", ["--family ostar --n 2", "--family upq --p 1 --q 1"])
 def test_enumerate_jellyfish_names_an_empty_k_range(flags):
     # s = 1, so the range 1 <= k < s of the jellyfish holds no k

@@ -1,7 +1,8 @@
 """CLI outputs against golden files: every call listed in
 tests/data/cli_golden/commands.txt must print the same bytes and exit with
-the same code.  Run this file as a script with --regenerate to rewrite the
-outputs from the current code."""
+the same code, and every .out file there must belong to one listed call.
+Run this file as a script with --regenerate to rewrite the outputs from
+the current code."""
 
 import io
 import sys
@@ -41,6 +42,16 @@ def test_cli_output_matches_golden(name, code, argv):
     got_code, got = run(argv)
     assert got_code == code
     assert got == (GOLDEN / f"{name}.out").read_bytes()
+
+
+def test_manifest_and_outputs_pair_up():
+    # one .out file per listed call and one listed call per .out file, each
+    # name once, so that no output goes unchecked
+    names = [name for name, _, _ in read_manifest()]
+    assert sorted({n for n in names if names.count(n) > 1}) == [], "names listed twice"
+    outputs = {path.stem for path in GOLDEN.glob("*.out")}
+    assert sorted(outputs - set(names)) == [], ".out files with no line in commands.txt"
+    assert sorted(set(names) - outputs) == [], "listed calls with no .out file"
 
 
 def regenerate():

@@ -311,6 +311,13 @@ def test_q_collapse_check_sees_a_dropped_tableau(monkeypatch):
     assert not verify_all(only="collapse")["ok"]
 
 
+@pytest.mark.parametrize("setting, sigma", [(ostar(5, 0), ()), (upq(2, 3, 0), ((), ())), (mp(3, 0), ())])
+def test_q_collapse_check_refuses_k_below_1(setting, sigma):
+    # the empty label lies in the label set at k = 0, with one tableau
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        q_collapse_check(setting, sigma)
+
+
 @pytest.mark.parametrize(
     "setting, sigma",
     [(upq(2, 3, 3), ((2, 1), (1,))), (mp(3, 4), (2, 1)), (ostar(7, 3), (2, 1)), (mp(3, 4), (3, 1))],

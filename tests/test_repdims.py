@@ -1,5 +1,5 @@
-"""Tests for the dimension formulas, against the Fraction products and the
-tableau counts they replaced."""
+"""Tests for the dimension formulas, against the Fraction products, the
+Weyl pair products and the tableau counts they replaced."""
 
 import io
 import json
@@ -15,7 +15,7 @@ from dualdeg.cli import main
 from dualdeg.degree import iter_sigmas, partitions_up_to
 from dualdeg.dualpair import count_Q_determinant, mp, ostar, real_rank, upq
 from dualdeg.repdims import (
-    _dim_gl_partition,
+    _cell_product,
     dim_F_lambda,
     dim_gl,
     dim_gl_rational,
@@ -25,7 +25,7 @@ from dualdeg.repdims import (
     dim_weyl,
     root_system,
 )
-from dualdeg.tableaux import conjugate, enumerate_ssyt, pad
+from dualdeg.tableaux import conjugate, enumerate_ssyt, exact_quotient, pad
 
 
 def first_two_columns(t):
@@ -44,6 +44,64 @@ def _dim_gl_fraction(n, weight):
             result *= Fraction(weight[i] - weight[j] + j - i, j - i)
     assert result.denominator == 1
     return int(result)
+
+
+def _dim_gl_pairs(n, weight):
+    """Weyl's product for GL_n: (w_i - w_j + j - i) / (j - i) over the
+    n(n-1)/2 pairs i < j, divided once."""
+    num = den = 1
+    for i in range(n):
+        for j in range(i + 1, n):
+            num *= weight[i] - weight[j] + j - i
+            den *= j - i
+    return exact_quotient(num, den)
+
+
+def _dim_gl_rational_pairs(k, plus, minus):
+    """The GL_k pair product of the weight (plus, 0, ..., 0, -reversed(minus))."""
+    return _dim_gl_pairs(k, pad(plus, k - len(minus)) + tuple(-x for x in reversed(minus)))
+
+
+def _classical_dim(shifted, rho, axis_roots):
+    """Weyl's product for types B, C and D in epsilon coordinates, with
+    shifted = lambda + rho: the ratio <shifted, a> / <rho, a> over the roots
+    e_i - e_j and e_i + e_j (i < j), and over e_i or 2e_i when axis_roots."""
+    num = den = 1
+    for i, (a, b) in enumerate(zip(shifted, rho)):
+        if axis_roots:
+            num *= a
+            den *= b
+        for c, d in zip(shifted[i + 1 :], rho[i + 1 :]):
+            num *= a * a - c * c
+            den *= b * b - d * d
+    return exact_quotient(num, den)
+
+
+def _dim_o_pairs(k, sigma):
+    """The O_k dimension by Weyl's product for SO_k.  A label with first
+    column c1 > k/2 has the dimension of its associate, whose columns are
+    (k - c1,) + conj[1:]; for even k a label with k/2 rows restricts to two
+    SO_k irreps of equal dimension, so it counts twice."""
+    conj = conjugate(sigma)
+    if conj and 2 * conj[0] > k:
+        sigma = conjugate((k - conj[0],) + conj[1:])
+    m = k // 2
+    lam = pad(sigma, m)
+    if k % 2:  # type B_m, coordinates doubled so that rho is integral
+        rho = [2 * (m - i) - 1 for i in range(m)]
+        shifted = [2 * x + r for x, r in zip(lam, rho)]
+    else:  # type D_m
+        rho = [m - 1 - i for i in range(m)]
+        shifted = [x + r for x, r in zip(lam, rho)]
+    dim = _classical_dim(shifted, rho, k % 2 == 1)
+    return 2 * dim if k % 2 == 0 and m and len(sigma) == m else dim
+
+
+def _dim_sp_pairs(two_k, sigma):
+    """The Sp_{2k} dimension by Weyl's product for type C_k."""
+    k = two_k // 2
+    rho = range(k, 0, -1)
+    return _classical_dim([x + r for x, r in zip(pad(sigma, k), rho)], rho, True)
 
 
 def _dim_weyl_fraction(name, weight):
@@ -259,16 +317,75 @@ def test_dim_gl_matches_fraction_product(weight):
 )
 def test_dim_gl_partition_matches_dim_gl(case):
     n, lam = case
-    assert _dim_gl_partition(n, tuple(lam)) == dim_gl(n, pad(lam, n))
+    assert _cell_product(n, tuple(lam)) == dim_gl(n, pad(lam, n)) == _dim_gl_pairs(n, pad(lam, n))
 
 
 def test_dim_F_lambda_pinned_at_mp23():
-    # 23 parts after padding: 253 pair factors in dim_gl, |sigma| cells by hook content
+    # 23 parts after padding: 253 pair factors in the Weyl product, |sigma| cells by hook content
     for setting, sigma, want in [
         (mp(23, 12), (4, 3, 3, 2, 2, 1), 13_090_864_644_000),
         (mp(23, 22), (2,) * 11, 281_248_448_936),
     ]:
-        assert dim_F_lambda(setting, sigma) == dim_gl(23, pad(sigma, 23)) == want
+        weight = pad(sigma, 23)
+        assert dim_F_lambda(setting, sigma) == dim_gl(23, weight) == _dim_gl_pairs(23, weight) == want
+
+
+@st.composite
+def rank_and_label(draw, fits):
+    """k <= 14 and a partition sigma of size at most 10 with fits(k, sigma)."""
+    k = draw(st.integers(1, 14))
+    return k, draw(st.sampled_from([sigma for sigma in partitions_up_to(10) if fits(k, sigma)]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rank_and_label(lambda k, sigma: sum(conjugate(sigma)[:2]) <= k))
+def test_dim_o_matches_weyl_pair_product(case):
+    k, sigma = case
+    assert dim_o(k, sigma) == _dim_o_pairs(k, sigma)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rank_and_label(lambda k, sigma: len(sigma) <= k))
+def test_dim_sp_matches_weyl_pair_product(case):
+    k, sigma = case
+    assert dim_sp(2 * k, sigma) == _dim_sp_pairs(2 * k, sigma)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 12),
+    st.sampled_from(partitions_up_to(7)),
+    st.sampled_from(partitions_up_to(7)),
+)
+def test_dim_gl_rational_matches_weyl_pair_product(k, plus, minus):
+    assume(len(plus) + len(minus) <= k)
+    assert dim_gl_rational(k, plus, minus) == _dim_gl_rational_pairs(k, plus, minus)
+
+
+@pytest.mark.parametrize(
+    "group, k, label, want",
+    [
+        # the Weyl product read these O_k labels from their associates
+        pytest.param("o", 5, (1, 1, 1), 10, id="o-2c1-above-k"),
+        pytest.param("o", 7, (2, 1, 1, 1, 1), 105, id="o-2c1-above-k-two-columns"),
+        pytest.param("o", 3, (1, 1), 3, id="o-2c1-above-k-odd-c1"),
+        # and counted these twice: even k, k/2 rows
+        pytest.param("o", 4, (1, 1), 6, id="o-even-k-half-rows"),
+        pytest.param("o", 4, (2, 2), 10, id="o-even-k-half-rows-square"),
+        pytest.param("o", 6, (3, 2, 1), 512, id="o-even-k-half-rows-staircase"),
+        # no zero weight between sigma+ and sigma-
+        pytest.param("gl", 2, ((1,), (1,)), 3, id="gl-full-rank-adjoint"),
+        pytest.param("gl", 4, ((3, 1), (2, 2)), 280, id="gl-full-rank"),
+        pytest.param("gl", 3, ((2, 2, 1), ()), 3, id="gl-full-rank-no-minus"),
+    ],
+)
+def test_cell_products_at_the_weyl_branches(group, k, label, want):
+    if group == "o":
+        assert dim_o(k, label) == _dim_o_pairs(k, label) == _dim_o_tableaux(k, label) == want
+    else:
+        assert sum(map(len, label)) == k
+        count = _dim_gl_rational_tableaux(k, *label)
+        assert dim_gl_rational(k, *label) == _dim_gl_rational_pairs(k, *label) == count == want
 
 
 @settings(max_examples=200, deadline=None)
